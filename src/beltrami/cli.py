@@ -77,6 +77,21 @@ def _print_rows(rows, fields):
         print("  ".join(cells))
 
 
+def _write_elements(out, method, elements):
+    """Write a method's element set: mesh.off, cut.off, or band.vtk."""
+    if method == "parametric":
+        path = os.path.join(out, "mesh.off")
+        write_off(path, elements.vertices, elements.triangles)
+    elif method == "trace":
+        path = os.path.join(out, "cut.off")
+        write_off(path, elements.vertices, elements.faces)
+    else:
+        path = os.path.join(out, "band.vtk")
+        write_vtk_tets(path, elements.bulk.vertices, elements.tets(),
+                       title="narrow band")
+    return path
+
+
 def _cmd_solve(args):
     config = _load_config(args)
     out = _out_dir(args)
@@ -90,16 +105,9 @@ def _cmd_solve(args):
         ],
         ("dof", "coefficient"),
     )
-    if config.method == "parametric":
-        write_off(os.path.join(out, "mesh.off"),
-                  problem.mesh.vertices, problem.mesh.triangles)
-    elif config.method == "trace":
-        write_off(os.path.join(out, "cut.off"),
-                  problem.cut.vertices, problem.cut.faces)
-    else:
-        write_vtk_tets(os.path.join(out, "band.vtk"),
-                       problem.bulk.vertices, problem.band.tets(),
-                       title="narrow band")
+    elements = (problem.mesh if config.method == "parametric"
+                else problem.cut if config.method == "trace" else problem.band)
+    _write_elements(out, config.method, elements)
     row = result["row"]
     print(
         f"{config.method}: n_dof={row['n_dof']} h={row['h']:.4e} "
@@ -154,27 +162,15 @@ def _cmd_export_mesh(args):
     config = _load_config(args)
     out = _out_dir(args)
     level = config.levels[0]
-    written = []
     if config.method == "parametric":
-        mesh = surface_mesh_for_level(config.surface, level)
-        path = os.path.join(out, "mesh.off")
-        write_off(path, mesh.vertices, mesh.triangles)
-        written.append(path)
+        elements = surface_mesh_for_level(config.surface, level)
     else:
         bulk = bulk_mesh_for_level(config, level)
         if config.method == "trace":
-            cut = extract_cut_surface(bulk, config.surface)
-            path = os.path.join(out, "cut.off")
-            write_off(path, cut.vertices, cut.faces)
-            written.append(path)
+            elements = extract_cut_surface(bulk, config.surface)
         else:
-            band = extract_band(bulk, config.surface,
-                                config.delta_factor * bulk.h)
-            path = os.path.join(out, "band.vtk")
-            write_vtk_tets(path, bulk.vertices, band.tets(), title="narrow band")
-            written.append(path)
-    for path in written:
-        print(f"wrote {path}")
+            elements = extract_band(bulk, config.surface, config.delta_factor * bulk.h)
+    print(f"wrote {_write_elements(out, config.method, elements)}")
     return 0
 
 

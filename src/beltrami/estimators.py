@@ -9,14 +9,11 @@ Doerfler marking plus newest-vertex bisection closes the loop.
 
 import numpy as np
 
-from .fem import TRI_DEGREE4, triangle_geometry
-from .meshes import refine_bisection
-from .parametric import (
-    ParametricProblem,
-    parametric_solve,
-    parametric_workspace,
-    plane_basis,
-)
+from .fem import triangle_geometry
+from .geometry import CLOSEST_POINT, plane_basis
+from .meshes import edge_table, refine_bisection
+from .parametric import ParametricProblem, parametric_solve, parametric_workspace
+from .trace import _face_workspace, face_deviations
 
 
 class IndicatorField:
@@ -39,6 +36,10 @@ class IndicatorField:
 
     def __repr__(self):
         return f"IndicatorField({self.name}, total={self.total:.4e})"
+
+
+def _edge_lengths(vertices, edges):
+    return np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
 
 
 def _edge_jumps(grad_u, grads, tri_edges, edge_lengths):
@@ -70,9 +71,7 @@ def residual_estimator(problem, field, workspace=None):
     F = ws["forcing"]
     bulk = (w * F**2).sum(axis=1)
     h = mesh.h
-    edge_lengths = np.linalg.norm(
-        mesh.vertices[mesh.edges[:, 0]] - mesh.vertices[mesh.edges[:, 1]], axis=1
-    )
+    edge_lengths = _edge_lengths(mesh.vertices, mesh.edges)
     _, jump_term = _edge_jumps(grad_u, ws["grads"], mesh.tri_edges, edge_lengths)
     eta = np.sqrt(h**2 * bulk + 0.5 * h * jump_term)
 
@@ -135,33 +134,14 @@ def trace_estimators(problem, field, workspace=None):
     + (max_F |nu - nu_Gamma|)^2 with K_F the largest principal curvature
     magnitude over the projected samples, aggregated by max.
     """
-    from .trace import _face_workspace, geometric_resolution
-
     cut = problem.cut
     ws = workspace if workspace is not None else _face_workspace(problem)
-    if "forcing" not in ws:
-        surface = problem.surface
-        nq = TRI_DEGREE4.npoints
-        flat = ws["qp"].reshape(-1, 3)
-        nus_q = np.repeat(ws["normals"], nq, axis=0)
-        ratio = surface.area_ratio(flat, nus_q)
-        ws["forcing"] = (
-            problem.solution.f(surface.closest_point(flat)) * ratio
-        ).reshape(ws["weights"].shape)
     c = field.coefficients
     grad_u = np.einsum("ek,ekd->ed", c[ws["dofs"]], ws["proj_grads"])
 
-    faces = cut.faces
-    face_grads, _, _ = triangle_geometry(cut.vertices[faces])
-    pairs = np.sort(
-        np.concatenate([faces[:, [1, 2]], faces[:, [2, 0]], faces[:, [0, 1]]]),
-        axis=1,
-    )
-    edges, inv = np.unique(pairs, axis=0, return_inverse=True)
-    face_edges = inv.reshape(3, len(faces)).T
-    edge_lengths = np.linalg.norm(
-        cut.vertices[edges[:, 0]] - cut.vertices[edges[:, 1]], axis=1
-    )
+    face_grads, _, _ = triangle_geometry(cut.vertices[cut.faces])
+    edges, face_edges = edge_table(cut.faces)
+    edge_lengths = _edge_lengths(cut.vertices, edges)
     _, jump_term = _edge_jumps(grad_u, face_grads, face_edges, edge_lengths)
 
     w = ws["weights"]
@@ -170,16 +150,9 @@ def trace_estimators(problem, field, workspace=None):
     eta = h * np.sqrt(bulk) + np.sqrt(h * jump_term)
 
     surface = problem.surface
-    samples = np.concatenate([ws["qp"], cut.vertices[faces]], axis=1)
-    n_s = samples.shape[1]
-    flat = samples.reshape(-1, 3)
-    d = np.abs(surface._distance_raw(flat)).reshape(-1, n_s).max(axis=1)
-    _, g = surface._grad_raw(flat)
-    dev = np.linalg.norm(
-        g - np.repeat(ws["normals"], n_s, axis=0), axis=1
-    ).reshape(-1, n_s).max(axis=1)
+    flat, d, dev = face_deviations(problem, ws)
     kappa = surface.parallel_curvatures(surface._project_raw(flat))
-    k_face = np.abs(kappa).max(axis=1).reshape(-1, n_s).max(axis=1)
+    k_face = np.abs(kappa).max(axis=1).reshape(len(d), -1).max(axis=1)
     xi = d * k_face + dev**2
     return (
         IndicatorField("eta", eta),
@@ -219,8 +192,6 @@ def adapt_loop(surface, mesh, max_iters=8, theta=0.5, lift=None,
     Returns (rows, mesh, field): one history row per solve with keys
     iter, n_dof, err_H1, err_L2, eta, lambda, beta, mu, n_marked.
     """
-    from .geometry import CLOSEST_POINT
-
     if lift is None:
         lift = CLOSEST_POINT
     rows = []

@@ -94,28 +94,25 @@ TET_DEGREE4 = _tet_degree4()
 # ---------------------------------------------------------------------------
 
 
+def edge_vectors(coords):
+    """Edge vectors of triangles (E, 3, 3); row i is the edge opposite vertex i."""
+    return coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]
+
+
 def triangle_geometry(coords):
     """Gradients, areas, and unit normals for triangles embedded in 3-D.
 
     coords : (E, 3, 3).  The hat gradients lie in each facet's plane, sum
     to zero, and reproduce in-plane linear fields.
     """
-    coords = np.asarray(coords, dtype=float)
-    e0 = coords[:, 2] - coords[:, 1]
-    e1 = coords[:, 0] - coords[:, 2]
-    e2 = coords[:, 1] - coords[:, 0]
-    n = np.cross(e2, -e1)  # (p1 - p0) x (p2 - p0), norm 2|T|
+    e = edge_vectors(np.asarray(coords, dtype=float))
+    n = np.cross(e[:, 2], -e[:, 1])  # (p1 - p0) x (p2 - p0), norm 2|T|
     two_area = np.linalg.norm(n, axis=1)
-    hmax = np.maximum(
-        np.linalg.norm(e0, axis=1),
-        np.maximum(np.linalg.norm(e1, axis=1), np.linalg.norm(e2, axis=1)),
-    )
+    hmax = np.linalg.norm(e, axis=2).max(axis=1)
     if np.any(two_area < 2e-14 * hmax**2):
         raise DegenerateSimplex("triangle with vanishing area")
     nu = n / two_area[:, None]
-    grads = np.stack(
-        [np.cross(nu, e0), np.cross(nu, e1), np.cross(nu, e2)], axis=1
-    ) / two_area[:, None, None]
+    grads = np.cross(nu[:, None, :], e) / two_area[:, None, None]
     return grads, 0.5 * two_area, nu
 
 
@@ -134,16 +131,6 @@ def tetrahedron_geometry(coords):
     return grads, vol
 
 
-def p1_facet_gradients(vertices):
-    """Per-vertex P1 gradients of a single triangle (in 3-D) or tetrahedron."""
-    vertices = np.asarray(vertices, dtype=float)
-    if vertices.shape == (3, 3):
-        return triangle_geometry(vertices[None])[0][0]
-    if vertices.shape == (4, 3):
-        return tetrahedron_geometry(vertices[None])[0][0]
-    raise ValueError("expected (3, 3) or (4, 3) vertex array")
-
-
 def barycentric_values(grads, coords, points):
     """Hat-function values at physical points inside each element.
 
@@ -159,6 +146,13 @@ def barycentric_values(grads, coords, points):
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
+
+
+def local_dofs(active, elements, n_global):
+    """Element vertex ids as positions in ``active`` (-1 where inactive)."""
+    lookup = np.full(n_global, -1, dtype=np.int64)
+    lookup[active] = np.arange(len(active))
+    return lookup[elements]
 
 
 def assemble_stiffness(grads, measures, dofs, n_dof):

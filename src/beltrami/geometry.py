@@ -48,6 +48,18 @@ def _restore(arr, was_single, lead_shape):
     return arr.reshape(lead_shape + arr.shape[1:])
 
 
+def plane_basis(normals):
+    """Two orthonormal in-plane vectors per unit normal, (N, 3) each."""
+    n = len(normals)
+    k = np.argmin(np.abs(normals), axis=1)
+    e = np.zeros((n, 3))
+    e[np.arange(n), k] = 1.0
+    t1 = e - normals * normals[np.arange(n), k][:, None]
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    t2 = np.cross(normals, t1)
+    return t1, t2
+
+
 class ManufacturedSolution:
     """Closed-form test problem on a surface: u, its tangential gradient, f.
 
@@ -181,13 +193,7 @@ class ImplicitSurface:
         an honestly-zero curvature (torus top circle) distinct from the
         zero eigenvalue along the normal.
         """
-        n = g.shape[0]
-        k = np.argmin(np.abs(g), axis=1)
-        e = np.zeros((n, 3))
-        e[np.arange(n), k] = 1.0
-        t1 = e - g * g[np.arange(n), k][:, None]
-        t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-        t2 = np.cross(g, t1)
+        t1, t2 = plane_basis(g)
         Ht1 = np.einsum("nij,nj->ni", H, t1)
         Ht2 = np.einsum("nij,nj->ni", H, t2)
         b11 = np.einsum("ni,ni->n", t1, Ht1)

@@ -30,6 +30,26 @@ SCHEMA_VERSION = 1
 METHODS = ("parametric", "trace", "narrowband")
 LIFTS = (CLOSEST_POINT, SCALED_RADIAL)
 
+# Result columns that only some methods produce, in output order.
+OPTIONAL_COLUMNS = (
+    "eta", "lambda", "beta", "mu", "max_distance", "max_normal_dev",
+    "band_err_H1", "band_err_L2",
+)
+
+
+def _config_number(value, name, integral=False):
+    """A config value as float (int if ``integral``); strings, null, booleans,
+    non-finite and non-integral values raise ConfigError naming it."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not np.isfinite(value))
+        or (integral and value != int(value))
+    ):
+        kind = "an integer" if integral else "a finite number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return int(value) if integral else float(value)
+
 
 class RunConfig:
     """Validated run configuration.
@@ -65,7 +85,10 @@ class RunConfig:
         if (
             not isinstance(levels, (list, tuple))
             or len(levels) == 0
-            or not all(isinstance(v, int) and v >= 0 for v in levels)
+            or not all(
+                isinstance(v, int) and not isinstance(v, bool) and v >= 0
+                for v in levels
+            )
         ):
             raise ConfigError("levels must be a nonempty list of ints >= 0")
         if self.method in ("trace", "narrowband") and min(levels) < 4:
@@ -75,31 +98,35 @@ class RunConfig:
         if self.lift not in LIFTS:
             raise ConfigError(f"lift must be one of {LIFTS}")
         self.box_half_width = data.get("box_half_width")
-        if self.box_half_width is not None and self.box_half_width <= 0:
-            raise ConfigError("box_half_width must be positive")
-        self.delta_factor = float(data.get("delta_factor", 1.5))
+        if self.box_half_width is not None:
+            self.box_half_width = _config_number(self.box_half_width, "box_half_width")
+            if self.box_half_width <= 0:
+                raise ConfigError("box_half_width must be positive")
+        self.delta_factor = _config_number(data.get("delta_factor", 1.5), "delta_factor")
         if not 1.0 <= self.delta_factor <= 2.0:
             raise ConfigError("delta_factor must lie in [1, 2]")
-        self.theta = float(data.get("theta", 0.5))
+        self.theta = _config_number(data.get("theta", 0.5), "theta")
         if not 0.0 < self.theta < 1.0:
             raise ConfigError("theta must lie in (0, 1)")
-        self.iterations = int(data.get("iterations", 8))
+        self.iterations = _config_number(data.get("iterations", 8), "iterations",
+                                         integral=True)
         if self.iterations < 0:
             raise ConfigError("iterations must be >= 0")
-        self.seed = int(data.get("seed", 0))
-        self.tol = float(data.get("tol", 1e-10))
+        self.seed = _config_number(data.get("seed", 0), "seed", integral=True)
+        self.tol = _config_number(data.get("tol", 1e-10), "tol")
         if not 0.0 < self.tol < 1.0:
             raise ConfigError("tol must lie in (0, 1)")
         self.windows = data.get("windows", {})
         if not isinstance(self.windows, dict):
             raise ConfigError("windows must be an object of [lo, hi] pairs")
         for key, win in self.windows.items():
+            name = f"window {key!r}"
             if (
                 not isinstance(win, (list, tuple))
                 or len(win) != 2
-                or not win[0] < win[1]
+                or not _config_number(win[0], name) < _config_number(win[1], name)
             ):
-                raise ConfigError(f"window {key!r} must be [lo, hi] with lo < hi")
+                raise ConfigError(f"{name} must be [lo, hi] with lo < hi")
         self.label = data.get("label", "")
         self.raw = data
 
@@ -182,12 +209,6 @@ def _solve_level(config, level):
     return problem, field, report
 
 
-_ROW_FLOATS = (
-    "h", "err_H1", "err_L2", "eta", "lambda", "beta", "mu",
-    "max_distance", "max_normal_dev", "band_err_H1", "band_err_L2",
-)
-
-
 def _report_row(level, report):
     row = {
         "level": level,
@@ -198,7 +219,7 @@ def _report_row(level, report):
         "iterations": report.iterations,
     }
     row.update(report.estimators)
-    for key in ("max_distance", "max_normal_dev", "band_err_H1", "band_err_L2"):
+    for key in OPTIONAL_COLUMNS:
         if key in report.info:
             row[key] = report.info[key]
     return row
@@ -221,9 +242,7 @@ def run_convergence(config):
         "elapsed_seconds": time.perf_counter() - t0,
     }
     if len(rows) >= 2:
-        for key in ("err_H1", "err_L2", "eta", "lambda", "beta", "mu",
-                    "max_distance", "max_normal_dev", "band_err_H1",
-                    "band_err_L2"):
+        for key in ("err_H1", "err_L2") + OPTIONAL_COLUMNS:
             if all(key in r for r in rows):
                 name = "eoc_" + key.replace("err_", "")
                 result["eoc"][name] = compute_eoc(hs, [r[key] for r in rows])
@@ -346,8 +365,7 @@ ADAPT_FIELDS = ("iter", "n_dof", "err_H1", "err_L2", "eta", "lambda", "beta", "m
 
 def converge_csv_fields(rows):
     fields = list(CONVERGE_FIELDS)
-    for key in ("eta", "lambda", "beta", "mu", "max_distance",
-                "max_normal_dev", "band_err_H1", "band_err_L2"):
+    for key in OPTIONAL_COLUMNS:
         if all(key in r for r in rows):
             fields.append(key)
     return fields

@@ -1,22 +1,18 @@
 """Triangulated surfaces, structured bulk meshes, and mesh extraction.
 
 Surface meshes interpolate the smooth surface (all vertices on it) and
-carry the caches the solvers need: areas, outward normals, element sizes
-h_T = |T|^(1/2), and edge connectivity.  Bulk meshes are uniform Kuhn
-subdivisions of a cube into six tetrahedra per cell; cutting them with
-the interpolated signed distance yields the trace-method surface, and
-thresholding |d_h| < delta yields the narrow band.
+carry the caches the solvers need: hat gradients, areas, outward normals,
+element sizes h_T = |T|^(1/2), and edge connectivity.  Bulk meshes are
+uniform Kuhn subdivisions of a cube into six tetrahedra per cell;
+cutting them with the interpolated signed distance yields the
+trace-method surface, and thresholding |d_h| < delta yields the narrow
+band.
 """
 
 import numpy as np
 
-from .errors import (
-    BeltramiError,
-    BoxTooSmall,
-    DegenerateSimplex,
-    EmptyBand,
-    UnsupportedSurface,
-)
+from .errors import BeltramiError, BoxTooSmall, EmptyBand, UnsupportedSurface
+from .fem import edge_vectors, triangle_geometry
 
 MAX_VERTEX_VALENCE = 32
 
@@ -40,44 +36,13 @@ class SurfaceMesh:
         self._check()
 
     def _build_caches(self):
-        t = self.triangles
-        coords = self.vertices[t]
-        e0 = coords[:, 2] - coords[:, 1]
-        e1 = coords[:, 0] - coords[:, 2]
-        e2 = coords[:, 1] - coords[:, 0]
-        n = np.cross(e2, -e1)
-        two_area = np.linalg.norm(n, axis=1)
-        lengths = np.stack(
-            [
-                np.linalg.norm(e0, axis=1),
-                np.linalg.norm(e1, axis=1),
-                np.linalg.norm(e2, axis=1),
-            ],
-            axis=1,
-        )
-        self.diameters = lengths.max(axis=1)
-        if np.any(two_area < 2e-14 * self.diameters**2):
-            raise DegenerateSimplex("degenerate triangle in surface mesh")
-        self.areas = 0.5 * two_area
-        self.normals = n / two_area[:, None]
+        coords = self.triangle_coords()
+        self.grads, self.areas, self.normals = triangle_geometry(coords)
+        self.diameters = np.linalg.norm(edge_vectors(coords), axis=2).max(axis=1)
         self.h = np.sqrt(self.areas)
-
-        pairs = np.sort(
-            np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]]), axis=1
-        )
-        edges, inv = np.unique(pairs, axis=0, return_inverse=True)
-        self.edges = edges
-        self.tri_edges = inv.reshape(3, len(t)).T
-        counts = np.bincount(inv, minlength=len(edges))
-        self._edge_counts = counts
-        edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
-        order = np.argsort(inv, kind="stable")
-        tri_of = np.tile(np.arange(len(t)), 3)[order]
-        starts = np.cumsum(counts) - counts
-        edge_tris[:, 0] = tri_of[starts]
-        two = counts >= 2
-        edge_tris[two, 1] = tri_of[starts[two] + 1]
-        self.edge_tris = edge_tris
+        self.edges, self.tri_edges = edge_table(self.triangles)
+        self._edge_counts = np.bincount(self.tri_edges.ravel(),
+                                        minlength=len(self.edges))
 
     def _check(self):
         if not self.is_closed_manifold():
@@ -118,14 +83,22 @@ class SurfaceMesh:
     def triangle_coords(self):
         return self.vertices[self.triangles]
 
-    def centroids(self):
-        return self.triangle_coords().mean(axis=1)
-
     def __repr__(self):
         return (
             f"SurfaceMesh(V={self.n_vertices}, T={self.n_triangles}, "
             f"h_max={self.h_max:.4g})"
         )
+
+
+def edge_table(triangles):
+    """Sorted vertex pairs (E, 2) and per-triangle edge ids (T, 3), the
+    edge ``tri_edges[:, i]`` opposite local vertex i."""
+    pairs = np.sort(
+        np.concatenate([triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]]),
+        axis=1,
+    )
+    edges, inv = np.unique(pairs, axis=0, return_inverse=True)
+    return edges, inv.reshape(3, len(triangles)).T
 
 
 def _orient_outward(vertices, triangles, surface):
@@ -145,15 +118,7 @@ def _rotate_longest_edge(vertices, triangles):
     Rotation preserves orientation; ties break toward the lowest local
     edge index so the result is deterministic.
     """
-    coords = vertices[triangles]
-    lengths = np.stack(
-        [
-            np.linalg.norm(coords[:, 2] - coords[:, 1], axis=1),
-            np.linalg.norm(coords[:, 0] - coords[:, 2], axis=1),
-            np.linalg.norm(coords[:, 1] - coords[:, 0], axis=1),
-        ],
-        axis=1,
-    )
+    lengths = np.linalg.norm(edge_vectors(vertices[triangles]), axis=2)
     # smallest index among edges within a relative whisker of the max
     near = lengths >= lengths.max(axis=1, keepdims=True) * (1.0 - 1e-12)
     which = np.argmax(near, axis=1)
@@ -198,14 +163,7 @@ def _icosahedron_vertices():
 
 def _subdivide_once(vertices, triangles, project):
     """One round of 4-way (red) subdivision with projected midpoints."""
-    pairs = np.sort(
-        np.concatenate(
-            [triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]]
-        ),
-        axis=1,
-    )
-    edges, inv = np.unique(pairs, axis=0, return_inverse=True)
-    tri_edges = inv.reshape(3, len(triangles)).T
+    edges, tri_edges = edge_table(triangles)
     mids = project(0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]]))
     mid_ids = len(vertices) + np.arange(len(edges))
     m = mid_ids[tri_edges]  # (T, 3): midpoint opposite local vertex i
@@ -492,17 +450,14 @@ class CutSurface:
 
     Faces live inside bulk tetrahedra (``parent_tet``), are oriented with
     grad d, and their degrees of freedom are the vertices of cut bulk
-    tetrahedra (``active_dofs``).  ``crossing_edges`` maps every cut
-    vertex to the bulk edge it subdivides.
+    tetrahedra (``active_dofs``).
     """
 
-    def __init__(self, bulk, vertices, faces, parent_tet, crossing_edges,
-                 d_vertex, n_degenerate):
+    def __init__(self, bulk, vertices, faces, parent_tet, d_vertex, n_degenerate):
         self.bulk = bulk
         self.vertices = vertices
         self.faces = faces
         self.parent_tet = parent_tet
-        self.crossing_edges = crossing_edges
         self.d_vertex = d_vertex
         self.n_degenerate = int(n_degenerate)
         coords = vertices[faces]
@@ -636,15 +591,14 @@ def extract_cut_surface(bulk, surface):
     flip = np.einsum("fd,fd->f", n, g) < 0.0
     faces[flip] = faces[flip][:, [0, 2, 1]]
 
-    return CutSurface(bulk, cut_vertices, faces, parents, uniq, d, n_degenerate)
+    return CutSurface(bulk, cut_vertices, faces, parents, d, n_degenerate)
 
 
 class BandMesh:
     """Tetrahedra meeting the band {|d_h| < delta} of the bulk mesh."""
 
-    def __init__(self, bulk, surface, delta, tet_ids, d_vertex):
+    def __init__(self, bulk, delta, tet_ids, d_vertex):
         self.bulk = bulk
-        self.surface = surface
         self.delta = float(delta)
         self.tet_ids = tet_ids
         self.d_vertex = d_vertex
@@ -683,7 +637,7 @@ def extract_band(bulk, surface, delta, window=(1.0, 2.0)):
     ids = np.flatnonzero(keep)
     if len(ids) == 0:
         raise EmptyBand("no tetrahedra meet the band")
-    return BandMesh(bulk, surface, delta, ids, d)
+    return BandMesh(bulk, delta, ids, d)
 
 
 # ---------------------------------------------------------------------------

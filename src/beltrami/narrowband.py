@@ -13,16 +13,19 @@ import numpy as np
 from .fem import (
     TET_DEGREE2,
     TET_DEGREE4,
-    TRI_DEGREE4,
     ErrorReport,
     SolutionField,
+    assemble_load,
     assemble_stiffness,
     barycentric_values,
+    local_dofs,
+    lumped_mass,
     solve_mean_zero,
     tetrahedron_geometry,
 )
 from .meshes import extract_band, extract_cut_surface
-from .parametric import surface_error_norms
+from .parametric import error_samples, surface_error_norms
+from .trace import cut_face_workspace
 
 
 class NarrowBandProblem:
@@ -140,24 +143,19 @@ def narrowband_solve(problem, tol=1e-10):
     quad = _band_quadrature(problem)
     tets = quad["tets"]
     n = band.n_active_dofs
-    lookup = np.full(bulk.n_vertices, -1, dtype=np.int64)
-    lookup[band.active_dofs] = np.arange(n)
-    dofs = lookup[tets]
+    dofs = local_dofs(band.active_dofs, tets, bulk.n_vertices)
 
     A = assemble_stiffness(quad["grads"], quad["measures"], dofs, n)
-    m = np.repeat(quad["measures"][:, None] / 4.0, 4, axis=1)
-    m = np.bincount(dofs.ravel(), weights=m.ravel(), minlength=n)
-
+    m = lumped_mass(dofs, quad["measures"], n)
     F, correction, band_measure = narrowband_forcing(problem, quad)
-    contrib = np.einsum("eq,eq,eqk->ek", quad["point_weights"], F, quad["phi"])
-    b = np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=n)
+    b = assemble_load(dofs, quad["phi"], F, quad["point_weights"], n)
 
     history = []
     c = solve_mean_zero(A, b, m, tol=tol, history=history)
     field = SolutionField(c, band.active_dofs, m, domain="band")
 
     band_l2, band_h1 = _band_errors(problem, quad, c, dofs)
-    l2, h1, cut = _surface_errors(problem, lookup, c)
+    l2, h1, cut = _surface_errors(problem, c)
     report_band = ErrorReport(
         bulk.tet_diameter, n, band_l2, band_h1, iterations=len(history),
         info={
@@ -210,30 +208,15 @@ def _band_errors(problem, quad, c, dofs):
     return np.sqrt(l2_sq), np.sqrt(h1_sq)
 
 
-def _surface_errors(problem, lookup, c):
+def _surface_errors(problem, c):
     """Errors of the band solution restricted to the reconstructed surface."""
     surface, bulk = problem.surface, problem.bulk
     cut = extract_cut_surface(bulk, surface)
-    tet_coords = bulk.vertices[bulk.tets[cut.parent_tet]]
-    tet_grads, _ = tetrahedron_geometry(tet_coords)
-    dofs = lookup[bulk.tets[cut.parent_tet]]
-    if np.any(dofs < 0):
+    ws = cut_face_workspace(bulk, cut, problem.band.active_dofs)
+    if np.any(ws["dofs"] < 0):
         raise RuntimeError("cut tetrahedron outside the band")
-    nus = cut.normals
-    qp = TRI_DEGREE4.physical_points(cut.vertices[cut.faces])
-    w = cut.areas[:, None] * TRI_DEGREE4.normalized_weights[None, :]
-    phi = barycentric_values(tet_grads, tet_coords, qp)
-    u_q = np.einsum("eqk,ek->eq", phi, c[dofs])
-    grad_u = np.einsum("ek,ekd->ed", c[dofs], tet_grads)
-    pgrad = grad_u - np.einsum("fd,fd->f", grad_u, nus)[:, None] * nus
-    nq = TRI_DEGREE4.npoints
     l2, h1 = surface_error_norms(
-        surface,
-        problem.solution,
-        qp.reshape(-1, 3),
-        w.ravel(),
-        np.repeat(nus, nq, axis=0),
-        u_q.ravel(),
-        np.repeat(pgrad, nq, axis=0),
+        surface, problem.solution,
+        *error_samples(ws, c[ws["dofs"]], ws["proj_grads"]),
     )
     return l2, h1, cut

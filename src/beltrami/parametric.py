@@ -19,9 +19,8 @@ from .fem import (
     barycentric_values,
     lumped_mass,
     solve_mean_zero,
-    triangle_geometry,
 )
-from .geometry import CLOSEST_POINT, SCALED_RADIAL
+from .geometry import CLOSEST_POINT, SCALED_RADIAL, plane_basis
 
 
 class ParametricProblem:
@@ -45,18 +44,6 @@ class ParametricProblem:
         return f"ParametricProblem({self.surface!r}, {self.mesh!r}, lift={self.lift})"
 
 
-def plane_basis(normals):
-    """Two orthonormal in-plane vectors per unit normal, (N, 3) each."""
-    n = len(normals)
-    k = np.argmin(np.abs(normals), axis=1)
-    e = np.zeros((n, 3))
-    e[np.arange(n), k] = 1.0
-    t1 = e - normals * normals[np.arange(n), k][:, None]
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = np.cross(normals, t1)
-    return t1, t2
-
-
 def _scaled_radial_jacobian(surface, pts, nus, steps):
     """Facet-plane area Jacobian of the scaled-radial lift, by central FD."""
     t1, t2 = plane_basis(nus)
@@ -72,14 +59,16 @@ def _scaled_radial_jacobian(surface, pts, nus, steps):
     return np.linalg.norm(np.cross(c1, c2), axis=1)
 
 
+def closest_point_forcing(surface, solution, pts, nus):
+    """F(x) = f(P_d(x)) q/q_Gamma at points x of facets with unit normals nus."""
+    return solution.f(surface.closest_point(pts)) * surface.area_ratio(pts, nus)
+
+
 def _forcing_values(surface, solution, lift, pts, nus, steps):
     if lift == CLOSEST_POINT:
-        ratio = surface.area_ratio(pts, nus)
-        lifted = surface.closest_point(pts)
-    else:
-        ratio = _scaled_radial_jacobian(surface, pts, nus, steps)
-        lifted = surface._scaled_radial_raw(pts)
-    return solution.f(lifted) * ratio
+        return closest_point_forcing(surface, solution, pts, nus)
+    ratio = _scaled_radial_jacobian(surface, pts, nus, steps)
+    return solution.f(surface._scaled_radial_raw(pts)) * ratio
 
 
 def parametric_forcing(problem, x, nu_gamma, fd_step=None):
@@ -118,25 +107,37 @@ def surface_error_norms(surface, solution, points, weights, face_normals,
     return np.sqrt(l2_sq), np.sqrt(h1_sq)
 
 
+def error_samples(ws, c_local, grads):
+    """Sample arguments of ``surface_error_norms`` for the P1 field with
+    element coefficients c_local (E, k) and tangential gradients grads."""
+    nq = ws["qp"].shape[1]
+    return (
+        ws["qp"].reshape(-1, 3),
+        ws["weights"].ravel(),
+        np.repeat(ws["normals"], nq, axis=0),
+        np.einsum("eqk,ek->eq", ws["phi"], c_local).ravel(),
+        np.repeat(np.einsum("ek,ekd->ed", c_local, grads), nq, axis=0),
+    )
+
+
 def parametric_workspace(problem):
     """Per-facet geometry, quadrature, and transferred forcing values."""
     mesh = problem.mesh
     coords = mesh.triangle_coords()
-    grads, areas, nus = triangle_geometry(coords)
     qp = TRI_DEGREE4.physical_points(coords)
-    w = areas[:, None] * TRI_DEGREE4.normalized_weights[None, :]
-    phi = barycentric_values(grads, coords, qp)
+    w = mesh.areas[:, None] * TRI_DEGREE4.normalized_weights[None, :]
+    phi = barycentric_values(mesh.grads, coords, qp)
     flat = qp.reshape(-1, 3)
-    nus_q = np.repeat(nus, TRI_DEGREE4.npoints, axis=0)
+    nus_q = np.repeat(mesh.normals, TRI_DEGREE4.npoints, axis=0)
     steps = np.repeat(1e-6 * mesh.diameters, TRI_DEGREE4.npoints)
     fvals = _forcing_values(
         problem.surface, problem.solution, problem.lift, flat, nus_q, steps
     ).reshape(w.shape)
     return {
         "coords": coords,
-        "grads": grads,
-        "areas": areas,
-        "normals": nus,
+        "grads": mesh.grads,
+        "areas": mesh.areas,
+        "normals": mesh.normals,
         "qp": qp,
         "weights": w,
         "phi": phi,
@@ -167,22 +168,10 @@ def parametric_solve(problem, tol=1e-10, workspace_out=None):
     history = []
     c = solve_mean_zero(A, b, m, tol=tol, history=history)
     field = SolutionField(c, np.arange(mesh.n_vertices), m)
-
-    dofs = mesh.triangles
-    u_q = np.einsum("eqk,ek->eq", ws["phi"], c[dofs])
-    grad_u = np.einsum("ek,ekd->ed", c[dofs], ws["grads"])
-    nq = TRI_DEGREE4.npoints
     l2, h1 = surface_error_norms(
-        problem.surface,
-        problem.solution,
-        ws["qp"].reshape(-1, 3),
-        ws["weights"].ravel(),
-        np.repeat(ws["normals"], nq, axis=0),
-        u_q.ravel(),
-        np.repeat(grad_u, nq, axis=0),
+        problem.surface, problem.solution,
+        *error_samples(ws, c[mesh.triangles], ws["grads"]),
     )
-    ws["grad_u"] = grad_u
-    ws["u_q"] = u_q
     if workspace_out is not None:
         workspace_out.update(ws)
     report = ErrorReport(

@@ -16,11 +16,12 @@ from .fem import (
     assemble_load,
     assemble_stiffness,
     barycentric_values,
+    local_dofs,
     solve_mean_zero,
     tetrahedron_geometry,
 )
 from .meshes import extract_cut_surface
-from .parametric import surface_error_norms
+from .parametric import closest_point_forcing, error_samples, surface_error_norms
 
 
 class TraceProblem:
@@ -36,32 +37,34 @@ class TraceProblem:
         return f"TraceProblem({self.surface!r}, {self.bulk!r})"
 
 
-def _local_dofs(bulk, cut):
-    lookup = np.full(bulk.n_vertices, -1, dtype=np.int64)
-    lookup[cut.active_dofs] = np.arange(cut.n_active_dofs)
-    return lookup[bulk.tets[cut.parent_tet]]
-
-
-def _face_workspace(problem):
-    """Per-face geometry shared by assembly, errors, and estimators."""
-    bulk, cut = problem.bulk, problem.cut
-    tet_coords = bulk.vertices[bulk.tets[cut.parent_tet]]
+def cut_face_workspace(bulk, cut, active_dofs):
+    """Per-face geometry of a cut surface: parent-tet hat gradients
+    projected into the face planes, DOFs numbered by ``active_dofs``."""
+    tets = bulk.tets[cut.parent_tet]
+    tet_coords = bulk.vertices[tets]
     tet_grads, _ = tetrahedron_geometry(tet_coords)
     nus = cut.normals
     pg = tet_grads - np.einsum("fkd,fd->fk", tet_grads, nus)[:, :, None] * nus[:, None, :]
     qp = TRI_DEGREE4.physical_points(cut.vertices[cut.faces])
-    w = cut.areas[:, None] * TRI_DEGREE4.normalized_weights[None, :]
-    phi = barycentric_values(tet_grads, tet_coords, qp)
     return {
-        "tet_coords": tet_coords,
-        "tet_grads": tet_grads,
         "proj_grads": pg,
         "normals": nus,
         "qp": qp,
-        "weights": w,
-        "phi": phi,
-        "dofs": _local_dofs(bulk, cut),
+        "weights": cut.areas[:, None] * TRI_DEGREE4.normalized_weights[None, :],
+        "phi": barycentric_values(tet_grads, tet_coords, qp),
+        "dofs": local_dofs(active_dofs, tets, bulk.n_vertices),
     }
+
+
+def _face_workspace(problem):
+    """Cut-face workspace with the transferred data F = f(P_d x) q/q_Gamma."""
+    ws = cut_face_workspace(problem.bulk, problem.cut, problem.cut.active_dofs)
+    nq = TRI_DEGREE4.npoints
+    ws["forcing"] = closest_point_forcing(
+        problem.surface, problem.solution, ws["qp"].reshape(-1, 3),
+        np.repeat(ws["normals"], nq, axis=0),
+    ).reshape(ws["weights"].shape)
+    return ws
 
 
 def trace_forcing(problem, x, face_normal):
@@ -69,51 +72,28 @@ def trace_forcing(problem, x, face_normal):
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     nus = np.broadcast_to(np.atleast_2d(np.asarray(face_normal, dtype=float)),
                           pts.shape)
-    vals = problem.solution.f(problem.surface.closest_point(pts))
-    vals = vals * problem.surface.area_ratio(pts, nus)
+    vals = closest_point_forcing(problem.surface, problem.solution, pts, nus)
     return vals if np.asarray(x).ndim == 2 else float(vals[0])
 
 
 def trace_solve(problem, tol=1e-10, workspace_out=None):
     """Solve the trace problem; returns (SolutionField, ErrorReport)."""
-    surface, cut = problem.surface, problem.cut
+    cut = problem.cut
     ws = _face_workspace(problem)
     n = cut.n_active_dofs
     dofs = ws["dofs"]
     A = assemble_stiffness(ws["proj_grads"], cut.areas, dofs, n)
-
-    nq = TRI_DEGREE4.npoints
-    flat = ws["qp"].reshape(-1, 3)
-    nus_q = np.repeat(ws["normals"], nq, axis=0)
-    ratio = surface.area_ratio(flat, nus_q)
-    fvals = (problem.solution.f(surface.closest_point(flat)) * ratio).reshape(
-        ws["weights"].shape
-    )
-    b = assemble_load(dofs, ws["phi"], fvals, ws["weights"], n)
-    # row-sum mass of the trace basis: m_i = integral of hat_i over the cut
-    m = np.bincount(
-        dofs.ravel(),
-        weights=np.einsum("eq,eqk->ek", ws["weights"], ws["phi"]).ravel(),
-        minlength=n,
-    )
+    b = assemble_load(dofs, ws["phi"], ws["forcing"], ws["weights"], n)
+    # row-sum mass of the trace basis: m_i = integral of hat_i over the cut,
+    # the load of the unit function
+    m = assemble_load(dofs, ws["phi"], np.ones_like(ws["weights"]), ws["weights"], n)
     history = []
     c = solve_mean_zero(A, b, m, tol=tol, history=history)
     field = SolutionField(c, cut.active_dofs, m, domain="cut-surface")
-
-    u_q = np.einsum("eqk,ek->eq", ws["phi"], c[dofs])
-    grad_u = np.einsum("ek,ekd->ed", c[dofs], ws["proj_grads"])
     l2, h1 = surface_error_norms(
-        surface,
-        problem.solution,
-        flat,
-        ws["weights"].ravel(),
-        nus_q,
-        u_q.ravel(),
-        np.repeat(grad_u, nq, axis=0),
+        problem.surface, problem.solution,
+        *error_samples(ws, c[dofs], ws["proj_grads"]),
     )
-    ws["forcing"] = fvals
-    ws["grad_u"] = grad_u
-    ws["u_q"] = u_q
     if workspace_out is not None:
         workspace_out.update(ws)
     geo = geometric_resolution(problem, _workspace=ws)
@@ -124,6 +104,18 @@ def trace_solve(problem, tol=1e-10, workspace_out=None):
     return field, report
 
 
+def face_deviations(problem, ws):
+    """Samples (F * 9, 3) at face quadrature nodes and vertices, and per
+    face the max |d| and max |grad d - nu_F| over them."""
+    cut = problem.cut
+    samples = np.concatenate([ws["qp"], cut.vertices[cut.faces]], axis=1)
+    n_s = samples.shape[1]
+    flat = samples.reshape(-1, 3)
+    d, g = problem.surface._grad_raw(flat)
+    dev = np.linalg.norm(g - np.repeat(ws["normals"], n_s, axis=0), axis=1)
+    return flat, np.abs(d).reshape(-1, n_s).max(axis=1), dev.reshape(-1, n_s).max(axis=1)
+
+
 def geometric_resolution(problem, _workspace=None):
     """How well the cut surface resolves the smooth one.
 
@@ -131,17 +123,11 @@ def geometric_resolution(problem, _workspace=None):
     the max distance to the surface (second order in h) and max normal
     deviation (first order), plus the h-normalized constants.
     """
-    surface, cut = problem.surface, problem.cut
-    ws = _workspace if _workspace is not None else _face_workspace(problem)
-    verts = cut.vertices[cut.faces]  # (F, 3, 3)
-    samples = np.concatenate([ws["qp"], verts], axis=1)  # (F, 9, 3)
-    flat = samples.reshape(-1, 3)
-    d = surface._distance_raw(flat)
-    _, g = surface._grad_raw(flat)
-    nu_rep = np.repeat(ws["normals"], samples.shape[1], axis=0)
-    dev = np.linalg.norm(g - nu_rep, axis=1)
-    per_face_d = np.abs(d).reshape(len(cut.faces), -1).max(axis=1)
-    per_face_dev = dev.reshape(len(cut.faces), -1).max(axis=1)
+    cut = problem.cut
+    ws = _workspace
+    if ws is None:
+        ws = cut_face_workspace(problem.bulk, cut, cut.active_dofs)
+    _, per_face_d, per_face_dev = face_deviations(problem, ws)
     h = cut.h_face
     return {
         "max_distance": float(per_face_d.max()),

@@ -104,6 +104,15 @@ def test_config_defaults():
     ({"windows": {"eoc_H1": [1.2, 0.8]}}, "window"),
     ({"windows": [1, 2]}, "windows"),
     ({"frobnicate": 1}, "unknown"),
+    ({"box_half_width": "2"}, "box_half_width"),
+    ({"tol": "x"}, "tol"),
+    ({"delta_factor": "x"}, "delta_factor"),
+    ({"iterations": "x"}, "iterations"),
+    ({"iterations": 2.7}, "iterations"),
+    ({"seed": "x"}, "seed"),
+    ({"theta": None}, "theta"),
+    ({"levels": [True, 2]}, "levels"),
+    ({"windows": {"eoc_H1": ["a", "b"]}}, "window"),
 ])
 def test_config_rejections(patch, message):
     data = dict(SPHERE_CFG)

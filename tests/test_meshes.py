@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltrami import (
     BoxTooSmall,
@@ -112,6 +114,34 @@ def test_bisection_keeps_shape_regularity():
         mesh = refine_bisection(mesh, marked, s)
     assert (mesh.diameters / mesh.h).max() <= mesh.sigma_max
     assert mesh.is_closed_manifold()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["sphere", "torus"]),
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.integers(1, 5),
+)
+def test_bisection_keeps_topology_and_edge_table(kind, seed, rounds):
+    """Random marks: closed manifold, Euler characteristic, edge table
+    opposite each local vertex, and vertices on the surface."""
+    if kind == "sphere":
+        surface, chi = Sphere(1.3), 2
+        mesh = build_sphere_mesh(surface, 0)
+    else:
+        surface, chi = Torus(1.0, 0.4), 0
+        mesh = build_torus_mesh(surface, 8, 4)
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        marked = np.flatnonzero(rng.random(mesh.n_triangles) < rng.uniform(0.05, 0.5))
+        mesh = refine_bisection(mesh, marked, surface)
+    assert mesh.is_closed_manifold()
+    assert mesh.euler_characteristic() == chi
+    t = mesh.triangles
+    for i in range(3):
+        opposite = np.sort(t[:, [(i + 1) % 3, (i + 2) % 3]], axis=1)
+        assert np.array_equal(mesh.edges[mesh.tri_edges[:, i]], opposite)
+    assert np.abs(surface.distance(mesh.vertices)).max() <= 1e-12
 
 
 def test_bisection_empty_marking_is_identity():
