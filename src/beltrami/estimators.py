@@ -94,30 +94,23 @@ def geometric_estimators(problem, workspace=None):
     """Facetwise parametrization-quality indicators lambda, beta, mu.
 
     Each facet is sampled at its six quadrature nodes and three vertices.
-    beta_T is the largest displacement |P(x) - x| (second order); lambda_T
-    the largest in-plane deviation of the differential DP from the
-    identity, by central differences with step 1e-5 (1 + |x|) (first
-    order); mu_T = beta_T + lambda_T^2.  Totals aggregate by max.
+    beta_T is the largest displacement |P(x) - x| = |d(x)| (second order);
+    lambda_T the largest in-plane deviation of the differential
+    DP = I - grad d grad d^T - d D^2 d from the identity, exact from the
+    distance jet (first order); mu_T = beta_T + lambda_T^2.  Totals
+    aggregate by max.
     """
     surface = problem.surface
-    mesh = problem.mesh
     ws = workspace if workspace is not None else parametric_workspace(problem)
-    samples = np.concatenate([ws["qp"], ws["coords"]], axis=1)  # (T, 9, 3)
-    n_s = samples.shape[1]
-    flat = samples.reshape(-1, 3)
-    nus = np.repeat(ws["normals"], n_s, axis=0)
-    t1, t2 = plane_basis(nus)
-    step = (1e-5 * (1.0 + np.linalg.norm(flat, axis=1)))[:, None]
-
-    def dP(t):
-        return (
-            surface._project_raw(flat + step * t)
-            - surface._project_raw(flat - step * t)
-        ) / (2.0 * step)
-
-    lam = _spectral_norm_3x2(dP(t1) - t1, dP(t2) - t2).reshape(-1, n_s).max(axis=1)
-    disp = np.linalg.norm(surface._project_raw(flat) - flat, axis=1)
-    beta = disp.reshape(-1, n_s).max(axis=1)
+    t1, t2 = plane_basis(ws["normals"])
+    lam = np.zeros(len(t1))
+    beta = np.zeros(len(t1))
+    for x in np.concatenate([ws["qp"], ws["coords"]], axis=1).transpose(1, 0, 2):
+        d, g, H = surface._jet_raw(x)
+        dev = -g[:, :, None] * g[:, None, :] - d[:, None, None] * H  # DP - I
+        lam = np.maximum(lam, _spectral_norm_3x2(
+            np.einsum("nij,nj->ni", dev, t1), np.einsum("nij,nj->ni", dev, t2)))
+        beta = np.maximum(beta, np.abs(d))
     return {
         "lambda": IndicatorField("lambda", lam, reduction="max"),
         "beta": IndicatorField("beta", beta, reduction="max"),

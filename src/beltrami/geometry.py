@@ -226,13 +226,15 @@ class ImplicitSurface:
         nus, _ = _points(nu_gamma)
         nus = np.broadcast_to(nus, pts.shape).reshape(-1, 3)
         self._check_valid(pts)
-        d, g, H = self._jet_raw(pts)
+        ratio = self._jet_area_ratio(*self._jet_raw(pts), nus)
+        return ratio[0] if single else ratio.reshape(np.asarray(x).shape[:-1])
+
+    def _jet_area_ratio(self, d, g, H, nus):
         dots = np.einsum("ni,ni->n", g, nus)
         if np.any(dots <= 0.0):
             raise NormalFlip("facet normal points against the surface normal")
         kap = self._tangent_curvatures(g, H)
-        ratio = (1.0 - d * kap[:, 0]) * (1.0 - d * kap[:, 1]) * dots
-        return ratio[0] if single else ratio.reshape(np.asarray(x).shape[:-1])
+        return (1.0 - d * kap[:, 0]) * (1.0 - d * kap[:, 1]) * dots
 
     def lifted_tangential_gradient(self, x, nu_gamma, grad_gamma):
         """Tangential gradient on a facet of the lifted field u o P_d.
@@ -247,11 +249,13 @@ class ImplicitSurface:
         nus = np.broadcast_to(nus, pts.shape).reshape(-1, 3)
         gg = np.broadcast_to(gg, pts.shape).reshape(-1, 3)
         self._check_valid(pts)
-        d, g, H = self._jet_raw(pts)
+        v = self._jet_lifted_gradient(*self._jet_raw(pts), nus, gg)
+        return _restore(v, single, np.asarray(x).shape[:-1])
+
+    def _jet_lifted_gradient(self, d, g, H, nus, gg):
         gt = gg - np.einsum("ni,ni->n", gg, g)[:, None] * g
         v = gt - d[:, None] * np.einsum("nij,nj->ni", H, gt)
-        v = v - np.einsum("ni,ni->n", v, nus)[:, None] * nus
-        return _restore(v, single, np.asarray(x).shape[:-1])
+        return v - np.einsum("ni,ni->n", v, nus)[:, None] * nus
 
     def tube_points(self, n, rng, fill=0.9):
         """n pseudo-random points inside the tube, |d| < fill * halfwidth."""
@@ -521,67 +525,67 @@ class Ellipsoid(ImplicitSurface):
         The left side is convex and decreasing on (-min a_i^2, inf), so
         Newton from the per-axis lower bound max_i(|a_i x_i| - a_i^2)
         increases monotonically to the root.
+
+        Axes with |a_i x_i| <= 1e-12 max a^2 carry zero weight and drop out
+        of the sum.  On the focal set inside the surface the remaining
+        terms stay below 1 at the lower bound t = -a_k^2 of a zero-weight
+        axis k; the clamped step then keeps t there, and ``_project_raw``
+        puts the closest point off the plane x_k = 0.  Returns t and the
+        (N, 3) mask of the axes with nonzero weight.
         """
+        scale = self.abc2.max()
         w = np.abs(self.abc * pts)
+        live = w > 1e-12 * scale
+        w = np.where(live, w, 0.0)
         w2 = w**2
         t = np.max(w - self.abc2, axis=1)
         converged = np.zeros(len(pts), dtype=bool)
-        scale = self.abc2.max()
         for _ in range(50):
-            den = self.abc2 + t[:, None]
+            den = np.where(live, self.abc2 + t[:, None], 1.0)
             gval = np.sum(w2 / den**2, axis=1) - 1.0
             gprime = -2.0 * np.sum(w2 / den**3, axis=1)
-            step = np.where(converged, 0.0, gval / np.where(gprime == 0.0, 1.0, gprime))
+            step = np.where(converged, 0.0, gval / np.where(gprime == 0.0, -1.0, gprime))
+            step = np.minimum(step, 0.0)
             t = t - step
             converged |= np.abs(step) <= 1e-13 * (scale + np.abs(t))
             if converged.all():
-                return t
+                return t, live
         raise NewtonDivergence(
             f"ellipsoid closest-point Newton: {int(np.count_nonzero(~converged))} "
             "point(s) unconverged after 50 iterations"
         )
 
     def _project_raw(self, pts):
-        p = np.empty_like(pts)
-        small = np.linalg.norm(pts, axis=1) < 1e-14 * self.abc.max()
-        if np.any(small):
-            k = int(np.argmin(self.abc))
-            p[small] = 0.0
-            p[small, k] = self.abc[k]
-        big = ~small
-        if np.any(big):
-            t = self._closest_t(pts[big])
-            p[big] = self.abc2 * pts[big] / (self.abc2 + t[:, None])
+        t, live = self._closest_t(pts)
+        den = self.abc2 + t[:, None]
+        p = np.where(live, self.abc2 * pts / np.where(live, den, 1.0), 0.0)
+        pole = ~live & (den <= 0.0)
+        rows = np.flatnonzero(pole.any(axis=1))
+        k = np.argmax(pole[rows], axis=1)
+        rest = np.sum((p[rows] / self.abc) ** 2, axis=1)
+        p[rows, k] = np.copysign(
+            self.abc[k] * np.sqrt(np.maximum(1.0 - rest, 0.0)), pts[rows, k]
+        )
         return p
 
     def _grad_raw(self, pts):
+        # x - P is parallel to the normal P / a^2 at P, so d = (x - P) . g
         p = self._project_raw(pts)
-        u = pts - p
-        dist = np.linalg.norm(u, axis=1)
-        d = np.where(self.level_value(pts) >= 0.0, dist, -dist)
-        g = np.empty_like(pts)
-        tiny = dist < 1e-12 * self.abc.max()
-        safe = ~tiny
-        g[safe] = u[safe] / d[safe, None]
-        if np.any(tiny):
-            nrm = p[tiny] / self.abc2
-            g[tiny] = nrm / np.linalg.norm(nrm, axis=1, keepdims=True)
-        return d, g
+        n = p / self.abc2
+        g = n / np.linalg.norm(n, axis=1, keepdims=True)
+        return np.einsum("ni,ni->n", pts - p, g), g
 
     def _distance_raw(self, pts):
         return self._grad_raw(pts)[0]
 
     def _jet_raw(self, pts):
+        # D^2 d = W (I + d W)^-1 with the Weingarten map at the closest point
+        # P, W = Pi diag(a^-2) Pi / |P / a^2| and Pi = I - g g^T
         d, g = self._grad_raw(pts)
-        h = 1e-5 * (1.0 + np.linalg.norm(pts, axis=1))
-        H = np.empty((len(pts), 3, 3))
-        for i in range(3):
-            shift = np.zeros_like(pts)
-            shift[:, i] = h
-            _, gp = self._grad_raw(pts + shift)
-            _, gm = self._grad_raw(pts - shift)
-            H[:, :, i] = (gp - gm) / (2.0 * h[:, None])
-        H = 0.5 * (H + np.transpose(H, (0, 2, 1)))
+        n = (pts - d[:, None] * g) / self.abc2
+        proj = _EYE3 - g[:, :, None] * g[:, None, :]
+        W = (proj / self.abc2) @ proj / np.linalg.norm(n, axis=1)[:, None, None]
+        H = np.linalg.solve(_EYE3 + d[:, None, None] * W, W)
         return d, g, H
 
     def _invalid_mask(self, pts):

@@ -61,7 +61,9 @@ def _scaled_radial_jacobian(surface, pts, nus, steps):
 
 def closest_point_forcing(surface, solution, pts, nus):
     """F(x) = f(P_d(x)) q/q_Gamma at points x of facets with unit normals nus."""
-    return solution.f(surface.closest_point(pts)) * surface.area_ratio(pts, nus)
+    d, g, H = surface.distance_jet(pts)
+    lifted = pts - d[:, None] * g
+    return solution.f(lifted) * surface._jet_area_ratio(d, g, H, nus)
 
 
 def _forcing_values(surface, solution, lift, pts, nus, steps):
@@ -94,13 +96,14 @@ def surface_error_norms(surface, solution, points, weights, face_normals,
     closest-point lift and its tangential gradient through the facet
     projection, so both norms are broken norms on the discrete surface.
     """
-    lifted = surface.closest_point(points)
+    d, g, H = surface.distance_jet(points)
+    lifted = points - d[:, None] * g
     e = solution.u(lifted) - u_values
     total = weights.sum()
     mean = weights @ e / total
     l2_sq = max(float(weights @ e**2 - total * mean**2), 0.0)
-    g_exact = surface.lifted_tangential_gradient(
-        points, face_normals, solution.grad_gamma(lifted)
+    g_exact = surface._jet_lifted_gradient(
+        d, g, H, face_normals, solution.grad_gamma(lifted)
     )
     diff = g_exact - u_gradients
     h1_sq = float(weights @ np.einsum("nd,nd->n", diff, diff))

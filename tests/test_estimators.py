@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from beltrami import (
+    Ellipsoid,
     IndicatorField,
     ManufacturedSolution,
     ParametricProblem,
     Sphere,
+    Torus,
     TraceProblem,
     adapt_loop,
     build_bulk_mesh,
     build_sphere_mesh,
+    build_torus_mesh,
     dorfler_mark,
     geometric_estimators,
     residual_estimator,
@@ -173,6 +176,44 @@ def test_flat_limit_vanishes():
     assert g["beta"].total < 1e-9
     assert g["lambda"].total < 1e-6
     assert g["mu"].total < 1e-9
+
+
+def fd_geometric_indicators(project, ws):
+    """Per-facet lambda and beta from central differences of the
+    closest-point map ``project`` (step 1e-5 (1 + |x|)) at the facets'
+    quadrature nodes and vertices."""
+    samples = np.concatenate([ws["qp"], ws["coords"]], axis=1)
+    n_s = samples.shape[1]
+    flat = samples.reshape(-1, 3)
+    nus = np.repeat(ws["normals"], n_s, axis=0)
+    # any orthonormal in-plane basis: the spectral norm does not depend on it
+    k = np.argmin(np.abs(nus), axis=1)
+    t1 = np.cross(nus, np.eye(3)[k])
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    t2 = np.cross(nus, t1)
+    step = (1e-5 * (1.0 + np.linalg.norm(flat, axis=1)))[:, None]
+    cols = [
+        (project(flat + step * t) - project(flat - step * t)) / (2.0 * step) - t
+        for t in (t1, t2)
+    ]
+    lam = np.linalg.norm(np.stack(cols, axis=2), ord=2, axis=(1, 2))
+    beta = np.linalg.norm(project(flat) - flat, axis=1)
+    return lam.reshape(-1, n_s).max(axis=1), beta.reshape(-1, n_s).max(axis=1)
+
+
+@pytest.mark.parametrize("surface, mesh", [
+    (Ellipsoid(1.3, 1.0, 0.8), lambda s: build_sphere_mesh(s, 1)),
+    (Torus(1.0, 0.4), lambda s: build_torus_mesh(s, 8, 4)),
+], ids=["ellipsoid-level1", "torus-8x4"])
+def test_geometric_indicators_match_finite_differences(surface, mesh):
+    """lambda_T from the exact differential DP agrees with central
+    differences of the projection, beta_T with the displacement."""
+    problem = ParametricProblem(surface, mesh(surface))
+    ws = parametric_workspace(problem)
+    g = geometric_estimators(problem, ws)
+    lam, beta = fd_geometric_indicators(surface._project_raw, ws)
+    assert np.allclose(g["lambda"].values, lam, rtol=1e-6, atol=0.0)
+    assert np.allclose(g["beta"].values, beta, rtol=1e-6, atol=0.0)
 
 
 def test_mu_combines_beta_and_lambda(sphere_setup):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltrami import (
     CLOSEST_POINT,
@@ -11,6 +13,7 @@ from beltrami import (
     Sphere,
     Torus,
     UnsupportedSurface,
+    build_bulk_mesh,
     surface_from_config,
 )
 
@@ -128,9 +131,65 @@ def test_ellipsoid_closest_point_brute_force():
         assert abs(s.distance(x)) <= dist + 1e-9
 
 
+def test_ellipsoid_closest_point_next_to_coordinate_plane():
+    """A coordinate of -2.2e-16 (linspace rounding) must not pull the
+    closest point to the pole of that axis."""
+    abc = (1.46314886, 1.08850141, 0.67721055)
+    x = np.array([[-0.951047, -0.634031, -2.2e-16]])
+    ref, dist = oracles.brute_force_closest_point_ellipsoid(abc, x[0])
+    s = Ellipsoid(*abc)  # x lies deeper than the conservative tube: raw calls
+    assert np.linalg.norm(s._project_raw(x)[0] - ref) < 5e-5
+    assert s._distance_raw(x)[0] == pytest.approx(-dist, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    axes=st.tuples(*[st.floats(0.3, 2.0)] * 3),
+    spheroid=st.booleans(),
+    n=st.integers(4, 16),
+)
+def test_ellipsoid_closest_point_at_every_lattice_vertex(axes, spheroid, n):
+    """Bulk vertices include the center and the focal sets; everywhere P
+    lies on the surface along the normal and is no farther than the axis
+    vertices or the scaled-radial lift."""
+    a, b, c = axes
+    s = Ellipsoid(a, b, b if spheroid else c)
+    x = build_bulk_mesh(s, n).vertices
+    d = s._distance_raw(x)
+    p = s._project_raw(x)
+    assert np.isfinite(d).all()
+    assert np.abs(s.level_value(p)).max() <= 1e-10
+    u = x - p
+    assert np.allclose(np.linalg.norm(u, axis=1), np.abs(d), rtol=0.0, atol=1e-12)
+    nrm = p / s.abc2
+    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    assert np.linalg.norm(np.cross(u, nrm), axis=1).max() <= 1e-9
+    poles = np.concatenate([np.diag(s.abc), -np.diag(s.abc)])
+    bound = np.linalg.norm(x[:, None, :] - poles[None], axis=2).min(axis=1)
+    r = np.sqrt(s.level_value(x) + 1.0)
+    off = r > 1e-12
+    radial = np.linalg.norm(x[off] - x[off] / r[off, None], axis=1)
+    bound[off] = np.minimum(bound[off], radial)
+    assert (np.abs(d) <= bound + 1e-12).all()
+
+
 # ---------------------------------------------------------------------------
 # curvature
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("abc", [(1.3, 1.0, 0.8), (1.0, 0.8, 0.6), (2.0, 0.5, 0.3)])
+def test_ellipsoid_curvatures_closed_form(abc):
+    """Gauss and (twice the) mean curvature of the ellipsoid in closed form."""
+    s = Ellipsoid(*abc)
+    p = s.surface_points(500, np.random.default_rng(11))
+    kap = s.parallel_curvatures(p)
+    a2b2c2 = np.prod(s.abc2)
+    m = np.linalg.norm(p / s.abc2, axis=1)
+    gauss = 1.0 / (a2b2c2 * m**4)
+    mean2 = (s.abc2.sum() - np.sum(p**2, axis=1)) / (a2b2c2 * m**3)
+    assert np.allclose(kap[:, 0] * kap[:, 1], gauss, rtol=1e-10, atol=0.0)
+    assert np.allclose(kap.sum(axis=1), mean2, rtol=1e-10, atol=0.0)
 
 
 def test_torus_curvatures_exact():

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from beltrami import (
+    Ellipsoid,
     ManufacturedSolution,
+    NarrowBandProblem,
+    OutsideTube,
     Sphere,
     Torus,
     TraceProblem,
     build_bulk_mesh,
     geometric_resolution,
+    narrowband_solve,
     skin_containment,
     trace_forcing,
     trace_solve,
@@ -150,6 +154,22 @@ def test_geometric_resolution_orders():
 def test_skin_containment_full(n):
     s = Sphere(1.0)
     assert skin_containment(TraceProblem(s, build_bulk_mesh(s, n))) == 1.0
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_ellipsoid_lattice_on_focal_segment(n):
+    """Even n puts bulk vertices on the focal segment (x, 0, 0), where the
+    closest point leaves the plane of the zero coordinates."""
+    e = Ellipsoid(1.0, 0.8, 0.6)
+    field, report = trace_solve(TraceProblem(e, build_bulk_mesh(e, n)))
+    assert np.isfinite(field.coefficients).all()
+    assert np.isfinite([report.err_H1, report.err_L2]).all()
+
+
+def test_ellipsoid_band_wider_than_tube_raises_typed():
+    e = Ellipsoid(1.0, 0.8, 0.6)
+    with pytest.raises(OutsideTube):
+        narrowband_solve(NarrowBandProblem(e, build_bulk_mesh(e, 8)))
 
 
 def test_quick_convergence_torus():
