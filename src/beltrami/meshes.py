@@ -122,12 +122,7 @@ def _rotate_longest_edge(vertices, triangles):
     # smallest index among edges within a relative whisker of the max
     near = lengths >= lengths.max(axis=1, keepdims=True) * (1.0 - 1e-12)
     which = np.argmax(near, axis=1)
-    rolled = triangles.copy()
-    one = which == 1
-    two = which == 2
-    rolled[one] = triangles[one][:, [1, 2, 0]]
-    rolled[two] = triangles[two][:, [2, 0, 1]]
-    return rolled
+    return np.take_along_axis(triangles, (which[:, None] + np.arange(3)) % 3, axis=1)
 
 
 def _finish_surface_mesh(vertices, triangles, surface, rotate=True):
@@ -250,6 +245,23 @@ def refine_uniform(mesh, surface):
     return _finish_surface_mesh(vertices, triangles, surface)
 
 
+# Children of a triangle (v0, v1, v2) by its edge marks (bit i set when the
+# edge opposite v_i is split at m_i), as indices into (v0, v1, v2, m0, m1, m2).
+# Closure marks the refinement edge of every triangle with a marked edge,
+# so only these codes occur.
+_BISECTION_CHILDREN = (
+    (0, ((0, 1, 2),)),
+    # bisect across the refinement edge: children (m0, v2, v0), (m0, v0, v1)
+    (1, ((3, 2, 0), (3, 0, 1))),
+    # also split child (m0, v2, v0) across its edge (v2, v0) at m1
+    (3, ((3, 0, 1), (4, 0, 3), (4, 3, 2))),
+    # also split child (m0, v0, v1) across its edge (v0, v1) at m2
+    (5, ((3, 2, 0), (5, 1, 3), (5, 3, 0))),
+    # split all three edges: four grandchildren
+    (7, ((4, 0, 3), (4, 3, 2), (5, 1, 3), (5, 3, 0))),
+)
+
+
 def refine_bisection(mesh, marked, surface):
     """Newest-vertex bisection of the marked triangles with conforming
     closure.
@@ -288,43 +300,14 @@ def refine_bisection(mesh, marked, surface):
     )
     vertices = np.vstack([mesh.vertices, mids])
 
-    me = edge_marked[tri_edges]  # (T, 3)
-    t = mesh.triangles
-    v0, v1, v2 = t[:, 0], t[:, 1], t[:, 2]
-    m0 = new_id[tri_edges[:, 0]]
-    m1 = new_id[tri_edges[:, 1]]
-    m2 = new_id[tri_edges[:, 2]]
+    code = edge_marked[tri_edges] @ (1, 2, 4)
+    cols = np.column_stack([mesh.triangles, new_id[tri_edges]])
+    out = []
+    for case, children in _BISECTION_CHILDREN:
+        rows = cols[code == case]
+        out.extend(rows[:, child] for child in children)
 
-    keep = ~me[:, 0]
-    case_ref = me[:, 0] & ~me[:, 1] & ~me[:, 2]
-    case_r1 = me[:, 0] & me[:, 1] & ~me[:, 2]
-    case_r2 = me[:, 0] & ~me[:, 1] & me[:, 2]
-    case_all = me[:, 0] & me[:, 1] & me[:, 2]
-
-    out = [t[keep]]
-
-    def rows(mask, *cols):
-        return np.stack([c[mask] for c in cols], axis=1)
-
-    # bisect across the refinement edge: children (m0, v2, v0), (m0, v0, v1)
-    out.append(rows(case_ref, m0, v2, v0))
-    out.append(rows(case_ref, m0, v0, v1))
-    # also split child (m0, v2, v0) across its edge (v2, v0) at m1
-    out.append(rows(case_r1, m0, v0, v1))
-    out.append(rows(case_r1, m1, v0, m0))
-    out.append(rows(case_r1, m1, m0, v2))
-    # also split child (m0, v0, v1) across its edge (v0, v1) at m2
-    out.append(rows(case_r2, m0, v2, v0))
-    out.append(rows(case_r2, m2, v1, m0))
-    out.append(rows(case_r2, m2, m0, v0))
-    # split all three edges: four grandchildren
-    out.append(rows(case_all, m1, v0, m0))
-    out.append(rows(case_all, m1, m0, v2))
-    out.append(rows(case_all, m2, v1, m0))
-    out.append(rows(case_all, m2, m0, v0))
-
-    triangles = np.concatenate(out)
-    return _finish_surface_mesh(vertices, triangles, surface, rotate=False)
+    return _finish_surface_mesh(vertices, np.concatenate(out), surface, rotate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +341,9 @@ def _kuhn_corner_offsets():
 
 
 _KUHN_OFFSETS = _kuhn_corner_offsets()
-_KUHN_INDEX = {p: k for k, p in enumerate(_KUHN_PERMS)}
+# Kuhn tetrahedron by the two largest axes (3 p0 + p1) of a cell point
+_KUHN_LOOKUP = np.full(9, -1, dtype=np.int64)
+_KUHN_LOOKUP[[3 * p[0] + p[1] for p in _KUHN_PERMS]] = np.arange(6)
 
 
 class BulkMesh:
@@ -381,15 +366,12 @@ class BulkMesh:
         I, J, K = np.meshgrid(coords, coords, coords, indexing="ij")
         self.vertices = np.stack([I, J, K], axis=-1).reshape(-1, 3)
 
+        # each cell's lowest corner id plus the Kuhn corners' id offsets
         i = np.arange(n)
-        ci, cj, ck = np.meshgrid(i, i, i, indexing="ij")
-        ci, cj, ck = ci.ravel(), cj.ravel(), ck.ravel()
         s = n + 1
-        off = _KUHN_OFFSETS  # (6, 4, 3)
-        vi = ci[:, None, None] + off[None, :, :, 0]
-        vj = cj[:, None, None] + off[None, :, :, 1]
-        vk = ck[:, None, None] + off[None, :, :, 2]
-        self.tets = ((vi * s + vj) * s + vk).reshape(-1, 4)
+        lowest = (i[:, None, None] * s + i[None, :, None]) * s + i[None, None, :]
+        offsets = _KUHN_OFFSETS @ (s * s, s, 1)  # (6, 4)
+        self.tets = (lowest.reshape(-1, 1, 1) + offsets).reshape(-1, 4)
         self.tet_diameter = self.h * np.sqrt(3.0)
 
     @property
@@ -408,11 +390,8 @@ class BulkMesh:
         cell = np.clip(np.floor(local).astype(np.int64), 0, n - 1)
         xi = local - cell
         order = np.argsort(-xi, axis=1, kind="stable")
-        perm_idx = np.empty(len(pts), dtype=np.int64)
-        for k, p in _KUHN_INDEX.items():
-            perm_idx[(order == np.array(k)).all(axis=1)] = p
         cube = (cell[:, 0] * n + cell[:, 1]) * n + cell[:, 2]
-        tid = cube * 6 + perm_idx
+        tid = cube * 6 + _KUHN_LOOKUP[3 * order[:, 0] + order[:, 1]]
         return tid if np.asarray(points).ndim == 2 else int(tid[0])
 
     def __repr__(self):
@@ -484,114 +463,96 @@ class CutSurface:
         return f"CutSurface(faces={self.n_faces}, dofs={self.n_active_dofs})"
 
 
-_LONE_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+# local vertex pairs of a tetrahedron's six edges
+_TET_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
+
+
+def _cut_face_table():
+    """Per sign pattern (bit k set when vertex k is negative), the cut
+    faces as local edge ids (16, 2, 3), -1 padding a missing second face,
+    and each face's place in the output order (16, 2).
+
+    A lone vertex on one side pairs with the other three in ascending
+    order; two per side give the quad cycle (na,pa), (na,pb), (nb,pb),
+    (nb,pa), split into [0, 1, 2] and [0, 2, 3].  Faces come out
+    lone-negative, lone-positive, first quad halves, second quad halves.
+    """
+    ids = {tuple(e): k for k, e in enumerate(_TET_EDGES.tolist())}
+
+    def edge(u, v):
+        return ids[min(u, v), max(u, v)]
+
+    faces = np.full((16, 2, 3), -1, dtype=np.int64)
+    group = np.full((16, 2), -1, dtype=np.int64)
+    for pattern in range(1, 15):
+        neg = [k for k in range(4) if pattern >> k & 1]
+        pos = [k for k in range(4) if not pattern >> k & 1]
+        if len(neg) == 2:
+            (na, nb), (pa, pb) = neg, pos
+            c = [edge(na, pa), edge(na, pb), edge(nb, pb), edge(nb, pa)]
+            faces[pattern] = [c[0], c[1], c[2]], [c[0], c[2], c[3]]
+            group[pattern] = 2, 3
+        else:
+            (lone,), others = (neg, pos) if len(neg) == 1 else (pos, neg)
+            faces[pattern, 0] = [edge(lone, o) for o in others]
+            group[pattern, 0] = 0 if len(neg) == 1 else 1
+    return faces, group
+
+
+_CUT_FACES, _CUT_GROUPS = _cut_face_table()
 
 
 def extract_cut_surface(bulk, surface):
     """March the interpolated signed distance through the bulk mesh.
 
     Vertex distances within 1e-12 h of zero are nudged positive so every
-    tetrahedron falls into a strict sign pattern.  One vertex on a side
-    yields a triangle; two yield a planar quad split into two triangles
-    along the cycle (ac, ad, bd, bc).  Faces with area below 1e-14 h^2
-    are dropped and counted in ``n_degenerate``.
+    tetrahedron falls into a strict sign pattern, and such a vertex is the
+    cut vertex of every crossing edge that ends at it; faces that repeat a
+    vertex then vanish.  One vertex on a side yields a triangle; two yield
+    a planar quad split into two triangles along the cycle (ac, ad, bd,
+    bc).  Faces with area below 1e-14 h^2 are dropped and counted in
+    ``n_degenerate``.
     """
     d = surface._distance_raw(bulk.vertices).copy()
     eps = 1e-12 * bulk.h
-    d[np.abs(d) < eps] = eps
-    dv = d[bulk.tets]
-    neg = dv < 0.0
-    cnt = neg.sum(axis=1)
-
-    key_list = []
-    parent_list = []
-
-    def lone_faces(tet_ids, lone_local):
-        others = _LONE_OTHERS[lone_local]  # (M, 3)
-        tets = bulk.tets[tet_ids]
-        lone_glob = tets[np.arange(len(tet_ids)), lone_local]
-        other_glob = np.take_along_axis(tets, others, axis=1)
-        keys = np.stack(
-            [np.repeat(lone_glob, 3), other_glob.ravel()], axis=1
-        ).reshape(len(tet_ids), 3, 2)
-        key_list.append(keys)
-        parent_list.append(np.repeat(tet_ids, 1))
-
-    for count in (1, 3):
-        ids = np.flatnonzero(cnt == count)
-        if len(ids):
-            pattern = neg[ids] if count == 1 else ~neg[ids]
-            lone_faces(ids, np.argmax(pattern, axis=1))
-
-    quad_ids = np.flatnonzero(cnt == 2)
-    quad_keys = None
-    if len(quad_ids):
-        order = np.argsort(~neg[quad_ids], axis=1, kind="stable")
-        tets = bulk.tets[quad_ids]
-        na = np.take_along_axis(tets, order[:, 0:1], axis=1)[:, 0]
-        nb = np.take_along_axis(tets, order[:, 1:2], axis=1)[:, 0]
-        pa = np.take_along_axis(tets, order[:, 2:3], axis=1)[:, 0]
-        pb = np.take_along_axis(tets, order[:, 3:4], axis=1)[:, 0]
-        # crossing cycle around the quad: (na,pa), (na,pb), (nb,pb), (nb,pa)
-        quad_keys = np.stack(
-            [
-                np.stack([na, pa], axis=1),
-                np.stack([na, pb], axis=1),
-                np.stack([nb, pb], axis=1),
-                np.stack([nb, pa], axis=1),
-            ],
-            axis=1,
-        )  # (Q, 4, 2)
-
-    tri_keys = (
-        np.concatenate(key_list) if key_list else np.empty((0, 3, 2), np.int64)
-    )
-    tri_parents = (
-        np.concatenate(parent_list) if parent_list else np.empty(0, np.int64)
-    )
-
-    all_keys = [tri_keys.reshape(-1, 2)]
-    if quad_keys is not None:
-        all_keys.append(quad_keys.reshape(-1, 2))
-    flat = np.sort(np.concatenate(all_keys), axis=1)
-    if len(flat) == 0:
+    on_surface = np.abs(d) < eps
+    d[on_surface] = eps
+    pattern = np.packbits((d < 0.0)[bulk.tets], axis=1, bitorder="little")[:, 0]
+    cut = np.flatnonzero((pattern > 0) & (pattern < 15))
+    if len(cut) == 0:
         raise BeltramiError("surface does not cut the bulk mesh")
-    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
-    da = d[uniq[:, 0]]
-    db = d[uniq[:, 1]]
-    tvals = da / (da - db)
+    # one stable sort by output group keeps each group in tet order
+    group = _CUT_GROUPS[pattern[cut]]
+    present = group >= 0
+    order = np.argsort(group[present], kind="stable")
+    parents = np.repeat(cut, present.sum(axis=1))[order]
+    local = _CUT_FACES[pattern[cut]][present][order]
+    ends = bulk.tets[parents[:, None, None], _TET_EDGES[local]]  # (F, 3, 2)
+    lo, hi = ends.min(axis=2), ends.max(axis=2)
+    # a crossing edge ending at an on-surface vertex becomes (v, v)
+    lo = np.where(on_surface[hi], hi, lo)
+    hi = np.where(on_surface[lo], lo, hi)
+
+    # crossing edges keyed lo * V + hi, so unique sorts them as pairs
+    nv = bulk.n_vertices
+    uniq, inverse = np.unique(lo * nv + hi, return_inverse=True)
+    a, b = np.divmod(uniq, nv)
+    da = d[a]
+    db = d[b]
+    tvals = np.divide(da, da - db, out=np.zeros_like(da), where=a != b)
     cut_vertices = (
-        bulk.vertices[uniq[:, 0]]
-        + tvals[:, None] * (bulk.vertices[uniq[:, 1]] - bulk.vertices[uniq[:, 0]])
+        bulk.vertices[a] + tvals[:, None] * (bulk.vertices[b] - bulk.vertices[a])
     )
 
-    n_tri = tri_keys.shape[0]
-    tri_vert = inverse[: 3 * n_tri].reshape(n_tri, 3)
-    faces = [tri_vert]
-    parents = [tri_parents]
-    if quad_keys is not None:
-        qv = inverse[3 * n_tri :].reshape(-1, 4)
-        faces.append(qv[:, [0, 1, 2]])
-        faces.append(qv[:, [0, 2, 3]])
-        parents.append(quad_ids)
-        parents.append(quad_ids)
-    faces = np.concatenate(faces)
-    parents = np.concatenate(parents)
-
+    faces = inverse.reshape(-1, 3)
+    distinct = (faces != np.roll(faces, 1, axis=1)).all(axis=1)
+    faces, parents = faces[distinct], parents[distinct]
     coords = cut_vertices[faces]
     n = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
-    two_area = np.linalg.norm(n, axis=1)
-    good = two_area >= 2e-14 * bulk.h**2
+    good = np.linalg.norm(n, axis=1) >= 2e-14 * bulk.h**2
     n_degenerate = int((~good).sum())
-    faces = faces[good]
-    parents = parents[good]
-    n = n[good]
-
-    _, g = surface._grad_raw(cut_vertices[faces].mean(axis=1))
-    flip = np.einsum("fd,fd->f", n, g) < 0.0
-    faces[flip] = faces[flip][:, [0, 2, 1]]
-
-    return CutSurface(bulk, cut_vertices, faces, parents, d, n_degenerate)
+    faces = _orient_outward(cut_vertices, faces[good], surface)
+    return CutSurface(bulk, cut_vertices, faces, parents[good], d, n_degenerate)
 
 
 class BandMesh:
@@ -632,9 +593,8 @@ def extract_band(bulk, surface, delta, window=(1.0, 2.0)):
             f"delta={delta:g} outside [{lo:g} h, {hi:g} h] with h={bulk.h:g}"
         )
     d = surface._distance_raw(bulk.vertices)
-    dv = d[bulk.tets]
-    keep = (dv.min(axis=1) < delta) & (dv.max(axis=1) > -delta)
-    ids = np.flatnonzero(keep)
+    tets = bulk.tets
+    ids = np.flatnonzero((d < delta)[tets].any(axis=1) & (d > -delta)[tets].any(axis=1))
     if len(ids) == 0:
         raise EmptyBand("no tetrahedra meet the band")
     return BandMesh(bulk, delta, ids, d)

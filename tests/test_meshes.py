@@ -2,26 +2,32 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beltrami import (
     BoxTooSmall,
+    Ellipsoid,
     EmptyBand,
+    NarrowBandProblem,
     Sphere,
     SurfaceMesh,
     Torus,
+    TraceProblem,
     build_bulk_mesh,
     build_sphere_mesh,
     build_torus_mesh,
     extract_band,
     extract_cut_surface,
+    narrowband_solve,
     refine_bisection,
     refine_uniform,
+    trace_solve,
     write_off,
     write_vtk_tets,
 )
 from beltrami.errors import BeltramiError
+from beltrami.meshes import edge_table
 
 import oracles
 
@@ -250,6 +256,95 @@ def test_cut_active_dofs_are_cut_tet_vertices():
     expected = np.unique(bulk.tets[cut.cut_tets])
     assert np.array_equal(cut.active_dofs, expected)
     assert cut.n_active_dofs == len(expected)
+
+
+# ---------------------------------------------------------------------------
+# drawn surfaces: cut topology and bulk solves
+# ---------------------------------------------------------------------------
+
+SURFACES = st.one_of(
+    st.builds(Sphere, st.floats(0.5, 2.0)),
+    st.builds(lambda R, ratio: Torus(R, ratio * R),
+              st.floats(0.8, 1.5), st.floats(0.3, 0.6)),
+    st.builds(lambda a, rb, rc: Ellipsoid(a, rb * a, rc * a),
+              st.floats(0.6, 1.5), st.floats(0.6, 1.0), st.floats(0.6, 1.0)),
+)
+
+
+def _cells_for(surface, h_per_tube):
+    """Fewest cells per axis of the default box with h <= h_per_tube * tube."""
+    half_width = build_bulk_mesh(surface, 1).half_width
+    return int(np.ceil(2.0 * half_width / (h_per_tube * surface.tube_halfwidth())))
+
+
+@st.composite
+def resolved_cases(draw):
+    """(surface, n, None) with tet diameter h sqrt(3) <= tube half-width."""
+    surface = draw(SURFACES)
+    return surface, _cells_for(surface, 1.0 / np.sqrt(3.0)) + draw(st.integers(0, 3)), None
+
+
+@st.composite
+def coarse_cases(draw):
+    """(surface, n, None) with n <= 20 and h <= 2 tube half-widths."""
+    surface = draw(SURFACES)
+    return surface, draw(st.integers(_cells_for(surface, 2.0), 20)), None
+
+
+@st.composite
+def lattice_sphere_cases(draw, max_m=7, max_extra=2):
+    """(unit sphere, n, half width) with a lattice vertex on the sphere.
+
+    The box [-n h/2, n h/2]^3 has lattice coordinates h (i + o), o = 0 for
+    even n and 1/2 for odd n; the radius is the length of the vertex
+    h (m + o, o, o), so R = m h on even lattices.
+    """
+    odd = draw(st.booleans())
+    o = 0.5 * odd
+    c = np.sqrt((draw(st.integers(4, max_m)) + o) ** 2 + 2 * o**2)
+    n = int(np.ceil(3.0 * c))  # half width n h / 2 >= extent + tube = 1.5
+    n += n % 2 != odd
+    n += 2 * draw(st.integers(0, max_extra))
+    return Sphere(1.0), n, 0.5 * n / c
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.one_of(resolved_cases(), lattice_sphere_cases()))
+@example(case=(Torus(1.0, 0.4), 20, None))
+@example(case=(Sphere(1.0), 8, 2.0))
+@example(case=(Sphere(1.0), 16, 2.0))
+def test_cut_surface_is_closed_with_surface_topology(case):
+    """Closed manifold with the Euler characteristic of the surface, also
+    when lattice vertices lie on it (the explicit cases)."""
+    surface, n, half_width = case
+    bulk = build_bulk_mesh(surface, n, half_width=half_width)
+    cut = extract_cut_surface(bulk, surface)
+    edges, face_edges = edge_table(cut.faces)
+    assert (np.bincount(face_edges.ravel(), minlength=len(edges)) == 2).all()
+    chi = 0 if surface.kind == "torus" else 2
+    assert len(cut.vertices) - len(edges) + cut.n_faces == chi
+    assert cut.n_degenerate == 0
+    assert np.isfinite(cut.vertices).all()
+
+
+def _assert_finite_mean_zero(field, *reports):
+    for report in reports:
+        assert np.isfinite([report.err_L2, report.err_H1]).all()
+    m, c = field.mass, field.coefficients
+    assert abs(m @ c) <= 1e-9 * np.linalg.norm(m) * np.linalg.norm(c)
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=st.one_of(coarse_cases(), lattice_sphere_cases(max_m=5, max_extra=1)))
+def test_bulk_solves_are_finite_and_mean_zero(case):
+    surface, n, half_width = case
+    bulk = build_bulk_mesh(surface, n, half_width=half_width)
+    _assert_finite_mean_zero(*trace_solve(TraceProblem(surface, bulk)))
+    try:
+        result = narrowband_solve(NarrowBandProblem(surface, bulk))
+    except BeltramiError:
+        return
+    _assert_finite_mean_zero(*result)
 
 
 # ---------------------------------------------------------------------------
