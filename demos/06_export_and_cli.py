@@ -17,7 +17,8 @@ from beltrami import Sphere, TraceProblem, build_bulk_mesh
 from beltrami.cli import main
 from beltrami.meshes import build_sphere_mesh, write_off, write_vtk_tets
 
-out = pathlib.Path(tempfile.mkdtemp(prefix="beltrami_demo_"))
+tmp = tempfile.TemporaryDirectory(prefix="beltrami_demo_")
+out = pathlib.Path(tmp.name)
 sphere = Sphere(1.0)
 
 # --- direct export ----------------------------------------------------------
@@ -66,3 +67,5 @@ table = (out / "study" / "table.csv").read_text().splitlines()
 print("\ntable.csv:")
 for line in table:
     print(f"  {line}")
+
+tmp.cleanup()

@@ -81,10 +81,10 @@ def residual_estimator(problem, field, workspace=None):
 
 
 def _spectral_norm_3x2(c1, c2):
-    """Largest singular value of the per-row 3x2 matrices [c1 c2]."""
-    a = np.einsum("nd,nd->n", c1, c1)
-    b = np.einsum("nd,nd->n", c2, c2)
-    c = np.einsum("nd,nd->n", c1, c2)
+    """Largest singular value of the 3x2 matrices [c1 c2] along the last axis."""
+    a = np.einsum("...d,...d->...", c1, c1)
+    b = np.einsum("...d,...d->...", c2, c2)
+    c = np.einsum("...d,...d->...", c1, c2)
     half = 0.5 * (a + b)
     disc = np.sqrt(np.maximum(0.25 * (a - b) ** 2 + c**2, 0.0))
     return np.sqrt(np.maximum(half + disc, 0.0))
@@ -98,19 +98,28 @@ def geometric_estimators(problem, workspace=None):
     lambda_T the largest in-plane deviation of the differential
     DP = I - grad d grad d^T - d D^2 d from the identity, exact from the
     distance jet (first order); mu_T = beta_T + lambda_T^2.  Totals
-    aggregate by max.
+    aggregate by max.  The nodes take the workspace's jet and the vertices
+    one jet per mesh vertex; a workspace without a jet is sampled at its
+    own ``qp`` and ``coords``.
     """
     surface = problem.surface
     ws = workspace if workspace is not None else parametric_workspace(problem)
+    if "jet" in ws:
+        at = problem.mesh.triangles.ravel()
+        jets = (ws["jet"], [a[at] for a in surface._jet_raw(problem.mesh.vertices)])
+    else:
+        jets = [surface._jet_raw(ws[key].reshape(-1, 3)) for key in ("qp", "coords")]
     t1, t2 = plane_basis(ws["normals"])
-    lam = np.zeros(len(t1))
-    beta = np.zeros(len(t1))
-    for x in np.concatenate([ws["qp"], ws["coords"]], axis=1).transpose(1, 0, 2):
-        d, g, H = surface._jet_raw(x)
+    n = len(t1)
+    lam = np.zeros(n)
+    beta = np.zeros(n)
+    for d, g, H in jets:
         dev = -g[:, :, None] * g[:, None, :] - d[:, None, None] * H  # DP - I
+        dev = dev.reshape(n, -1, 3, 3)
         lam = np.maximum(lam, _spectral_norm_3x2(
-            np.einsum("nij,nj->ni", dev, t1), np.einsum("nij,nj->ni", dev, t2)))
-        beta = np.maximum(beta, np.abs(d))
+            np.einsum("nkij,nj->nki", dev, t1), np.einsum("nkij,nj->nki", dev, t2)
+        ).max(axis=1))
+        beta = np.maximum(beta, np.abs(d).reshape(n, -1).max(axis=1))
     return {
         "lambda": IndicatorField("lambda", lam, reduction="max"),
         "beta": IndicatorField("beta", beta, reduction="max"),

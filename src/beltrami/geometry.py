@@ -123,12 +123,18 @@ class ImplicitSurface:
         return 0.5 / self.max_curvature()
 
     def _check_valid(self, pts):
-        bad = self._invalid_mask(pts)
+        self._reject(self._invalid_mask(pts))
+
+    def _reject(self, bad):
         if np.any(bad):
             raise OutsideTube(
                 f"{int(np.count_nonzero(bad))} point(s) outside the region where "
                 f"the {self.kind} distance jet is well defined"
             )
+
+    def _guarded_jet(self, pts):
+        self._check_valid(pts)
+        return self._jet_raw(pts)
 
     def distance_jet(self, x):
         """Signed distance, unit normal extension, and Weingarten extension.
@@ -140,8 +146,7 @@ class ImplicitSurface:
         hess : (..., 3, 3); symmetric with hess @ grad = 0
         """
         pts, single = _points(x)
-        self._check_valid(pts)
-        d, g, H = self._jet_raw(pts)
+        d, g, H = self._guarded_jet(pts)
         lead = np.asarray(x).shape[:-1]
         return (
             d[0] if single else d.reshape(lead),
@@ -578,15 +583,17 @@ class Ellipsoid(ImplicitSurface):
     def _distance_raw(self, pts):
         return self._grad_raw(pts)[0]
 
-    def _jet_raw(self, pts):
+    def _hessian(self, pts, d, g):
         # D^2 d = W (I + d W)^-1 with the Weingarten map at the closest point
         # P, W = Pi diag(a^-2) Pi / |P / a^2| and Pi = I - g g^T
-        d, g = self._grad_raw(pts)
         n = (pts - d[:, None] * g) / self.abc2
         proj = _EYE3 - g[:, :, None] * g[:, None, :]
         W = (proj / self.abc2) @ proj / np.linalg.norm(n, axis=1)[:, None, None]
-        H = np.linalg.solve(_EYE3 + d[:, None, None] * W, W)
-        return d, g, H
+        return np.linalg.solve(_EYE3 + d[:, None, None] * W, W)
+
+    def _jet_raw(self, pts):
+        d, g = self._grad_raw(pts)
+        return d, g, self._hessian(pts, d, g)
 
     def _invalid_mask(self, pts):
         # outside: always a unique closest point; inside: stay within the
@@ -597,6 +604,13 @@ class Ellipsoid(ImplicitSurface):
             d = self._distance_raw(pts[inside])
             bad[inside] = np.abs(d) >= self.tube_halfwidth()
         return bad
+
+    def _guarded_jet(self, pts):
+        # the same inner bound, read from the Newton solve the jet needs
+        # anyway (d > 0 outside), and checked before I + dW can be singular
+        d, g = self._grad_raw(pts)
+        self._reject(d <= -self.tube_halfwidth())
+        return d, g, self._hessian(pts, d, g)
 
     def _scaled_radial_raw(self, pts):
         s = np.sqrt(np.sum(pts**2 / self.abc2, axis=1))

@@ -24,7 +24,7 @@ from .fem import (
     tetrahedron_geometry,
 )
 from .meshes import extract_band, extract_cut_surface
-from .parametric import error_samples, surface_error_norms
+from .parametric import _exact_samples, error_samples, surface_error_norms
 from .trace import cut_face_workspace
 
 
@@ -195,17 +195,13 @@ def _band_errors(problem, quad, c, dofs):
     d, g, H = surface._jet_raw(flat)
     p = flat - d[:, None] * g
     u_disc = np.einsum("eqk,ek->eq", phi2, c[dofs]).ravel()[mask]
-    e = sol.u(p) - u_disc
-    total = wf.sum()
-    mean = wf @ e / total
-    l2_sq = max(float(wf @ e**2 - total * mean**2), 0.0)
-
     gg = sol.grad_gamma(p)
     g_exact = gg - d[:, None] * np.einsum("nij,nj->ni", H, gg)
     grad_u = np.einsum("ek,ekd->ed", c[dofs], grads)
-    diff = g_exact - np.repeat(grad_u, TET_DEGREE2.npoints, axis=0)[mask]
-    h1_sq = float(wf @ np.einsum("nd,nd->n", diff, diff))
-    return np.sqrt(l2_sq), np.sqrt(h1_sq)
+    return surface_error_norms(
+        wf, sol.u(p), g_exact, u_disc,
+        np.repeat(grad_u, TET_DEGREE2.npoints, axis=0)[mask],
+    )
 
 
 def _surface_errors(problem, c):
@@ -215,8 +211,10 @@ def _surface_errors(problem, c):
     ws = cut_face_workspace(bulk, cut, problem.band.active_dofs)
     if np.any(ws["dofs"] < 0):
         raise RuntimeError("cut tetrahedron outside the band")
-    l2, h1 = surface_error_norms(
-        surface, problem.solution,
-        *error_samples(ws, c[ws["dofs"]], ws["proj_grads"]),
+    flat = ws["qp"].reshape(-1, 3)
+    nus = np.repeat(ws["normals"], ws["qp"].shape[1], axis=0)
+    ws["u_exact"], ws["grad_exact"] = _exact_samples(
+        surface, problem.solution, flat, nus, *surface.distance_jet(flat)
     )
+    l2, h1 = surface_error_norms(*error_samples(ws, c[ws["dofs"]], ws["proj_grads"]))
     return l2, h1, cut

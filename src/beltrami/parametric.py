@@ -59,16 +59,17 @@ def _scaled_radial_jacobian(surface, pts, nus, steps):
     return np.linalg.norm(np.cross(c1, c2), axis=1)
 
 
+def _jet_forcing(surface, solution, pts, nus, d, g, H):
+    """F(x) = f(P_d(x)) q/q_Gamma from the distance jet (d, g, H) at pts."""
+    return solution.f(pts - d[:, None] * g) * surface._jet_area_ratio(d, g, H, nus)
+
+
 def closest_point_forcing(surface, solution, pts, nus):
     """F(x) = f(P_d(x)) q/q_Gamma at points x of facets with unit normals nus."""
-    d, g, H = surface.distance_jet(pts)
-    lifted = pts - d[:, None] * g
-    return solution.f(lifted) * surface._jet_area_ratio(d, g, H, nus)
+    return _jet_forcing(surface, solution, pts, nus, *surface.distance_jet(pts))
 
 
-def _forcing_values(surface, solution, lift, pts, nus, steps):
-    if lift == CLOSEST_POINT:
-        return closest_point_forcing(surface, solution, pts, nus)
+def _scaled_radial_forcing(surface, solution, pts, nus, steps):
     ratio = _scaled_radial_jacobian(surface, pts, nus, steps)
     return solution.f(surface._scaled_radial_raw(pts)) * ratio
 
@@ -79,33 +80,37 @@ def parametric_forcing(problem, x, nu_gamma, fd_step=None):
     nus = np.broadcast_to(
         np.atleast_2d(np.asarray(nu_gamma, dtype=float)), pts.shape
     )
-    if fd_step is None:
-        fd_step = 1e-6 * problem.mesh.h_max
-    steps = np.full(len(pts), fd_step)
-    vals = _forcing_values(problem.surface, problem.solution, problem.lift,
-                           pts, nus, steps)
+    if problem.lift == CLOSEST_POINT:
+        vals = closest_point_forcing(problem.surface, problem.solution, pts, nus)
+    else:
+        step = 1e-6 * problem.mesh.h_max if fd_step is None else fd_step
+        vals = _scaled_radial_forcing(problem.surface, problem.solution, pts, nus,
+                                      np.full(len(pts), step))
     return vals if np.asarray(x).ndim == 2 else float(vals[0])
 
 
-def surface_error_norms(surface, solution, points, weights, face_normals,
-                        u_values, u_gradients):
-    """Mean-matched L2 and H1 errors against the lifted exact solution.
+def _exact_samples(surface, solution, pts, nus, d, g, H):
+    """u(P_d x) and its lifted tangential gradient at points x of facets
+    with unit normals nus, from the distance jet (d, g, H) at pts."""
+    lifted = pts - d[:, None] * g
+    return solution.u(lifted), surface._jet_lifted_gradient(
+        d, g, H, nus, solution.grad_gamma(lifted)
+    )
 
-    The samples live on a discrete surface with quadrature weights
-    ``weights``; the exact solution is pulled back through the
-    closest-point lift and its tangential gradient through the facet
-    projection, so both norms are broken norms on the discrete surface.
+
+def surface_error_norms(weights, u_exact, grad_exact, u_values, u_gradients):
+    """Mean-matched L2 and H1 errors of sampled values and gradients.
+
+    Weighted sums over quadrature samples only.  On a discrete surface
+    ``u_exact`` and ``grad_exact`` are the exact solution pulled back
+    through the closest-point lift and its lifted tangential gradient
+    (``_exact_samples``), so both norms are broken norms on that surface.
     """
-    d, g, H = surface.distance_jet(points)
-    lifted = points - d[:, None] * g
-    e = solution.u(lifted) - u_values
+    e = u_exact - u_values
     total = weights.sum()
     mean = weights @ e / total
     l2_sq = max(float(weights @ e**2 - total * mean**2), 0.0)
-    g_exact = surface._jet_lifted_gradient(
-        d, g, H, face_normals, solution.grad_gamma(lifted)
-    )
-    diff = g_exact - u_gradients
+    diff = grad_exact - u_gradients
     h1_sq = float(weights @ np.einsum("nd,nd->n", diff, diff))
     return np.sqrt(l2_sq), np.sqrt(h1_sq)
 
@@ -115,27 +120,33 @@ def error_samples(ws, c_local, grads):
     element coefficients c_local (E, k) and tangential gradients grads."""
     nq = ws["qp"].shape[1]
     return (
-        ws["qp"].reshape(-1, 3),
         ws["weights"].ravel(),
-        np.repeat(ws["normals"], nq, axis=0),
+        ws["u_exact"],
+        ws["grad_exact"],
         np.einsum("eqk,ek->eq", ws["phi"], c_local).ravel(),
         np.repeat(np.einsum("ek,ekd->ed", c_local, grads), nq, axis=0),
     )
 
 
 def parametric_workspace(problem):
-    """Per-facet geometry, quadrature, and transferred forcing values."""
+    """Per-facet geometry, quadrature, the distance jet at the quadrature
+    points, and the forcing and exact samples taken from it."""
     mesh = problem.mesh
+    surface, solution = problem.surface, problem.solution
     coords = mesh.triangle_coords()
     qp = TRI_DEGREE4.physical_points(coords)
     w = mesh.areas[:, None] * TRI_DEGREE4.normalized_weights[None, :]
     phi = barycentric_values(mesh.grads, coords, qp)
     flat = qp.reshape(-1, 3)
     nus_q = np.repeat(mesh.normals, TRI_DEGREE4.npoints, axis=0)
-    steps = np.repeat(1e-6 * mesh.diameters, TRI_DEGREE4.npoints)
-    fvals = _forcing_values(
-        problem.surface, problem.solution, problem.lift, flat, nus_q, steps
-    ).reshape(w.shape)
+    jet = surface.distance_jet(flat)
+    # the forcing first: the ellipsoid's f evaluates a jet of its own
+    if problem.lift == CLOSEST_POINT:
+        fvals = _jet_forcing(surface, solution, flat, nus_q, *jet)
+    else:
+        steps = np.repeat(1e-6 * mesh.diameters, TRI_DEGREE4.npoints)
+        fvals = _scaled_radial_forcing(surface, solution, flat, nus_q, steps)
+    u_exact, grad_exact = _exact_samples(surface, solution, flat, nus_q, *jet)
     return {
         "coords": coords,
         "grads": mesh.grads,
@@ -144,7 +155,10 @@ def parametric_workspace(problem):
         "qp": qp,
         "weights": w,
         "phi": phi,
-        "forcing": fvals,
+        "forcing": fvals.reshape(w.shape),
+        "jet": jet,
+        "u_exact": u_exact,
+        "grad_exact": grad_exact,
     }
 
 
@@ -171,10 +185,7 @@ def parametric_solve(problem, tol=1e-10, workspace_out=None):
     history = []
     c = solve_mean_zero(A, b, m, tol=tol, history=history)
     field = SolutionField(c, np.arange(mesh.n_vertices), m)
-    l2, h1 = surface_error_norms(
-        problem.surface, problem.solution,
-        *error_samples(ws, c[mesh.triangles], ws["grads"]),
-    )
+    l2, h1 = surface_error_norms(*error_samples(ws, c[mesh.triangles], ws["grads"]))
     if workspace_out is not None:
         workspace_out.update(ws)
     report = ErrorReport(

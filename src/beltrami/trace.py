@@ -21,7 +21,8 @@ from .fem import (
     tetrahedron_geometry,
 )
 from .meshes import extract_cut_surface
-from .parametric import closest_point_forcing, error_samples, surface_error_norms
+from .parametric import _exact_samples, _jet_forcing, closest_point_forcing
+from .parametric import error_samples, surface_error_norms
 
 
 class TraceProblem:
@@ -57,13 +58,16 @@ def cut_face_workspace(bulk, cut, active_dofs):
 
 
 def _face_workspace(problem):
-    """Cut-face workspace with the transferred data F = f(P_d x) q/q_Gamma."""
+    """Cut-face workspace with the transferred data F = f(P_d x) q/q_Gamma
+    and the exact samples, both from one distance jet."""
+    surface, solution = problem.surface, problem.solution
     ws = cut_face_workspace(problem.bulk, problem.cut, problem.cut.active_dofs)
-    nq = TRI_DEGREE4.npoints
-    ws["forcing"] = closest_point_forcing(
-        problem.surface, problem.solution, ws["qp"].reshape(-1, 3),
-        np.repeat(ws["normals"], nq, axis=0),
-    ).reshape(ws["weights"].shape)
+    flat = ws["qp"].reshape(-1, 3)
+    nus = np.repeat(ws["normals"], TRI_DEGREE4.npoints, axis=0)
+    jet = surface.distance_jet(flat)
+    forcing = _jet_forcing(surface, solution, flat, nus, *jet)
+    ws["forcing"] = forcing.reshape(ws["weights"].shape)
+    ws["u_exact"], ws["grad_exact"] = _exact_samples(surface, solution, flat, nus, *jet)
     return ws
 
 
@@ -90,10 +94,7 @@ def trace_solve(problem, tol=1e-10, workspace_out=None):
     history = []
     c = solve_mean_zero(A, b, m, tol=tol, history=history)
     field = SolutionField(c, cut.active_dofs, m, domain="cut-surface")
-    l2, h1 = surface_error_norms(
-        problem.surface, problem.solution,
-        *error_samples(ws, c[dofs], ws["proj_grads"]),
-    )
+    l2, h1 = surface_error_norms(*error_samples(ws, c[dofs], ws["proj_grads"]))
     if workspace_out is not None:
         workspace_out.update(ws)
     geo = geometric_resolution(problem, _workspace=ws)

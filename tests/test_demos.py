@@ -1,4 +1,5 @@
-"""Every demo script runs to completion without a RuntimeWarning."""
+"""Every demo script runs to completion without a RuntimeWarning and
+leaves no temporary directory behind."""
 
 import os
 import pathlib
@@ -26,3 +27,4 @@ def test_demo_runs(script, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not list(tmp_path.glob("beltrami_demo_*"))

@@ -216,6 +216,27 @@ def test_geometric_indicators_match_finite_differences(surface, mesh):
     assert np.allclose(g["beta"].values, beta, rtol=1e-6, atol=0.0)
 
 
+def test_one_jet_per_quadrature_point(monkeypatch):
+    """A solve and both estimators evaluate the jet once at each quadrature
+    point and at most once more per facet vertex: 6F + 3F points or fewer."""
+    s = Torus(1.0, 0.4)
+    problem = ParametricProblem(s, build_torus_mesh(s, 8, 4))
+    points = []
+    jet_raw = s._jet_raw
+
+    def counting(x):
+        points.append(len(x))
+        return jet_raw(x)
+
+    monkeypatch.setattr(s, "_jet_raw", counting)
+    ws = {}
+    field, _ = parametric_solve(problem, workspace_out=ws)
+    residual_estimator(problem, field, ws)
+    geometric_estimators(problem, ws)
+    n_facets = problem.mesh.n_triangles
+    assert sum(points) <= (6 + 3) * n_facets
+
+
 def test_mu_combines_beta_and_lambda(sphere_setup):
     _, problem, ws, _, _ = sphere_setup
     g = geometric_estimators(problem, ws)

@@ -104,6 +104,27 @@ def test_outside_tube_raises():
         Sphere(1.0).distance(np.zeros(3))
 
 
+def test_ellipsoid_jet_guard_reuses_its_newton_solve(monkeypatch):
+    """The guarded ellipsoid jet reads d from the Newton solve it guards:
+    one solve per call, and rejection before I + dW turns singular (it is
+    singular at the center of this spheroid)."""
+    e = Ellipsoid(1.0, 0.8, 0.8)
+    with pytest.raises(OutsideTube):
+        e.distance_jet(np.zeros(3))
+    pts = e.tube_points(40, np.random.default_rng(3))
+    assert (e.level_value(pts) < 0.0).any()
+    solves = []
+    closest_t = e._closest_t
+
+    def counting(x):
+        solves.append(len(x))
+        return closest_t(x)
+
+    monkeypatch.setattr(e, "_closest_t", counting)
+    e.distance_jet(pts)
+    assert solves == [len(pts)]
+
+
 # ---------------------------------------------------------------------------
 # closest points against brute force
 # ---------------------------------------------------------------------------

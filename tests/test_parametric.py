@@ -106,22 +106,19 @@ def test_error_norms_vanish_for_exact_data(sphere_problem):
     lifted = s.closest_point(pts)
     u_exact = sol.u(lifted)
     g_exact = s.lifted_tangential_gradient(pts, nus, sol.grad_gamma(lifted))
-    l2, h1 = surface_error_norms(s, sol, pts, w, nus, u_exact, g_exact)
+    l2, h1 = surface_error_norms(w, ws["u_exact"], ws["grad_exact"], u_exact, g_exact)
     assert l2 < 1e-12 and h1 < 1e-12
 
 
 def test_error_norms_are_mean_matched(sphere_problem):
     """A constant offset of the discrete values leaves the L2 error alone."""
-    s = sphere_problem.surface
-    sol = sphere_problem.solution
     ws = parametric_workspace(sphere_problem)
     pts = ws["qp"].reshape(-1, 3)
     w = ws["weights"].ravel()
-    nus = np.repeat(ws["normals"], TRI_DEGREE4.npoints, axis=0)
     vals = np.zeros(len(pts))
     grads = np.zeros((len(pts), 3))
-    l2a, _ = surface_error_norms(s, sol, pts, w, nus, vals, grads)
-    l2b, _ = surface_error_norms(s, sol, pts, w, nus, vals + 5.0, grads)
+    l2a, _ = surface_error_norms(w, ws["u_exact"], ws["grad_exact"], vals, grads)
+    l2b, _ = surface_error_norms(w, ws["u_exact"], ws["grad_exact"], vals + 5.0, grads)
     assert l2a == pytest.approx(l2b, rel=1e-10)
 
 
