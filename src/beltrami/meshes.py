@@ -341,6 +341,11 @@ def _kuhn_corner_offsets():
 
 
 _KUHN_OFFSETS = _kuhn_corner_offsets()
+# hat gradients of the unit tetrahedra; corner 0 is the origin, so hats
+# 1-3 have the (integer) rows of the inverse transposed edge matrix
+_KUHN_GRADS = np.zeros((6, 4, 3))
+_KUHN_GRADS[:, 1:] = np.rint(np.linalg.inv(_KUHN_OFFSETS[:, 1:])).transpose(0, 2, 1)
+_KUHN_GRADS[:, 0] = -_KUHN_GRADS[:, 1:].sum(axis=1)
 # Kuhn tetrahedron by the two largest axes (3 p0 + p1) of a cell point
 _KUHN_LOOKUP = np.full(9, -1, dtype=np.int64)
 _KUHN_LOOKUP[[3 * p[0] + p[1] for p in _KUHN_PERMS]] = np.arange(6)
@@ -350,8 +355,8 @@ class BulkMesh:
     """Uniform Kuhn mesh of the cube [-a, a]^3 with n cells per axis.
 
     Vertices are lattice points (linear id (i*(n+1)+j)*(n+1)+k); each cell
-    holds six positively oriented tetrahedra, so containing-tetrahedron
-    lookup is closed form.
+    holds six positively oriented tetrahedra, tet id 6 * cell + Kuhn index,
+    so containing-tetrahedron lookup and element geometry are closed form.
     """
 
     def __init__(self, half_width, cells_per_axis):
@@ -373,6 +378,7 @@ class BulkMesh:
         offsets = _KUHN_OFFSETS @ (s * s, s, 1)  # (6, 4)
         self.tets = (lowest.reshape(-1, 1, 1) + offsets).reshape(-1, 4)
         self.tet_diameter = self.h * np.sqrt(3.0)
+        self.tet_volume = self.h**3 / 6.0
 
     @property
     def n_vertices(self):
@@ -381,6 +387,18 @@ class BulkMesh:
     @property
     def n_tets(self):
         return len(self.tets)
+
+    def tet_grads(self, ids):
+        """Hat gradients (E, 4, 3) of the given tetrahedra, by table."""
+        return _KUHN_GRADS[ids % 6] / self.h
+
+    def tet_points(self, ids, bary):
+        """Points (E, nq, 3) at barycentric nodes (nq, 4), from lattice ids."""
+        n = self.cells_per_axis
+        cell = np.stack(np.unravel_index(ids // 6, (n, n, n)), axis=-1)
+        pts = (self.h * (bary @ _KUHN_OFFSETS))[ids % 6]
+        pts += (cell * self.h - self.half_width)[:, None, :]
+        return pts
 
     def point_to_tet(self, points):
         """Id of the tetrahedron containing each point (clamped to the box)."""

@@ -21,7 +21,6 @@ from .fem import (
     local_dofs,
     lumped_mass,
     solve_mean_zero,
-    tetrahedron_geometry,
 )
 from .meshes import extract_band, extract_cut_surface
 from .parametric import _exact_samples, error_samples, surface_error_norms
@@ -51,10 +50,10 @@ class NarrowBandProblem:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         bulk = self.bulk
         tids = bulk.point_to_tet(pts)
-        coords = bulk.vertices[bulk.tets[tids]]
-        grads, _ = tetrahedron_geometry(coords)
-        phi = barycentric_values(grads, coords, pts[:, None, :])[:, 0, :]
-        d_h = np.einsum("nk,nk->n", phi, self.band.d_vertex[bulk.tets[tids]])
+        tets = bulk.tets[tids]
+        phi = barycentric_values(bulk.tet_grads(tids), bulk.vertices[tets],
+                                 pts[:, None, :])[:, 0, :]
+        d_h = np.einsum("nk,nk->n", phi, self.band.d_vertex[tets])
         return d_h if np.asarray(x).ndim == 2 else d_h[0]
 
     def __repr__(self):
@@ -82,28 +81,27 @@ def _band_quadrature(problem):
     The signed point weights w = vol * w_q * 1{|d_h| < delta} follow the
     degree-4 rule (one negative node); the per-element measure fractions
     are clamped at zero so the stiffness stays positive semidefinite.
+    Band tets are lattice translates: gradients come from the Kuhn table,
+    and the hat values at the nodes are the rule's barycentric points.
     """
     band, bulk = problem.band, problem.bulk
     tets = band.tets()
-    coords = bulk.vertices[tets]
-    grads, vols = tetrahedron_geometry(coords)
-    qp = TET_DEGREE4.physical_points(coords)
-    phi = barycentric_values(grads, coords, qp)
-    d_h = np.einsum("eqk,ek->eq", phi, band.d_vertex[tets])
+    vol = bulk.tet_volume
+    bary = TET_DEGREE4.points
+    d_h = band.d_vertex[tets] @ bary.T
     inside = np.abs(d_h) < problem.delta
     nw = TET_DEGREE4.normalized_weights
     frac = np.maximum((nw[None, :] * inside).sum(axis=1), 0.0)
-    w = vols[:, None] * nw[None, :] * inside
+    w = vol * nw * inside
     return {
         "tets": tets,
-        "coords": coords,
-        "grads": grads,
-        "vols": vols,
-        "qp": qp,
-        "phi": phi,
+        "grads": bulk.tet_grads(band.tet_ids),
+        "vols": vol,
+        "qp": bulk.tet_points(band.tet_ids, bary),
+        "phi": np.broadcast_to(bary, (len(tets),) + bary.shape),
         "d_h": d_h,
         "inside": inside,
-        "measures": frac * vols,
+        "measures": frac * vol,
         "point_weights": w,
     }
 
@@ -179,13 +177,11 @@ def _band_errors(problem, quad, c, dofs):
     """
     surface, band = problem.surface, problem.band
     sol = problem.solution
-    coords = quad["coords"]
-    grads = quad["grads"]
-    qp2 = TET_DEGREE2.physical_points(coords)
-    phi2 = barycentric_values(grads, coords, qp2)
-    d_h2 = np.einsum("eqk,ek->eq", phi2, band.d_vertex[quad["tets"]])
+    bary = TET_DEGREE2.points
+    qp2 = problem.bulk.tet_points(band.tet_ids, bary)
+    d_h2 = band.d_vertex[quad["tets"]] @ bary.T
     inside2 = np.abs(d_h2) < problem.delta
-    w2 = (quad["vols"][:, None] * TET_DEGREE2.normalized_weights[None, :]) * inside2
+    w2 = quad["vols"] * TET_DEGREE2.normalized_weights * inside2
 
     # evaluate only where the indicator is on: the remaining nodes carry
     # zero weight but can sit far outside the distance tube
@@ -194,10 +190,10 @@ def _band_errors(problem, quad, c, dofs):
     wf = w2.ravel()[mask]
     d, g, H = surface._jet_raw(flat)
     p = flat - d[:, None] * g
-    u_disc = np.einsum("eqk,ek->eq", phi2, c[dofs]).ravel()[mask]
+    u_disc = (c[dofs] @ bary.T).ravel()[mask]
     gg = sol.grad_gamma(p)
     g_exact = gg - d[:, None] * np.einsum("nij,nj->ni", H, gg)
-    grad_u = np.einsum("ek,ekd->ed", c[dofs], grads)
+    grad_u = np.einsum("ek,ekd->ed", c[dofs], quad["grads"])
     return surface_error_norms(
         wf, sol.u(p), g_exact, u_disc,
         np.repeat(grad_u, TET_DEGREE2.npoints, axis=0)[mask],

@@ -18,7 +18,6 @@ from .fem import (
     barycentric_values,
     local_dofs,
     solve_mean_zero,
-    tetrahedron_geometry,
 )
 from .meshes import extract_cut_surface
 from .parametric import _exact_samples, _jet_forcing, closest_point_forcing
@@ -42,8 +41,7 @@ def cut_face_workspace(bulk, cut, active_dofs):
     """Per-face geometry of a cut surface: parent-tet hat gradients
     projected into the face planes, DOFs numbered by ``active_dofs``."""
     tets = bulk.tets[cut.parent_tet]
-    tet_coords = bulk.vertices[tets]
-    tet_grads, _ = tetrahedron_geometry(tet_coords)
+    tet_grads = bulk.tet_grads(cut.parent_tet)
     nus = cut.normals
     pg = tet_grads - np.einsum("fkd,fd->fk", tet_grads, nus)[:, :, None] * nus[:, None, :]
     qp = TRI_DEGREE4.physical_points(cut.vertices[cut.faces])
@@ -52,7 +50,7 @@ def cut_face_workspace(bulk, cut, active_dofs):
         "normals": nus,
         "qp": qp,
         "weights": cut.areas[:, None] * TRI_DEGREE4.normalized_weights[None, :],
-        "phi": barycentric_values(tet_grads, tet_coords, qp),
+        "phi": barycentric_values(tet_grads, bulk.vertices[tets], qp),
         "dofs": local_dofs(active_dofs, tets, bulk.n_vertices),
     }
 

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from beltrami import (
     BoxTooSmall,
+    BulkMesh,
     Ellipsoid,
     EmptyBand,
     NarrowBandProblem,
@@ -19,6 +20,7 @@ from beltrami import (
     build_torus_mesh,
     extract_band,
     extract_cut_surface,
+    narrowband_forcing,
     narrowband_solve,
     refine_bisection,
     refine_uniform,
@@ -27,7 +29,18 @@ from beltrami import (
     write_vtk_tets,
 )
 from beltrami.errors import BeltramiError
+from beltrami.fem import (
+    TET_DEGREE2,
+    TET_DEGREE4,
+    assemble_stiffness,
+    barycentric_values,
+    local_dofs,
+    tetrahedron_geometry,
+)
+from beltrami.harness import surface_mesh_for_level
 from beltrami.meshes import edge_table
+from beltrami.narrowband import _band_quadrature
+from beltrami.trace import _face_workspace
 
 import oracles
 
@@ -190,6 +203,41 @@ def test_point_location_consistent():
     assert np.abs(lam.sum(axis=1) - 1.0).max() < 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(half_width=st.floats(0.5, 3.0), n=st.integers(1, 12), data=st.data())
+def test_kuhn_table_matches_dense_geometry(half_width, n, data):
+    """Table gradients, volume and lattice-formula points agree with the
+    per-tet determinant and inverse of the gathered corners, which pins the
+    id -> (cell, Kuhn index) -> corner order the table relies on."""
+    bulk = BulkMesh(half_width, n)
+    ids = np.array(data.draw(st.lists(st.integers(0, bulk.n_tets - 1),
+                                      min_size=1, max_size=60)))
+    coords = bulk.vertices[bulk.tets[ids]]
+    grads, vols = tetrahedron_geometry(coords)
+    assert np.abs(bulk.tet_grads(ids) - grads).max() <= 1e-12 / bulk.h
+    assert np.abs(vols - bulk.tet_volume).max() <= 1e-12 * bulk.tet_volume
+    for rule in (TET_DEGREE4, TET_DEGREE2):
+        pts = bulk.tet_points(ids, rule.points)
+        assert np.abs(pts - rule.physical_points(coords)).max() <= 1e-12 * half_width
+        lam = barycentric_values(grads, coords, pts)
+        assert np.abs(lam - rule.points).max() <= 1e-12
+
+
+@pytest.mark.parametrize("surface", [Torus(1.0, 0.4), Sphere(1.0)],
+                         ids=["torus", "sphere"])
+def test_bulk_solves_do_no_per_tet_linear_algebra(surface, monkeypatch):
+    """Bulk element geometry comes from the Kuhn table, never from a
+    determinant or an inverse per tetrahedron."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-element det/inv in a bulk-mesh solve")
+
+    bulk = build_bulk_mesh(surface, 16)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    narrowband_solve(NarrowBandProblem(surface, bulk))
+    trace_solve(TraceProblem(surface, bulk))
+
+
 def test_box_too_small_raised():
     with pytest.raises(BoxTooSmall):
         build_bulk_mesh(Sphere(1.0), 8, half_width=1.2)  # needs 1 + 0.5
@@ -345,6 +393,72 @@ def test_bulk_solves_are_finite_and_mean_zero(case):
     except BeltramiError:
         return
     _assert_finite_mean_zero(*result)
+
+
+def _kernel_dimension(A):
+    """Eigenvalues below 1e-10 lambda_max of A without the rows the
+    solver freezes (diagonal at most 1e-14 of the largest)."""
+    diag = A.diagonal()
+    keep = diag > 1e-14 * diag.max()
+    assume(keep.sum() <= 1200)
+    lam = np.linalg.eigvalsh(A.toarray()[np.ix_(keep, keep)])
+    return int((lam < 1e-10 * lam[-1]).sum())
+
+
+@st.composite
+def boxed_cases(draw):
+    """(surface, n, half width): n in [4, 12] cells in a box up to 1.6 times
+    the smallest that holds the surface's tube."""
+    surface = draw(SURFACES)
+    needed = float(np.max(surface.axis_extents())) + surface.tube_halfwidth()
+    return surface, draw(st.integers(4, 12)), needed * draw(st.floats(1.0, 1.6))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=boxed_cases())
+def test_trace_stiffness_kernel_is_constants_and_distance(case):
+    """README: the trace kernel is the constants plus the nodal d_h."""
+    surface, n, half_width = case
+    # sizes the solver rejects with a typed error (no cut, NormalFlip) are
+    # not discrete problems and carry no kernel claim
+    try:
+        problem = TraceProblem(surface, build_bulk_mesh(surface, n, half_width=half_width))
+        ws = _face_workspace(problem)
+    except BeltramiError:
+        assume(False)
+    cut = problem.cut
+    A = assemble_stiffness(ws["proj_grads"], cut.areas, ws["dofs"], cut.n_active_dofs)
+    d = cut.d_vertex[cut.active_dofs]
+    assert np.abs(A @ d).max() <= 1e-12 * abs(A).max() * np.abs(d).max()
+    assert _kernel_dimension(A) == 2
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=boxed_cases())
+def test_band_stiffness_kernel_is_constants(case):
+    surface, n, half_width = case
+    bulk = build_bulk_mesh(surface, n, half_width=half_width)
+    try:
+        problem = NarrowBandProblem(surface, bulk)
+        quad = _band_quadrature(problem)
+        narrowband_forcing(problem, quad)
+    except BeltramiError:
+        assume(False)
+    band = problem.band
+    dofs = local_dofs(band.active_dofs, quad["tets"], bulk.n_vertices)
+    A = assemble_stiffness(quad["grads"], quad["measures"], dofs, band.n_active_dofs)
+    assert _kernel_dimension(A) == 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(surface=SURFACES, level=st.integers(0, 2))
+def test_parametric_stiffness_kernel_is_constants(surface, level):
+    try:
+        mesh = surface_mesh_for_level(surface, level)
+    except BeltramiError:
+        assume(False)
+    A = assemble_stiffness(mesh.grads, mesh.areas, mesh.triangles, mesh.n_vertices)
+    assert _kernel_dimension(A) == 1
 
 
 # ---------------------------------------------------------------------------
