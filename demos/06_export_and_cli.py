@@ -13,8 +13,9 @@ import json
 import pathlib
 import tempfile
 
-from beltrami import Sphere, TraceProblem, build_bulk_mesh
+from beltrami import Sphere, TraceProblem, build_bulk_mesh, extract_band
 from beltrami.cli import main
+from beltrami.fem import local_dofs
 from beltrami.meshes import build_sphere_mesh, write_off, write_vtk_tets
 
 tmp = tempfile.TemporaryDirectory(prefix="beltrami_demo_")
@@ -28,13 +29,18 @@ write_off(out / "icosphere3.off", mesh.vertices, mesh.triangles)
 bulk = build_bulk_mesh(sphere, 12)
 cut = TraceProblem(sphere, bulk).cut
 write_off(out / "cut12.off", cut.vertices, cut.faces)
-write_vtk_tets(out / "bulk12.vtk", bulk.vertices, bulk.tets)
+# the bulk lattice is implicit: export the narrow band's vertices and its
+# tetrahedra renumbered into them
+band = extract_band(bulk, sphere, 1.5 * bulk.h)
+write_vtk_tets(out / "band12.vtk", bulk.vertex_points(band.active_dofs),
+               local_dofs(band.active_dofs, band.tets()))
 
 counts = (out / "cut12.off").read_text().splitlines()[1]
 print("written:")
 print(f"  icosphere3.off : {mesh.n_vertices} vertices, {mesh.n_triangles} triangles")
 print(f"  cut12.off      : header '{counts}' (vertices faces edges)")
-print(f"  bulk12.vtk     : {bulk.n_vertices} vertices, {bulk.n_tets} tets")
+print(f"  band12.vtk     : {band.n_active_dofs} vertices, {band.n_tets} tets"
+      f" (of {bulk.n_vertices} and {bulk.n_tets} in the bulk lattice)")
 
 # --- the same through the CLI -------------------------------------------------
 # `beltrami converge` runs a refinement study, writes table.csv and

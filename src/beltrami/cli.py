@@ -10,6 +10,7 @@ import os
 import sys
 
 from .errors import BeltramiError, ConfigError
+from .fem import local_dofs
 from .harness import (
     ADAPT_FIELDS,
     RunConfig,
@@ -87,8 +88,9 @@ def _write_elements(out, method, elements):
         write_off(path, elements.vertices, elements.faces)
     else:
         path = os.path.join(out, "band.vtk")
-        write_vtk_tets(path, elements.bulk.vertices, elements.tets(),
-                       title="narrow band")
+        dofs = elements.active_dofs
+        write_vtk_tets(path, elements.bulk.vertex_points(dofs),
+                       local_dofs(dofs, elements.tets()), title="narrow band")
     return path
 
 

@@ -148,11 +148,11 @@ def barycentric_values(grads, coords, points):
 # ---------------------------------------------------------------------------
 
 
-def local_dofs(active, elements, n_global):
-    """Element vertex ids as positions in ``active`` (-1 where inactive)."""
-    lookup = np.full(n_global, -1, dtype=np.int64)
-    lookup[active] = np.arange(len(active))
-    return lookup[elements]
+def local_dofs(active, elements):
+    """Element vertex ids as positions in the sorted ``active`` (-1 where
+    absent)."""
+    pos = np.minimum(np.searchsorted(active, elements), len(active) - 1)
+    return np.where(active[pos] == elements, pos, -1)
 
 
 def assemble_stiffness(grads, measures, dofs, n_dof):

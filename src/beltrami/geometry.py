@@ -86,6 +86,7 @@ class ImplicitSurface:
     # -- subclass hooks ----------------------------------------------------
 
     def _distance_raw(self, pts):
+        """Exact signed distance; bulk-mesh culling relies on it being 1-Lipschitz."""
         raise NotImplementedError
 
     def _grad_raw(self, pts):

@@ -321,22 +321,12 @@ def refine_bisection(mesh, marked, surface):
 _KUHN_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
 
-def _perm_parity(p):
-    return (p[0], p[1], p[2]) in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
-
 def _kuhn_corner_offsets():
     """Per tetrahedron, four corner offsets in {0,1}^3 (positive volume)."""
-    offsets = np.zeros((6, 4, 3), dtype=np.int64)
-    for k, p in enumerate(_KUHN_PERMS):
-        c = np.zeros((4, 3), dtype=np.int64)
-        c[1][p[0]] = 1
-        c[2][p[0]] = 1
-        c[2][p[1]] = 1
-        c[3][:] = 1
-        if not _perm_parity(p):
-            c[[1, 2]] = c[[2, 1]]
-        offsets[k] = c
+    steps = np.eye(3, dtype=np.int64)[_KUHN_PERMS]  # rows e_p0, e_p1, e_p2
+    offsets = np.cumsum(np.pad(steps, ((0, 0), (1, 0), (0, 0))), axis=1)
+    odd = np.linalg.det(offsets[:, 1:]) < 0
+    offsets[odd, 1:3] = offsets[odd, 2:0:-1]
     return offsets
 
 
@@ -349,14 +339,17 @@ _KUHN_GRADS[:, 0] = -_KUHN_GRADS[:, 1:].sum(axis=1)
 # Kuhn tetrahedron by the two largest axes (3 p0 + p1) of a cell point
 _KUHN_LOOKUP = np.full(9, -1, dtype=np.int64)
 _KUHN_LOOKUP[[3 * p[0] + p[1] for p in _KUHN_PERMS]] = np.arange(6)
+# offsets of the eight children of a halved block
+_OCTANTS = np.stack(np.unravel_index(np.arange(8), (2, 2, 2)), axis=-1)
 
 
 class BulkMesh:
-    """Uniform Kuhn mesh of the cube [-a, a]^3 with n cells per axis.
+    """Implicit uniform Kuhn mesh of the cube [-a, a]^3, n cells per axis.
 
     Vertices are lattice points (linear id (i*(n+1)+j)*(n+1)+k); each cell
     holds six positively oriented tetrahedra, tet id 6 * cell + Kuhn index,
-    so containing-tetrahedron lookup and element geometry are closed form.
+    so corners, coordinates, point location and element geometry are
+    closed form in the ids and no array grows with the cell count.
     """
 
     def __init__(self, half_width, cells_per_axis):
@@ -367,26 +360,31 @@ class BulkMesh:
         self.half_width = a
         self.cells_per_axis = n
         self.h = 2.0 * a / n
-        coords = np.linspace(-a, a, n + 1)
-        I, J, K = np.meshgrid(coords, coords, coords, indexing="ij")
-        self.vertices = np.stack([I, J, K], axis=-1).reshape(-1, 3)
-
-        # each cell's lowest corner id plus the Kuhn corners' id offsets
-        i = np.arange(n)
+        self._coords = np.linspace(-a, a, n + 1)
         s = n + 1
-        lowest = (i[:, None, None] * s + i[None, :, None]) * s + i[None, None, :]
-        offsets = _KUHN_OFFSETS @ (s * s, s, 1)  # (6, 4)
-        self.tets = (lowest.reshape(-1, 1, 1) + offsets).reshape(-1, 4)
+        self._corner_ids = _KUHN_OFFSETS @ (s * s, s, 1)  # (6, 4)
         self.tet_diameter = self.h * np.sqrt(3.0)
         self.tet_volume = self.h**3 / 6.0
 
     @property
     def n_vertices(self):
-        return len(self.vertices)
+        return (self.cells_per_axis + 1) ** 3
 
     @property
     def n_tets(self):
-        return len(self.tets)
+        return 6 * self.cells_per_axis**3
+
+    def tet_vertices(self, ids):
+        """Global vertex ids (..., 4) of the given tetrahedra."""
+        n = self.cells_per_axis
+        i, j, k = np.unravel_index(ids // 6, (n, n, n))
+        lowest = (i * (n + 1) + j) * (n + 1) + k
+        return lowest[..., None] + self._corner_ids[ids % 6]
+
+    def vertex_points(self, vids):
+        """Coordinates (..., 3) of the given lattice vertices."""
+        s = self.cells_per_axis + 1
+        return self._coords[np.stack(np.unravel_index(vids, (s, s, s)), axis=-1)]
 
     def tet_grads(self, ids):
         """Hat gradients (E, 4, 3) of the given tetrahedra, by table."""
@@ -411,6 +409,37 @@ class BulkMesh:
         cube = (cell[:, 0] * n + cell[:, 1]) * n + cell[:, 2]
         tid = cube * 6 + _KUHN_LOOKUP[3 * order[:, 0] + order[:, 1]]
         return tid if np.asarray(points).ndim == 2 else int(tid[0])
+
+    def _near_surface(self, surface, reach):
+        """The tetrahedra of every cell that may hold a point with
+        |d| <= reach, and d at their corners only.
+
+        Blocks of 2^k cells, about four per axis, are halved down to single
+        cells; a block is kept while |d(centre)| <= half-diagonal + reach,
+        plus 1e-9 h so that rounding cannot drop a cell.  This is sound only
+        because ``surface._distance_raw`` is a true signed distance, hence
+        1-Lipschitz; every surface's is exact.  Returns the ascending tet
+        ids (E,), their corners (E, 4) as indices into the ascending vertex
+        ids (V,), and d at those vertices (V,).
+        """
+        n, h = self.cells_per_axis, self.h
+        size = 1 << max((n // 4).bit_length() - 1, 0)
+        axis = np.arange(0, n, size)
+        blocks = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        while len(blocks):
+            centre = (blocks + 0.5 * size) * h - self.half_width
+            bound = 0.5 * np.sqrt(3.0) * size * h + reach + 1e-9 * h
+            blocks = blocks[np.abs(surface._distance_raw(centre)) <= bound]
+            if size == 1:
+                break
+            size //= 2
+            blocks = (blocks[:, None, :] + size * _OCTANTS).reshape(-1, 3)
+            blocks = blocks[(blocks < n).all(axis=1)]
+        cells = np.sort((blocks[:, 0] * n + blocks[:, 1]) * n + blocks[:, 2])
+        ids = (6 * cells[:, None] + np.arange(6)).ravel()
+        vids, corners = np.unique(self.tet_vertices(ids), return_inverse=True)
+        d = surface._distance_raw(self.vertex_points(vids))
+        return ids, corners.reshape(-1, 4), vids, d
 
     def __repr__(self):
         return (
@@ -447,15 +476,16 @@ class CutSurface:
 
     Faces live inside bulk tetrahedra (``parent_tet``), are oriented with
     grad d, and their degrees of freedom are the vertices of cut bulk
-    tetrahedra (``active_dofs``).
+    tetrahedra (``active_dofs``), where ``d_vertex`` holds the nudged d
+    picked from ``lattice_d`` at the ascending ``lattice_ids``.
     """
 
-    def __init__(self, bulk, vertices, faces, parent_tet, d_vertex, n_degenerate):
+    def __init__(self, bulk, vertices, faces, parent_tet, lattice_ids, lattice_d,
+                 n_degenerate):
         self.bulk = bulk
         self.vertices = vertices
         self.faces = faces
         self.parent_tet = parent_tet
-        self.d_vertex = d_vertex
         self.n_degenerate = int(n_degenerate)
         coords = vertices[faces]
         n = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
@@ -464,7 +494,8 @@ class CutSurface:
         self.normals = n / two_area[:, None]
         self.h_face = np.full(len(faces), bulk.tet_diameter)
         self.cut_tets = np.unique(parent_tet)
-        self.active_dofs = np.unique(bulk.tets[self.cut_tets])
+        self.active_dofs = np.unique(bulk.tet_vertices(self.cut_tets))
+        self.d_vertex = lattice_d[np.searchsorted(lattice_ids, self.active_dofs)]
 
     @property
     def n_faces(self):
@@ -523,19 +554,19 @@ _CUT_FACES, _CUT_GROUPS = _cut_face_table()
 def extract_cut_surface(bulk, surface):
     """March the interpolated signed distance through the bulk mesh.
 
-    Vertex distances within 1e-12 h of zero are nudged positive so every
-    tetrahedron falls into a strict sign pattern, and such a vertex is the
-    cut vertex of every crossing edge that ends at it; faces that repeat a
-    vertex then vanish.  One vertex on a side yields a triangle; two yield
-    a planar quad split into two triangles along the cycle (ac, ad, bd,
-    bc).  Faces with area below 1e-14 h^2 are dropped and counted in
-    ``n_degenerate``.
+    Only the cells near the surface are visited.  Vertex distances within
+    1e-12 h of zero are nudged positive so every tetrahedron falls into a
+    strict sign pattern, and such a vertex is the cut vertex of every
+    crossing edge that ends at it; faces that repeat a vertex then vanish.
+    One vertex on a side yields a triangle; two yield a planar quad split
+    into two triangles along the cycle (ac, ad, bd, bc).  Faces with area
+    below 1e-14 h^2 are dropped and counted in ``n_degenerate``.
     """
-    d = surface._distance_raw(bulk.vertices).copy()
     eps = 1e-12 * bulk.h
+    ids, tets, vids, d = bulk._near_surface(surface, eps)
     on_surface = np.abs(d) < eps
     d[on_surface] = eps
-    pattern = np.packbits((d < 0.0)[bulk.tets], axis=1, bitorder="little")[:, 0]
+    pattern = np.packbits((d < 0.0)[tets], axis=1, bitorder="little")[:, 0]
     cut = np.flatnonzero((pattern > 0) & (pattern < 15))
     if len(cut) == 0:
         raise BeltramiError("surface does not cut the bulk mesh")
@@ -545,43 +576,43 @@ def extract_cut_surface(bulk, surface):
     order = np.argsort(group[present], kind="stable")
     parents = np.repeat(cut, present.sum(axis=1))[order]
     local = _CUT_FACES[pattern[cut]][present][order]
-    ends = bulk.tets[parents[:, None, None], _TET_EDGES[local]]  # (F, 3, 2)
+    ends = tets[parents[:, None, None], _TET_EDGES[local]]  # (F, 3, 2)
     lo, hi = ends.min(axis=2), ends.max(axis=2)
     # a crossing edge ending at an on-surface vertex becomes (v, v)
     lo = np.where(on_surface[hi], hi, lo)
     hi = np.where(on_surface[lo], lo, hi)
 
-    # crossing edges keyed lo * V + hi, so unique sorts them as pairs
-    nv = bulk.n_vertices
+    # crossing edges keyed lo * V + hi, so unique sorts them as pairs; the
+    # vertex indices ascend with the global ids, so the order is global
+    nv = len(vids)
     uniq, inverse = np.unique(lo * nv + hi, return_inverse=True)
     a, b = np.divmod(uniq, nv)
-    da = d[a]
-    db = d[b]
+    da, db = d[a], d[b]
     tvals = np.divide(da, da - db, out=np.zeros_like(da), where=a != b)
-    cut_vertices = (
-        bulk.vertices[a] + tvals[:, None] * (bulk.vertices[b] - bulk.vertices[a])
-    )
+    pa = bulk.vertex_points(vids[a])
+    cut_vertices = pa + tvals[:, None] * (bulk.vertex_points(vids[b]) - pa)
 
     faces = inverse.reshape(-1, 3)
     distinct = (faces != np.roll(faces, 1, axis=1)).all(axis=1)
-    faces, parents = faces[distinct], parents[distinct]
+    faces, parents = faces[distinct], ids[parents[distinct]]
     coords = cut_vertices[faces]
     n = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
     good = np.linalg.norm(n, axis=1) >= 2e-14 * bulk.h**2
     n_degenerate = int((~good).sum())
     faces = _orient_outward(cut_vertices, faces[good], surface)
-    return CutSurface(bulk, cut_vertices, faces, parents[good], d, n_degenerate)
+    return CutSurface(bulk, cut_vertices, faces, parents[good], vids, d, n_degenerate)
 
 
 class BandMesh:
-    """Tetrahedra meeting the band {|d_h| < delta} of the bulk mesh."""
+    """Tetrahedra meeting the band {|d_h| < delta} of the bulk mesh;
+    ``d_vertex`` holds d picked from ``lattice_d`` at ``active_dofs``."""
 
-    def __init__(self, bulk, delta, tet_ids, d_vertex):
+    def __init__(self, bulk, delta, tet_ids, lattice_ids, lattice_d):
         self.bulk = bulk
         self.delta = float(delta)
         self.tet_ids = tet_ids
-        self.d_vertex = d_vertex
-        self.active_dofs = np.unique(bulk.tets[tet_ids])
+        self.active_dofs = np.unique(bulk.tet_vertices(tet_ids))
+        self.d_vertex = lattice_d[np.searchsorted(lattice_ids, self.active_dofs)]
 
     @property
     def n_tets(self):
@@ -592,7 +623,7 @@ class BandMesh:
         return len(self.active_dofs)
 
     def tets(self):
-        return self.bulk.tets[self.tet_ids]
+        return self.bulk.tet_vertices(self.tet_ids)
 
     def __repr__(self):
         return f"BandMesh(delta={self.delta:g}, tets={self.n_tets})"
@@ -603,19 +634,19 @@ def extract_band(bulk, surface, delta, window=(1.0, 2.0)):
 
     The half-thickness must satisfy C1 h <= delta <= C2 h (default window
     [1, 2]); membership uses the vertex-interpolated distance, so a
-    tetrahedron belongs iff min d_h < delta and max d_h > -delta.
+    tetrahedron belongs iff min d_h < delta and max d_h > -delta.  Only
+    the cells within delta of the surface are visited.
     """
     lo, hi = window
     if not (lo * bulk.h - 1e-12 <= delta <= hi * bulk.h + 1e-12):
         raise ValueError(
             f"delta={delta:g} outside [{lo:g} h, {hi:g} h] with h={bulk.h:g}"
         )
-    d = surface._distance_raw(bulk.vertices)
-    tets = bulk.tets
-    ids = np.flatnonzero((d < delta)[tets].any(axis=1) & (d > -delta)[tets].any(axis=1))
-    if len(ids) == 0:
+    ids, tets, vids, d = bulk._near_surface(surface, delta)
+    member = (d < delta)[tets].any(axis=1) & (d > -delta)[tets].any(axis=1)
+    if not member.any():
         raise EmptyBand("no tetrahedra meet the band")
-    return BandMesh(bulk, delta, ids, d)
+    return BandMesh(bulk, delta, ids[member], vids, d)
 
 
 # ---------------------------------------------------------------------------

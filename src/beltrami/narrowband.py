@@ -50,10 +50,11 @@ class NarrowBandProblem:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         bulk = self.bulk
         tids = bulk.point_to_tet(pts)
-        tets = bulk.tets[tids]
-        phi = barycentric_values(bulk.tet_grads(tids), bulk.vertices[tets],
+        coords = bulk.vertex_points(bulk.tet_vertices(tids))
+        phi = barycentric_values(bulk.tet_grads(tids), coords,
                                  pts[:, None, :])[:, 0, :]
-        d_h = np.einsum("nk,nk->n", phi, self.band.d_vertex[tets])
+        d = self.surface._distance_raw(coords.reshape(-1, 3)).reshape(-1, 4)
+        d_h = np.einsum("nk,nk->n", phi, d)
         return d_h if np.asarray(x).ndim == 2 else d_h[0]
 
     def __repr__(self):
@@ -86,15 +87,17 @@ def _band_quadrature(problem):
     """
     band, bulk = problem.band, problem.bulk
     tets = band.tets()
+    dofs = local_dofs(band.active_dofs, tets)
     vol = bulk.tet_volume
     bary = TET_DEGREE4.points
-    d_h = band.d_vertex[tets] @ bary.T
+    d_h = band.d_vertex[dofs] @ bary.T
     inside = np.abs(d_h) < problem.delta
     nw = TET_DEGREE4.normalized_weights
     frac = np.maximum((nw[None, :] * inside).sum(axis=1), 0.0)
     w = vol * nw * inside
     return {
         "tets": tets,
+        "dofs": dofs,
         "grads": bulk.tet_grads(band.tet_ids),
         "vols": vol,
         "qp": bulk.tet_points(band.tet_ids, bary),
@@ -139,9 +142,8 @@ def narrowband_solve(problem, tol=1e-10):
     """
     surface, bulk, band = problem.surface, problem.bulk, problem.band
     quad = _band_quadrature(problem)
-    tets = quad["tets"]
     n = band.n_active_dofs
-    dofs = local_dofs(band.active_dofs, tets, bulk.n_vertices)
+    dofs = quad["dofs"]
 
     A = assemble_stiffness(quad["grads"], quad["measures"], dofs, n)
     m = lumped_mass(dofs, quad["measures"], n)
@@ -179,7 +181,7 @@ def _band_errors(problem, quad, c, dofs):
     sol = problem.solution
     bary = TET_DEGREE2.points
     qp2 = problem.bulk.tet_points(band.tet_ids, bary)
-    d_h2 = band.d_vertex[quad["tets"]] @ bary.T
+    d_h2 = band.d_vertex[dofs] @ bary.T
     inside2 = np.abs(d_h2) < problem.delta
     w2 = quad["vols"] * TET_DEGREE2.normalized_weights * inside2
 

@@ -40,7 +40,7 @@ class TraceProblem:
 def cut_face_workspace(bulk, cut, active_dofs):
     """Per-face geometry of a cut surface: parent-tet hat gradients
     projected into the face planes, DOFs numbered by ``active_dofs``."""
-    tets = bulk.tets[cut.parent_tet]
+    tets = bulk.tet_vertices(cut.parent_tet)
     tet_grads = bulk.tet_grads(cut.parent_tet)
     nus = cut.normals
     pg = tet_grads - np.einsum("fkd,fd->fk", tet_grads, nus)[:, :, None] * nus[:, None, :]
@@ -50,14 +50,15 @@ def cut_face_workspace(bulk, cut, active_dofs):
         "normals": nus,
         "qp": qp,
         "weights": cut.areas[:, None] * TRI_DEGREE4.normalized_weights[None, :],
-        "phi": barycentric_values(tet_grads, bulk.vertices[tets], qp),
-        "dofs": local_dofs(active_dofs, tets, bulk.n_vertices),
+        "phi": barycentric_values(tet_grads, bulk.vertex_points(tets), qp),
+        "dofs": local_dofs(active_dofs, tets),
     }
 
 
 def _face_workspace(problem):
-    """Cut-face workspace with the transferred data F = f(P_d x) q/q_Gamma
-    and the exact samples, both from one distance jet."""
+    """Cut-face workspace with the transferred data F = f(P_d x) q/q_Gamma,
+    the exact samples and ``jet`` = (d, grad d) at the nodes, all from one
+    distance jet."""
     surface, solution = problem.surface, problem.solution
     ws = cut_face_workspace(problem.bulk, problem.cut, problem.cut.active_dofs)
     flat = ws["qp"].reshape(-1, 3)
@@ -66,6 +67,7 @@ def _face_workspace(problem):
     forcing = _jet_forcing(surface, solution, flat, nus, *jet)
     ws["forcing"] = forcing.reshape(ws["weights"].shape)
     ws["u_exact"], ws["grad_exact"] = _exact_samples(surface, solution, flat, nus, *jet)
+    ws["jet"] = jet[:2]
     return ws
 
 
@@ -105,14 +107,17 @@ def trace_solve(problem, tol=1e-10, workspace_out=None):
 
 def face_deviations(problem, ws):
     """Samples (F * 9, 3) at face quadrature nodes and vertices, and per
-    face the max |d| and max |grad d - nu_F| over them."""
-    cut = problem.cut
-    samples = np.concatenate([ws["qp"], cut.vertices[cut.faces]], axis=1)
-    n_s = samples.shape[1]
-    flat = samples.reshape(-1, 3)
-    d, g = problem.surface._grad_raw(flat)
-    dev = np.linalg.norm(g - np.repeat(ws["normals"], n_s, axis=0), axis=1)
-    return flat, np.abs(d).reshape(-1, n_s).max(axis=1), dev.reshape(-1, n_s).max(axis=1)
+    face the max |d| and max |grad d - nu_F| over them.  The nodes take
+    the workspace's jet; only the vertices are evaluated here."""
+    corners = problem.cut.vertices[problem.cut.faces]
+    n_f = len(corners)
+    d_v, g_v = problem.surface._grad_raw(corners.reshape(-1, 3))
+    d_q, g_q = ws["jet"]
+    d = np.hstack([d_q.reshape(n_f, -1), d_v.reshape(n_f, 3)])
+    g = np.hstack([g_q.reshape(n_f, -1, 3), g_v.reshape(n_f, 3, 3)])
+    dev = np.linalg.norm(g - ws["normals"][:, None, :], axis=2)
+    flat = np.hstack([ws["qp"], corners]).reshape(-1, 3)
+    return flat, np.abs(d).max(axis=1), dev.max(axis=1)
 
 
 def geometric_resolution(problem, _workspace=None):
@@ -123,9 +128,7 @@ def geometric_resolution(problem, _workspace=None):
     deviation (first order), plus the h-normalized constants.
     """
     cut = problem.cut
-    ws = _workspace
-    if ws is None:
-        ws = cut_face_workspace(problem.bulk, cut, cut.active_dofs)
+    ws = _workspace if _workspace is not None else _face_workspace(problem)
     _, per_face_d, per_face_dev = face_deviations(problem, ws)
     h = cut.h_face
     return {
@@ -152,7 +155,5 @@ def skin_containment(problem, n_samples=5):
         starts[:, None, :]
         + fractions[None, :, None] * (ends - starts)[:, None, :]
     ).reshape(-1, 3)
-    tids = problem.bulk.point_to_tet(pts)
-    is_cut = np.zeros(bulk.n_tets, dtype=bool)
-    is_cut[cut.cut_tets] = True
-    return float(is_cut[tids].mean())
+    tids = bulk.point_to_tet(pts)
+    return float(np.isin(tids, cut.cut_tets).mean())

@@ -8,6 +8,8 @@ package under test; where a check needs a library callable (for example
 a closest-point map), the callable is passed in as an argument.
 """
 
+import itertools
+
 import numpy as np
 
 # ---------------------------------------------------------------------------
@@ -299,6 +301,100 @@ def eoc_pairs(errors, hs):
     errors = np.asarray(errors, dtype=float)
     hs = np.asarray(hs, dtype=float)
     return np.log(errors[:-1] / errors[1:]) / np.log(hs[:-1] / hs[1:])
+
+
+# ---------------------------------------------------------------------------
+# dense Kuhn lattice (reference for the implicit bulk mesh)
+# ---------------------------------------------------------------------------
+
+
+def kuhn_corner_offsets():
+    """Corner offsets (6, 4, 3) of the Kuhn tetrahedra of the unit cube,
+    one per axis permutation p in lexicographic order: 0, e_p0,
+    e_p0 + e_p1 and (1, 1, 1), the middle pair swapped where that makes
+    the volume positive."""
+    out = []
+    for p in itertools.permutations(range(3)):
+        e = np.eye(3, dtype=np.int64)[list(p)]
+        c = np.array([0 * e[0], e[0], e[0] + e[1], e.sum(axis=0)])
+        if np.linalg.det(c[1:]) < 0:
+            c[[1, 2]] = c[[2, 1]]
+        out.append(c)
+    return np.array(out)
+
+
+def dense_kuhn_lattice(half_width, n):
+    """Every vertex (V, 3) and tetrahedron (6 n^3, 4) of the Kuhn lattice
+    of [-a, a]^3: vertex (i, j, k) has id (i (n+1) + j) (n+1) + k and the
+    tets of cell (i, j, k) are 6 ((i n + j) n + k) + Kuhn index."""
+    s = n + 1
+    coords = np.linspace(-half_width, half_width, s)
+    grid = np.meshgrid(coords, coords, coords, indexing="ij")
+    vertices = np.stack(grid, axis=-1).reshape(-1, 3)
+    lowest = np.arange(s**3).reshape(s, s, s)[:-1, :-1, :-1].reshape(-1)
+    offsets = kuhn_corner_offsets() @ (s * s, s, 1)
+    return vertices, (lowest[:, None, None] + offsets).reshape(-1, 4)
+
+
+def dense_cut_surface(vertices, tets, h, distance, orient, tables):
+    """Cut surface marched through every lattice tetrahedron, as the
+    library did while its lattice was dense; None when nothing is cut.
+
+    ``distance`` maps points to d, ``orient(vertices, faces)`` orients
+    faces along grad d, and ``tables`` are the library's cut-face pattern
+    table, output groups and tet edges.
+    """
+    cut_faces, cut_groups, tet_edges = tables
+    d = distance(vertices).copy()
+    eps = 1e-12 * h
+    on_surface = np.abs(d) < eps
+    d[on_surface] = eps
+    pattern = np.packbits((d < 0.0)[tets], axis=1, bitorder="little")[:, 0]
+    cut = np.flatnonzero((pattern > 0) & (pattern < 15))
+    if len(cut) == 0:
+        return None
+    group = cut_groups[pattern[cut]]
+    present = group >= 0
+    order = np.argsort(group[present], kind="stable")
+    parents = np.repeat(cut, present.sum(axis=1))[order]
+    local = cut_faces[pattern[cut]][present][order]
+    ends = tets[parents[:, None, None], tet_edges[local]]
+    lo, hi = ends.min(axis=2), ends.max(axis=2)
+    lo = np.where(on_surface[hi], hi, lo)
+    hi = np.where(on_surface[lo], lo, hi)
+    nv = len(vertices)
+    uniq, inverse = np.unique(lo * nv + hi, return_inverse=True)
+    a, b = np.divmod(uniq, nv)
+    da, db = d[a], d[b]
+    tvals = np.divide(da, da - db, out=np.zeros_like(da), where=a != b)
+    cut_vertices = vertices[a] + tvals[:, None] * (vertices[b] - vertices[a])
+    faces = inverse.reshape(-1, 3)
+    distinct = (faces != np.roll(faces, 1, axis=1)).all(axis=1)
+    faces, parents = faces[distinct], parents[distinct]
+    coords = cut_vertices[faces]
+    n = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
+    good = np.linalg.norm(n, axis=1) >= 2e-14 * h**2
+    active = np.unique(tets[np.unique(parents[good])])
+    return {
+        "vertices": cut_vertices,
+        "faces": orient(cut_vertices, faces[good]),
+        "parent_tet": parents[good],
+        "active_dofs": active,
+        "d_vertex": d[active],
+        "n_degenerate": int((~good).sum()),
+    }
+
+
+def dense_band(vertices, tets, distance, delta):
+    """Band tetrahedra with min d < delta and max d > -delta over every
+    lattice tetrahedron; None when the band is empty."""
+    d = distance(vertices)
+    ids = np.flatnonzero((d < delta)[tets].any(axis=1) & (d > -delta)[tets].any(axis=1))
+    if len(ids) == 0:
+        return None
+    active = np.unique(tets[ids])
+    return {"tet_ids": ids, "tets": tets[ids], "active_dofs": active,
+            "d_vertex": d[active]}
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,8 @@ def test_ellipsoid_closest_point_at_every_lattice_vertex(axes, spheroid, n):
     vertices or the scaled-radial lift."""
     a, b, c = axes
     s = Ellipsoid(a, b, b if spheroid else c)
-    x = build_bulk_mesh(s, n).vertices
+    bulk = build_bulk_mesh(s, n)
+    x = bulk.vertex_points(np.arange(bulk.n_vertices))
     d = s._distance_raw(x)
     p = s._project_raw(x)
     assert np.isfinite(d).all()

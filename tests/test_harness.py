@@ -354,6 +354,30 @@ def test_cli_overrides(tmp_path, capsys):
     assert (out / "cut.off").exists()
 
 
+def test_cli_export_band_writes_only_the_band(tmp_path, capsys):
+    """band.vtk holds the band's DOF coordinates and its tets renumbered
+    into them, not the whole lattice; two runs write the same bytes."""
+    from beltrami import build_bulk_mesh, extract_band
+
+    import oracles
+
+    cfg = write_config(tmp_path, {**SPHERE_CFG, "method": "narrowband",
+                                  "levels": [10], "delta_factor": 1.25})
+    files = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["export-mesh", "--config", cfg, "--out", str(out)]) == 0
+        files.append((out / "band.vtk").read_bytes())
+    assert files[0] == files[1]
+    bulk = build_bulk_mesh(Sphere(1.0), 10)
+    band = extract_band(bulk, Sphere(1.0), 1.25 * bulk.h)
+    v, t = oracles.parse_vtk_tets(files[0].decode())
+    points = bulk.vertex_points(band.active_dofs)
+    assert len(v) == band.n_active_dofs < bulk.n_vertices
+    assert np.abs(v - points).max() < 1e-11
+    assert np.array_equal(band.active_dofs[t], band.tets())
+
+
 def test_cli_adapt_artifacts(tmp_path, capsys):
     cfg = write_config(tmp_path, {**SPHERE_CFG, "iterations": 3, "levels": [1]})
     out = tmp_path / "out"

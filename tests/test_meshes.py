@@ -181,7 +181,8 @@ def test_bulk_mesh_tet_partition():
     assert bulk.n_vertices == 5**3
     from beltrami.fem import tetrahedron_geometry
 
-    _, vols = tetrahedron_geometry(bulk.vertices[bulk.tets])
+    tets = bulk.tet_vertices(np.arange(bulk.n_tets))
+    _, vols = tetrahedron_geometry(bulk.vertex_points(tets))
     assert (vols > 0).all()
     assert vols.sum() == pytest.approx(4.0**3, rel=1e-12)
     # each cube's six tets fill exactly one cell
@@ -196,7 +197,7 @@ def test_point_location_consistent():
     tids = bulk.point_to_tet(pts)
     from beltrami.fem import barycentric_values, tetrahedron_geometry
 
-    coords = bulk.vertices[bulk.tets[tids]]
+    coords = bulk.vertex_points(bulk.tet_vertices(tids))
     grads, _ = tetrahedron_geometry(coords)
     lam = barycentric_values(grads, coords, pts[:, None, :])[:, 0, :]
     assert lam.min() > -1e-10
@@ -212,7 +213,7 @@ def test_kuhn_table_matches_dense_geometry(half_width, n, data):
     bulk = BulkMesh(half_width, n)
     ids = np.array(data.draw(st.lists(st.integers(0, bulk.n_tets - 1),
                                       min_size=1, max_size=60)))
-    coords = bulk.vertices[bulk.tets[ids]]
+    coords = bulk.vertex_points(bulk.tet_vertices(ids))
     grads, vols = tetrahedron_geometry(coords)
     assert np.abs(bulk.tet_grads(ids) - grads).max() <= 1e-12 / bulk.h
     assert np.abs(vols - bulk.tet_volume).max() <= 1e-12 * bulk.tet_volume
@@ -236,6 +237,37 @@ def test_bulk_solves_do_no_per_tet_linear_algebra(surface, monkeypatch):
     monkeypatch.setattr(np.linalg, "det", refuse)
     narrowband_solve(NarrowBandProblem(surface, bulk))
     trace_solve(TraceProblem(surface, bulk))
+
+
+def test_bulk_mesh_keeps_no_lattice_arrays():
+    """The lattice is implicit: a 96^3 mesh (5.3 million tets) allocates
+    almost nothing."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        bulk = build_bulk_mesh(Sphere(1.0), 96)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bulk.n_tets == 6 * 96**3
+    assert peak < 2**20
+
+
+def test_cut_extraction_evaluates_d_near_the_surface(monkeypatch):
+    """Culling by the Lipschitz bound leaves O(n^2) distance evaluations,
+    block centres included, where the lattice has (n + 1)^3 vertices."""
+    count = [0]
+    raw = Sphere._distance_raw
+
+    def counted(self, pts):
+        count[0] += len(pts)
+        return raw(self, pts)
+
+    monkeypatch.setattr(Sphere, "_distance_raw", counted)
+    bulk = build_bulk_mesh(Sphere(1.0), 64)
+    extract_cut_surface(bulk, Sphere(1.0))
+    assert 0 < count[0] <= 0.15 * bulk.n_vertices
 
 
 def test_box_too_small_raised():
@@ -271,16 +303,16 @@ def test_cut_vertices_lie_on_lattice_edges():
     s = Sphere(1.0)
     bulk = build_bulk_mesh(s, 12)
     cut = extract_cut_surface(bulk, s)
-    # vertices interpolate the vertex distance linearly to zero: d_h = 0
-    d_vertex = s._distance_raw(bulk.vertices)
-    # reconstruct d_h at cut vertices through their containing tets
+    # vertices interpolate the vertex distance linearly to zero: d_h = 0,
+    # reconstructed at cut vertices through their containing tets
     tids = bulk.point_to_tet(cut.vertices)
     from beltrami.fem import barycentric_values, tetrahedron_geometry
 
-    coords = bulk.vertices[bulk.tets[tids]]
+    coords = bulk.vertex_points(bulk.tet_vertices(tids))
     grads, _ = tetrahedron_geometry(coords)
     lam = barycentric_values(grads, coords, cut.vertices[:, None, :])[:, 0, :]
-    d_h = np.einsum("nk,nk->n", lam, d_vertex[bulk.tets[tids]])
+    d_vertex = s._distance_raw(coords.reshape(-1, 3)).reshape(-1, 4)
+    d_h = np.einsum("nk,nk->n", lam, d_vertex)
     assert np.abs(d_h).max() < 1e-9
 
 
@@ -301,13 +333,13 @@ def test_cut_active_dofs_are_cut_tet_vertices():
     s = Sphere(1.0)
     bulk = build_bulk_mesh(s, 8)
     cut = extract_cut_surface(bulk, s)
-    expected = np.unique(bulk.tets[cut.cut_tets])
+    expected = np.unique(bulk.tet_vertices(cut.cut_tets))
     assert np.array_equal(cut.active_dofs, expected)
     assert cut.n_active_dofs == len(expected)
 
 
 # ---------------------------------------------------------------------------
-# drawn surfaces: cut topology and bulk solves
+# sparse extraction against the dense lattice
 # ---------------------------------------------------------------------------
 
 SURFACES = st.one_of(
@@ -317,6 +349,63 @@ SURFACES = st.one_of(
     st.builds(lambda a, rb, rc: Ellipsoid(a, rb * a, rc * a),
               st.floats(0.6, 1.5), st.floats(0.6, 1.0), st.floats(0.6, 1.0)),
 )
+
+
+@st.composite
+def lattice_cases(draw):
+    """(surface, n, half width, delta factor): n in [4, 40] cells in a box
+    1 to 1.6 times the smallest that holds the surface's tube."""
+    surface = draw(SURFACES)
+    needed = float(np.max(surface.axis_extents())) + surface.tube_halfwidth()
+    return (surface, draw(st.integers(4, 40)), needed * draw(st.floats(1.0, 1.6)),
+            draw(st.floats(1.0, 2.0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=lattice_cases())
+@example(case=(Torus(1.0, 0.4), 20, None, 1.5))
+@example(case=(Sphere(1.0), 8, 2.0, 1.5))
+@example(case=(Sphere(1.0), 16, 2.0, 1.5))
+def test_sparse_extraction_matches_dense_lattice(case):
+    """Culled cut and band extraction give every array of the dense march
+    over all (n+1)^3 vertices and 6 n^3 tets, bit for bit, also with
+    lattice vertices on the surface (the explicit cases)."""
+    from beltrami import meshes
+
+    surface, n, half_width, factor = case
+    bulk = build_bulk_mesh(surface, n, half_width=half_width)
+    vertices, tets = oracles.dense_kuhn_lattice(bulk.half_width, n)
+    assert np.array_equal(bulk.tet_vertices(np.arange(bulk.n_tets)), tets)
+    assert np.array_equal(bulk.vertex_points(np.arange(bulk.n_vertices)), vertices)
+
+    ref = oracles.dense_cut_surface(
+        vertices, tets, bulk.h, surface._distance_raw,
+        lambda v, f: meshes._orient_outward(v, f, surface),
+        (meshes._CUT_FACES, meshes._CUT_GROUPS, meshes._TET_EDGES),
+    )
+    if ref is None:
+        with pytest.raises(BeltramiError):
+            extract_cut_surface(bulk, surface)
+    else:
+        cut = extract_cut_surface(bulk, surface)
+        for name, want in ref.items():
+            assert np.array_equal(getattr(cut, name), want), name
+
+    delta = factor * bulk.h
+    ref = oracles.dense_band(vertices, tets, surface._distance_raw, delta)
+    if ref is None:
+        with pytest.raises(EmptyBand):
+            extract_band(bulk, surface, delta)
+    else:
+        band = extract_band(bulk, surface, delta)
+        assert np.array_equal(band.tets(), ref.pop("tets"))
+        for name, want in ref.items():
+            assert np.array_equal(getattr(band, name), want), name
+
+
+# ---------------------------------------------------------------------------
+# drawn surfaces: cut topology and bulk solves
+# ---------------------------------------------------------------------------
 
 
 def _cells_for(surface, h_per_tube):
@@ -428,7 +517,7 @@ def test_trace_stiffness_kernel_is_constants_and_distance(case):
         assume(False)
     cut = problem.cut
     A = assemble_stiffness(ws["proj_grads"], cut.areas, ws["dofs"], cut.n_active_dofs)
-    d = cut.d_vertex[cut.active_dofs]
+    d = cut.d_vertex
     assert np.abs(A @ d).max() <= 1e-12 * abs(A).max() * np.abs(d).max()
     assert _kernel_dimension(A) == 2
 
@@ -445,7 +534,7 @@ def test_band_stiffness_kernel_is_constants(case):
     except BeltramiError:
         assume(False)
     band = problem.band
-    dofs = local_dofs(band.active_dofs, quad["tets"], bulk.n_vertices)
+    dofs = local_dofs(band.active_dofs, quad["tets"])
     A = assemble_stiffness(quad["grads"], quad["measures"], dofs, band.n_active_dofs)
     assert _kernel_dimension(A) == 1
 
@@ -471,8 +560,8 @@ def test_band_window_and_membership():
     bulk = build_bulk_mesh(s, 16)
     delta = 1.5 * bulk.h
     band = extract_band(bulk, s, delta)
-    d = s._distance_raw(bulk.vertices)
-    dv = d[bulk.tets]
+    d = s._distance_raw(bulk.vertex_points(np.arange(bulk.n_vertices)))
+    dv = d[bulk.tet_vertices(np.arange(bulk.n_tets))]
     member = (dv.min(axis=1) < delta) & (dv.max(axis=1) > -delta)
     assert np.array_equal(np.flatnonzero(member), band.tet_ids)
     # window guard
@@ -519,10 +608,12 @@ def test_off_round_trip(tmp_path):
 def test_vtk_round_trip(tmp_path):
     bulk = build_bulk_mesh(Sphere(1.0), 3, half_width=1.6)
     path = tmp_path / "bulk.vtk"
-    write_vtk_tets(path, bulk.vertices, bulk.tets)
+    vertices = bulk.vertex_points(np.arange(bulk.n_vertices))
+    tets = bulk.tet_vertices(np.arange(bulk.n_tets))
+    write_vtk_tets(path, vertices, tets)
     v, t = oracles.parse_vtk_tets(path.read_text())
-    assert np.abs(v - bulk.vertices).max() < 1e-11
-    assert np.array_equal(t, bulk.tets)
+    assert np.abs(v - vertices).max() < 1e-11
+    assert np.array_equal(t, tets)
 
 
 def test_export_is_deterministic(tmp_path):

@@ -57,7 +57,7 @@ def test_mismatch_map_identity_when_consistent(sphere16):
 def test_mismatch_map_identity_at_bulk_vertices(sphere16):
     s, bulk, band = sphere16.surface, sphere16.bulk, sphere16.band
     near = np.abs(band.d_vertex) < 0.4 * s.tube_halfwidth()
-    verts = bulk.vertices[near]
+    verts = bulk.vertex_points(band.active_dofs[near])
     d_h = sphere16.interpolated_distance(verts)
     assert np.abs(d_h - band.d_vertex[near]).max() < 1e-11
     assert np.abs(mismatch_map(s, d_h, verts) - verts).max() < 1e-11

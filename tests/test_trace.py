@@ -56,7 +56,7 @@ def rebuild_system(problem):
 def test_dofs_are_cut_tet_vertices(coarse_problem):
     cut = coarse_problem.cut
     bulk = coarse_problem.bulk
-    assert np.array_equal(cut.active_dofs, np.unique(bulk.tets[cut.cut_tets]))
+    assert np.array_equal(cut.active_dofs, np.unique(bulk.tet_vertices(cut.cut_tets)))
 
 
 def test_stiffness_kernel_and_symmetry(coarse_problem):
@@ -73,7 +73,7 @@ def test_distance_spans_extra_stiffness_kernel(coarse_problem):
     coefficients are unique only up to this mode."""
     A, _, _ = rebuild_system(coarse_problem)
     d = coarse_problem.surface._distance_raw(
-        coarse_problem.bulk.vertices[coarse_problem.cut.active_dofs]
+        coarse_problem.bulk.vertex_points(coarse_problem.cut.active_dofs)
     )
     scale = np.abs(A.toarray()).max() * np.abs(d).max()
     assert np.abs(A @ d).max() < 1e-12 * scale
