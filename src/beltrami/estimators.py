@@ -114,12 +114,12 @@ def geometric_estimators(problem, workspace=None):
     lam = np.zeros(n)
     beta = np.zeros(n)
     for d, g, H in jets:
-        dev = -g[:, :, None] * g[:, None, :] - d[:, None, None] * H  # DP - I
-        dev = dev.reshape(n, -1, 3, 3)
-        lam = np.maximum(lam, _spectral_norm_3x2(
-            np.einsum("nkij,nj->nki", dev, t1), np.einsum("nkij,nj->nki", dev, t2)
-        ).max(axis=1))
-        beta = np.maximum(beta, np.abs(d).reshape(n, -1).max(axis=1))
+        d, g, H = d.reshape(n, -1), g.reshape(n, -1, 3), H.reshape(n, -1, 3, 3)
+        # (DP - I) t = -g (g . t) - d H t for the in-plane t = t1, t2
+        c1, c2 = (-(g * np.einsum("nki,ni->nk", g, t)[:, :, None]
+                    + d[:, :, None] * np.einsum("nkij,nj->nki", H, t)) for t in (t1, t2))
+        lam = np.maximum(lam, _spectral_norm_3x2(c1, c2).max(axis=1))
+        beta = np.maximum(beta, np.abs(d).max(axis=1))
     return {
         "lambda": IndicatorField("lambda", lam, reduction="max"),
         "beta": IndicatorField("beta", beta, reduction="max"),
@@ -173,11 +173,11 @@ def dorfler_mark(values, theta):
     values = np.asarray(values, dtype=float)
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    if np.any(values < 0.0):
-        raise ValueError("indicator values must be nonnegative")
+    if not np.all(np.isfinite(values) & (values >= 0.0)):
+        raise ValueError("indicator values must be finite and nonnegative")
     order = np.lexsort((np.arange(len(values)), -values))
     csum = np.cumsum(values[order])
-    if csum[-1] <= 0.0:
+    if csum.size == 0 or csum[-1] <= 0.0:
         return np.empty(0, dtype=np.int64)
     target = theta * csum[-1]
     k = int(np.searchsorted(csum, target, side="left"))

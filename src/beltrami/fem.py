@@ -246,7 +246,8 @@ def solve_mean_zero(A, b, mass, tol=1e-10, max_iter=None, history=None):
 
     The stiffness A is symmetric PSD with the constants in its kernel; b
     is deflated (b <- b - (sum b / sum m) m) so the system is consistent,
-    and every iterate is recentered to m-weighted mean zero.  Rows whose
+    and m-orthogonal search directions keep every iterate at m-weighted
+    mean zero; the result is recentered once against rounding.  Rows whose
     diagonal falls below 1e-14 of the largest diagonal (DOFs with
     essentially no cut support) are frozen at zero and left out of the
     Krylov space.
@@ -297,6 +298,7 @@ def solve_mean_zero(A, b, mass, tol=1e-10, max_iter=None, history=None):
     z -= (m_r @ z) / msum
     p = z.copy()
     rz = r @ z
+    stop = (tol * norm_b) ** 2
     converged = False
     for _ in range(max_iter):
         Ap = A_r @ p
@@ -305,15 +307,14 @@ def solve_mean_zero(A, b, mass, tol=1e-10, max_iter=None, history=None):
             raise NoConvergence("CG direction with nonpositive curvature")
         alpha = rz / pAp
         x += alpha * p
-        x -= (m_r @ x) / msum
         r -= alpha * Ap
+        mr = minv * r
         if history is not None:
-            history.append(float(np.sqrt(max(r @ (minv * r), 0.0))))
-        if np.linalg.norm(r) <= tol * norm_b:
+            history.append(float(np.sqrt(max(r @ mr, 0.0))))
+        if r @ r <= stop:
             converged = True
             break
-        z = minv * r
-        z -= (m_r @ z) / msum
+        z = mr - (m_r @ mr) / msum
         rz_new = r @ z
         beta = rz_new / rz
         rz = rz_new

@@ -225,8 +225,9 @@ class ImplicitSurface:
     def area_ratio(self, x, nu_gamma):
         """Ratio q/q_Gamma of surface to facet area elements at x.
 
-        Equals det(I - d(x) W(x)) (nu . nu_Gamma) computed from the two
-        nonzero eigenvalues of the Weingarten extension W = D^2 d.
+        Equals det(I - d(x) W(x)) (nu . nu_Gamma), the determinant taken on
+        the tangent plane and computed from the invariants of the
+        Weingarten extension W = D^2 d.
         """
         pts, single = _points(x)
         nus, _ = _points(nu_gamma)
@@ -239,8 +240,11 @@ class ImplicitSurface:
         dots = np.einsum("ni,ni->n", g, nus)
         if np.any(dots <= 0.0):
             raise NormalFlip("facet normal points against the surface normal")
-        kap = self._tangent_curvatures(g, H)
-        return (1.0 - d * kap[:, 0]) * (1.0 - d * kap[:, 1]) * dots
+        # W g = 0, so on the tangent plane det(I - d W) = 1 - d tr W + d^2 det,
+        # and the product of its two eigenvalues is (tr^2 W - |W|_F^2) / 2
+        tr = np.trace(H, axis1=1, axis2=2)
+        det = 0.5 * (tr**2 - np.einsum("nij,nij->n", H, H))
+        return (1.0 - d * tr + d**2 * det) * dots
 
     def lifted_tangential_gradient(self, x, nu_gamma, grad_gamma):
         """Tangential gradient on a facet of the lifted field u o P_d.
@@ -401,18 +405,14 @@ class Torus(ImplicitSurface):
     def _jet_raw(self, pts):
         rho, u, s = self._cylinder(pts)
         d, g = self._grad_raw(pts)
-        grad_rho = np.stack([pts[:, 0] / rho, pts[:, 1] / rho, np.zeros(len(pts))], axis=1)
-        ez = np.zeros_like(grad_rho)
-        ez[:, 2] = 1.0
-        # D^2 rho = (diag(1,1,0) - rho_hat rho_hat^T) / rho
-        D2rho = (
-            np.diag([1.0, 1.0, 0.0])[None, :, :]
-            - grad_rho[:, :, None] * grad_rho[:, None, :]
-        ) / rho[:, None, None]
-        outer = lambda a, b: a[:, :, None] * b[:, None, :]
-        H = (
-            outer(grad_rho, grad_rho) + u[:, None, None] * D2rho + outer(ez, ez)
-        ) / s[:, None, None] - outer(g, g) / s[:, None, None]
+        # D^2 d = (tau tau^T + (u / rho) phi phi^T) / s with phi the toroidal
+        # and tau = phi x g the poloidal unit tangent
+        phi = np.stack([-pts[:, 1] / rho, pts[:, 0] / rho, np.zeros(len(pts))], axis=1)
+        tau = np.cross(phi, g)
+        H = phi[:, :, None] * phi[:, None, :]
+        H *= (u / rho)[:, None, None]
+        H += tau[:, :, None] * tau[:, None, :]
+        H /= s[:, None, None]
         return d, g, H
 
     def _scaled_radial_raw(self, pts):

@@ -92,13 +92,12 @@ class SurfaceMesh:
 
 def edge_table(triangles):
     """Sorted vertex pairs (E, 2) and per-triangle edge ids (T, 3), the
-    edge ``tri_edges[:, i]`` opposite local vertex i."""
-    pairs = np.sort(
-        np.concatenate([triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]]),
-        axis=1,
-    )
-    edges, inv = np.unique(pairs, axis=0, return_inverse=True)
-    return edges, inv.reshape(3, len(triangles)).T
+    edge ``tri_edges[:, i]`` opposite local vertex i.  Pairs are keyed as
+    lo * nv + hi, whose sort order is the lexicographic one."""
+    a, b = triangles[:, [1, 2, 0]].T.ravel(), triangles[:, [2, 0, 1]].T.ravel()
+    nv = int(triangles.max()) + 1 if triangles.size else 1
+    keys, inv = np.unique(np.minimum(a, b) * nv + np.maximum(a, b), return_inverse=True)
+    return np.stack([keys // nv, keys % nv], axis=1), inv.reshape(3, len(triangles)).T
 
 
 def _orient_outward(vertices, triangles, surface):

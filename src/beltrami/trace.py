@@ -9,6 +9,7 @@ Laplace-Beltrami system.
 
 import numpy as np
 
+from .errors import BeltramiError
 from .fem import (
     TRI_DEGREE4,
     ErrorReport,
@@ -31,6 +32,11 @@ class TraceProblem:
         self.surface = surface
         self.bulk = bulk
         self.cut = cut if cut is not None else extract_cut_surface(bulk, surface)
+        # closed, so chi = V - F/2; a coarse lattice can split the cut apart
+        chi = np.count_nonzero(np.bincount(self.cut.faces.ravel())) - self.cut.n_faces // 2
+        if chi != (0 if surface.kind == "torus" else 2):
+            raise BeltramiError(f"cut surface has Euler characteristic {chi}: "
+                                f"the bulk mesh does not resolve the {surface.kind}")
         self.solution = solution if solution is not None else surface.manufactured()
 
     def __repr__(self):

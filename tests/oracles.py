@@ -96,6 +96,24 @@ def brute_force_closest_point_torus(R, r, x):
     return pts[k], dist
 
 
+def torus_hessian_outer_products(R, pts):
+    """D^2 d of the torus around the z-axis with core radius R, summed from
+    the Hessians of rho = |(x, y)| and s = |(rho - R, z)|:
+    (grad rho grad rho^T + (rho - R) D^2 rho + e_z e_z^T - g g^T) / s."""
+    pts = np.asarray(pts, dtype=float)
+    rho = np.hypot(pts[:, 0], pts[:, 1])
+    u = rho - R
+    s = np.hypot(u, pts[:, 2])
+    grad_rho = np.stack([pts[:, 0] / rho, pts[:, 1] / rho, np.zeros(len(pts))], axis=1)
+    ez = np.zeros_like(grad_rho)
+    ez[:, 2] = 1.0
+    g = (u[:, None] * grad_rho + pts[:, 2:3] * ez) / s[:, None]
+    outer = lambda a, b: a[:, :, None] * b[:, None, :]
+    d2rho = (np.diag([1.0, 1.0, 0.0])[None] - outer(grad_rho, grad_rho)) / rho[:, None, None]
+    return (outer(grad_rho, grad_rho) + u[:, None, None] * d2rho + outer(ez, ez)
+            - outer(g, g)) / s[:, None, None]
+
+
 def torus_exact_curvatures(R, r, point):
     """Principal curvatures of the torus surface at an on-surface point.
 
@@ -195,6 +213,24 @@ def plane_basis(nu):
     t1 /= np.linalg.norm(t1)
     t2 = np.cross(nu, t1)
     return t1, t2
+
+
+# ---------------------------------------------------------------------------
+# mesh connectivity
+# ---------------------------------------------------------------------------
+
+
+def unique_rows_edge_table(triangles):
+    """Edge table from the unique sorted rows of the (3T, 2) vertex pairs:
+    edges (E, 2) in lexicographic order and the edge id opposite each
+    local vertex, (T, 3)."""
+    triangles = np.asarray(triangles)
+    pairs = np.sort(
+        np.concatenate([triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]]),
+        axis=1,
+    )
+    edges, inv = np.unique(pairs, axis=0, return_inverse=True)
+    return edges, inv.reshape(3, len(triangles)).T
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,18 @@ def test_dorfler_validation():
         dorfler_mark(np.array([1.0, -0.1]), 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dorfler_rejects_non_finite(bad):
+    """A NaN compares false with 0 and would otherwise mark every element."""
+    with pytest.raises(ValueError, match="finite"):
+        dorfler_mark(np.array([bad, 1.0]), 0.5)
+
+
+def test_dorfler_empty_input_marks_nothing():
+    marked = dorfler_mark(np.array([]), 0.5)
+    assert marked.dtype == np.int64 and marked.size == 0
+
+
 # ---------------------------------------------------------------------------
 # adaptive loop
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ from math import factorial
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltrami import (
     NoConvergence,
@@ -194,6 +197,40 @@ def test_solver_history_monotone_tail():
     assert len(history) >= 2
     # preconditioned residual decays overall (allow local CG oscillation)
     assert history[-1] < history[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 120),
+    seed=st.integers(0, 2**32 - 1),
+    frozen=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    tol=st.sampled_from([1e-6, 1e-8, 1e-10]),
+)
+def test_solver_returns_mean_zero_solution(n, seed, frozen, tol):
+    """On connected PSD systems, with or without a row the solver freezes:
+    m-weighted mean zero, deflated residual within tol, frozen entries
+    exactly zero, and one history entry per iteration."""
+    A, b, m = random_mean_zero_system(n, seed)
+    keep = np.arange(n)
+    if frozen is not None:
+        k = int(frozen * n)
+        keep = np.delete(np.arange(n + 1), k)
+        A = sp.csr_matrix(np.insert(np.insert(A.toarray(), k, 0.0, axis=0), k, 0.0, axis=1))
+        b, m = np.insert(b, k, 0.7), np.insert(m, k, 1.0)
+    history = []
+    x = solve_mean_zero(A, b, m, tol=tol, history=history)
+    assert abs(float(m @ x)) <= 1e-9 * np.linalg.norm(m) * np.linalg.norm(x)
+    if frozen is not None:
+        assert x[k] == 0.0
+    A_r, b_r, m_r = A[keep][:, keep], b[keep], m[keep]
+    b_r = b_r - (b_r.sum() / m_r.sum()) * m_r
+    # the solver stops on its updated residual, which drifts from the true
+    # one by rounding of order eps |A| |x| per iteration
+    drift = len(history) * np.finfo(float).eps * sp.linalg.norm(A_r) * np.linalg.norm(x)
+    assert np.linalg.norm(b_r - A_r @ x[keep]) <= tol * np.linalg.norm(b_r) + drift
+    solve_mean_zero(A, b, m, tol=tol, max_iter=len(history))
+    with pytest.raises(NoConvergence):
+        solve_mean_zero(A, b, m, tol=tol, max_iter=len(history) - 1)
 
 
 def test_solver_raises_without_convergence():

@@ -12,10 +12,15 @@ from beltrami import (
     OutsideTube,
     Sphere,
     Torus,
+    ParametricProblem,
     UnsupportedSurface,
     build_bulk_mesh,
+    build_sphere_mesh,
+    build_torus_mesh,
     surface_from_config,
 )
+from beltrami.fem import barycentric_values
+from beltrami.parametric import parametric_workspace
 
 import oracles
 
@@ -268,6 +273,48 @@ def test_area_ratio_matches_plane_jacobian(surface):
             lambda y: surface._project_raw(np.atleast_2d(y))[0], x, nu, 1e-6
         )
         assert ratio == pytest.approx(jac, rel=1e-5, abs=1e-7)
+
+
+def test_torus_hessian_is_rank_two():
+    """(tau tau^T + (u / rho) phi phi^T) / s equals the Hessian summed from
+    the Hessians of rho and of the core-circle distance."""
+    s = Torus(1.0, 0.4)
+    pts = s.tube_points(5000, np.random.default_rng(17))
+    _, _, H = s.distance_jet(pts)
+    ref = oracles.torus_hessian_outer_products(s.major_radius, pts)
+    err = np.linalg.norm(H - ref, axis=(1, 2))
+    assert (err <= 1e-12 * np.linalg.norm(ref, axis=(1, 2))).all()
+
+
+@pytest.mark.parametrize("surface", SURFACES, ids=repr)
+def test_area_ratio_invariants_match_tangent_curvatures(surface):
+    """1 - d tr W + d^2 (tr^2 W - |W|^2) / 2 equals (1 - d k1)(1 - d k2)
+    from the curvatures on an explicit tangent basis."""
+    pts = surface.tube_points(2000, np.random.default_rng(19))
+    d, g, H = surface._jet_raw(pts)
+    rng = np.random.default_rng(23)
+    tilted = g + 0.3 * rng.normal(size=g.shape)
+    tilted /= np.linalg.norm(tilted, axis=1, keepdims=True)
+    nus = np.where((np.einsum("ni,ni->n", g, tilted) > 0.1)[:, None], tilted, g)
+    kap = surface._tangent_curvatures(g, H)
+    ref = (1.0 - d * kap[:, 0]) * (1.0 - d * kap[:, 1]) * np.einsum("ni,ni->n", g, nus)
+    ratio = surface.area_ratio(pts, nus)
+    assert np.abs(ratio - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("surface", [Sphere(1.0), Torus(1.0, 0.4), Ellipsoid(1.3, 1.0, 0.8)],
+                         ids=repr)
+def test_workspace_hat_values_are_node_barycentrics(surface):
+    """At the facet quadrature nodes the hat values are the reference
+    nodes' barycentrics, whatever the facet."""
+    if surface.kind == "torus":
+        mesh = build_torus_mesh(surface, 16, 8)
+    else:
+        mesh = build_sphere_mesh(surface, 2)
+    ws = parametric_workspace(ParametricProblem(surface, mesh))
+    phi = barycentric_values(mesh.grads, mesh.triangle_coords(), ws["qp"])
+    assert ws["phi"].shape == phi.shape
+    assert np.abs(ws["phi"] - phi).max() <= 1e-14
 
 
 def test_lifted_tangential_gradient_chain_rule():

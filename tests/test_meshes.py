@@ -170,6 +170,49 @@ def test_bisection_empty_marking_is_identity():
     assert same.n_triangles == mesh.n_triangles
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["sphere", "ellipsoid", "torus"]),
+    size=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.integers(0, 3),
+)
+def test_edge_table_matches_unique_rows(kind, size, seed, rounds):
+    """The key-encoded edge table equals the unique-rows one, array for
+    array, on icospheres, torus meshes and bisection-refined meshes."""
+    if kind == "torus":
+        surface = Torus(1.0, 0.4)
+        mesh = build_torus_mesh(surface, 8 + 4 * size, 4 + 2 * size)
+    else:
+        surface = Sphere(1.3) if kind == "sphere" else Ellipsoid(1.3, 1.0, 0.8)
+        mesh = build_sphere_mesh(surface, size)
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        marked = np.flatnonzero(rng.random(mesh.n_triangles) < rng.uniform(0.05, 0.5))
+        mesh = refine_bisection(mesh, marked, surface)
+    edges, tri_edges = edge_table(mesh.triangles)
+    ref_edges, ref_tri_edges = oracles.unique_rows_edge_table(mesh.triangles)
+    assert np.array_equal(edges, ref_edges)
+    assert np.array_equal(tri_edges, ref_tri_edges)
+
+
+def test_edge_table_sorts_keys_not_rows(monkeypatch):
+    """Mesh building and refinement never take np.unique over rows, which
+    argsorts a void-dtype view of the vertex pairs."""
+    unique = np.unique
+
+    def keys_only(ar, *args, **kwargs):
+        if kwargs.get("axis") is not None:
+            raise AssertionError("np.unique called with an axis")
+        return unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", keys_only)
+    surface = Torus(1.0, 0.4)
+    mesh = build_torus_mesh(surface, 16, 8)
+    mesh = refine_bisection(mesh, np.arange(0, mesh.n_triangles, 3), surface)
+    assert mesh.is_closed_manifold()
+
+
 # ---------------------------------------------------------------------------
 # bulk lattice
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from beltrami import (
     trace_forcing,
     trace_solve,
 )
+from beltrami.errors import BeltramiError
 from beltrami.fem import assemble_stiffness, solve_mean_zero
 from beltrami.trace import _face_workspace
 
@@ -170,6 +171,16 @@ def test_ellipsoid_band_wider_than_tube_raises_typed():
     e = Ellipsoid(1.0, 0.8, 0.6)
     with pytest.raises(OutsideTube):
         narrowband_solve(NarrowBandProblem(e, build_bulk_mesh(e, 8)))
+
+
+def test_cut_split_by_a_coarse_lattice_raises_typed():
+    """h = 0.53 against a minor radius of 0.3 cuts the torus into four
+    closed pieces (chi = 8); the stiffness kernel then has eight modes and
+    CG used to end in a nonpositive-curvature NoConvergence."""
+    t = Torus(1.0, 0.3)
+    bulk = build_bulk_mesh(t, 7, half_width=1.8578125)
+    with pytest.raises(BeltramiError, match="Euler characteristic 8"):
+        TraceProblem(t, bulk)
 
 
 def test_quick_convergence_torus():
