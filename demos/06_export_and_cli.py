@@ -15,7 +15,6 @@ import tempfile
 
 from beltrami import Sphere, TraceProblem, build_bulk_mesh, extract_band
 from beltrami.cli import main
-from beltrami.fem import local_dofs
 from beltrami.meshes import build_sphere_mesh, write_off, write_vtk_tets
 
 tmp = tempfile.TemporaryDirectory(prefix="beltrami_demo_")
@@ -30,10 +29,9 @@ bulk = build_bulk_mesh(sphere, 12)
 cut = TraceProblem(sphere, bulk).cut
 write_off(out / "cut12.off", cut.vertices, cut.faces)
 # the bulk lattice is implicit: export the narrow band's vertices and its
-# tetrahedra renumbered into them
+# tetrahedra numbered into them (``band.dofs``)
 band = extract_band(bulk, sphere, 1.5 * bulk.h)
-write_vtk_tets(out / "band12.vtk", bulk.vertex_points(band.active_dofs),
-               local_dofs(band.active_dofs, band.tets()))
+write_vtk_tets(out / "band12.vtk", bulk.vertex_points(band.active_dofs), band.dofs)
 
 counts = (out / "cut12.off").read_text().splitlines()[1]
 print("written:")

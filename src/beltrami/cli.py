@@ -10,7 +10,6 @@ import os
 import sys
 
 from .errors import BeltramiError, ConfigError
-from .fem import local_dofs
 from .harness import (
     ADAPT_FIELDS,
     RunConfig,
@@ -88,9 +87,8 @@ def _write_elements(out, method, elements):
         write_off(path, elements.vertices, elements.faces)
     else:
         path = os.path.join(out, "band.vtk")
-        dofs = elements.active_dofs
-        write_vtk_tets(path, elements.bulk.vertex_points(dofs),
-                       local_dofs(dofs, elements.tets()), title="narrow band")
+        write_vtk_tets(path, elements.bulk.vertex_points(elements.active_dofs),
+                       elements.dofs, title="narrow band")
     return path
 
 

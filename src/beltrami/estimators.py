@@ -66,7 +66,7 @@ def residual_estimator(problem, field, workspace=None):
     mesh = problem.mesh
     ws = workspace if workspace is not None else parametric_workspace(problem)
     c = field.coefficients
-    grad_u = np.einsum("ek,ekd->ed", c[mesh.triangles], ws["grads"])
+    grad_u = np.einsum("ek,ekd->ed", c[ws["dofs"]], ws["grads"])
     w = ws["weights"]
     F = ws["forcing"]
     bulk = (w * F**2).sum(axis=1)
@@ -99,16 +99,12 @@ def geometric_estimators(problem, workspace=None):
     DP = I - grad d grad d^T - d D^2 d from the identity, exact from the
     distance jet (first order); mu_T = beta_T + lambda_T^2.  Totals
     aggregate by max.  The nodes take the workspace's jet and the vertices
-    one jet per mesh vertex; a workspace without a jet is sampled at its
-    own ``qp`` and ``coords``.
+    one jet per mesh vertex.
     """
-    surface = problem.surface
     ws = workspace if workspace is not None else parametric_workspace(problem)
-    if "jet" in ws:
-        at = problem.mesh.triangles.ravel()
-        jets = (ws["jet"], [a[at] for a in surface._jet_raw(problem.mesh.vertices)])
-    else:
-        jets = [surface._jet_raw(ws[key].reshape(-1, 3)) for key in ("qp", "coords")]
+    corners = ws["dofs"].ravel()
+    jets = (ws["jet"],
+            [a[corners] for a in problem.surface._jet_raw(problem.mesh.vertices)])
     t1, t2 = plane_basis(ws["normals"])
     n = len(t1)
     lam = np.zeros(n)
@@ -139,7 +135,7 @@ def trace_estimators(problem, field, workspace=None):
     cut = problem.cut
     ws = workspace if workspace is not None else _face_workspace(problem)
     c = field.coefficients
-    grad_u = np.einsum("ek,ekd->ed", c[ws["dofs"]], ws["proj_grads"])
+    grad_u = np.einsum("ek,ekd->ed", c[ws["dofs"]], ws["grads"])
 
     face_grads, _, _ = triangle_geometry(cut.vertices[cut.faces])
     edges, face_edges = edge_table(cut.faces)

@@ -4,6 +4,17 @@ Quadrature rules on reference simplices, constant element gradients for
 triangles in 3-D and tetrahedra, CSR stiffness/load assembly, lumped
 masses, and the mean-zero-constrained Jacobi-preconditioned conjugate
 gradient solver shared by the parametric, trace, and narrow-band methods.
+
+The three methods differ only in their element set: facets of the
+polyhedral surface, cut faces of the bulk mesh, or band tetrahedra.
+Each set is one dict over E elements of k vertices and nq quadrature
+points: ``dofs`` (E, k) DOF numbers, ``grads`` (E, k, 3) constant hat
+gradients (tangential on faces), ``measures`` (E,) element measures
+(indicator-weighted in the band), ``qp`` (E, nq, 3) quadrature points,
+``weights`` (E, nq) their weights including the measure, and ``phi``
+(E, nq, k) the hat values there.  Surface sets add ``normals`` (E, 3);
+sampled sets add ``jet``, the distance jet at the points, and from it
+``forcing`` (E, nq) and the flat exact samples ``u_exact``, ``grad_exact``.
 """
 
 import numpy as np

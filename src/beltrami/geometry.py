@@ -393,18 +393,21 @@ class Torus(ImplicitSurface):
         _, _, s = self._cylinder(pts)
         return s - self.minor_radius
 
-    def _grad_raw(self, pts):
+    def _grad_parts(self, pts):
+        """(d, grad d) and the (rho, u, s) of ``_cylinder`` they come from,
+        rho and s clamped away from zero."""
         rho, u, s = self._cylinder(pts)
         rho = np.where(rho < 1e-300, 1e-300, rho)
         s = np.where(s < 1e-300, 1e-300, s)
-        grad_rho = np.stack([pts[:, 0] / rho, pts[:, 1] / rho, np.zeros(len(pts))], axis=1)
-        q = u[:, None] * grad_rho
-        q[:, 2] = pts[:, 2]
-        return s - self.minor_radius, q / s[:, None]
+        g = np.column_stack([u * (pts[:, 0] / rho), u * (pts[:, 1] / rho), pts[:, 2]])
+        g /= s[:, None]
+        return (s - self.minor_radius, g), (rho, u, s)
+
+    def _grad_raw(self, pts):
+        return self._grad_parts(pts)[0]
 
     def _jet_raw(self, pts):
-        rho, u, s = self._cylinder(pts)
-        d, g = self._grad_raw(pts)
+        (d, g), (rho, u, s) = self._grad_parts(pts)
         # D^2 d = (tau tau^T + (u / rho) phi phi^T) / s with phi the toroidal
         # and tau = phi x g the poloidal unit tangent
         phi = np.stack([-pts[:, 1] / rho, pts[:, 0] / rho, np.zeros(len(pts))], axis=1)

@@ -270,6 +270,8 @@ def run_adapt(config):
     """Adaptive parametric loop; returns result dict with history rows."""
     if config.method != "parametric":
         raise ConfigError("adapt runs on the parametric method")
+    if config.iterations < 1:
+        raise ConfigError("adapt needs iterations >= 1 to fit a slope")
     t0 = time.perf_counter()
     surface = config.surface
     mesh = surface_mesh_for_level(surface, config.levels[0])

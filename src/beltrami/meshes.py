@@ -447,17 +447,17 @@ class BulkMesh:
         )
 
 
-def build_bulk_mesh(surface, cells_per_axis, half_width=None, margin=1.25):
+def build_bulk_mesh(surface, cells_per_axis, half_width=None):
     """Bulk mesh sized to contain the surface's distance tube.
 
-    The default half width covers the largest axis extent plus the tube
-    halfwidth, scaled by ``margin``; an explicit half width that fails to
-    contain extent + tube raises BoxTooSmall.
+    The default half width is 1.25 times the largest axis extent plus the
+    tube halfwidth; an explicit half width that fails to contain
+    extent + tube raises BoxTooSmall.
     """
     extent = float(np.max(surface.axis_extents()))
     needed = extent + surface.tube_halfwidth()
     if half_width is None:
-        half_width = margin * needed
+        half_width = 1.25 * needed
     elif half_width < needed:
         raise BoxTooSmall(
             f"half width {half_width:g} < extent + tube = {needed:g}"
@@ -604,13 +604,16 @@ def extract_cut_surface(bulk, surface):
 
 class BandMesh:
     """Tetrahedra meeting the band {|d_h| < delta} of the bulk mesh;
-    ``d_vertex`` holds d picked from ``lattice_d`` at ``active_dofs``."""
+    ``dofs`` (E, 4) numbers their corners by position in ``active_dofs``,
+    and ``d_vertex`` holds d picked from ``lattice_d`` at ``active_dofs``."""
 
     def __init__(self, bulk, delta, tet_ids, lattice_ids, lattice_d):
         self.bulk = bulk
         self.delta = float(delta)
         self.tet_ids = tet_ids
-        self.active_dofs = np.unique(bulk.tet_vertices(tet_ids))
+        self.active_dofs, inverse = np.unique(bulk.tet_vertices(tet_ids),
+                                              return_inverse=True)
+        self.dofs = inverse.reshape(-1, 4)
         self.d_vertex = lattice_d[np.searchsorted(lattice_ids, self.active_dofs)]
 
     @property
@@ -628,19 +631,16 @@ class BandMesh:
         return f"BandMesh(delta={self.delta:g}, tets={self.n_tets})"
 
 
-def extract_band(bulk, surface, delta, window=(1.0, 2.0)):
+def extract_band(bulk, surface, delta):
     """Select bulk tetrahedra that meet {|d_h| < delta}.
 
-    The half-thickness must satisfy C1 h <= delta <= C2 h (default window
-    [1, 2]); membership uses the vertex-interpolated distance, so a
-    tetrahedron belongs iff min d_h < delta and max d_h > -delta.  Only
-    the cells within delta of the surface are visited.
+    The half-thickness must satisfy h <= delta <= 2h; membership uses the
+    vertex-interpolated distance, so a tetrahedron belongs iff
+    min d_h < delta and max d_h > -delta.  Only the cells within delta of
+    the surface are visited.
     """
-    lo, hi = window
-    if not (lo * bulk.h - 1e-12 <= delta <= hi * bulk.h + 1e-12):
-        raise ValueError(
-            f"delta={delta:g} outside [{lo:g} h, {hi:g} h] with h={bulk.h:g}"
-        )
+    if not (bulk.h - 1e-12 <= delta <= 2.0 * bulk.h + 1e-12):
+        raise ValueError(f"delta={delta:g} outside [h, 2 h] with h={bulk.h:g}")
     ids, tets, vids, d = bulk._near_surface(surface, delta)
     member = (d < delta)[tets].any(axis=1) & (d > -delta)[tets].any(axis=1)
     if not member.any():

@@ -18,12 +18,11 @@ from .fem import (
     assemble_load,
     assemble_stiffness,
     barycentric_values,
-    local_dofs,
     lumped_mass,
     solve_mean_zero,
 )
 from .meshes import extract_band, extract_cut_surface
-from .parametric import _exact_samples, error_samples, surface_error_norms
+from .parametric import error_samples, sample_faces, surface_error_norms
 from .trace import cut_face_workspace
 
 
@@ -76,36 +75,36 @@ def mismatch_map(surface, d_h_value, x):
     return out if np.asarray(x).ndim == 2 else out[0]
 
 
-def _band_quadrature(problem):
-    """Geometry and indicator-weighted quadrature on the band tetrahedra.
+def _band_quadrature(problem, rule=TET_DEGREE4):
+    """The band element set under a tetrahedral rule, weighted by the band
+    indicator.
 
     The signed point weights w = vol * w_q * 1{|d_h| < delta} follow the
-    degree-4 rule (one negative node); the per-element measure fractions
-    are clamped at zero so the stiffness stays positive semidefinite.
-    Band tets are lattice translates: gradients come from the Kuhn table,
-    and the hat values at the nodes are the rule's barycentric points.
+    rule (the degree-4 one has a negative node); the per-element measure
+    fractions are clamped at zero so the stiffness stays positive
+    semidefinite.  Band tets are lattice translates: gradients come from
+    the Kuhn table, and the hat values at the nodes are the rule's
+    barycentric points.  ``tets`` holds the global vertex ids, ``d_h``
+    and ``inside`` the interpolated distance and indicator at the nodes.
     """
     band, bulk = problem.band, problem.bulk
-    tets = band.tets()
-    dofs = local_dofs(band.active_dofs, tets)
     vol = bulk.tet_volume
-    bary = TET_DEGREE4.points
-    d_h = band.d_vertex[dofs] @ bary.T
+    bary = rule.points
+    d_h = band.d_vertex[band.dofs] @ bary.T
     inside = np.abs(d_h) < problem.delta
-    nw = TET_DEGREE4.normalized_weights
+    nw = rule.normalized_weights
     frac = np.maximum((nw[None, :] * inside).sum(axis=1), 0.0)
-    w = vol * nw * inside
     return {
-        "tets": tets,
-        "dofs": dofs,
+        "tets": band.tets(),
+        "dofs": band.dofs,
         "grads": bulk.tet_grads(band.tet_ids),
         "vols": vol,
         "qp": bulk.tet_points(band.tet_ids, bary),
-        "phi": np.broadcast_to(bary, (len(tets),) + bary.shape),
+        "phi": np.broadcast_to(bary, (band.n_tets,) + bary.shape),
         "d_h": d_h,
         "inside": inside,
         "measures": frac * vol,
-        "point_weights": w,
+        "weights": vol * nw * inside,
     }
 
 
@@ -126,7 +125,7 @@ def narrowband_forcing(problem, quad=None):
         mismatch_map(problem.surface, d_h[mask], flat[mask])
     )
     raw = raw.reshape(quad["inside"].shape)
-    w = quad["point_weights"]
+    w = quad["weights"]
     band_measure = float(w.sum())
     correction = float((w * raw).sum() / band_measure)
     return raw - correction, correction, band_measure
@@ -140,21 +139,23 @@ def narrowband_solve(problem, tol=1e-10):
     measures the restriction of U to the reconstructed surface (the zero
     level set of d_h inside the band).
     """
-    surface, bulk, band = problem.surface, problem.bulk, problem.band
+    bulk, band = problem.bulk, problem.band
     quad = _band_quadrature(problem)
     n = band.n_active_dofs
-    dofs = quad["dofs"]
+    dofs = band.dofs
 
     A = assemble_stiffness(quad["grads"], quad["measures"], dofs, n)
     m = lumped_mass(dofs, quad["measures"], n)
     F, correction, band_measure = narrowband_forcing(problem, quad)
-    b = assemble_load(dofs, quad["phi"], F, quad["point_weights"], n)
+    b = assemble_load(dofs, quad["phi"], F, quad["weights"], n)
+    # the error sets are built below: let the degree-4 set go first
+    del quad, F
 
     history = []
     c = solve_mean_zero(A, b, m, tol=tol, history=history)
     field = SolutionField(c, band.active_dofs, m, domain="band")
 
-    band_l2, band_h1 = _band_errors(problem, quad, c, dofs)
+    band_l2, band_h1 = _band_errors(problem, c)
     l2, h1, cut = _surface_errors(problem, c)
     report_band = ErrorReport(
         bulk.tet_diameter, n, band_l2, band_h1, iterations=len(history),
@@ -171,48 +172,36 @@ def narrowband_solve(problem, tol=1e-10):
     return field, report_band, report_gamma
 
 
-def _band_errors(problem, quad, c, dofs):
+def _band_errors(problem, c):
     """Band L2/H1 errors against the normal extension u o P_d.
 
     Uses the positive-weight degree-2 rule (with the band indicator) so
-    the accumulated norms cannot go negative near the band boundary.
+    the accumulated norms cannot go negative near the band boundary.  The
+    exact samples are u(P x) and grad_Gamma u(P x) - d D^2d grad_Gamma u(P x).
     """
-    surface, band = problem.surface, problem.band
-    sol = problem.solution
-    bary = TET_DEGREE2.points
-    qp2 = problem.bulk.tet_points(band.tet_ids, bary)
-    d_h2 = band.d_vertex[dofs] @ bary.T
-    inside2 = np.abs(d_h2) < problem.delta
-    w2 = quad["vols"] * TET_DEGREE2.normalized_weights * inside2
-
+    surface, sol = problem.surface, problem.solution
+    es = _band_quadrature(problem, TET_DEGREE2)
     # evaluate only where the indicator is on: the remaining nodes carry
     # zero weight but can sit far outside the distance tube
-    mask = inside2.ravel()
-    flat = qp2.reshape(-1, 3)[mask]
-    wf = w2.ravel()[mask]
+    mask = es["inside"].ravel()
+    flat = es["qp"].reshape(-1, 3)[mask]
     d, g, H = surface._jet_raw(flat)
     p = flat - d[:, None] * g
-    u_disc = (c[dofs] @ bary.T).ravel()[mask]
     gg = sol.grad_gamma(p)
-    g_exact = gg - d[:, None] * np.einsum("nij,nj->ni", H, gg)
-    grad_u = np.einsum("ek,ekd->ed", c[dofs], quad["grads"])
-    return surface_error_norms(
-        wf, sol.u(p), g_exact, u_disc,
-        np.repeat(grad_u, TET_DEGREE2.npoints, axis=0)[mask],
-    )
+    es["u_exact"] = sol.u(p)
+    es["grad_exact"] = gg - d[:, None] * np.einsum("nij,nj->ni", H, gg)
+    w, u_exact, grad_exact, u_values, u_gradients = error_samples(es, c)
+    return surface_error_norms(w[mask], u_exact, grad_exact, u_values[mask],
+                               u_gradients[mask])
 
 
 def _surface_errors(problem, c):
     """Errors of the band solution restricted to the reconstructed surface."""
     surface, bulk = problem.surface, problem.bulk
     cut = extract_cut_surface(bulk, surface)
-    ws = cut_face_workspace(bulk, cut, problem.band.active_dofs)
-    if np.any(ws["dofs"] < 0):
+    es = cut_face_workspace(bulk, cut, problem.band.active_dofs)
+    if np.any(es["dofs"] < 0):
         raise RuntimeError("cut tetrahedron outside the band")
-    flat = ws["qp"].reshape(-1, 3)
-    nus = np.repeat(ws["normals"], ws["qp"].shape[1], axis=0)
-    ws["u_exact"], ws["grad_exact"] = _exact_samples(
-        surface, problem.solution, flat, nus, *surface.distance_jet(flat)
-    )
-    l2, h1 = surface_error_norms(*error_samples(ws, c[ws["dofs"]], ws["proj_grads"]))
+    sample_faces(es, surface, problem.solution, forcing=False)
+    l2, h1 = surface_error_norms(*error_samples(es, c))
     return l2, h1, cut

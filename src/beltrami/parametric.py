@@ -73,7 +73,7 @@ def _scaled_radial_forcing(surface, solution, pts, nus, steps):
     return solution.f(surface._scaled_radial_raw(pts)) * ratio
 
 
-def parametric_forcing(problem, x, nu_gamma, fd_step=None):
+def parametric_forcing(problem, x, nu_gamma):
     """Transferred right-hand side F(x) = f(lift(x)) * (area ratio at x)."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     nus = np.broadcast_to(
@@ -82,9 +82,8 @@ def parametric_forcing(problem, x, nu_gamma, fd_step=None):
     if problem.lift == CLOSEST_POINT:
         vals = closest_point_forcing(problem.surface, problem.solution, pts, nus)
     else:
-        step = 1e-6 * problem.mesh.h_max if fd_step is None else fd_step
         vals = _scaled_radial_forcing(problem.surface, problem.solution, pts, nus,
-                                      np.full(len(pts), step))
+                                      np.full(len(pts), 1e-6 * problem.mesh.h_max))
     return vals if np.asarray(x).ndim == 2 else float(vals[0])
 
 
@@ -114,67 +113,70 @@ def surface_error_norms(weights, u_exact, grad_exact, u_values, u_gradients):
     return np.sqrt(l2_sq), np.sqrt(h1_sq)
 
 
-def error_samples(ws, c_local, grads):
+def error_samples(es, c):
     """Sample arguments of ``surface_error_norms`` for the P1 field with
-    element coefficients c_local (E, k) and tangential gradients grads."""
-    nq = ws["qp"].shape[1]
-    return (
-        ws["weights"].ravel(),
-        ws["u_exact"],
-        ws["grad_exact"],
-        np.einsum("eqk,ek->eq", ws["phi"], c_local).ravel(),
-        np.repeat(np.einsum("ek,ekd->ed", c_local, grads), nq, axis=0),
-    )
+    coefficients c on the element set es (``fem`` module docstring)."""
+    c_local = c[es["dofs"]]
+    nq = es["qp"].shape[1]
+    return (es["weights"].ravel(), es["u_exact"], es["grad_exact"],
+            np.einsum("eqk,ek->eq", es["phi"], c_local).ravel(),
+            np.repeat(np.einsum("ek,ekd->ed", c_local, es["grads"]), nq, axis=0))
+
+
+def sample_faces(es, surface, solution, forcing=True):
+    """Fill a surface element set's ``jet`` at its quadrature points, then
+    (if ``forcing``) the closest-point forcing F = f(P_d x) q/q_Gamma, then
+    ``u_exact`` and ``grad_exact``, all from that one jet."""
+    flat = es["qp"].reshape(-1, 3)
+    nus = np.repeat(es["normals"], es["qp"].shape[1], axis=0)
+    jet = es["jet"] = surface.distance_jet(flat)
+    # the forcing first: the ellipsoid's f evaluates a jet of its own
+    if forcing:
+        F = _jet_forcing(surface, solution, flat, nus, *jet)
+        es["forcing"] = F.reshape(es["weights"].shape)
+    es["u_exact"], es["grad_exact"] = _exact_samples(surface, solution, flat, nus, *jet)
 
 
 def parametric_workspace(problem):
-    """Per-facet geometry, quadrature, the distance jet at the quadrature
-    points, and the forcing and exact samples taken from it."""
+    """The facet element set, sampled (``sample_faces``); ``coords`` holds
+    the facet corners."""
     mesh = problem.mesh
-    surface, solution = problem.surface, problem.solution
     coords = mesh.triangle_coords()
     qp = TRI_DEGREE4.physical_points(coords)
-    w = mesh.areas[:, None] * TRI_DEGREE4.normalized_weights[None, :]
-    # the hat values at the reference nodes are the nodes' own barycentrics
-    phi = np.broadcast_to(TRI_DEGREE4.points, qp.shape)
-    flat = qp.reshape(-1, 3)
-    nus_q = np.repeat(mesh.normals, TRI_DEGREE4.npoints, axis=0)
-    jet = surface.distance_jet(flat)
-    # the forcing first: the ellipsoid's f evaluates a jet of its own
-    if problem.lift == CLOSEST_POINT:
-        fvals = _jet_forcing(surface, solution, flat, nus_q, *jet)
-    else:
-        steps = np.repeat(1e-6 * mesh.diameters, TRI_DEGREE4.npoints)
-        fvals = _scaled_radial_forcing(surface, solution, flat, nus_q, steps)
-    u_exact, grad_exact = _exact_samples(surface, solution, flat, nus_q, *jet)
-    return {
+    es = {
         "coords": coords,
+        "dofs": mesh.triangles,
         "grads": mesh.grads,
-        "areas": mesh.areas,
+        "measures": mesh.areas,
         "normals": mesh.normals,
         "qp": qp,
-        "weights": w,
-        "phi": phi,
-        "forcing": fvals.reshape(w.shape),
-        "jet": jet,
-        "u_exact": u_exact,
-        "grad_exact": grad_exact,
+        "weights": mesh.areas[:, None] * TRI_DEGREE4.normalized_weights[None, :],
+        # the hat values at the reference nodes are the nodes' own barycentrics
+        "phi": np.broadcast_to(TRI_DEGREE4.points, qp.shape),
     }
+    closest = problem.lift == CLOSEST_POINT
+    sample_faces(es, problem.surface, problem.solution, forcing=closest)
+    if not closest:
+        nq = TRI_DEGREE4.npoints
+        F = _scaled_radial_forcing(problem.surface, problem.solution, qp.reshape(-1, 3),
+                                   np.repeat(mesh.normals, nq, axis=0),
+                                   np.repeat(1e-6 * mesh.diameters, nq))
+        es["forcing"] = F.reshape(es["weights"].shape)
+    return es
 
 
 def parametric_assemble(problem, workspace=None):
     """Stiffness, load, and lumped mass of the parametric problem.
 
-    Returns (A, b, m, workspace); the workspace carries the per-facet
-    geometry and quadrature data the error and estimator routines reuse.
+    Returns (A, b, m, workspace); the workspace is the sampled facet
+    element set the error and estimator routines reuse.
     """
-    mesh = problem.mesh
     ws = workspace if workspace is not None else parametric_workspace(problem)
-    dofs = mesh.triangles
-    n = mesh.n_vertices
-    A = assemble_stiffness(ws["grads"], ws["areas"], dofs, n)
+    dofs = ws["dofs"]
+    n = problem.mesh.n_vertices
+    A = assemble_stiffness(ws["grads"], ws["measures"], dofs, n)
     b = assemble_load(dofs, ws["phi"], ws["forcing"], ws["weights"], n)
-    m = lumped_mass(dofs, ws["areas"], n)
+    m = lumped_mass(dofs, ws["measures"], n)
     return A, b, m, ws
 
 
@@ -185,11 +187,11 @@ def parametric_solve(problem, tol=1e-10, workspace_out=None):
     history = []
     c = solve_mean_zero(A, b, m, tol=tol, history=history)
     field = SolutionField(c, np.arange(mesh.n_vertices), m)
-    l2, h1 = surface_error_norms(*error_samples(ws, c[mesh.triangles], ws["grads"]))
+    l2, h1 = surface_error_norms(*error_samples(ws, c))
     if workspace_out is not None:
         workspace_out.update(ws)
     report = ErrorReport(
         mesh.h_max, mesh.n_vertices, l2, h1, iterations=len(history),
-        info={"lift": problem.lift, "area": float(ws["areas"].sum())},
+        info={"lift": problem.lift, "area": float(ws["measures"].sum())},
     )
     return field, report

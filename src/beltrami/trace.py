@@ -21,8 +21,8 @@ from .fem import (
     solve_mean_zero,
 )
 from .meshes import extract_cut_surface
-from .parametric import _exact_samples, _jet_forcing, closest_point_forcing
-from .parametric import error_samples, surface_error_norms
+from .parametric import closest_point_forcing, error_samples, sample_faces
+from .parametric import surface_error_norms
 
 
 class TraceProblem:
@@ -44,36 +44,30 @@ class TraceProblem:
 
 
 def cut_face_workspace(bulk, cut, active_dofs):
-    """Per-face geometry of a cut surface: parent-tet hat gradients
-    projected into the face planes, DOFs numbered by ``active_dofs``."""
+    """The cut-face element set: parent-tet hat gradients projected into
+    the face planes, DOFs numbered by ``active_dofs``."""
     tets = bulk.tet_vertices(cut.parent_tet)
     tet_grads = bulk.tet_grads(cut.parent_tet)
     nus = cut.normals
     pg = tet_grads - np.einsum("fkd,fd->fk", tet_grads, nus)[:, :, None] * nus[:, None, :]
     qp = TRI_DEGREE4.physical_points(cut.vertices[cut.faces])
     return {
-        "proj_grads": pg,
+        "dofs": local_dofs(active_dofs, tets),
+        "grads": pg,
+        "measures": cut.areas,
         "normals": nus,
         "qp": qp,
         "weights": cut.areas[:, None] * TRI_DEGREE4.normalized_weights[None, :],
         "phi": barycentric_values(tet_grads, bulk.vertex_points(tets), qp),
-        "dofs": local_dofs(active_dofs, tets),
     }
 
 
 def _face_workspace(problem):
-    """Cut-face workspace with the transferred data F = f(P_d x) q/q_Gamma,
-    the exact samples and ``jet`` = (d, grad d) at the nodes, all from one
-    distance jet."""
-    surface, solution = problem.surface, problem.solution
+    """The sampled cut-face element set (``sample_faces``); its ``jet``
+    keeps (d, grad d) only."""
     ws = cut_face_workspace(problem.bulk, problem.cut, problem.cut.active_dofs)
-    flat = ws["qp"].reshape(-1, 3)
-    nus = np.repeat(ws["normals"], TRI_DEGREE4.npoints, axis=0)
-    jet = surface.distance_jet(flat)
-    forcing = _jet_forcing(surface, solution, flat, nus, *jet)
-    ws["forcing"] = forcing.reshape(ws["weights"].shape)
-    ws["u_exact"], ws["grad_exact"] = _exact_samples(surface, solution, flat, nus, *jet)
-    ws["jet"] = jet[:2]
+    sample_faces(ws, problem.surface, problem.solution)
+    ws["jet"] = ws["jet"][:2]
     return ws
 
 
@@ -92,7 +86,7 @@ def trace_solve(problem, tol=1e-10, workspace_out=None):
     ws = _face_workspace(problem)
     n = cut.n_active_dofs
     dofs = ws["dofs"]
-    A = assemble_stiffness(ws["proj_grads"], cut.areas, dofs, n)
+    A = assemble_stiffness(ws["grads"], ws["measures"], dofs, n)
     b = assemble_load(dofs, ws["phi"], ws["forcing"], ws["weights"], n)
     # row-sum mass of the trace basis: m_i = integral of hat_i over the cut,
     # the load of the unit function
@@ -100,7 +94,7 @@ def trace_solve(problem, tol=1e-10, workspace_out=None):
     history = []
     c = solve_mean_zero(A, b, m, tol=tol, history=history)
     field = SolutionField(c, cut.active_dofs, m, domain="cut-surface")
-    l2, h1 = surface_error_norms(*error_samples(ws, c[dofs], ws["proj_grads"]))
+    l2, h1 = surface_error_norms(*error_samples(ws, c))
     if workspace_out is not None:
         workspace_out.update(ws)
     geo = geometric_resolution(problem, _workspace=ws)
@@ -145,18 +139,18 @@ def geometric_resolution(problem, _workspace=None):
     }
 
 
-def skin_containment(problem, n_samples=5):
+def skin_containment(problem):
     """Fraction of projection segments that stay inside cut tetrahedra.
 
-    For each face centroid x, samples interior points of the segment from
-    x to P_d(x) and checks they land in tetrahedra that are themselves
+    For each face centroid x, samples five interior points of the segment
+    from x to P_d(x) and checks they land in tetrahedra that are themselves
     cut; a value of 1.0 says the skin between the discrete and smooth
     surfaces is covered by the active elements.
     """
     bulk, cut, surface = problem.bulk, problem.cut, problem.surface
     starts = cut.vertices[cut.faces].mean(axis=1)
     ends = surface.closest_point(starts)
-    fractions = np.linspace(0.0, 1.0, n_samples + 2)[1:-1]
+    fractions = np.linspace(0.0, 1.0, 7)[1:-1]
     pts = (
         starts[:, None, :]
         + fractions[None, :, None] * (ends - starts)[:, None, :]

@@ -257,7 +257,7 @@ def _trace_case(surface, bulk):
     ws = _face_workspace(problem)
     cut = problem.cut
     n = cut.n_active_dofs
-    A = assemble_stiffness(ws["proj_grads"], cut.areas, ws["dofs"], n)
+    A = assemble_stiffness(ws["grads"], cut.areas, ws["dofs"], n)
     flat = ws["qp"].reshape(-1, 3)
     nus_q = np.repeat(ws["normals"], ws["qp"].shape[1], axis=0)
     fvals = (problem.solution.f(surface.closest_point(flat))
@@ -289,7 +289,7 @@ def _band_case(surface, bulk):
     m = np.bincount(dofs.ravel(),
                     weights=np.repeat(quad["measures"] / 4.0, 4), minlength=n)
     F, _, _ = narrowband_forcing(problem, quad)
-    contrib = np.einsum("eq,eq,eqk->ek", quad["point_weights"], F, quad["phi"])
+    contrib = np.einsum("eq,eq,eqk->ek", quad["weights"], F, quad["phi"])
     b = np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=n)
     field, _, _ = narrowband_solve(problem, tol=1e-12)
     diag = A.diagonal()

@@ -170,8 +170,9 @@ def test_flat_limit_vanishes():
     coords = s.closest_point(coords.reshape(-1, 3)).reshape(1, 3, 3)
     qp = TRI_DEGREE4.physical_points(coords)
     _, _, nus = triangle_geometry(coords)
-    ws = {"qp": qp, "coords": coords, "normals": nus}
-    stub = SimpleNamespace(surface=s, mesh=None)
+    ws = {"qp": qp, "coords": coords, "normals": nus, "dofs": np.array([[0, 1, 2]]),
+          "jet": s.distance_jet(qp.reshape(-1, 3))}
+    stub = SimpleNamespace(surface=s, mesh=SimpleNamespace(vertices=coords[0]))
     g = geometric_estimators(stub, ws)
     assert g["beta"].total < 1e-9
     assert g["lambda"].total < 1e-6
@@ -275,7 +276,7 @@ def test_trace_quad_diagonals_carry_no_jump(trace_setup):
     problem, ws, field, _ = trace_setup
     cut = problem.cut
     c = field.coefficients
-    grad_u = np.einsum("ek,ekd->ed", c[ws["dofs"]], ws["proj_grads"])
+    grad_u = np.einsum("ek,ekd->ed", c[ws["dofs"]], ws["grads"])
     parents, counts = np.unique(cut.parent_tet, return_counts=True)
     checked = 0
     for tid in parents[counts == 2][:10]:

@@ -10,11 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beltrami import (
+    NarrowBandProblem,
     NoConvergence,
+    ParametricProblem,
     SolutionField,
+    Sphere,
     TET_DEGREE2,
     TET_DEGREE4,
     TRI_DEGREE4,
+    Torus,
+    TraceProblem,
+    build_bulk_mesh,
+    build_torus_mesh,
+    extract_cut_surface,
     solve_mean_zero,
 )
 from beltrami.fem import (
@@ -25,6 +33,9 @@ from beltrami.fem import (
     tetrahedron_geometry,
     triangle_geometry,
 )
+from beltrami.narrowband import _band_quadrature
+from beltrami.parametric import parametric_workspace, sample_faces
+from beltrami.trace import _face_workspace, cut_face_workspace
 
 import oracles
 
@@ -257,3 +268,76 @@ def test_solution_field_weighted_mean():
     m = np.array([1.0, 1.0, 2.0])
     field = SolutionField(c, np.arange(3), m)
     assert field.weighted_mean() == pytest.approx(1.0 / 4.0)
+
+
+# ---------------------------------------------------------------------------
+# element-set records
+# ---------------------------------------------------------------------------
+
+
+def _facets():
+    s = Torus(1.0, 0.4)
+    problem = ParametricProblem(s, build_torus_mesh(s, 8, 4))
+    return parametric_workspace(problem), problem.mesh.n_vertices, True
+
+
+def _cut_faces():
+    s = Sphere(1.0)
+    problem = TraceProblem(s, build_bulk_mesh(s, 8))
+    return _face_workspace(problem), problem.cut.n_active_dofs, True
+
+
+def _band_problem():
+    s = Torus(1.0, 0.4)
+    return NarrowBandProblem(s, build_bulk_mesh(s, 12))
+
+
+def _band_surface():
+    """The narrow band's surface set, as ``_surface_errors`` builds it."""
+    problem = _band_problem()
+    cut = extract_cut_surface(problem.bulk, problem.surface)
+    es = cut_face_workspace(problem.bulk, cut, problem.band.active_dofs)
+    sample_faces(es, problem.surface, problem.solution, forcing=False)
+    return es, problem.band.n_active_dofs, False
+
+
+def _band_tets(rule):
+    problem = _band_problem()
+    return _band_quadrature(problem, rule), problem.band.n_active_dofs, None
+
+
+ELEMENT_SETS = {
+    "facets": _facets,
+    "cut-faces": _cut_faces,
+    "band-surface": _band_surface,
+    "band-degree4": lambda: _band_tets(TET_DEGREE4),
+    "band-degree2": lambda: _band_tets(TET_DEGREE2),
+}
+
+
+@pytest.mark.parametrize("name", list(ELEMENT_SETS))
+def test_element_set_record(name):
+    """Every element set has the record layout of the ``fem`` docstring:
+    ``forcing`` is True for the sampled sets that carry the data, False
+    for the sampled set without it, None for the unsampled band sets."""
+    es, n, forcing = ELEMENT_SETS[name]()
+    e, k = es["dofs"].shape
+    nq = es["qp"].shape[1]
+    assert es["grads"].shape == (e, k, 3)
+    assert es["measures"].shape == (e,)
+    assert es["qp"].shape == (e, nq, 3)
+    assert es["weights"].shape == (e, nq)
+    assert es["phi"].shape == (e, nq, k)
+    assert es["dofs"].min() >= 0 and es["dofs"].max() < n
+    assert np.abs(es["phi"].sum(axis=-1) - 1.0).max() < 1e-12
+    if forcing is None:
+        return
+    assert es["normals"].shape == (e, 3)
+    assert np.allclose(es["weights"].sum(axis=1), es["measures"], rtol=1e-12, atol=0.0)
+    d, g = es["jet"][:2]
+    assert d.shape == (e * nq,) and g.shape == (e * nq, 3)
+    assert es["u_exact"].shape == (e * nq,)
+    assert es["grad_exact"].shape == (e * nq, 3)
+    assert ("forcing" in es) == forcing
+    if forcing:
+        assert es["forcing"].shape == (e, nq)

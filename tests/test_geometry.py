@@ -286,6 +286,16 @@ def test_torus_hessian_is_rank_two():
     assert (err <= 1e-12 * np.linalg.norm(ref, axis=(1, 2))).all()
 
 
+def test_torus_jet_shares_the_gradient():
+    """The jet's (d, grad d) are the gradient path's, bit for bit; its
+    Hessian is checked by ``test_torus_hessian_is_rank_two``."""
+    s = Torus(1.0, 0.4)
+    pts = s.tube_points(2000, np.random.default_rng(23))
+    d, g, _ = s._jet_raw(pts)
+    d_ref, g_ref = s._grad_raw(pts)
+    assert np.array_equal(d, d_ref) and np.array_equal(g, g_ref)
+
+
 @pytest.mark.parametrize("surface", SURFACES, ids=repr)
 def test_area_ratio_invariants_match_tangent_curvatures(surface):
     """1 - d tr W + d^2 (tr^2 W - |W|^2) / 2 equals (1 - d k1)(1 - d k2)

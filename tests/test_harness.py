@@ -202,6 +202,18 @@ def test_run_adapt_slope():
     assert result["slope_H1_vs_dofs"] == pytest.approx(slope, abs=1e-12)
 
 
+def test_adapt_needs_a_refinement_round(tmp_path, capsys):
+    """No slope through a single solve: iterations = 0 is a config error,
+    and the adapt command exits 2."""
+    data = {**SPHERE_CFG, "iterations": 0, "levels": [1]}
+    with pytest.raises(ConfigError, match="iterations"):
+        run_adapt(RunConfig(data))
+    rc = main(["adapt", "--config", write_config(tmp_path, data),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "iterations" in capsys.readouterr().err
+
+
 def test_assert_windows_verdicts():
     result = {"eoc": {"eoc_H1": [0.8, 0.95]}, "slope_H1_vs_dofs": -0.5}
     ok, details = assert_windows(result, {"eoc_H1": [0.85, 1.15]})

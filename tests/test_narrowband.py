@@ -37,7 +37,7 @@ def band_system(problem, quad=None):
     m = np.repeat(quad["measures"][:, None] / 4.0, 4, axis=1)
     m = np.bincount(dofs.ravel(), weights=m.ravel(), minlength=n)
     F, _, _ = narrowband_forcing(problem, quad)
-    contrib = np.einsum("eq,eq,eqk->ek", quad["point_weights"], F, quad["phi"])
+    contrib = np.einsum("eq,eq,eqk->ek", quad["weights"], F, quad["phi"])
     b = np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=n)
     return A, b, m, dofs
 
@@ -112,7 +112,7 @@ def test_band_quadrature_measures(sphere16):
 def test_forcing_mean_corrected(sphere16):
     F, correction, measure = narrowband_forcing(sphere16)
     quad = _band_quadrature(sphere16)
-    w = quad["point_weights"]
+    w = quad["weights"]
     scale = np.abs(F).max() * measure
     assert abs(float((w * F).sum())) < 1e-12 * scale
     assert measure > 0

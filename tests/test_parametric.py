@@ -45,7 +45,7 @@ def test_assembled_system_structure(sphere_problem):
     assert np.abs(A @ np.ones(n)).max() < 1e-12
     assert np.abs((A - A.T).toarray()).max() < 1e-13
     assert (m > 0).all()
-    assert m.sum() == pytest.approx(ws["areas"].sum(), rel=1e-12)
+    assert m.sum() == pytest.approx(ws["measures"].sum(), rel=1e-12)
     # compatibility: the transferred load is near mean-free
     assert abs(b.sum()) < 1e-6 * np.abs(b).max()
 

@@ -36,7 +36,7 @@ def rebuild_system(problem):
     ws = _face_workspace(problem)
     cut = problem.cut
     n = cut.n_active_dofs
-    A = assemble_stiffness(ws["proj_grads"], cut.areas, ws["dofs"], n)
+    A = assemble_stiffness(ws["grads"], cut.areas, ws["dofs"], n)
     flat = ws["qp"].reshape(-1, 3)
     nus_q = np.repeat(ws["normals"], ws["qp"].shape[1], axis=0)
     fvals = (
