@@ -63,9 +63,12 @@ def plane_basis(normals):
 class ManufacturedSolution:
     """Closed-form test problem on a surface: u, its tangential gradient, f.
 
-    All three callables take on-surface points ((..., 3) arrays) and both
-    u and f have vanishing surface mean, so f is an admissible right-hand
-    side of the mean-zero weak problem and u its exact solution.
+    All three callables take (..., 3) arrays of points.  u and grad_gamma
+    are read on the surface; f is also sampled off it (the narrow band
+    evaluates it at mismatch-map images), and each surface's
+    ``manufactured`` documents how its f continues there.  Both u and f
+    have vanishing surface mean, so f is an admissible right-hand side of
+    the mean-zero weak problem and u its exact solution.
     """
 
     def __init__(self, name, u, grad_gamma, f):
@@ -414,7 +417,9 @@ class Torus(ImplicitSurface):
         tau = np.cross(phi, g)
         H = phi[:, :, None] * phi[:, None, :]
         H *= (u / rho)[:, None, None]
-        H += tau[:, :, None] * tau[:, None, :]
+        for i in range(3):
+            for j in range(3):
+                H[:, i, j] += tau[:, i] * tau[:, j]
         H /= s[:, None, None]
         return d, g, H
 
@@ -589,11 +594,24 @@ class Ellipsoid(ImplicitSurface):
 
     def _hessian(self, pts, d, g):
         # D^2 d = W (I + d W)^-1 with the Weingarten map at the closest point
-        # P, W = Pi diag(a^-2) Pi / |P / a^2| and Pi = I - g g^T
+        # P, W = Pi diag(a^-2) Pi / |P / a^2| and Pi = I - g g^T.  W g = 0, so
+        # Cayley-Hamilton on the tangent plane inverts I + d W in closed form,
+        #   D^2 d = ((1 + d tr W) W - d W^2) / (1 + d tr W + d^2 det W),
+        # the denominator being (1 + d k_1)(1 + d k_2).  Built in place: at
+        # most three (N, 3, 3) arrays are alive at once.
         n = (pts - d[:, None] * g) / self.abc2
         proj = _EYE3 - g[:, :, None] * g[:, None, :]
-        W = (proj / self.abc2) @ proj / np.linalg.norm(n, axis=1)[:, None, None]
-        return np.linalg.solve(_EYE3 + d[:, None, None] * W, W)
+        H = (proj / self.abc2) @ proj
+        del proj
+        H /= np.linalg.norm(n, axis=1)[:, None, None]
+        tr = np.trace(H, axis1=1, axis2=2)
+        det = 0.5 * (tr**2 - np.einsum("nij,nij->n", H, H))
+        W2 = H @ H
+        W2 *= d[:, None, None]
+        H *= (1.0 + d * tr)[:, None, None]
+        H -= W2
+        H /= (1.0 + d * tr + d**2 * det)[:, None, None]
+        return H
 
     def _jet_raw(self, pts):
         d, g = self._grad_raw(pts)
@@ -611,7 +629,7 @@ class Ellipsoid(ImplicitSurface):
 
     def _guarded_jet(self, pts):
         # the same inner bound, read from the Newton solve the jet needs
-        # anyway (d > 0 outside), and checked before I + dW can be singular
+        # anyway (d > 0 outside), and checked before 1 + d k_i can vanish
         d, g = self._grad_raw(pts)
         self._reject(d <= -self.tube_halfwidth())
         return d, g, self._hessian(pts, d, g)
@@ -633,6 +651,12 @@ class Ellipsoid(ImplicitSurface):
         With v = xyz (harmonic in the ambient space),
         f = -Delta_gamma u = nu^T D^2 v nu + (grad v . nu) Delta d,
         evaluated with the surface's own distance jet.
+
+        Away from the surface, ``f`` continues by the same formula with nu
+        the unit normal of the level set of (x/a)^2 + (y/b)^2 + (z/c)^2
+        through x and Delta d = tr D^2 d(x) from the distance jet at x.
+        Points with |level_value| <= 1e-13 count as on the surface: there
+        d = 0 and grad d = nu, so they skip the closest-point Newton solve.
         """
 
         def _normal(x):
@@ -659,9 +683,15 @@ class Ellipsoid(ImplicitSurface):
         def f(x):
             x = np.asarray(x, dtype=float)
             pts, single = _points(x)
-            _, _, H = self._jet_raw(pts)
-            trH = np.trace(H, axis1=1, axis2=2)
             nu = _normal(pts)
+            # on the surface d = 0 and grad d = nu; only the other points
+            # need the Newton solve
+            d = np.zeros(len(pts))
+            g = nu.copy()
+            off = np.abs(self.level_value(pts)) > 1e-13
+            if off.any():
+                d[off], g[off] = self._grad_raw(pts[off])
+            trH = np.trace(self._hessian(pts, d, g), axis1=1, axis2=2)
             # D^2(xyz) nu contracted twice: 2 (x y z -> symmetric off-diagonal)
             quad = 2.0 * (
                 pts[:, 2] * nu[:, 0] * nu[:, 1]

@@ -114,6 +114,33 @@ def torus_hessian_outer_products(R, pts):
             - outer(g, g)) / s[:, None, None]
 
 
+def ellipsoid_hessian_solve(abc, pts, d, g):
+    """D^2 d = W (I + d W)^-1 of the ellipsoid with semi-axes abc at pts,
+    given d and grad d there, by a batched 3x3 solve.  W is the Weingarten
+    map at the closest point P = x - d g: Pi diag(a^-2) Pi / |P / a^2| with
+    Pi = I - g g^T."""
+    abc2 = np.asarray(abc, dtype=float) ** 2
+    eye = np.eye(3)
+    n = (pts - d[:, None] * g) / abc2
+    proj = eye - g[:, :, None] * g[:, None, :]
+    W = (proj / abc2) @ proj / np.linalg.norm(n, axis=1)[:, None, None]
+    return np.linalg.solve(eye + d[:, None, None] * W, W)
+
+
+def ellipsoid_forcing_from_jet(abc, pts, d, g):
+    """f = nu^T D^2(xyz) nu + (grad(xyz) . nu) tr D^2 d for u = xyz on the
+    ellipsoid, with nu the level-set normal at pts and D^2 d from
+    ``ellipsoid_hessian_solve`` at every point (d, g passed in)."""
+    abc2 = np.asarray(abc, dtype=float) ** 2
+    nu = pts / abc2
+    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    x, y, z = pts.T
+    quad = 2.0 * (z * nu[:, 0] * nu[:, 1] + y * nu[:, 0] * nu[:, 2] + x * nu[:, 1] * nu[:, 2])
+    gu = np.stack([y * z, x * z, x * y], axis=1)
+    trH = np.trace(ellipsoid_hessian_solve(abc, pts, d, g), axis1=1, axis2=2)
+    return quad + np.einsum("ni,ni->n", gu, nu) * trH
+
+
 def torus_exact_curvatures(R, r, point):
     """Principal curvatures of the torus surface at an on-surface point.
 

@@ -130,6 +130,22 @@ def test_ellipsoid_jet_guard_reuses_its_newton_solve(monkeypatch):
     assert solves == [len(pts)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(axes=st.tuples(*[st.floats(0.3, 2.0)] * 3), seed=st.integers(0, 2**32 - 1))
+def test_ellipsoid_hessian_matches_the_solve(axes, seed):
+    """The closed-form ellipsoid D^2 d (Cayley-Hamilton on the tangent
+    plane) agrees with W (I + d W)^-1 by a 3x3 solve out to 0.95 of the
+    tube halfwidth, and annihilates the normal."""
+    e = Ellipsoid(*axes)
+    pts = e.tube_points(64, np.random.default_rng(seed), fill=0.95)
+    d, g = e._grad_raw(pts)
+    H = e._hessian(pts, d, g)
+    ref = oracles.ellipsoid_hessian_solve(e.abc, pts, d, g)
+    scale = np.linalg.norm(ref, axis=(1, 2))
+    assert (np.abs(H - ref).max(axis=(1, 2)) <= 1e-12 * scale).all()
+    assert (np.abs(np.einsum("nij,nj->ni", H, g)).max(axis=1) <= 1e-12 * scale).all()
+
+
 # ---------------------------------------------------------------------------
 # closest points against brute force
 # ---------------------------------------------------------------------------
@@ -379,6 +395,45 @@ def test_manufactured_gradient_is_tangential_and_consistent(surface):
     dn = sol.u(surface.closest_point(pts - eps * t))
     fd = (up - dn) / (2 * eps)
     assert np.abs(fd - np.einsum("nd,nd->n", g_gamma, t)).max() < 1e-6
+
+
+ELLIPSOIDS = [Ellipsoid(1.3, 1.0, 0.8), Ellipsoid(1.0, 0.8, 0.8), Ellipsoid(2.0, 0.5, 0.3)]
+
+
+def assert_matches_jet_forcing(e, pts, f):
+    d, g = e._grad_raw(pts)
+    ref = oracles.ellipsoid_forcing_from_jet(e.abc, pts, d, g)
+    assert (np.abs(f - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0)).all()
+
+
+@pytest.mark.parametrize("lift", [CLOSEST_POINT, SCALED_RADIAL])
+@pytest.mark.parametrize("e", ELLIPSOIDS, ids=repr)
+def test_ellipsoid_forcing_on_the_surface_skips_the_newton_solve(e, lift, monkeypatch):
+    """Lift images lie on the surface to rounding, so f takes d = 0 and
+    grad d = nu there instead of solving for the closest point, and still
+    equals the jet formula with the solved d, grad d and D^2 d."""
+    pts = e.generic_lift(e.tube_points(400, np.random.default_rng(4)), lift)
+    solves = []
+    closest_t = e._closest_t
+
+    def counting(x):
+        solves.append(len(x))
+        return closest_t(x)
+
+    monkeypatch.setattr(e, "_closest_t", counting)
+    f = e.manufactured().f(pts)
+    assert solves == []
+    monkeypatch.undo()
+    assert_matches_jet_forcing(e, pts, f)
+
+
+@pytest.mark.parametrize("e", ELLIPSOIDS, ids=repr)
+def test_ellipsoid_forcing_off_the_surface_follows_the_jet(e):
+    """Off the surface (the narrow band's mismatch-map images) f is the
+    jet formula at the point itself."""
+    pts = e.tube_points(400, np.random.default_rng(5))
+    assert (np.abs(e.level_value(pts)) > 1e-13).all()
+    assert_matches_jet_forcing(e, pts, e.manufactured().f(pts))
 
 
 def test_sphere_forcing_extends_through_projection():

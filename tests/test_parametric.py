@@ -13,9 +13,11 @@ from beltrami import (
     Torus,
     build_sphere_mesh,
     build_torus_mesh,
+    geometric_estimators,
     parametric_forcing,
     parametric_solve,
     refine_uniform,
+    residual_estimator,
     surface_error_norms,
 )
 from beltrami.errors import BeltramiError
@@ -85,6 +87,22 @@ def test_forcing_scaled_radial_matches_fd_jacobian():
         )
         lifted = e._scaled_radial_raw(x[None])[0]
         assert Fi == pytest.approx(float(prob.solution.f(lifted)) * jac, rel=1e-5)
+
+
+@pytest.mark.parametrize("lift", [CLOSEST_POINT, SCALED_RADIAL])
+def test_ellipsoid_solves_do_no_batched_linear_solve(lift, monkeypatch):
+    """The ellipsoid's D^2 d is in closed form: neither a parametric solve
+    nor its estimators call np.linalg.solve."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve in an ellipsoid solve")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    e = Ellipsoid(1.3, 1.0, 0.8)
+    problem = ParametricProblem(e, build_sphere_mesh(e, 2), lift=lift)
+    ws = {}
+    field, _ = parametric_solve(problem, workspace_out=ws)
+    residual_estimator(problem, field, ws)
+    geometric_estimators(problem, ws)
 
 
 def test_solution_field_has_mean_zero(sphere_problem):
