@@ -57,21 +57,17 @@ from .meshes import (
 )
 from .parametric import (
     ParametricProblem,
-    parametric_forcing,
     parametric_solve,
     surface_error_norms,
 )
 from .trace import (
     TraceProblem,
-    geometric_resolution,
     skin_containment,
-    trace_forcing,
     trace_solve,
 )
 from .narrowband import (
     NarrowBandProblem,
     mismatch_map,
-    narrowband_forcing,
     narrowband_solve,
 )
 from .estimators import (

@@ -12,8 +12,8 @@ import numpy as np
 from .fem import triangle_geometry
 from .geometry import CLOSEST_POINT, plane_basis
 from .meshes import edge_table, refine_bisection
-from .parametric import ParametricProblem, parametric_solve, parametric_workspace
-from .trace import _face_workspace, face_deviations
+from .parametric import ParametricProblem, parametric_solve
+from .trace import face_deviations
 
 
 class IndicatorField:
@@ -57,14 +57,13 @@ def _edge_jumps(grad_u, grads, tri_edges, edge_lengths):
     return jumps, (edge_lengths[tri_edges] * jumps[tri_edges] ** 2).sum(axis=1)
 
 
-def residual_estimator(problem, field, workspace=None):
+def residual_estimator(problem, field, ws):
     """Elementwise residual indicator and data oscillation (parametric).
 
     eta_T^2 = h_T^2 ||F||_T^2 + (h_T / 2) sum_{e in dT} |e| J_e^2 with
-    h_T = |T|^(1/2); osc_T = h_T ||F - mean_T F||_T.
+    h_T = |T|^(1/2); osc_T = h_T ||F - mean_T F||_T, from the solve's ``ws``.
     """
     mesh = problem.mesh
-    ws = workspace if workspace is not None else parametric_workspace(problem)
     c = field.coefficients
     grad_u = np.einsum("ek,ekd->ed", c[ws["dofs"]], ws["grads"])
     w = ws["weights"]
@@ -90,7 +89,7 @@ def _spectral_norm_3x2(c1, c2):
     return np.sqrt(np.maximum(half + disc, 0.0))
 
 
-def geometric_estimators(problem, workspace=None):
+def geometric_estimators(problem, ws):
     """Facetwise parametrization-quality indicators lambda, beta, mu.
 
     Each facet is sampled at its six quadrature nodes and three vertices.
@@ -98,10 +97,9 @@ def geometric_estimators(problem, workspace=None):
     lambda_T the largest in-plane deviation of the differential
     DP = I - grad d grad d^T - d D^2 d from the identity, exact from the
     distance jet (first order); mu_T = beta_T + lambda_T^2.  Totals
-    aggregate by max.  The nodes take the workspace's jet and the vertices
-    one jet per mesh vertex.
+    aggregate by max.  The nodes take the jet of the solve's facet element
+    set ``ws`` and the vertices one jet per mesh vertex.
     """
-    ws = workspace if workspace is not None else parametric_workspace(problem)
     corners = ws["dofs"].ravel()
     jets = (ws["jet"],
             [a[corners] for a in problem.surface._jet_raw(problem.mesh.vertices)])
@@ -123,17 +121,17 @@ def geometric_estimators(problem, workspace=None):
     }
 
 
-def trace_estimators(problem, field, workspace=None):
+def trace_estimators(problem, field, ws):
     """Residual and geometric indicators for the trace solution.
 
     eta_F = h_F ||F_Gamma||_F + h_F^(1/2) (sum_{e in dF} |e| J_e^2)^(1/2)
     with h_F the parent tetrahedron diameter (the full face boundary, so
     interior quad diagonals contribute zero jump); xi_F = max_F |d| * K_F
     + (max_F |nu - nu_Gamma|)^2 with K_F the largest principal curvature
-    magnitude over the projected samples, aggregated by max.
+    magnitude over the projected samples, aggregated by max.  ``ws`` is the
+    cut-face element set the solve filled.
     """
     cut = problem.cut
-    ws = workspace if workspace is not None else _face_workspace(problem)
     c = field.coefficients
     grad_u = np.einsum("ek,ekd->ed", c[ws["dofs"]], ws["grads"])
 

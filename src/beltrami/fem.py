@@ -1,9 +1,9 @@
 """Method-agnostic P1 finite element infrastructure.
 
 Quadrature rules on reference simplices, constant element gradients for
-triangles in 3-D and tetrahedra, CSR stiffness/load assembly, lumped
-masses, and the mean-zero-constrained Jacobi-preconditioned conjugate
-gradient solver shared by the parametric, trace, and narrow-band methods.
+triangles in 3-D, CSR stiffness/load assembly, lumped masses, and the
+mean-zero-constrained Jacobi-preconditioned conjugate gradient solver
+shared by the parametric, trace, and narrow-band methods.
 
 The three methods differ only in their element set: facets of the
 polyhedral surface, cut faces of the bulk mesh, or band tetrahedra.
@@ -12,9 +12,11 @@ points: ``dofs`` (E, k) DOF numbers, ``grads`` (E, k, 3) constant hat
 gradients (tangential on faces), ``measures`` (E,) element measures
 (indicator-weighted in the band), ``qp`` (E, nq, 3) quadrature points,
 ``weights`` (E, nq) their weights including the measure, and ``phi``
-(E, nq, k) the hat values there.  Surface sets add ``normals`` (E, 3);
-sampled sets add ``jet``, the distance jet at the points, and from it
-``forcing`` (E, nq) and the flat exact samples ``u_exact``, ``grad_exact``.
+(E, nq, k) the hat values there.  Surface sets add ``normals`` (E, 3)
+and, sampled, ``jet`` (the distance jet at the points) and from it
+``forcing`` (E, nq) where they carry the load.  Band sets add ``d_h`` and
+``inside`` (E, nq).  Error sets add the flat exact samples ``u_exact``
+and ``grad_exact``.
 """
 
 import numpy as np
@@ -125,21 +127,6 @@ def triangle_geometry(coords):
     nu = n / two_area[:, None]
     grads = np.cross(nu[:, None, :], e) / two_area[:, None, None]
     return grads, 0.5 * two_area, nu
-
-
-def tetrahedron_geometry(coords):
-    """Gradients and volumes for tetrahedra; coords (E, 4, 3)."""
-    coords = np.asarray(coords, dtype=float)
-    J = coords[:, 1:] - coords[:, 0:1]  # rows are edge vectors
-    vol = np.linalg.det(J) / 6.0
-    edge = np.linalg.norm(J, axis=2).max(axis=1)
-    if np.any(np.abs(vol) < 1e-14 * edge**3):
-        raise DegenerateSimplex("tetrahedron with vanishing volume")
-    Jinv = np.linalg.inv(J)
-    grads = np.empty((len(coords), 4, 3))
-    grads[:, 1:, :] = np.transpose(Jinv, (0, 2, 1))
-    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    return grads, vol
 
 
 def barycentric_values(grads, coords, points):

@@ -287,8 +287,8 @@ class Sphere(ImplicitSurface):
     kind = "sphere"
 
     def __init__(self, radius):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < radius < np.inf:
+            raise ValueError("radius must be positive and finite")
         self.radius = float(radius)
 
     def __repr__(self):
@@ -366,8 +366,8 @@ class Torus(ImplicitSurface):
     kind = "torus"
 
     def __init__(self, major_radius, minor_radius):
-        if not major_radius > minor_radius > 0:
-            raise ValueError("torus requires R > r > 0")
+        if not np.inf > major_radius > minor_radius > 0:
+            raise ValueError("torus requires finite R > r > 0")
         self.major_radius = float(major_radius)
         self.minor_radius = float(minor_radius)
 
@@ -515,8 +515,8 @@ class Ellipsoid(ImplicitSurface):
     kind = "ellipsoid"
 
     def __init__(self, a, b, c):
-        if min(a, b, c) <= 0:
-            raise ValueError("semi-axes must be positive")
+        if not all(0 < v < np.inf for v in (a, b, c)):
+            raise ValueError("semi-axes must be positive and finite")
         self.abc = np.array([float(a), float(b), float(c)])
         self.abc2 = self.abc**2
 
@@ -711,18 +711,32 @@ class Ellipsoid(ImplicitSurface):
 # ---------------------------------------------------------------------------
 
 
+def is_finite_number(value):
+    """Whether value is an int or a finite float; booleans are not numbers."""
+    return not isinstance(value, bool) and (
+        isinstance(value, int) or isinstance(value, float) and bool(np.isfinite(value)))
+
+
 def surface_from_config(spec):
-    """Build a surface from its config mapping, e.g. {"kind": "sphere", "radius": 1.0}."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise UnsupportedSurface("surface config must be a mapping with a 'kind'")
+    """Build a surface from its config mapping, e.g. {"kind": "sphere", "radius": 1.0};
+    a parameter that fails ``is_finite_number`` is refused."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("kind"), str):
+        raise UnsupportedSurface("surface config must be a mapping with a string 'kind'")
     kind = spec["kind"].lower()
+
+    def number(name):
+        value = spec[name]
+        if not is_finite_number(value):
+            raise UnsupportedSurface(f"{name} must be a finite number, got {value!r}")
+        return value
+
     try:
         if kind == "sphere":
-            return Sphere(spec["radius"])
+            return Sphere(number("radius"))
         if kind == "torus":
-            return Torus(spec["major_radius"], spec["minor_radius"])
+            return Torus(number("major_radius"), number("minor_radius"))
         if kind == "ellipsoid":
-            return Ellipsoid(spec["a"], spec["b"], spec["c"])
+            return Ellipsoid(number("a"), number("b"), number("c"))
     except KeyError as missing:
         raise UnsupportedSurface(f"surface config for {kind!r} is missing {missing}")
     raise UnsupportedSurface(f"unknown surface kind {kind!r}")

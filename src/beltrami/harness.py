@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import BadSeries, ConfigError
 from .estimators import adapt_loop, geometric_estimators, residual_estimator
-from .geometry import CLOSEST_POINT, SCALED_RADIAL, surface_from_config
+from .geometry import CLOSEST_POINT, SCALED_RADIAL, is_finite_number, surface_from_config
 from .meshes import (
     build_bulk_mesh,
     build_sphere_mesh,
@@ -40,12 +40,7 @@ OPTIONAL_COLUMNS = (
 def _config_number(value, name, integral=False):
     """A config value as float (int if ``integral``); strings, null, booleans,
     non-finite and non-integral values raise ConfigError naming it."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(value, float) and not np.isfinite(value))
-        or (integral and value != int(value))
-    ):
+    if not is_finite_number(value) or (integral and value != int(value)):
         kind = "an integer" if integral else "a finite number"
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
     return int(value) if integral else float(value)

@@ -479,18 +479,14 @@ class CutSurface:
     picked from ``lattice_d`` at the ascending ``lattice_ids``.
     """
 
-    def __init__(self, bulk, vertices, faces, parent_tet, lattice_ids, lattice_d,
-                 n_degenerate):
+    def __init__(self, bulk, vertices, faces, areas, normals, parent_tet,
+                 lattice_ids, lattice_d, n_degenerate):
         self.bulk = bulk
         self.vertices = vertices
         self.faces = faces
+        self.areas, self.normals = areas, normals
         self.parent_tet = parent_tet
         self.n_degenerate = int(n_degenerate)
-        coords = vertices[faces]
-        n = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
-        two_area = np.linalg.norm(n, axis=1)
-        self.areas = 0.5 * two_area
-        self.normals = n / two_area[:, None]
         self.h_face = np.full(len(faces), bulk.tet_diameter)
         self.cut_tets = np.unique(parent_tet)
         self.active_dofs = np.unique(bulk.tet_vertices(self.cut_tets))
@@ -596,10 +592,14 @@ def extract_cut_surface(bulk, surface):
     faces, parents = faces[distinct], ids[parents[distinct]]
     coords = cut_vertices[faces]
     n = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
-    good = np.linalg.norm(n, axis=1) >= 2e-14 * bulk.h**2
-    n_degenerate = int((~good).sum())
-    faces = _orient_outward(cut_vertices, faces[good], surface)
-    return CutSurface(bulk, cut_vertices, faces, parents[good], vids, d, n_degenerate)
+    two_area = np.linalg.norm(n, axis=1)
+    good = two_area >= 2e-14 * bulk.h**2
+    faces, n, two_area = faces[good], n[good], two_area[good]
+    # orient along grad d: swapping two corners negates n exactly
+    flip = np.einsum("td,td->t", n, surface._grad_raw(coords[good].mean(axis=1))[1]) < 0.0
+    faces[flip], n[flip] = faces[flip][:, [0, 2, 1]], -n[flip]
+    return CutSurface(bulk, cut_vertices, faces, 0.5 * two_area, n / two_area[:, None],
+                      parents[good], vids, d, len(good) - len(faces))
 
 
 class BandMesh:

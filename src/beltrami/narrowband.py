@@ -17,7 +17,6 @@ from .fem import (
     SolutionField,
     assemble_load,
     assemble_stiffness,
-    barycentric_values,
     lumped_mass,
     solve_mean_zero,
 )
@@ -43,18 +42,6 @@ class NarrowBandProblem:
             self.delta + self.bulk.tet_diameter
             <= 2.0 * self.surface.tube_halfwidth()
         )
-
-    def interpolated_distance(self, x):
-        """d_h(x): the vertex-interpolated signed distance, located per tet."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        bulk = self.bulk
-        tids = bulk.point_to_tet(pts)
-        coords = bulk.vertex_points(bulk.tet_vertices(tids))
-        phi = barycentric_values(bulk.tet_grads(tids), coords,
-                                 pts[:, None, :])[:, 0, :]
-        d = self.surface._distance_raw(coords.reshape(-1, 3)).reshape(-1, 4)
-        d_h = np.einsum("nk,nk->n", phi, d)
-        return d_h if np.asarray(x).ndim == 2 else d_h[0]
 
     def __repr__(self):
         return f"NarrowBandProblem({self.surface!r}, delta={self.delta:g})"
@@ -84,8 +71,8 @@ def _band_quadrature(problem, rule=TET_DEGREE4):
     fractions are clamped at zero so the stiffness stays positive
     semidefinite.  Band tets are lattice translates: gradients come from
     the Kuhn table, and the hat values at the nodes are the rule's
-    barycentric points.  ``tets`` holds the global vertex ids, ``d_h``
-    and ``inside`` the interpolated distance and indicator at the nodes.
+    barycentric points.  ``d_h`` and ``inside`` hold the interpolated
+    distance and indicator at the nodes.
     """
     band, bulk = problem.band, problem.bulk
     vol = bulk.tet_volume
@@ -95,10 +82,8 @@ def _band_quadrature(problem, rule=TET_DEGREE4):
     nw = rule.normalized_weights
     frac = np.maximum((nw[None, :] * inside).sum(axis=1), 0.0)
     return {
-        "tets": band.tets(),
         "dofs": band.dofs,
         "grads": bulk.tet_grads(band.tet_ids),
-        "vols": vol,
         "qp": bulk.tet_points(band.tet_ids, bary),
         "phi": np.broadcast_to(bary, (band.n_tets,) + bary.shape),
         "d_h": d_h,
@@ -108,15 +93,13 @@ def _band_quadrature(problem, rule=TET_DEGREE4):
     }
 
 
-def narrowband_forcing(problem, quad=None):
+def narrowband_forcing(problem, quad):
     """Mean-corrected transferred data F = f(M_h(x)) - band average.
 
-    Two passes: evaluate f through the mismatch map at every band
-    quadrature node, then subtract the indicator-weighted average so the
-    singular system stays compatible.
+    Two passes: evaluate f through the mismatch map at every node of the
+    band set ``quad`` (``_band_quadrature``), then subtract the
+    indicator-weighted average so the singular system stays compatible.
     """
-    if quad is None:
-        quad = _band_quadrature(problem)
     flat = quad["qp"].reshape(-1, 3)
     mask = quad["inside"].ravel()
     d_h = quad["d_h"].ravel()

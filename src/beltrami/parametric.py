@@ -63,30 +63,6 @@ def _jet_forcing(surface, solution, pts, nus, d, g, H):
     return solution.f(pts - d[:, None] * g) * surface._jet_area_ratio(d, g, H, nus)
 
 
-def closest_point_forcing(surface, solution, pts, nus):
-    """F(x) = f(P_d(x)) q/q_Gamma at points x of facets with unit normals nus."""
-    return _jet_forcing(surface, solution, pts, nus, *surface.distance_jet(pts))
-
-
-def _scaled_radial_forcing(surface, solution, pts, nus, steps):
-    ratio = _scaled_radial_jacobian(surface, pts, nus, steps)
-    return solution.f(surface._scaled_radial_raw(pts)) * ratio
-
-
-def parametric_forcing(problem, x, nu_gamma):
-    """Transferred right-hand side F(x) = f(lift(x)) * (area ratio at x)."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    nus = np.broadcast_to(
-        np.atleast_2d(np.asarray(nu_gamma, dtype=float)), pts.shape
-    )
-    if problem.lift == CLOSEST_POINT:
-        vals = closest_point_forcing(problem.surface, problem.solution, pts, nus)
-    else:
-        vals = _scaled_radial_forcing(problem.surface, problem.solution, pts, nus,
-                                      np.full(len(pts), 1e-6 * problem.mesh.h_max))
-    return vals if np.asarray(x).ndim == 2 else float(vals[0])
-
-
 def _exact_samples(surface, solution, pts, nus, d, g, H):
     """u(P_d x) and its lifted tangential gradient at points x of facets
     with unit normals nus, from the distance jet (d, g, H) at pts."""
@@ -138,13 +114,11 @@ def sample_faces(es, surface, solution, forcing=True):
 
 
 def parametric_workspace(problem):
-    """The facet element set, sampled (``sample_faces``); ``coords`` holds
-    the facet corners."""
+    """The facet element set, sampled (``sample_faces``); under the
+    scaled-radial lift ``forcing`` is f(lift x) times the FD area Jacobian."""
     mesh = problem.mesh
-    coords = mesh.triangle_coords()
-    qp = TRI_DEGREE4.physical_points(coords)
+    qp = TRI_DEGREE4.physical_points(mesh.triangle_coords())
     es = {
-        "coords": coords,
         "dofs": mesh.triangles,
         "grads": mesh.grads,
         "measures": mesh.areas,
@@ -157,21 +131,21 @@ def parametric_workspace(problem):
     closest = problem.lift == CLOSEST_POINT
     sample_faces(es, problem.surface, problem.solution, forcing=closest)
     if not closest:
-        nq = TRI_DEGREE4.npoints
-        F = _scaled_radial_forcing(problem.surface, problem.solution, qp.reshape(-1, 3),
-                                   np.repeat(mesh.normals, nq, axis=0),
-                                   np.repeat(1e-6 * mesh.diameters, nq))
+        surface, flat, nq = problem.surface, qp.reshape(-1, 3), TRI_DEGREE4.npoints
+        ratio = _scaled_radial_jacobian(surface, flat, np.repeat(mesh.normals, nq, axis=0),
+                                        np.repeat(1e-6 * mesh.diameters, nq))
+        F = problem.solution.f(surface._scaled_radial_raw(flat)) * ratio
         es["forcing"] = F.reshape(es["weights"].shape)
     return es
 
 
-def parametric_assemble(problem, workspace=None):
+def parametric_assemble(problem):
     """Stiffness, load, and lumped mass of the parametric problem.
 
     Returns (A, b, m, workspace); the workspace is the sampled facet
     element set the error and estimator routines reuse.
     """
-    ws = workspace if workspace is not None else parametric_workspace(problem)
+    ws = parametric_workspace(problem)
     dofs = ws["dofs"]
     n = problem.mesh.n_vertices
     A = assemble_stiffness(ws["grads"], ws["measures"], dofs, n)

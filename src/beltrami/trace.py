@@ -21,8 +21,7 @@ from .fem import (
     solve_mean_zero,
 )
 from .meshes import extract_cut_surface
-from .parametric import closest_point_forcing, error_samples, sample_faces
-from .parametric import surface_error_norms
+from .parametric import error_samples, sample_faces, surface_error_norms
 
 
 class TraceProblem:
@@ -71,15 +70,6 @@ def _face_workspace(problem):
     return ws
 
 
-def trace_forcing(problem, x, face_normal):
-    """Transferred data F(x) = f(P_d(x)) * area ratio for x on a cut face."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    nus = np.broadcast_to(np.atleast_2d(np.asarray(face_normal, dtype=float)),
-                          pts.shape)
-    vals = closest_point_forcing(problem.surface, problem.solution, pts, nus)
-    return vals if np.asarray(x).ndim == 2 else float(vals[0])
-
-
 def trace_solve(problem, tol=1e-10, workspace_out=None):
     """Solve the trace problem; returns (SolutionField, ErrorReport)."""
     cut = problem.cut
@@ -97,7 +87,7 @@ def trace_solve(problem, tol=1e-10, workspace_out=None):
     l2, h1 = surface_error_norms(*error_samples(ws, c))
     if workspace_out is not None:
         workspace_out.update(ws)
-    geo = geometric_resolution(problem, _workspace=ws)
+    geo = geometric_resolution(problem, ws)
     report = ErrorReport(
         problem.bulk.tet_diameter, n, l2, h1, iterations=len(history),
         info={"area": cut.total_area(), "n_faces": cut.n_faces, **geo},
@@ -108,29 +98,29 @@ def trace_solve(problem, tol=1e-10, workspace_out=None):
 def face_deviations(problem, ws):
     """Samples (F * 9, 3) at face quadrature nodes and vertices, and per
     face the max |d| and max |grad d - nu_F| over them.  The nodes take
-    the workspace's jet; only the vertices are evaluated here."""
-    corners = problem.cut.vertices[problem.cut.faces]
+    the workspace's jet; the cut vertices are evaluated here, once each."""
+    cut = problem.cut
+    corners = cut.vertices[cut.faces]
     n_f = len(corners)
-    d_v, g_v = problem.surface._grad_raw(corners.reshape(-1, 3))
+    d_v, g_v = problem.surface._grad_raw(cut.vertices)
     d_q, g_q = ws["jet"]
-    d = np.hstack([d_q.reshape(n_f, -1), d_v.reshape(n_f, 3)])
-    g = np.hstack([g_q.reshape(n_f, -1, 3), g_v.reshape(n_f, 3, 3)])
+    d = np.hstack([d_q.reshape(n_f, -1), d_v[cut.faces]])
+    g = np.hstack([g_q.reshape(n_f, -1, 3), g_v[cut.faces]])
     dev = np.linalg.norm(g - ws["normals"][:, None, :], axis=2)
     flat = np.hstack([ws["qp"], corners]).reshape(-1, 3)
     return flat, np.abs(d).max(axis=1), dev.max(axis=1)
 
 
-def geometric_resolution(problem, _workspace=None):
+def geometric_resolution(problem, ws):
     """How well the cut surface resolves the smooth one.
 
-    Samples each face at its quadrature nodes and vertices and returns
-    the max distance to the surface (second order in h) and max normal
-    deviation (first order), plus the h-normalized constants.
+    Samples each face at its quadrature nodes (the jet of the sampled
+    cut-face set ``ws``) and vertices and returns the max distance to the
+    surface (second order in h) and max normal deviation (first order),
+    plus the h-normalized constants.
     """
-    cut = problem.cut
-    ws = _workspace if _workspace is not None else _face_workspace(problem)
     _, per_face_d, per_face_dev = face_deviations(problem, ws)
-    h = cut.h_face
+    h = problem.cut.h_face
     return {
         "max_distance": float(per_face_d.max()),
         "max_normal_dev": float(per_face_dev.max()),

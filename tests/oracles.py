@@ -371,6 +371,28 @@ def eoc_pairs(errors, hs):
 # ---------------------------------------------------------------------------
 
 
+def tetrahedron_geometry(coords):
+    """Barycentric gradients (E, 4, 3) and signed volumes (E,) of tetrahedra
+    with corners coords (E, 4, 3), from a determinant and an inverse of the
+    edge matrix J (rows x_i - x_0): lambda_{1..3} = J^-T (x - x_0)."""
+    coords = np.asarray(coords, dtype=float)
+    J = coords[:, 1:] - coords[:, :1]
+    grads = np.empty((len(coords), 4, 3))
+    grads[:, 1:] = np.transpose(np.linalg.inv(J), (0, 2, 1))
+    grads[:, 0] = -grads[:, 1:].sum(axis=1)
+    return grads, np.linalg.det(J) / 6.0
+
+
+def tetrahedron_barycentrics(coords, points):
+    """Barycentric coordinates (E, 4) of points (E, 3), one per tetrahedron
+    coords (E, 4, 3), by solving J^T lambda = x - x_0."""
+    coords = np.asarray(coords, dtype=float)
+    J = coords[:, 1:] - coords[:, :1]
+    rest = np.linalg.solve(np.transpose(J, (0, 2, 1)), (points - coords[:, 0])[:, :, None])
+    rest = rest[:, :, 0]
+    return np.column_stack([1.0 - rest.sum(axis=1), rest])
+
+
 def kuhn_corner_offsets():
     """Corner offsets (6, 4, 3) of the Kuhn tetrahedra of the unit cube,
     one per axis permutation p in lexicographic order: 0, e_p0,

@@ -170,7 +170,7 @@ def test_flat_limit_vanishes():
     coords = s.closest_point(coords.reshape(-1, 3)).reshape(1, 3, 3)
     qp = TRI_DEGREE4.physical_points(coords)
     _, _, nus = triangle_geometry(coords)
-    ws = {"qp": qp, "coords": coords, "normals": nus, "dofs": np.array([[0, 1, 2]]),
+    ws = {"qp": qp, "normals": nus, "dofs": np.array([[0, 1, 2]]),
           "jet": s.distance_jet(qp.reshape(-1, 3))}
     stub = SimpleNamespace(surface=s, mesh=SimpleNamespace(vertices=coords[0]))
     g = geometric_estimators(stub, ws)
@@ -179,11 +179,11 @@ def test_flat_limit_vanishes():
     assert g["mu"].total < 1e-9
 
 
-def fd_geometric_indicators(project, ws):
+def fd_geometric_indicators(project, ws, coords):
     """Per-facet lambda and beta from central differences of the
     closest-point map ``project`` (step 1e-5 (1 + |x|)) at the facets'
-    quadrature nodes and vertices."""
-    samples = np.concatenate([ws["qp"], ws["coords"]], axis=1)
+    quadrature nodes and vertices ``coords``."""
+    samples = np.concatenate([ws["qp"], coords], axis=1)
     n_s = samples.shape[1]
     flat = samples.reshape(-1, 3)
     nus = np.repeat(ws["normals"], n_s, axis=0)
@@ -212,14 +212,18 @@ def test_geometric_indicators_match_finite_differences(surface, mesh):
     problem = ParametricProblem(surface, mesh(surface))
     ws = parametric_workspace(problem)
     g = geometric_estimators(problem, ws)
-    lam, beta = fd_geometric_indicators(surface._project_raw, ws)
+    lam, beta = fd_geometric_indicators(surface._project_raw, ws,
+                                        problem.mesh.triangle_coords())
     assert np.allclose(g["lambda"].values, lam, rtol=1e-6, atol=0.0)
     assert np.allclose(g["beta"].values, beta, rtol=1e-6, atol=0.0)
 
 
 def test_one_jet_per_quadrature_point(monkeypatch):
     """A solve and both estimators evaluate the jet once at each quadrature
-    point and at most once more per facet vertex: 6F + 3F points or fewer."""
+    point and at most once more per facet vertex: 6F + 3F points or fewer.
+    A trace solve evaluates the jet (``distance_jet``) and the distance
+    gradient (``_grad_raw``) on 6F + V points or fewer: once per quadrature
+    node and once per cut vertex."""
     s = Torus(1.0, 0.4)
     problem = ParametricProblem(s, build_torus_mesh(s, 8, 4))
     points = []
@@ -236,6 +240,27 @@ def test_one_jet_per_quadrature_point(monkeypatch):
     geometric_estimators(problem, ws)
     n_facets = problem.mesh.n_triangles
     assert sum(points) <= (6 + 3) * n_facets
+
+    s = Sphere(1.0)
+    trace = TraceProblem(s, build_bulk_mesh(s, 8))
+    points, inside = [], []
+
+    def outermost(method):
+        def counted(x):
+            if not inside:
+                points.append(len(x))
+            inside.append(method)
+            try:
+                return method(x)
+            finally:
+                inside.pop()
+        return counted
+
+    for name in ("distance_jet", "_grad_raw"):
+        monkeypatch.setattr(s, name, outermost(getattr(s, name)))
+    trace_solve(trace)
+    cut = trace.cut
+    assert sum(points) <= 6 * cut.n_faces + len(cut.vertices)
 
 
 def test_mu_combines_beta_and_lambda(sphere_setup):

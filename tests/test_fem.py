@@ -30,7 +30,6 @@ from beltrami.fem import (
     assemble_stiffness,
     barycentric_values,
     lumped_mass,
-    tetrahedron_geometry,
     triangle_geometry,
 )
 from beltrami.narrowband import _band_quadrature
@@ -87,11 +86,18 @@ def test_triangle_geometry_hat_gradients():
 
 
 def test_tetrahedron_geometry_volumes():
+    """The tests' tetrahedron oracle on the unit corner tet, and the
+    library's affine barycentrics against its solved ones."""
     coords = np.array([[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]], dtype=float)
-    grads, vols = tetrahedron_geometry(coords)
+    grads, vols = oracles.tetrahedron_geometry(coords)
     assert vols[0] == pytest.approx(1.0 / 6.0)
     assert np.allclose(grads[0, 0], [-1, -1, -1])
     assert np.abs(grads.sum(axis=1)).max() < 1e-14
+    coords = np.random.default_rng(5).normal(size=(20, 4, 3))
+    pts = coords.mean(axis=1) + 0.1 * np.random.default_rng(6).normal(size=(20, 3))
+    grads, _ = oracles.tetrahedron_geometry(coords)
+    lam = barycentric_values(grads, coords, pts[:, None, :])[:, 0, :]
+    assert np.abs(lam - oracles.tetrahedron_barycentrics(coords, pts)).max() < 1e-9
 
 
 def test_barycentric_values_partition_and_nodal():

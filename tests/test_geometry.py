@@ -518,8 +518,12 @@ def test_surface_from_config_round_trip():
     assert isinstance(t, Torus)
     e = surface_from_config({"kind": "ellipsoid", "a": 1.2, "b": 1.0, "c": 0.9})
     assert isinstance(e, Ellipsoid)
-    with pytest.raises(UnsupportedSurface):
-        surface_from_config({"kind": "moebius"})
+    bad = [{"kind": "moebius"}, {"kind": 1},
+           {"kind": "sphere", "radius": np.nan}, {"kind": "sphere", "radius": True},
+           {"kind": "torus", "major_radius": "1", "minor_radius": 0.4}]
+    for spec in bad:
+        with pytest.raises(UnsupportedSurface):
+            surface_from_config(spec)
 
 
 def test_invalid_parameters_rejected():

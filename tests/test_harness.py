@@ -6,9 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltrami import (
     BadSeries,
+    BeltramiError,
     ConfigError,
     Ellipsoid,
     RunConfig,
@@ -19,6 +22,7 @@ from beltrami import (
     run_adapt,
     run_convergence,
     run_solve,
+    surface_from_config,
 )
 from beltrami.cli import main
 from beltrami.harness import (
@@ -148,6 +152,29 @@ def test_config_from_file(tmp_path):
         RunConfig.from_file(tmp_path / "missing.json")
 
 
+SURFACE_SPECS = {
+    "sphere": ({"kind": "sphere", "radius": 1.0}, "radius", Sphere),
+    "torus": ({"kind": "torus", "major_radius": 1.0, "minor_radius": 0.4},
+              "major_radius", Torus),
+    "ellipsoid": ({"kind": "ellipsoid", "a": 1.3, "b": 1.0, "c": 0.8}, "a", Ellipsoid),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True],
+                         ids=["nan", "inf", "-inf", "true"])
+@pytest.mark.parametrize("kind", sorted(SURFACE_SPECS))
+def test_config_rejects_nonfinite_surface_parameters(kind, value):
+    """NaN, infinite and boolean surface parameters are config errors,
+    and the surface classes refuse non-finite ones themselves."""
+    spec, name, cls = SURFACE_SPECS[kind]
+    with pytest.raises(ConfigError, match=name):
+        RunConfig({"surface": {**spec, name: value}, "levels": [1, 2]})
+    if value is not True:
+        args = [value if key == name else spec[key] for key in spec if key != "kind"]
+        with pytest.raises(ValueError, match="finite"):
+            cls(*args)
+
+
 # ---------------------------------------------------------------------------
 # runs
 # ---------------------------------------------------------------------------
@@ -200,6 +227,57 @@ def test_run_adapt_slope():
     slope = oracles.fit_loglog_slope([r["n_dof"] for r in rows],
                                      [r["err_H1"] for r in rows])
     assert result["slope_H1_vs_dofs"] == pytest.approx(slope, abs=1e-12)
+
+
+@st.composite
+def run_configs(draw):
+    """(task, config): a random finite surface and one of the three methods
+    or ``adapt``, at small sizes."""
+    kind = draw(st.sampled_from(["sphere", "torus", "ellipsoid"]))
+    if kind == "sphere":
+        surface = {"kind": kind, "radius": draw(st.floats(0.3, 3.0))}
+    elif kind == "torus":
+        major = draw(st.floats(0.5, 2.0))
+        surface = {"kind": kind, "major_radius": major,
+                   "minor_radius": major * draw(st.floats(0.1, 0.9))}
+    else:
+        surface = dict(zip("abc", draw(st.lists(st.floats(0.3, 2.0),
+                                                min_size=3, max_size=3))), kind=kind)
+    task = draw(st.sampled_from(["parametric", "trace", "narrowband", "adapt"]))
+    data = {"surface": surface}
+    if task in ("parametric", "adapt"):
+        data.update(levels=[draw(st.integers(0, 2))],
+                    lift=draw(st.sampled_from(["closest_point", "scaled_radial"])))
+        if task == "adapt":
+            data.update(iterations=draw(st.integers(1, 2)),
+                        theta=draw(st.floats(0.1, 0.9)))
+    else:
+        data.update(method=task, levels=[draw(st.integers(4, 12))],
+                    delta_factor=draw(st.floats(1.0, 2.0)))
+        if draw(st.booleans()):
+            shape = surface_from_config(surface)
+            needed = float(np.max(shape.axis_extents())) + shape.tube_halfwidth()
+            data["box_half_width"] = needed * draw(st.floats(1.0, 1.6))
+    return task, data
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=run_configs())
+def test_random_configs_give_finite_rows_or_typed_errors(case):
+    """Any valid config either runs to finite rows or stops with a
+    BeltramiError; RuntimeWarnings are errors under the test settings."""
+    task, data = case
+    config = RunConfig(data)
+    try:
+        if task == "adapt":
+            rows = run_adapt(config)[0]["rows"]
+        else:
+            _, _, result = run_solve(config)
+            rows = [result["row"], {"weighted_mean": result["weighted_mean"]}]
+    except BeltramiError:
+        return
+    for row in rows:
+        assert np.isfinite(list(row.values())).all(), row
 
 
 def test_adapt_needs_a_refinement_round(tmp_path, capsys):
@@ -325,6 +403,17 @@ def test_cli_bad_config_is_exit_2(tmp_path, capsys):
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_nonfinite_surface_is_exit_2(tmp_path, capsys):
+    """Python's json reads NaN; converge must refuse it, not print nan
+    rates."""
+    path = tmp_path / "nan.json"
+    path.write_text('{"surface": {"kind": "sphere", "radius": NaN}, "levels": [1, 2]}')
+    rc = main(["converge", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config_is_exit_2(capsys):

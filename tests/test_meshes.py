@@ -20,7 +20,6 @@ from beltrami import (
     build_torus_mesh,
     extract_band,
     extract_cut_surface,
-    narrowband_forcing,
     narrowband_solve,
     refine_bisection,
     refine_uniform,
@@ -35,11 +34,10 @@ from beltrami.fem import (
     assemble_stiffness,
     barycentric_values,
     local_dofs,
-    tetrahedron_geometry,
 )
 from beltrami.harness import surface_mesh_for_level
 from beltrami.meshes import edge_table
-from beltrami.narrowband import _band_quadrature
+from beltrami.narrowband import _band_quadrature, narrowband_forcing
 from beltrami.trace import _face_workspace
 
 import oracles
@@ -222,10 +220,8 @@ def test_bulk_mesh_tet_partition():
     bulk = build_bulk_mesh(Sphere(1.0), 4, half_width=2.0)
     assert bulk.n_tets == 6 * 4**3
     assert bulk.n_vertices == 5**3
-    from beltrami.fem import tetrahedron_geometry
-
     tets = bulk.tet_vertices(np.arange(bulk.n_tets))
-    _, vols = tetrahedron_geometry(bulk.vertex_points(tets))
+    _, vols = oracles.tetrahedron_geometry(bulk.vertex_points(tets))
     assert (vols > 0).all()
     assert vols.sum() == pytest.approx(4.0**3, rel=1e-12)
     # each cube's six tets fill exactly one cell
@@ -238,11 +234,8 @@ def test_point_location_consistent():
     rng = np.random.default_rng(8)
     pts = rng.uniform(-1.7, 1.7, size=(400, 3))
     tids = bulk.point_to_tet(pts)
-    from beltrami.fem import barycentric_values, tetrahedron_geometry
-
     coords = bulk.vertex_points(bulk.tet_vertices(tids))
-    grads, _ = tetrahedron_geometry(coords)
-    lam = barycentric_values(grads, coords, pts[:, None, :])[:, 0, :]
+    lam = oracles.tetrahedron_barycentrics(coords, pts)
     assert lam.min() > -1e-10
     assert np.abs(lam.sum(axis=1) - 1.0).max() < 1e-10
 
@@ -257,7 +250,7 @@ def test_kuhn_table_matches_dense_geometry(half_width, n, data):
     ids = np.array(data.draw(st.lists(st.integers(0, bulk.n_tets - 1),
                                       min_size=1, max_size=60)))
     coords = bulk.vertex_points(bulk.tet_vertices(ids))
-    grads, vols = tetrahedron_geometry(coords)
+    grads, vols = oracles.tetrahedron_geometry(coords)
     assert np.abs(bulk.tet_grads(ids) - grads).max() <= 1e-12 / bulk.h
     assert np.abs(vols - bulk.tet_volume).max() <= 1e-12 * bulk.tet_volume
     for rule in (TET_DEGREE4, TET_DEGREE2):
@@ -349,11 +342,8 @@ def test_cut_vertices_lie_on_lattice_edges():
     # vertices interpolate the vertex distance linearly to zero: d_h = 0,
     # reconstructed at cut vertices through their containing tets
     tids = bulk.point_to_tet(cut.vertices)
-    from beltrami.fem import barycentric_values, tetrahedron_geometry
-
     coords = bulk.vertex_points(bulk.tet_vertices(tids))
-    grads, _ = tetrahedron_geometry(coords)
-    lam = barycentric_values(grads, coords, cut.vertices[:, None, :])[:, 0, :]
+    lam = oracles.tetrahedron_barycentrics(coords, cut.vertices)
     d_vertex = s._distance_raw(coords.reshape(-1, 3)).reshape(-1, 4)
     d_h = np.einsum("nk,nk->n", lam, d_vertex)
     assert np.abs(d_h).max() < 1e-9
@@ -578,7 +568,7 @@ def test_band_stiffness_kernel_is_constants(case):
     except BeltramiError:
         assume(False)
     band = problem.band
-    dofs = local_dofs(band.active_dofs, quad["tets"])
+    dofs = local_dofs(band.active_dofs, band.tets())
     A = assemble_stiffness(quad["grads"], quad["measures"], dofs, band.n_active_dofs)
     assert _kernel_dimension(A) == 1
 

@@ -10,11 +10,10 @@ from beltrami import (
     Torus,
     build_bulk_mesh,
     mismatch_map,
-    narrowband_forcing,
     narrowband_solve,
 )
 from beltrami.fem import assemble_stiffness
-from beltrami.narrowband import _band_quadrature
+from beltrami.narrowband import _band_quadrature, narrowband_forcing
 
 import oracles
 
@@ -32,7 +31,7 @@ def band_system(problem, quad=None):
     n = band.n_active_dofs
     lookup = np.full(bulk.n_vertices, -1, dtype=np.int64)
     lookup[band.active_dofs] = np.arange(n)
-    dofs = lookup[quad["tets"]]
+    dofs = lookup[band.tets()]
     A = assemble_stiffness(quad["grads"], quad["measures"], dofs, n)
     m = np.repeat(quad["measures"][:, None] / 4.0, 4, axis=1)
     m = np.bincount(dofs.ravel(), weights=m.ravel(), minlength=n)
@@ -58,7 +57,10 @@ def test_mismatch_map_identity_at_bulk_vertices(sphere16):
     s, bulk, band = sphere16.surface, sphere16.bulk, sphere16.band
     near = np.abs(band.d_vertex) < 0.4 * s.tube_halfwidth()
     verts = bulk.vertex_points(band.active_dofs[near])
-    d_h = sphere16.interpolated_distance(verts)
+    # d_h located per tet: the vertex distances weighted by barycentrics
+    coords = bulk.vertex_points(bulk.tet_vertices(bulk.point_to_tet(verts)))
+    d_corner = s._distance_raw(coords.reshape(-1, 3)).reshape(-1, 4)
+    d_h = np.einsum("nk,nk->n", oracles.tetrahedron_barycentrics(coords, verts), d_corner)
     assert np.abs(d_h - band.d_vertex[near]).max() < 1e-11
     assert np.abs(mismatch_map(s, d_h, verts) - verts).max() < 1e-11
 
@@ -87,14 +89,6 @@ def test_mismatch_is_second_order():
     assert consts.max() / consts.min() < 3.0  # stable h^2 constant
 
 
-def test_interpolated_distance_shapes(sphere16):
-    x = np.array([1.05, 0.0, 0.0])
-    one = sphere16.interpolated_distance(x)
-    batch = sphere16.interpolated_distance(x[None])
-    assert np.isscalar(float(one)) and batch.shape == (1,)
-    assert batch[0] == pytest.approx(one)
-
-
 # ---------------------------------------------------------------------------
 # quadrature and forcing
 # ---------------------------------------------------------------------------
@@ -103,15 +97,15 @@ def test_interpolated_distance_shapes(sphere16):
 def test_band_quadrature_measures(sphere16):
     quad = _band_quadrature(sphere16)
     assert (quad["measures"] >= 0).all()  # clamped fractions
-    assert (quad["measures"] <= quad["vols"] + 1e-15).all()
+    assert (quad["measures"] <= sphere16.bulk.tet_volume + 1e-15).all()
     # total indicator-weighted measure approximates the shell volume
     shell = 2.0 * sphere16.delta * 4.0 * np.pi
     assert quad["measures"].sum() == pytest.approx(shell, rel=0.15)
 
 
 def test_forcing_mean_corrected(sphere16):
-    F, correction, measure = narrowband_forcing(sphere16)
     quad = _band_quadrature(sphere16)
+    F, correction, measure = narrowband_forcing(sphere16, quad)
     w = quad["weights"]
     scale = np.abs(F).max() * measure
     assert abs(float((w * F).sum())) < 1e-12 * scale
@@ -126,9 +120,9 @@ def test_constant_data_cancels(sphere16):
     )
     problem = NarrowBandProblem(sphere16.surface, sphere16.bulk,
                                 band=sphere16.band, solution=const)
-    F, correction, _ = narrowband_forcing(problem)
-    assert correction == pytest.approx(2.5, abs=1e-12)
     quad = _band_quadrature(problem)
+    F, correction, _ = narrowband_forcing(problem, quad)
+    assert correction == pytest.approx(2.5, abs=1e-12)
     assert np.abs(F[quad["inside"]]).max() < 1e-12
 
 
@@ -152,7 +146,7 @@ def test_correction_shrinks_for_asymmetric_data():
     corrections = []
     for n in (8, 16, 32):
         problem = NarrowBandProblem(s, build_bulk_mesh(s, n), solution=data)
-        _, corr, _ = narrowband_forcing(problem)
+        _, corr, _ = narrowband_forcing(problem, _band_quadrature(problem))
         corrections.append(abs(corr))
     assert corrections[2] < corrections[0]
     eoc = np.log(corrections[1] / corrections[2]) / np.log(2.0)

@@ -14,7 +14,6 @@ from beltrami import (
     build_sphere_mesh,
     build_torus_mesh,
     geometric_estimators,
-    parametric_forcing,
     parametric_solve,
     refine_uniform,
     residual_estimator,
@@ -61,14 +60,14 @@ def test_solve_matches_dense_oracle(sphere_problem):
 
 
 def test_forcing_transfer_closest_point(sphere_problem):
+    """The facet set's forcing, the one the solve assembles, is
+    f(P_d x) q/q_Gamma at every quadrature node."""
     s = sphere_problem.surface
-    sol = sphere_problem.solution
-    mesh = sphere_problem.mesh
-    centers = mesh.vertices[mesh.triangles].mean(axis=1)
-    nus = mesh.normals
-    F = parametric_forcing(sphere_problem, centers, nus)
-    expected = sol.f(s.closest_point(centers)) * s.area_ratio(centers, nus)
-    assert np.allclose(F, expected, rtol=1e-12)
+    ws = parametric_workspace(sphere_problem)
+    qp = ws["qp"].reshape(-1, 3)
+    nus = np.repeat(ws["normals"], ws["qp"].shape[1], axis=0)
+    expected = sphere_problem.solution.f(s.closest_point(qp)) * s.area_ratio(qp, nus)
+    assert np.allclose(ws["forcing"].ravel(), expected, rtol=1e-12)
 
 
 def test_forcing_scaled_radial_matches_fd_jacobian():
@@ -79,14 +78,14 @@ def test_forcing_scaled_radial_matches_fd_jacobian():
 
     emesh = SurfaceMesh(verts, mesh.triangles)
     prob = ParametricProblem(e, emesh, lift=SCALED_RADIAL)
-    centers = emesh.vertices[emesh.triangles].mean(axis=1)
-    F = parametric_forcing(prob, centers[:5], emesh.normals[:5])
-    for x, nu, Fi in zip(centers[:5], emesh.normals[:5], F):
-        jac = oracles.plane_jacobian(
-            lambda y: e._scaled_radial_raw(np.atleast_2d(y))[0], x, nu, 1e-6
-        )
-        lifted = e._scaled_radial_raw(x[None])[0]
-        assert Fi == pytest.approx(float(prob.solution.f(lifted)) * jac, rel=1e-5)
+    ws = parametric_workspace(prob)
+    for qp, nu, F in zip(ws["qp"][:5], ws["normals"][:5], ws["forcing"][:5]):
+        for x, Fi in zip(qp, F):
+            jac = oracles.plane_jacobian(
+                lambda y: e._scaled_radial_raw(np.atleast_2d(y))[0], x, nu, 1e-6
+            )
+            lifted = e._scaled_radial_raw(x[None])[0]
+            assert Fi == pytest.approx(float(prob.solution.f(lifted)) * jac, rel=1e-5)
 
 
 @pytest.mark.parametrize("lift", [CLOSEST_POINT, SCALED_RADIAL])

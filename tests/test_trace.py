@@ -12,15 +12,13 @@ from beltrami import (
     Torus,
     TraceProblem,
     build_bulk_mesh,
-    geometric_resolution,
     narrowband_solve,
     skin_containment,
-    trace_forcing,
     trace_solve,
 )
 from beltrami.errors import BeltramiError
 from beltrami.fem import assemble_stiffness, solve_mean_zero
-from beltrami.trace import _face_workspace
+from beltrami.trace import _face_workspace, geometric_resolution
 
 import oracles
 
@@ -100,16 +98,14 @@ def test_solve_matches_dense_oracle():
 
 
 def test_forcing_values(coarse_problem):
+    """The cut-face set's forcing, the one the solve assembles, is
+    f(P_d x) q/q_Gamma at every quadrature node."""
     s = coarse_problem.surface
-    cut = coarse_problem.cut
-    centers = cut.vertices[cut.faces].mean(axis=1)
-    F = trace_forcing(coarse_problem, centers, cut.normals)
-    expected = coarse_problem.solution.f(s.closest_point(centers)) * s.area_ratio(
-        centers, cut.normals
-    )
-    assert np.allclose(F, expected, rtol=1e-12)
-    one = trace_forcing(coarse_problem, centers[0], cut.normals[0])
-    assert one == pytest.approx(float(expected[0]))
+    ws = _face_workspace(coarse_problem)
+    qp = ws["qp"].reshape(-1, 3)
+    nus = np.repeat(coarse_problem.cut.normals, ws["qp"].shape[1], axis=0)
+    expected = coarse_problem.solution.f(s.closest_point(qp)) * s.area_ratio(qp, nus)
+    assert np.allclose(ws["forcing"].ravel(), expected, rtol=1e-12)
 
 
 def test_zero_data_gives_zero_solution(coarse_problem):
@@ -140,7 +136,8 @@ def test_geometric_resolution_orders():
     s = Sphere(1.0)
     cd, cn, dmax, nmax = [], [], [], []
     for n in (8, 16, 32):
-        geo = geometric_resolution(TraceProblem(s, build_bulk_mesh(s, n)))
+        problem = TraceProblem(s, build_bulk_mesh(s, n))
+        geo = geometric_resolution(problem, _face_workspace(problem))
         cd.append(geo["c_distance"])
         cn.append(geo["c_normal"])
         dmax.append(geo["max_distance"])
