@@ -10,7 +10,7 @@ Doerfler marking plus newest-vertex bisection closes the loop.
 import numpy as np
 
 from .fem import triangle_geometry
-from .geometry import CLOSEST_POINT, plane_basis
+from .geometry import CLOSEST_POINT, plane_basis, row_dot, row_norm
 from .meshes import edge_table, refine_bisection
 from .parametric import ParametricProblem, parametric_solve
 from .trace import face_deviations
@@ -39,7 +39,7 @@ class IndicatorField:
 
 
 def _edge_lengths(vertices, edges):
-    return np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
+    return row_norm(vertices[edges[:, 0]] - vertices[edges[:, 1]])
 
 
 def _edge_jumps(grad_u, grads, tri_edges, edge_lengths):
@@ -50,11 +50,11 @@ def _edge_jumps(grad_u, grads, tri_edges, edge_lengths):
     gives the jump J_e, and the element term is sum_e |e| J_e^2 over its
     three edges.
     """
-    mu = -grads / np.linalg.norm(grads, axis=2, keepdims=True)
+    mu = -grads / row_norm(grads)[:, :, None]
     s = np.einsum("td,tld->tl", grad_u, mu)  # (T, 3)
     jumps = np.zeros(len(edge_lengths))
     np.add.at(jumps, tri_edges, s)
-    return jumps, (edge_lengths[tri_edges] * jumps[tri_edges] ** 2).sum(axis=1)
+    return jumps, row_dot(edge_lengths[tri_edges], jumps[tri_edges] ** 2)
 
 
 def residual_estimator(problem, field, ws):

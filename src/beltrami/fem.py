@@ -12,17 +12,18 @@ points: ``dofs`` (E, k) DOF numbers, ``grads`` (E, k, 3) constant hat
 gradients (tangential on faces), ``measures`` (E,) element measures
 (indicator-weighted in the band), ``qp`` (E, nq, 3) quadrature points,
 ``weights`` (E, nq) their weights including the measure, and ``phi``
-(E, nq, k) the hat values there.  Surface sets add ``normals`` (E, 3)
-and, sampled, ``jet`` (the distance jet at the points) and from it
-``forcing`` (E, nq) where they carry the load.  Band sets add ``d_h`` and
-``inside`` (E, nq).  Error sets add the flat exact samples ``u_exact``
-and ``grad_exact``.
+(E, nq, k) the hat values there (a read-only broadcast view on facets
+and band tets).  Surface sets add ``normals`` (E, 3) and, sampled,
+``jet`` (the distance jet at the points) and from it ``forcing`` (E, nq)
+where they carry the load.  Band sets add ``d_h`` and ``inside`` (E, nq).
+Error sets add the flat exact samples ``u_exact`` and ``grad_exact``.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateSimplex, NoConvergence
+from .geometry import row_norm
 
 
 class QuadratureRule:
@@ -46,7 +47,7 @@ class QuadratureRule:
 
     def physical_points(self, coords):
         """Map barycentric nodes into each element: (E, k, 3) -> (E, nq, 3)."""
-        return np.einsum("qk,ekd->eqd", self.points, coords)
+        return self.points @ coords
 
     def __repr__(self):
         return f"QuadratureRule({self.domain}, degree={self.degree}, n={self.npoints})"
@@ -120,9 +121,8 @@ def triangle_geometry(coords):
     """
     e = edge_vectors(np.asarray(coords, dtype=float))
     n = np.cross(e[:, 2], -e[:, 1])  # (p1 - p0) x (p2 - p0), norm 2|T|
-    two_area = np.linalg.norm(n, axis=1)
-    hmax = np.linalg.norm(e, axis=2).max(axis=1)
-    if np.any(two_area < 2e-14 * hmax**2):
+    two_area = row_norm(n)
+    if np.any(two_area[:, None] < 2e-14 * row_norm(e) ** 2):  # against the longest edge
         raise DegenerateSimplex("triangle with vanishing area")
     nu = n / two_area[:, None]
     grads = np.cross(nu[:, None, :], e) / two_area[:, None, None]
@@ -135,10 +135,9 @@ def barycentric_values(grads, coords, points):
     Uses the affine identity lambda_i(x) = 1/k + g_i . (x - centroid).
     grads (E, k, 3), coords (E, k, 3), points (E, nq, 3) -> (E, nq, k).
     """
-    centroid = coords.mean(axis=1)
-    rel = points - centroid[:, None, :]
     k = coords.shape[1]
-    return 1.0 / k + np.einsum("ekd,eqd->eqk", grads, rel)
+    rel = points - (sum(coords[:, i] for i in range(k)) / k)[:, None, :]
+    return 1.0 / k + rel @ grads.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +158,7 @@ def assemble_stiffness(grads, measures, dofs, n_dof):
     A_ij = sum_T |T| g_i . g_j ; symmetric positive semidefinite with the
     constant vector in its kernel on every connected component.
     """
-    elem = np.einsum("e,eid,ejd->eij", measures, grads, grads)
+    elem = (grads * measures[:, None, None]) @ grads.transpose(0, 2, 1)
     k = dofs.shape[1]
     rows = np.repeat(dofs, k, axis=1).ravel()
     cols = np.tile(dofs, (1, k)).ravel()
@@ -173,7 +172,7 @@ def assemble_load(dofs, phi, values, point_measures, n_dof):
     phi (E, nq, k), values (E, nq), point_measures (E, nq) already include
     the element measure, so rows simply accumulate.
     """
-    contrib = np.einsum("eq,eq,eqk->ek", point_measures, values, phi)
+    contrib = np.matmul((point_measures * values)[:, None, :], phi)[:, 0]
     return np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=n_dof)
 
 

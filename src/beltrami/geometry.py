@@ -48,6 +48,16 @@ def _restore(arr, was_single, lead_shape):
     return arr.reshape(lead_shape + arr.shape[1:])
 
 
+def row_dot(a, b):
+    """``np.sum(a * b, axis=-1)`` for a last axis of length 3, bit-identical."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def row_norm(v):
+    """``np.linalg.norm(v, axis=-1)`` for a last axis of length 3, bit-identical."""
+    return np.sqrt(row_dot(v, v))
+
+
 def plane_basis(normals):
     """Two orthonormal in-plane vectors per unit normal, (N, 3) each."""
     n = len(normals)
@@ -55,7 +65,7 @@ def plane_basis(normals):
     e = np.zeros((n, 3))
     e[np.arange(n), k] = 1.0
     t1 = e - normals * normals[np.arange(n), k][:, None]
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    t1 /= row_norm(t1)[:, None]
     t2 = np.cross(normals, t1)
     return t1, t2
 
@@ -245,7 +255,7 @@ class ImplicitSurface:
             raise NormalFlip("facet normal points against the surface normal")
         # W g = 0, so on the tangent plane det(I - d W) = 1 - d tr W + d^2 det,
         # and the product of its two eigenvalues is (tr^2 W - |W|_F^2) / 2
-        tr = np.trace(H, axis1=1, axis2=2)
+        tr = H[:, 0, 0] + H[:, 1, 1] + H[:, 2, 2]
         det = 0.5 * (tr**2 - np.einsum("nij,nij->n", H, H))
         return (1.0 - d * tr + d**2 * det) * dots
 
@@ -301,14 +311,13 @@ class Sphere(ImplicitSurface):
         return np.full(3, self.radius)
 
     def _invalid_mask(self, pts):
-        return np.linalg.norm(pts, axis=1) < 1e-12 * self.radius
+        return row_norm(pts) < 1e-12 * self.radius
 
     def _distance_raw(self, pts):
-        return np.linalg.norm(pts, axis=1) - self.radius
+        return row_norm(pts) - self.radius
 
     def _grad_raw(self, pts):
-        r = np.linalg.norm(pts, axis=1)
-        r = np.where(r < 1e-300, 1e-300, r)
+        r = np.maximum(row_norm(pts), 1e-300)
         return r - self.radius, pts / r[:, None]
 
     def _jet_raw(self, pts):
@@ -345,16 +354,16 @@ class Sphere(ImplicitSurface):
 
         def grad_gamma(x):
             x = np.asarray(x, dtype=float)
-            nu = x / np.linalg.norm(x, axis=-1, keepdims=True)
+            nu = x / row_norm(x)[..., None]
             gu = np.stack(
                 [x[..., 1] * x[..., 2], x[..., 0] * x[..., 2], x[..., 0] * x[..., 1]],
                 axis=-1,
             )
-            return gu - np.sum(gu * nu, axis=-1, keepdims=True) * nu
+            return gu - row_dot(gu, nu)[..., None] * nu
 
         def f(x):
             x = np.asarray(x, dtype=float)
-            r2 = np.sum(x * x, axis=-1)
+            r2 = row_dot(x, x)
             return 12.0 * R**3 * u(x) / r2**2.5
 
         return ManufacturedSolution(f"sphere(R={R}): u=xyz", u, grad_gamma, f)
@@ -491,7 +500,7 @@ class Torus(ImplicitSurface):
                 - np.sin(3.0 * phi)[..., None] * sin_t[..., None] * grad_theta
             )
             nu = (cos_t[..., None] * grad_rho + sin_t[..., None] * ez)
-            return gu - np.sum(gu * nu, axis=-1, keepdims=True) * nu
+            return gu - row_dot(gu, nu)[..., None] * nu
 
         def f(x):
             x = np.asarray(x, dtype=float)
@@ -531,7 +540,8 @@ class Ellipsoid(ImplicitSurface):
         return self.abc.copy()
 
     def level_value(self, pts):
-        return np.sum(pts**2 / self.abc2, axis=-1) - 1.0
+        q = pts**2 / self.abc2
+        return q[..., 0] + q[..., 1] + q[..., 2] - 1.0
 
     def _closest_t(self, pts):
         """Largest root of sum (a_i x_i)^2 / (a_i^2 + t)^2 = 1, vectorized.
@@ -586,7 +596,7 @@ class Ellipsoid(ImplicitSurface):
         # x - P is parallel to the normal P / a^2 at P, so d = (x - P) . g
         p = self._project_raw(pts)
         n = p / self.abc2
-        g = n / np.linalg.norm(n, axis=1, keepdims=True)
+        g = n / row_norm(n)[:, None]
         return np.einsum("ni,ni->n", pts - p, g), g
 
     def _distance_raw(self, pts):
@@ -603,8 +613,8 @@ class Ellipsoid(ImplicitSurface):
         proj = _EYE3 - g[:, :, None] * g[:, None, :]
         H = (proj / self.abc2) @ proj
         del proj
-        H /= np.linalg.norm(n, axis=1)[:, None, None]
-        tr = np.trace(H, axis1=1, axis2=2)
+        H /= row_norm(n)[:, None, None]
+        tr = H[:, 0, 0] + H[:, 1, 1] + H[:, 2, 2]
         det = 0.5 * (tr**2 - np.einsum("nij,nij->n", H, H))
         W2 = H @ H
         W2 *= d[:, None, None]
@@ -662,7 +672,7 @@ class Ellipsoid(ImplicitSurface):
         def _normal(x):
             x = np.asarray(x, dtype=float)
             nrm = x / self.abc2
-            return nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
+            return nrm / row_norm(nrm)[..., None]
 
         def u(x):
             x = np.asarray(x, dtype=float)
@@ -678,7 +688,7 @@ class Ellipsoid(ImplicitSurface):
             x = np.asarray(x, dtype=float)
             nu = _normal(x)
             gu = _grad_u(x)
-            return gu - np.sum(gu * nu, axis=-1, keepdims=True) * nu
+            return gu - row_dot(gu, nu)[..., None] * nu
 
         def f(x):
             x = np.asarray(x, dtype=float)
@@ -691,7 +701,8 @@ class Ellipsoid(ImplicitSurface):
             off = np.abs(self.level_value(pts)) > 1e-13
             if off.any():
                 d[off], g[off] = self._grad_raw(pts[off])
-            trH = np.trace(self._hessian(pts, d, g), axis1=1, axis2=2)
+            H = self._hessian(pts, d, g)
+            trH = H[:, 0, 0] + H[:, 1, 1] + H[:, 2, 2]
             # D^2(xyz) nu contracted twice: 2 (x y z -> symmetric off-diagonal)
             quad = 2.0 * (
                 pts[:, 2] * nu[:, 0] * nu[:, 1]

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import BeltramiError, BoxTooSmall, EmptyBand, UnsupportedSurface
 from .fem import edge_vectors, triangle_geometry
+from .geometry import row_norm
 
 MAX_VERTEX_VALENCE = 32
 
@@ -38,7 +39,8 @@ class SurfaceMesh:
     def _build_caches(self):
         coords = self.triangle_coords()
         self.grads, self.areas, self.normals = triangle_geometry(coords)
-        self.diameters = np.linalg.norm(edge_vectors(coords), axis=2).max(axis=1)
+        edge = row_norm(edge_vectors(coords))
+        self.diameters = np.maximum(np.maximum(edge[:, 0], edge[:, 1]), edge[:, 2])
         self.h = np.sqrt(self.areas)
         self.edges, self.tri_edges = edge_table(self.triangles)
         self._edge_counts = np.bincount(self.tri_edges.ravel(),
@@ -104,7 +106,7 @@ def _orient_outward(vertices, triangles, surface):
     """Flip triangles whose normal opposes grad d at the centroid."""
     coords = vertices[triangles]
     n = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
-    _, g = surface._grad_raw(coords.mean(axis=1))
+    _, g = surface._grad_raw((coords[:, 0] + coords[:, 1] + coords[:, 2]) / 3)
     flip = np.einsum("td,td->t", n, g) < 0.0
     out = triangles.copy()
     out[flip] = out[flip][:, [0, 2, 1]]
@@ -117,7 +119,7 @@ def _rotate_longest_edge(vertices, triangles):
     Rotation preserves orientation; ties break toward the lowest local
     edge index so the result is deterministic.
     """
-    lengths = np.linalg.norm(edge_vectors(vertices[triangles]), axis=2)
+    lengths = row_norm(edge_vectors(vertices[triangles]))
     # smallest index among edges within a relative whisker of the max
     near = lengths >= lengths.max(axis=1, keepdims=True) * (1.0 - 1e-12)
     which = np.argmax(near, axis=1)
@@ -572,7 +574,7 @@ def extract_cut_surface(bulk, surface):
     parents = np.repeat(cut, present.sum(axis=1))[order]
     local = _CUT_FACES[pattern[cut]][present][order]
     ends = tets[parents[:, None, None], _TET_EDGES[local]]  # (F, 3, 2)
-    lo, hi = ends.min(axis=2), ends.max(axis=2)
+    lo, hi = np.minimum(ends[..., 0], ends[..., 1]), np.maximum(ends[..., 0], ends[..., 1])
     # a crossing edge ending at an on-surface vertex becomes (v, v)
     lo = np.where(on_surface[hi], hi, lo)
     hi = np.where(on_surface[lo], lo, hi)
@@ -590,13 +592,13 @@ def extract_cut_surface(bulk, surface):
     faces = inverse.reshape(-1, 3)
     distinct = (faces != np.roll(faces, 1, axis=1)).all(axis=1)
     faces, parents = faces[distinct], ids[parents[distinct]]
-    coords = cut_vertices[faces]
-    n = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
-    two_area = np.linalg.norm(n, axis=1)
+    p0, p1, p2 = cut_vertices[faces.T]
+    n = np.cross(p1 - p0, p2 - p0)
+    two_area = row_norm(n)
     good = two_area >= 2e-14 * bulk.h**2
     faces, n, two_area = faces[good], n[good], two_area[good]
     # orient along grad d: swapping two corners negates n exactly
-    flip = np.einsum("td,td->t", n, surface._grad_raw(coords[good].mean(axis=1))[1]) < 0.0
+    flip = np.einsum("td,td->t", n, surface._grad_raw((p0 + p1 + p2)[good] / 3)[1]) < 0.0
     faces[flip], n[flip] = faces[flip][:, [0, 2, 1]], -n[flip]
     return CutSurface(bulk, cut_vertices, faces, 0.5 * two_area, n / two_area[:, None],
                       parents[good], vids, d, len(good) - len(faces))
@@ -642,7 +644,8 @@ def extract_band(bulk, surface, delta):
     if not (bulk.h - 1e-12 <= delta <= 2.0 * bulk.h + 1e-12):
         raise ValueError(f"delta={delta:g} outside [h, 2 h] with h={bulk.h:g}")
     ids, tets, vids, d = bulk._near_surface(surface, delta)
-    member = (d < delta)[tets].any(axis=1) & (d > -delta)[tets].any(axis=1)
+    lo, hi = (d < delta)[tets.T], (d > -delta)[tets.T]
+    member = (lo[0] | lo[1] | lo[2] | lo[3]) & (hi[0] | hi[1] | hi[2] | hi[3])
     if not member.any():
         raise EmptyBand("no tetrahedra meet the band")
     return BandMesh(bulk, delta, ids[member], vids, d)

@@ -10,6 +10,7 @@ solution) and on the reconstructed surface.
 
 import numpy as np
 
+from .errors import BeltramiError
 from .fem import (
     TET_DEGREE2,
     TET_DEGREE4,
@@ -184,7 +185,7 @@ def _surface_errors(problem, c):
     cut = extract_cut_surface(bulk, surface)
     es = cut_face_workspace(bulk, cut, problem.band.active_dofs)
     if np.any(es["dofs"] < 0):
-        raise RuntimeError("cut tetrahedron outside the band")
+        raise BeltramiError("band not extracted for this surface and bulk mesh")
     sample_faces(es, surface, problem.solution, forcing=False)
     l2, h1 = surface_error_norms(*error_samples(es, c))
     return l2, h1, cut

@@ -20,6 +20,7 @@ from .fem import (
     local_dofs,
     solve_mean_zero,
 )
+from .geometry import row_norm
 from .meshes import extract_cut_surface
 from .parametric import error_samples, sample_faces, surface_error_norms
 
@@ -106,7 +107,7 @@ def face_deviations(problem, ws):
     d_q, g_q = ws["jet"]
     d = np.hstack([d_q.reshape(n_f, -1), d_v[cut.faces]])
     g = np.hstack([g_q.reshape(n_f, -1, 3), g_v[cut.faces]])
-    dev = np.linalg.norm(g - ws["normals"][:, None, :], axis=2)
+    dev = row_norm(g - ws["normals"][:, None, :])
     flat = np.hstack([ws["qp"], corners]).reshape(-1, 3)
     return flat, np.abs(d).max(axis=1), dev.max(axis=1)
 

@@ -352,6 +352,28 @@ def exact_load_linear(tri, coeff, const):
     return out
 
 
+def einsum_physical_points(points, coords):
+    """Quadrature nodes (nq, k) mapped into elements coords (E, k, 3)."""
+    return np.einsum("qk,ekd->eqd", points, coords)
+
+
+def einsum_barycentric_values(grads, coords, points):
+    """Hat values (E, nq, k) at points (E, nq, 3) from constant gradients,
+    lambda_i(x) = 1/k + g_i . (x - centroid)."""
+    rel = points - coords.mean(axis=1)[:, None, :]
+    return 1.0 / coords.shape[1] + np.einsum("ekd,eqd->eqk", grads, rel)
+
+
+def einsum_element_stiffness(grads, measures):
+    """Element matrices (E, k, k) |T| g_i . g_j."""
+    return np.einsum("e,eid,ejd->eij", measures, grads, grads)
+
+
+def einsum_element_load(phi, values, point_measures):
+    """Element load vectors (E, k) sum_q w_q F_q phi_qi."""
+    return np.einsum("eq,eq,eqk->ek", point_measures, values, phi)
+
+
 def fit_loglog_slope(x, y):
     """Least-squares slope of log(y) against log(x)."""
     lx = np.log(np.asarray(x, dtype=float))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beltrami import (
@@ -25,16 +25,19 @@ from beltrami import (
     extract_cut_surface,
     solve_mean_zero,
 )
+from beltrami.estimators import geometric_estimators, residual_estimator
 from beltrami.fem import (
+    QuadratureRule,
     assemble_load,
     assemble_stiffness,
     barycentric_values,
     lumped_mass,
     triangle_geometry,
 )
-from beltrami.narrowband import _band_quadrature
-from beltrami.parametric import parametric_workspace, sample_faces
-from beltrami.trace import _face_workspace, cut_face_workspace
+from beltrami.harness import surface_mesh_for_level
+from beltrami.narrowband import _band_quadrature, narrowband_solve
+from beltrami.parametric import parametric_solve, parametric_workspace, sample_faces
+from beltrami.trace import _face_workspace, cut_face_workspace, trace_solve
 
 import oracles
 
@@ -151,6 +154,59 @@ def test_lumped_mass_sums_to_area():
     m = lumped_mass(dofs, areas, 60)
     assert m.sum() == pytest.approx(areas.sum(), rel=1e-14)
     assert (m > 0).all()
+
+
+def _maxabs(x):
+    return float(np.abs(x).max(initial=0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    e=st.integers(0, 12),
+    k=st.sampled_from([3, 4]),
+    nq=st.sampled_from([1, 4, 6, 11]),
+    log_scale=st.integers(-6, 6),
+    seed=st.integers(0, 2**32 - 1),
+    broadcast=st.booleans(),
+)
+@example(e=0, k=4, nq=11, log_scale=0, seed=0, broadcast=True)
+@example(e=0, k=3, nq=1, log_scale=0, seed=0, broadcast=False)
+def test_element_kernels_match_index_contractions(e, k, nq, log_scale, seed, broadcast):
+    """The four element kernels agree with their einsum contractions in
+    ``oracles`` to 1e-13 of the operand scale, on empty sets and with the
+    read-only broadcast ``phi`` that the facet and band sets pass."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    coords = scale * rng.normal(size=(e, k, 3))
+    grads = rng.normal(size=(e, k, 3)) / scale
+    measures = scale**2 * rng.random(e)
+    bary = rng.random((nq, k))
+    bary /= bary.sum(axis=1, keepdims=True)
+    rule = QuadratureRule("simplex", 1, bary, np.full(nq, 1.0 / nq))
+
+    qp = rule.physical_points(coords)
+    assert qp.shape == (e, nq, 3)
+    assert _maxabs(qp - oracles.einsum_physical_points(bary, coords)) <= 1e-13 * _maxabs(coords)
+
+    phi = barycentric_values(grads, coords, qp)
+    tol = 1e-13 * (1.0 + 2.0 * _maxabs(grads) * _maxabs(coords))
+    assert phi.shape == (e, nq, k)
+    assert _maxabs(phi - oracles.einsum_barycentric_values(grads, coords, qp)) <= tol
+
+    dofs = np.arange(e * k).reshape(e, k)
+    A = assemble_stiffness(grads, measures, dofs, e * k).toarray()
+    blocks = A.reshape(e, k, e, k)[np.arange(e), :, np.arange(e), :]
+    tol = 1e-13 * _maxabs(measures) * _maxabs(grads) ** 2
+    assert _maxabs(blocks - oracles.einsum_element_stiffness(grads, measures)) <= tol
+
+    if broadcast:
+        phi = np.broadcast_to(bary, (e, nq, k))
+        assert not phi.flags.writeable
+    values = rng.normal(size=(e, nq))
+    weights = measures[:, None] * rule.normalized_weights
+    b = assemble_load(dofs, phi, values, weights, e * k).reshape(e, k)
+    tol = 1e-13 * _maxabs(weights) * _maxabs(values) * _maxabs(phi)
+    assert _maxabs(b - oracles.einsum_element_load(phi, values, weights)) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -347,3 +403,53 @@ def test_element_set_record(name):
     assert ("forcing" in es) == forcing
     if forcing:
         assert es["forcing"].shape == (e, nq)
+
+
+def _parametric_torus_with_estimators():
+    s = Torus(1.0, 0.4)
+    mesh = surface_mesh_for_level(s, 1)
+
+    def run():
+        problem = ParametricProblem(s, mesh)
+        ws = {}
+        field, _ = parametric_solve(problem, workspace_out=ws)
+        residual_estimator(problem, field, ws)
+        geometric_estimators(problem, ws)
+    return run
+
+
+def _trace_sphere():
+    s = Sphere(1.0)
+    bulk = build_bulk_mesh(s, 8)
+    return lambda: trace_solve(TraceProblem(s, bulk))
+
+
+def _narrowband_torus():
+    s = Torus(1.0, 0.4)
+    bulk = build_bulk_mesh(s, 12)
+    return lambda: narrowband_solve(NarrowBandProblem(s, bulk))
+
+
+@pytest.mark.parametrize("build", [_parametric_torus_with_estimators, _trace_sphere,
+                                   _narrowband_torus], ids=["parametric", "trace", "narrowband"])
+def test_solves_use_no_generic_short_axis_kernels(build, monkeypatch):
+    """Element kernels are batched matmul and short-axis norms are written
+    out: a solve (with cut or band extraction, and the parametric
+    estimators) calls neither np.einsum with more than two operands nor
+    np.linalg.norm with an axis.  Meshes are built before the refusal."""
+    einsum, norm = np.einsum, np.linalg.norm
+
+    def guarded_einsum(subscripts, *operands, **kwargs):
+        if len(operands) > 2:
+            raise AssertionError(f"np.einsum({subscripts!r}) with {len(operands)} operands")
+        return einsum(subscripts, *operands, **kwargs)
+
+    def guarded_norm(x, ord=None, axis=None, keepdims=False):
+        if axis is not None:
+            raise AssertionError(f"np.linalg.norm with axis={axis}")
+        return norm(x, ord, axis, keepdims)
+
+    run = build()
+    monkeypatch.setattr(np, "einsum", guarded_einsum)
+    monkeypatch.setattr(np.linalg, "norm", guarded_norm)
+    run()

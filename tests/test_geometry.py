@@ -20,6 +20,7 @@ from beltrami import (
     surface_from_config,
 )
 from beltrami.fem import barycentric_values
+from beltrami.geometry import row_dot, row_norm
 from beltrami.parametric import parametric_workspace
 
 import oracles
@@ -149,6 +150,28 @@ def test_ellipsoid_hessian_matches_the_solve(axes, seed):
 # ---------------------------------------------------------------------------
 # closest points against brute force
 # ---------------------------------------------------------------------------
+
+
+# zeros, subnormals, ordinary values, and magnitudes whose squares overflow
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=5e-324, max_value=2.2e-308),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=1e199, max_value=1e201),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(*[_EDGE_FLOATS] * 6), max_size=12), split=st.booleans())
+def test_row_helpers_equal_numpy_reductions(rows, split):
+    """row_norm and row_dot are bit-identical to np.linalg.norm(v, axis=-1)
+    and np.sum(a * b, axis=-1), overflow to inf and NaN included, on (N, 3)
+    and (N, 2, 3) stacks."""
+    ab = np.array(rows, dtype=float).reshape(-1, 2, 3)
+    a, b = (ab, ab[:, ::-1]) if split else (ab[:, 0], ab[:, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(row_norm(a), np.linalg.norm(a, axis=-1))
+        assert np.array_equal(row_dot(a, b), np.sum(a * b, axis=-1), equal_nan=True)
 
 
 def test_torus_closest_point_brute_force():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from beltrami import (
+    BeltramiError,
     ManufacturedSolution,
     NarrowBandProblem,
     Sphere,
     Torus,
     build_bulk_mesh,
+    extract_band,
     mismatch_map,
     narrowband_solve,
 )
@@ -251,3 +253,13 @@ def test_quick_convergence_torus():
         _, _, rg = narrowband_solve(NarrowBandProblem(t, build_bulk_mesh(t, n)))
         errs.append(rg.err_H1)
     assert errs[1] < 0.75 * errs[0]
+
+
+def test_foreign_band_raises_typed_error():
+    """A band extracted for another surface does not hold the cut: the
+    solve names that with a BeltramiError."""
+    t = Torus(1.0, 0.4)
+    bulk = build_bulk_mesh(t, 12)
+    band = extract_band(bulk, Sphere(0.5), 1.5 * bulk.h)
+    with pytest.raises(BeltramiError, match="not extracted for this surface"):
+        narrowband_solve(NarrowBandProblem(t, bulk, band=band))
