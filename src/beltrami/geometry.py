@@ -406,30 +406,35 @@ class Torus(ImplicitSurface):
         return s - self.minor_radius
 
     def _grad_parts(self, pts):
-        """(d, grad d) and the (rho, u, s) of ``_cylinder`` they come from,
-        rho and s clamped away from zero."""
+        """(d, grad d) and the (rho, u, s, c, sn) they come from: ``_cylinder``'s
+        values, rho and s clamped away from zero, and (c, sn) = (x, y) / rho."""
         rho, u, s = self._cylinder(pts)
         rho = np.where(rho < 1e-300, 1e-300, rho)
         s = np.where(s < 1e-300, 1e-300, s)
-        g = np.column_stack([u * (pts[:, 0] / rho), u * (pts[:, 1] / rho), pts[:, 2]])
-        g /= s[:, None]
-        return (s - self.minor_radius, g), (rho, u, s)
+        c, sn = pts[:, 0] / rho, pts[:, 1] / rho
+        g = np.empty((len(pts), 3))
+        g[:, 0] = u * c / s
+        g[:, 1] = u * sn / s
+        g[:, 2] = pts[:, 2] / s
+        return (s - self.minor_radius, g), (rho, u, s, c, sn)
 
     def _grad_raw(self, pts):
         return self._grad_parts(pts)[0]
 
     def _jet_raw(self, pts):
-        (d, g), (rho, u, s) = self._grad_parts(pts)
-        # D^2 d = (tau tau^T + (u / rho) phi phi^T) / s with phi the toroidal
-        # and tau = phi x g the poloidal unit tangent
-        phi = np.stack([-pts[:, 1] / rho, pts[:, 0] / rho, np.zeros(len(pts))], axis=1)
-        tau = np.cross(phi, g)
-        H = phi[:, :, None] * phi[:, None, :]
-        H *= (u / rho)[:, None, None]
-        for i in range(3):
-            for j in range(3):
-                H[:, i, j] += tau[:, i] * tau[:, j]
-        H /= s[:, None, None]
+        (d, g), (rho, u, s, c, sn) = self._grad_parts(pts)
+        # D^2 d = (tau tau^T + (u / rho) phi phi^T) / s: six distinct entries from
+        # the toroidal phi = (-sn, c, 0) and the poloidal unit tangent tau = phi x g
+        t0, t1 = c * g[:, 2], sn * g[:, 2]
+        t2 = -(sn * g[:, 1]) - c * g[:, 0]
+        k = u / rho
+        H = np.empty((len(pts), 3, 3))
+        H[:, 0, 0] = (sn * sn * k + t0 * t0) / s
+        H[:, 1, 1] = (c * c * k + t1 * t1) / s
+        H[:, 2, 2] = t2 * t2 / s
+        H[:, 0, 1] = H[:, 1, 0] = (-(sn * c) * k + t0 * t1) / s
+        H[:, 0, 2] = H[:, 2, 0] = t0 * t2 / s
+        H[:, 1, 2] = H[:, 2, 1] = t1 * t2 / s
         return d, g, H
 
     def _scaled_radial_raw(self, pts):
@@ -466,52 +471,44 @@ class Torus(ImplicitSurface):
 
         with s the distance to the core circle; on the surface (s = r) this
         reduces to the Laplace-Beltrami image of u in the (phi, theta)
-        coordinates with area element rho r, rho = R + r cos(theta).
+        coordinates with area element rho r, rho = R + r cos(theta).  No angle
+        is formed: (c, sn) = (x, y)/rho give sin(3 phi) = sn (3 - 4 sn^2) and
+        cos(3 phi) = c (4 c^2 - 3); grad_gamma = a phi_hat + b theta_hat, a =
+        3 cos(3 phi) cos(theta)/rho, b = -sin(3 phi) sin(theta)/r, in the unit
+        tangents phi_hat = (-sn, c, 0), theta_hat = (-sin(theta) (c, sn), cos(theta)).
         """
         R, r = self.major_radius, self.minor_radius
 
-        def _angles(x):
-            x = np.asarray(x, dtype=float)
-            rho = np.hypot(x[..., 0], x[..., 1])
-            phi = np.arctan2(x[..., 1], x[..., 0])
-            cos_t = (rho - R) / r
-            sin_t = x[..., 2] / r
-            return rho, phi, cos_t, sin_t
+        def _sin3(x):
+            rho = np.sqrt(x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1])
+            sn = x[..., 1] / rho
+            return rho, sn, sn * (3.0 - 4.0 * sn * sn)
 
         def u(x):
-            _, phi, cos_t, _ = _angles(x)
-            return np.sin(3.0 * phi) * cos_t
+            x = np.asarray(x, dtype=float)
+            rho, _, sin3 = _sin3(x)
+            return sin3 * ((rho - R) / r)
 
         def grad_gamma(x):
             x = np.asarray(x, dtype=float)
-            rho, phi, cos_t, sin_t = _angles(x)
-            grad_rho = np.stack(
-                [x[..., 0] / rho, x[..., 1] / rho, np.zeros_like(rho)], axis=-1
-            )
-            grad_phi = np.stack(
-                [-x[..., 1] / rho**2, x[..., 0] / rho**2, np.zeros_like(rho)], axis=-1
-            )
-            ez = np.zeros_like(grad_rho)
-            ez[..., 2] = 1.0
-            # grad theta = (-z grad_rho + (rho - R) e_z) / r^2 on the surface
-            grad_theta = (-x[..., 2:3] * grad_rho + (rho - R)[..., None] * ez) / r**2
-            gu = (
-                3.0 * np.cos(3.0 * phi)[..., None] * cos_t[..., None] * grad_phi
-                - np.sin(3.0 * phi)[..., None] * sin_t[..., None] * grad_theta
-            )
-            nu = (cos_t[..., None] * grad_rho + sin_t[..., None] * ez)
-            return gu - row_dot(gu, nu)[..., None] * nu
+            rho, sn, sin3 = _sin3(x)
+            c = x[..., 0] / rho
+            cos_t, sin_t = (rho - R) / r, x[..., 2] / r
+            a = 3.0 * c * (4.0 * c * c - 3.0) * cos_t / rho
+            b = -sin3 * sin_t / r
+            bs = b * sin_t
+            out = np.empty(x.shape)
+            out[..., 0] = -(a * sn) - bs * c
+            out[..., 1] = a * c - bs * sn
+            out[..., 2] = b * cos_t
+            return out
 
         def f(x):
             x = np.asarray(x, dtype=float)
-            rho = np.hypot(x[..., 0], x[..., 1])
-            phi = np.arctan2(x[..., 1], x[..., 0])
-            s = np.hypot(rho - R, x[..., 2])
-            cos_t = (rho - R) / s
-            sin_t = x[..., 2] / s
-            return np.sin(3.0 * phi) * (
-                cos_t / s**2 - sin_t**2 / (rho * s) + 9.0 * cos_t / rho**2
-            )
+            rho, _, sin3 = _sin3(x)
+            u_, z = rho - R, x[..., 2]
+            s2 = u_ * u_ + z * z
+            return sin3 * ((u_ - z * z / rho) / s2 + 9.0 * u_ / (rho * rho)) / np.sqrt(s2)
 
         return ManufacturedSolution(
             f"torus(R={R}, r={r}): u=sin(3 phi) cos(theta)", u, grad_gamma, f
@@ -566,8 +563,10 @@ class Ellipsoid(ImplicitSurface):
         converged = np.zeros(len(pts), dtype=bool)
         for _ in range(50):
             den = np.where(live, self.abc2 + t[:, None], 1.0)
-            gval = np.sum(w2 / den**2, axis=1) - 1.0
-            gprime = -2.0 * np.sum(w2 / den**3, axis=1)
+            q = w2 / den**2
+            gval = q[:, 0] + q[:, 1] + q[:, 2] - 1.0
+            q = w2 / den**3
+            gprime = -2.0 * (q[:, 0] + q[:, 1] + q[:, 2])
             step = np.where(converged, 0.0, gval / np.where(gprime == 0.0, -1.0, gprime))
             step = np.minimum(step, 0.0)
             t = t - step

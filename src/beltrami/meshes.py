@@ -121,7 +121,8 @@ def _rotate_longest_edge(vertices, triangles):
     """
     lengths = row_norm(edge_vectors(vertices[triangles]))
     # smallest index among edges within a relative whisker of the max
-    near = lengths >= lengths.max(axis=1, keepdims=True) * (1.0 - 1e-12)
+    longest = np.maximum(np.maximum(lengths[:, 0], lengths[:, 1]), lengths[:, 2])
+    near = lengths >= (longest * (1.0 - 1e-12))[:, None]
     which = np.argmax(near, axis=1)
     return np.take_along_axis(triangles, (which[:, None] + np.arange(3)) % 3, axis=1)
 
@@ -590,7 +591,8 @@ def extract_cut_surface(bulk, surface):
     cut_vertices = pa + tvals[:, None] * (bulk.vertex_points(vids[b]) - pa)
 
     faces = inverse.reshape(-1, 3)
-    distinct = (faces != np.roll(faces, 1, axis=1)).all(axis=1)
+    f0, f1, f2 = faces.T
+    distinct = (f0 != f1) & (f1 != f2) & (f2 != f0)
     faces, parents = faces[distinct], ids[parents[distinct]]
     p0, p1, p2 = cut_vertices[faces.T]
     n = np.cross(p1 - p0, p2 - p0)

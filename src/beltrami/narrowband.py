@@ -21,9 +21,13 @@ from .fem import (
     lumped_mass,
     solve_mean_zero,
 )
+from .geometry import _points, _restore
 from .meshes import extract_band, extract_cut_surface
 from .parametric import error_samples, sample_faces, surface_error_norms
 from .trace import cut_face_workspace
+
+# Inside band nodes per block of the forcing, so its temporaries stay small.
+FORCING_BLOCK = 1 << 16
 
 
 class NarrowBandProblem:
@@ -53,14 +57,14 @@ def mismatch_map(surface, d_h_value, x):
 
     Carries the interpolated level set {d_h = c} onto the exact one {d = c}:
     by construction d(M_h(x)) = d_h(x), and M_h is the identity wherever
-    d_h agrees with d -- in particular at every bulk vertex.
+    d_h agrees with d -- in particular at every bulk vertex.  x is a 3-vector
+    or an (..., 3) array, d_h_value broadcasts to its leading shape.
     """
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    d_h = np.atleast_1d(np.asarray(d_h_value, dtype=float))
+    pts, single = _points(x)
+    d_h = np.broadcast_to(np.asarray(d_h_value, dtype=float), np.shape(x)[:-1]).ravel()
     surface._check_valid(pts)
     d, g = surface._grad_raw(pts)
-    out = pts + (d_h - d)[:, None] * g
-    return out if np.asarray(x).ndim == 2 else out[0]
+    return _restore(pts + (d_h - d)[:, None] * g, single, np.shape(x)[:-1])
 
 
 def _band_quadrature(problem, rule=TET_DEGREE4):
@@ -98,16 +102,16 @@ def narrowband_forcing(problem, quad):
     """Mean-corrected transferred data F = f(M_h(x)) - band average.
 
     Two passes: evaluate f through the mismatch map at every node of the
-    band set ``quad`` (``_band_quadrature``), then subtract the
-    indicator-weighted average so the singular system stays compatible.
+    band set ``quad`` (``_band_quadrature``) where the indicator is on, over
+    blocks of ``FORCING_BLOCK`` nodes, then subtract the indicator-weighted
+    average so the singular system stays compatible.
     """
-    flat = quad["qp"].reshape(-1, 3)
-    mask = quad["inside"].ravel()
-    d_h = quad["d_h"].ravel()
+    flat, d_h = quad["qp"].reshape(-1, 3), quad["d_h"].ravel()
+    nodes = np.flatnonzero(quad["inside"])
     raw = np.zeros(len(flat))
-    raw[mask] = problem.solution.f(
-        mismatch_map(problem.surface, d_h[mask], flat[mask])
-    )
+    for block in np.split(nodes, np.arange(FORCING_BLOCK, len(nodes), FORCING_BLOCK)):
+        raw[block] = problem.solution.f(
+            mismatch_map(problem.surface, d_h[block], flat[block]))
     raw = raw.reshape(quad["inside"].shape)
     w = quad["weights"]
     band_measure = float(w.sum())
@@ -165,18 +169,23 @@ def _band_errors(problem, c):
     """
     surface, sol = problem.surface, problem.solution
     es = _band_quadrature(problem, TET_DEGREE2)
-    # evaluate only where the indicator is on: the remaining nodes carry
-    # zero weight but can sit far outside the distance tube
-    mask = es["inside"].ravel()
-    flat = es["qp"].reshape(-1, 3)[mask]
+    # one sample row per node where the indicator is on: the other nodes
+    # carry zero weight but can sit far outside the distance tube
+    nodes = np.flatnonzero(es["inside"])
+    e, q = np.divmod(nodes, TET_DEGREE2.points.shape[0])
+    flat = es["qp"].reshape(-1, 3).take(nodes, axis=0)
     d, g, H = surface._jet_raw(flat)
     p = flat - d[:, None] * g
     gg = sol.grad_gamma(p)
-    es["u_exact"] = sol.u(p)
-    es["grad_exact"] = gg - d[:, None] * np.einsum("nij,nj->ni", H, gg)
-    w, u_exact, grad_exact, u_values, u_gradients = error_samples(es, c)
-    return surface_error_norms(w[mask], u_exact, grad_exact, u_values[mask],
-                               u_gradients[mask])
+    u_exact = sol.u(p)
+    grad_exact = gg - d[:, None] * np.einsum("nij,nj->ni", H, gg)
+    del d, g, H, p, gg  # the jet goes before the rows are gathered, the band set after
+    rows = {"dofs": es["dofs"].take(e, axis=0), "grads": es["grads"].take(e, axis=0),
+            "phi": TET_DEGREE2.points.take(q, axis=0)[:, None], "qp": flat[:, None],
+            "weights": es["weights"].take(nodes), "u_exact": u_exact,
+            "grad_exact": grad_exact}
+    del es
+    return surface_error_norms(*error_samples(rows, c))
 
 
 def _surface_errors(problem, c):

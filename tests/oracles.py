@@ -114,6 +114,62 @@ def torus_hessian_outer_products(R, pts):
             - outer(g, g)) / s[:, None, None]
 
 
+def torus_jet_tangent_outer_products(R, r, pts):
+    """(d, grad d, D^2 d) of the torus around the z-axis with core radius R
+    and tube radius r, with D^2 d = (tau tau^T + (u / rho) phi phi^T) / s
+    summed over all nine entries from stacked tangents: phi the toroidal
+    unit tangent and tau = phi x grad d the poloidal one, with rho and s
+    clamped at 1e-300 as the library clamps them."""
+    pts = np.asarray(pts, dtype=float)
+    rho = np.hypot(pts[:, 0], pts[:, 1])
+    u = rho - R
+    s = np.hypot(u, pts[:, 2])
+    rho = np.where(rho < 1e-300, 1e-300, rho)
+    s = np.where(s < 1e-300, 1e-300, s)
+    g = np.column_stack([u * (pts[:, 0] / rho), u * (pts[:, 1] / rho), pts[:, 2]])
+    g /= s[:, None]
+    phi = np.stack([-pts[:, 1] / rho, pts[:, 0] / rho, np.zeros(len(pts))], axis=1)
+    tau = np.cross(phi, g)
+    H = phi[:, :, None] * phi[:, None, :]
+    H *= (u / rho)[:, None, None]
+    for i in range(3):
+        for j in range(3):
+            H[:, i, j] += tau[:, i] * tau[:, j]
+    H /= s[:, None, None]
+    return s - r, g, H
+
+
+def torus_manufactured_by_angles(R, r, x):
+    """(u, grad_Gamma u, f) of u = sin(3 phi) cos(theta) on the torus, from
+    the angle phi = arctan2(y, x) and the gradients of rho, phi and theta.
+
+    u and grad_Gamma u read cos(theta) = (rho - R)/r and sin(theta) = z/r;
+    grad_Gamma u is projected on the plane normal to (cos(theta) grad rho
+    + sin(theta) e_z).  f = sin(3 phi) [cos(theta)/s^2 - sin^2(theta)/(rho s)
+    + 9 cos(theta)/rho^2] with cos(theta) = (rho - R)/s, sin(theta) = z/s and
+    s the distance to the core circle."""
+    x = np.asarray(x, dtype=float)
+    rho = np.hypot(x[..., 0], x[..., 1])
+    phi = np.arctan2(x[..., 1], x[..., 0])
+    cos_t = (rho - R) / r
+    sin_t = x[..., 2] / r
+    u = np.sin(3.0 * phi) * cos_t
+    grad_rho = np.stack([x[..., 0] / rho, x[..., 1] / rho, np.zeros_like(rho)], axis=-1)
+    grad_phi = np.stack([-x[..., 1] / rho**2, x[..., 0] / rho**2, np.zeros_like(rho)], axis=-1)
+    ez = np.zeros_like(grad_rho)
+    ez[..., 2] = 1.0
+    # grad theta = (-z grad_rho + (rho - R) e_z) / r^2 on the surface
+    grad_theta = (-x[..., 2:3] * grad_rho + (rho - R)[..., None] * ez) / r**2
+    gu = (3.0 * np.cos(3.0 * phi)[..., None] * cos_t[..., None] * grad_phi
+          - np.sin(3.0 * phi)[..., None] * sin_t[..., None] * grad_theta)
+    nu = cos_t[..., None] * grad_rho + sin_t[..., None] * ez
+    grad_gamma = gu - np.sum(gu * nu, axis=-1)[..., None] * nu
+    s = np.hypot(rho - R, x[..., 2])
+    cos_s, sin_s = (rho - R) / s, x[..., 2] / s
+    f = np.sin(3.0 * phi) * (cos_s / s**2 - sin_s**2 / (rho * s) + 9.0 * cos_s / rho**2)
+    return u, grad_gamma, f
+
+
 def ellipsoid_hessian_solve(abc, pts, d, g):
     """D^2 d = W (I + d W)^-1 of the ellipsoid with semi-axes abc at pts,
     given d and grad d there, by a batched 3x3 solve.  W is the Weingarten

@@ -453,3 +453,21 @@ def test_solves_use_no_generic_short_axis_kernels(build, monkeypatch):
     monkeypatch.setattr(np, "einsum", guarded_einsum)
     monkeypatch.setattr(np.linalg, "norm", guarded_norm)
     run()
+
+
+@pytest.mark.parametrize("build", [_parametric_torus_with_estimators, _narrowband_torus],
+                         ids=["parametric", "narrowband"])
+def test_torus_solves_form_no_angles(build, monkeypatch):
+    """The torus jet and manufactured solution are angle-free: a torus solve
+    (with band extraction, or with the parametric estimators) calls none of
+    np.arctan2, np.sin and np.cos.  Meshes are built before the refusal."""
+    run = build()
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"np.{name} called")
+        return call
+
+    for name in ("arctan2", "sin", "cos"):
+        monkeypatch.setattr(np, name, refuse(name))
+    run()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beltrami import (
@@ -333,6 +333,52 @@ def test_torus_jet_shares_the_gradient():
     d, g, _ = s._jet_raw(pts)
     d_ref, g_ref = s._grad_raw(pts)
     assert np.array_equal(d, d_ref) and np.array_equal(g, g_ref)
+
+
+@pytest.mark.parametrize("radii", [(1.0, 0.4), (2.5, 0.3), (1.0, 0.9)])
+def test_torus_jet_equals_the_tangent_outer_products(radii):
+    """The six written-out entries of D^2 d, and d and grad d, are the
+    stacked-tangent sums of ``oracles``, bit for bit."""
+    s = Torus(*radii)
+    pts = s.tube_points(3000, np.random.default_rng(29))
+    jet = s._jet_raw(pts)
+    ref = oracles.torus_jet_tangent_outer_products(*radii, pts)
+    assert all(np.array_equal(a, b) for a, b in zip(jet, ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(R=st.floats(0.5, 4.0), ratio=st.floats(0.05, 0.9), phi=st.floats(-np.pi, np.pi),
+       theta=st.floats(-np.pi, np.pi), offset=st.floats(-0.9, 0.9),
+       seed=st.integers(0, 2**32 - 1))
+@example(R=1.0, ratio=0.4, phi=0.3, theta=np.pi / 2, offset=0.0, seed=1)  # top circle
+@example(R=1.0, ratio=0.4, phi=-2.0, theta=-np.pi / 2, offset=0.5, seed=2)  # bottom circle
+@example(R=1.0, ratio=0.4, phi=1.1, theta=np.pi, offset=0.0, seed=3)  # inner equator
+@example(R=2.0, ratio=0.3, phi=np.pi, theta=0.7, offset=0.0, seed=4)  # branch cut, y = +0
+@example(R=2.0, ratio=0.3, phi=-np.pi, theta=0.7, offset=-0.5, seed=5)  # branch cut, y = -0
+@example(R=1.0, ratio=0.4, phi=np.pi / 2, theta=2.0, offset=0.0, seed=6)  # x = 0
+@example(R=1.0, ratio=0.4, phi=0.0, theta=0.0, offset=0.0, seed=7)  # y = 0 = z
+def test_torus_manufactured_closed_forms_match_the_angle_forms(R, ratio, phi, theta,
+                                                                offset, seed):
+    """u, grad_Gamma u and f without angles equal the arctan2/sin/cos forms
+    of ``oracles`` within 1e-13 of their scale, on one drawn point (at a
+    normal offset of ``offset`` tube half-widths, coordinates within 1e-12
+    of zero set to a signed zero), surface points and tube points."""
+    s = Torus(R, ratio * R)
+    r = s.minor_radius
+    rng = np.random.default_rng(seed)
+    t = r + offset * s.tube_halfwidth()
+    rho = R + t * np.cos(theta)
+    x = np.array([rho * np.cos(phi), rho * np.sin(phi), t * np.sin(theta)])
+    x = np.where(np.abs(x) < 1e-12 * R, np.copysign(0.0, x), x)
+    pts = np.concatenate([x[None], s.surface_points(40, rng), s.tube_points(40, rng)])
+    sol = s.manufactured()
+    ref = oracles.torus_manufactured_by_angles(R, r, pts)
+    for got, want in zip((sol.u(pts), sol.grad_gamma(pts), sol.f(pts)), ref):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # a single point keeps its shape
+    for got, want in zip((sol.u(x), sol.grad_gamma(x), sol.f(x)), ref):
+        assert np.shape(got) == np.shape(want[0])
 
 
 @pytest.mark.parametrize("surface", SURFACES, ids=repr)

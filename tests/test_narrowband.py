@@ -7,6 +7,7 @@ from beltrami import (
     BeltramiError,
     ManufacturedSolution,
     NarrowBandProblem,
+    Ellipsoid,
     Sphere,
     Torus,
     build_bulk_mesh,
@@ -15,6 +16,7 @@ from beltrami import (
     narrowband_solve,
 )
 from beltrami.fem import assemble_stiffness
+import beltrami.narrowband
 from beltrami.narrowband import _band_quadrature, narrowband_forcing
 
 import oracles
@@ -53,6 +55,21 @@ def test_mismatch_map_identity_when_consistent(sphere16):
     pts = s.tube_points(50, np.random.default_rng(1))
     d = s.distance(pts)
     assert np.abs(mismatch_map(s, d, pts) - pts).max() < 1e-14
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (2, 3), (2, 3, 2)], ids=str)
+def test_mismatch_map_keeps_the_shape_of_x(lead):
+    """x is a 3-vector or an (..., 3) array and d_h has its leading shape;
+    every point maps as it does alone."""
+    s = Torus(1.0, 0.4)
+    n = int(np.prod(lead, dtype=int))
+    pts = s.tube_points(n, np.random.default_rng(8))
+    d_h = s.distance(pts) + np.linspace(-0.01, 0.01, n)
+    x = pts.reshape(lead + (3,))
+    out = mismatch_map(s, d_h.reshape(lead), x)
+    assert out.shape == x.shape
+    each = np.array([mismatch_map(s, d_h[i], pts[i]) for i in range(n)])
+    assert np.array_equal(out.reshape(-1, 3), each.reshape(-1, 3))
 
 
 def test_mismatch_map_identity_at_bulk_vertices(sphere16):
@@ -112,6 +129,24 @@ def test_forcing_mean_corrected(sphere16):
     scale = np.abs(F).max() * measure
     assert abs(float((w * F).sum())) < 1e-12 * scale
     assert measure > 0
+
+
+@pytest.mark.parametrize("surface", [Torus(1.0, 0.4), Sphere(1.0), Ellipsoid(1.3, 1.0, 0.8)],
+                         ids=repr)
+def test_blocked_forcing_equals_one_call(surface, monkeypatch):
+    """The forcing runs the mismatch map and f over blocks of inside nodes;
+    blocks of 1000 nodes give the same values, bit for bit, as one call
+    over all of them."""
+    bulk = build_bulk_mesh(surface, 24)
+    problem = NarrowBandProblem(surface, bulk, delta=bulk.h)
+    quad = _band_quadrature(problem)
+    assert quad["inside"].sum() > 3000
+    monkeypatch.setattr(beltrami.narrowband, "FORCING_BLOCK", quad["inside"].size)
+    whole = narrowband_forcing(problem, quad)
+    monkeypatch.setattr(beltrami.narrowband, "FORCING_BLOCK", 1000)
+    blocked = narrowband_forcing(problem, quad)
+    assert np.array_equal(blocked[0], whole[0])
+    assert blocked[1:] == whole[1:]
 
 
 def test_constant_data_cancels(sphere16):
