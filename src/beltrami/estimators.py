@@ -12,7 +12,7 @@ import numpy as np
 from .fem import triangle_geometry
 from .geometry import CLOSEST_POINT, plane_basis, row_dot, row_norm
 from .meshes import edge_table, refine_bisection
-from .parametric import ParametricProblem, parametric_solve
+from .parametric import ParametricProblem, _rows, parametric_solve
 from .trace import face_deviations
 
 
@@ -98,12 +98,15 @@ def geometric_estimators(problem, ws):
     DP = I - grad d grad d^T - d D^2 d from the identity, exact from the
     distance jet (first order); mu_T = beta_T + lambda_T^2.  Totals
     aggregate by max.  The nodes take the jet of the solve's facet element
-    set ``ws`` and the vertices one jet per mesh vertex.
+    set ``ws`` and the vertices ``problem.vertex_jet``.  Facets whose
+    indicators ``problem.carry`` holds keep them; only the others, whose
+    rows ``ws["jet"]`` covers, are computed.
     """
-    corners = ws["dofs"].ravel()
-    jets = (ws["jet"],
-            [a[corners] for a in problem.surface._jet_raw(problem.mesh.vertices)])
-    t1, t2 = plane_basis(ws["normals"])
+    carry = problem.carry
+    k = len(carry.get("lambda", ()))
+    corners = ws["dofs"][k:].ravel()
+    jets = (ws["jet"], [a[corners] for a in problem.vertex_jet])
+    t1, t2 = plane_basis(ws["normals"][k:])
     n = len(t1)
     lam = np.zeros(n)
     beta = np.zeros(n)
@@ -114,6 +117,7 @@ def geometric_estimators(problem, ws):
                     + d[:, :, None] * np.einsum("nkij,nj->nki", H, t)) for t in (t1, t2))
         lam = np.maximum(lam, _spectral_norm_3x2(c1, c2).max(axis=1))
         beta = np.maximum(beta, np.abs(d).max(axis=1))
+    lam, beta = _rows(carry.get("lambda"), lam), _rows(carry.get("beta"), beta)
     return {
         "lambda": IndicatorField("lambda", lam, reduction="max"),
         "beta": IndicatorField("beta", beta, reduction="max"),
@@ -179,6 +183,17 @@ def dorfler_mark(values, theta):
     return np.sort(order[: k + 1])
 
 
+def _carry(problem, ws, geo, kept):
+    """What the next adaptive round reads of this one: the vertex jet, and
+    the samples and geometric indicators of the facets ``kept``."""
+    shape = (len(ws["dofs"]), ws["qp"].shape[1], -1)  # the flat samples by facet
+    carry = {key: ws[key].reshape(shape)[kept].reshape((-1,) + ws[key].shape[1:])
+             for key in ("qp", "forcing", "u_exact", "grad_exact")}
+    carry.update({key: geo[key].values[kept] for key in ("lambda", "beta")})
+    carry["vertex_jet"] = problem.vertex_jet
+    return carry
+
+
 def adapt_loop(surface, mesh, max_iters=8, theta=0.5, lift=None,
                solution=None, tol=1e-10, eta_tol=0.0):
     """Solve-estimate-mark-refine on the parametric method.
@@ -187,13 +202,18 @@ def adapt_loop(surface, mesh, max_iters=8, theta=0.5, lift=None,
     stopping early once the total residual indicator drops to ``eta_tol``.
     Returns (rows, mesh, field): one history row per solve with keys
     iter, n_dof, err_H1, err_L2, eta, lambda, beta, mu, n_marked.
+
+    ``refine_bisection`` keeps the old vertices and the unchanged facets
+    as prefixes, so a round hands the next only the vertex jet and the
+    kept facets' qp, forcing, u_exact, grad_exact, lambda and beta; the
+    next evaluates jet, data and lambda, beta on the new ones alone.
     """
     if lift is None:
         lift = CLOSEST_POINT
     rows = []
-    field = None
+    field = carry = None
     for it in range(max_iters + 1):
-        problem = ParametricProblem(surface, mesh, lift=lift, solution=solution)
+        problem = ParametricProblem(surface, mesh, lift=lift, solution=solution, carry=carry)
         ws = {}
         field, report = parametric_solve(problem, tol=tol, workspace_out=ws)
         eta, _ = residual_estimator(problem, field, ws)
@@ -216,4 +236,5 @@ def adapt_loop(surface, mesh, max_iters=8, theta=0.5, lift=None,
         if not refine:
             break
         mesh = refine_bisection(mesh, marked, surface)
+        carry = _carry(problem, ws, geo, mesh.kept)
     return rows, mesh, field

@@ -15,7 +15,9 @@ gradients (tangential on faces), ``measures`` (E,) element measures
 (E, nq, k) the hat values there (a read-only broadcast view on facets
 and band tets).  Surface sets add ``normals`` (E, 3) and, sampled,
 ``jet`` (the distance jet at the points) and from it ``forcing`` (E, nq)
-where they carry the load.  Band sets add ``d_h`` and ``inside`` (E, nq).
+where they carry the load.  On facets whose samples an adaptive round
+carried over (``parametric_workspace``), ``jet`` covers only the rows
+after them, the new facets'.  Band sets add ``d_h`` and ``inside`` (E, nq).
 Error sets add the flat exact samples ``u_exact`` and ``grad_exact``.
 """
 

@@ -399,6 +399,9 @@ class Torus(ImplicitSurface):
 
     def _invalid_mask(self, pts):
         rho, _, s = self._cylinder(pts)
+        return self._singular(rho, s)
+
+    def _singular(self, rho, s):
         return (rho < 1e-12 * self.major_radius) | (s < 1e-12 * self.minor_radius)
 
     def _distance_raw(self, pts):
@@ -422,7 +425,16 @@ class Torus(ImplicitSurface):
         return self._grad_parts(pts)[0]
 
     def _jet_raw(self, pts):
-        (d, g), (rho, u, s, c, sn) = self._grad_parts(pts)
+        return self._jet_from_parts(pts, *self._grad_parts(pts))
+
+    def _guarded_jet(self, pts):
+        grad, parts = self._grad_parts(pts)
+        # the validity mask, read off the clamped (rho, s): the same points
+        self._reject(self._singular(parts[0], parts[2]))
+        return self._jet_from_parts(pts, grad, parts)
+
+    def _jet_from_parts(self, pts, grad, parts):
+        (d, g), (rho, u, s, c, sn) = grad, parts
         # D^2 d = (tau tau^T + (u / rho) phi phi^T) / s: six distinct entries from
         # the toroidal phi = (-sn, c, 0) and the poloidal unit tangent tau = phi x g
         t0, t1 = c * g[:, 2], sn * g[:, 2]
@@ -694,11 +706,11 @@ class Ellipsoid(ImplicitSurface):
             pts, single = _points(x)
             nu = _normal(pts)
             # on the surface d = 0 and grad d = nu; only the other points
-            # need the Newton solve
-            d = np.zeros(len(pts))
-            g = nu.copy()
+            # need the Newton solve (and g a copy of nu)
+            d, g = np.zeros(len(pts)), nu
             off = np.abs(self.level_value(pts)) > 1e-13
             if off.any():
+                g = nu.copy()
                 d[off], g[off] = self._grad_raw(pts[off])
             H = self._hessian(pts, d, g)
             trH = H[:, 0, 0] + H[:, 1, 1] + H[:, 2, 2]

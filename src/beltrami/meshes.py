@@ -25,6 +25,8 @@ class SurfaceMesh:
     triangle (v0, v1, v2) refines across edge (v1, v2), the edge opposite
     v0.  Builders rotate each triangle so that edge is the longest one.
     ``tri_edges[:, i]`` is the global edge id opposite local vertex i.
+    ``kept``: on a ``refine_bisection`` result the parent's ids of the
+    triangles kept unchanged, which come first; otherwise None.
     """
 
     def __init__(self, vertices, triangles, sigma_max=4.0):
@@ -33,6 +35,7 @@ class SurfaceMesh:
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must be (T, 3)")
         self.sigma_max = float(sigma_max)
+        self.kept = None
         self._build_caches()
         self._check()
 
@@ -127,11 +130,9 @@ def _rotate_longest_edge(vertices, triangles):
     return np.take_along_axis(triangles, (which[:, None] + np.arange(3)) % 3, axis=1)
 
 
-def _finish_surface_mesh(vertices, triangles, surface, rotate=True):
+def _finish_surface_mesh(vertices, triangles, surface):
     triangles = _orient_outward(vertices, triangles, surface)
-    if rotate:
-        triangles = _rotate_longest_edge(vertices, triangles)
-    return SurfaceMesh(vertices, triangles)
+    return SurfaceMesh(vertices, _rotate_longest_edge(vertices, triangles))
 
 
 _ICO_FACES = np.array(
@@ -250,9 +251,8 @@ def refine_uniform(mesh, surface):
 # Children of a triangle (v0, v1, v2) by its edge marks (bit i set when the
 # edge opposite v_i is split at m_i), as indices into (v0, v1, v2, m0, m1, m2).
 # Closure marks the refinement edge of every triangle with a marked edge,
-# so only these codes occur.
+# so only these codes and 0 (the triangle is kept) occur.
 _BISECTION_CHILDREN = (
-    (0, ((0, 1, 2),)),
     # bisect across the refinement edge: children (m0, v2, v0), (m0, v0, v1)
     (1, ((3, 2, 0), (3, 0, 1))),
     # also split child (m0, v2, v0) across its edge (v2, v0) at m1
@@ -272,13 +272,13 @@ def refine_bisection(mesh, marked, surface):
     its refinement edge (the one opposite v0) marked; triangles then
     split 2-, 3-, or 4-ways.  New vertices are edge midpoints projected
     onto the surface.  Child vertex order encodes the next refinement
-    edge, so no rotation is applied.
+    edge, so no rotation is applied; only the children are oriented.  The
+    result keeps its parent as prefixes: the old vertices first, then the
+    midpoints; the unchanged triangles first, in their old order (their
+    old ids in ``kept``), then the children.
     """
     marked = np.unique(np.asarray(marked, dtype=np.int64))
-    if marked.size == 0:
-        return SurfaceMesh(mesh.vertices.copy(), mesh.triangles.copy(),
-                           sigma_max=mesh.sigma_max)
-    if marked.min() < 0 or marked.max() >= mesh.n_triangles:
+    if marked.size and (marked.min() < 0 or marked.max() >= mesh.n_triangles):
         raise IndexError("marked triangle id out of range")
     tri_edges = mesh.tri_edges
     edge_marked = np.zeros(mesh.n_edges, dtype=bool)
@@ -308,8 +308,12 @@ def refine_bisection(mesh, marked, surface):
     for case, children in _BISECTION_CHILDREN:
         rows = cols[code == case]
         out.extend(rows[:, child] for child in children)
-
-    return _finish_surface_mesh(vertices, np.concatenate(out), surface, rotate=False)
+    kept = np.flatnonzero(code == 0)
+    children = _orient_outward(vertices, np.concatenate(out), surface)
+    fine = SurfaceMesh(vertices, np.concatenate([mesh.triangles[kept], children]),
+                       sigma_max=mesh.sigma_max)
+    fine.kept = kept
+    return fine
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ compatible with the mean-zero constraint.
 
 import numpy as np
 
-from .errors import BeltramiError
+from .errors import BeltramiError, OutsideTube
 from .fem import (
     TRI_DEGREE4,
     ErrorReport,
@@ -23,21 +23,32 @@ from .geometry import CLOSEST_POINT, SCALED_RADIAL, plane_basis
 
 
 class ParametricProblem:
-    """Problem data: surface, interpolating mesh, lift, reference solution."""
+    """Problem data: surface, interpolating mesh, lift, reference solution.
 
-    def __init__(self, surface, mesh, lift=CLOSEST_POINT, solution=None):
+    ``vertex_jet`` is the distance jet at the mesh vertices.  ``carry``,
+    empty on a fresh problem, is what an adaptive round hands the next
+    (``adapt_loop``); the vertices and facets it covers are not evaluated.
+    """
+
+    def __init__(self, surface, mesh, lift=CLOSEST_POINT, solution=None, carry=None):
         if lift not in (CLOSEST_POINT, SCALED_RADIAL):
             raise ValueError(f"unknown lift {lift!r}")
         self.surface = surface
         self.mesh = mesh
         self.lift = lift
         self.solution = solution if solution is not None else surface.manufactured()
-        scale = float(np.max(surface.axis_extents()))
-        off = np.abs(surface._distance_raw(mesh.vertices)).max()
-        if off > 1e-9 * scale:
+        self.carry = {} if carry is None else carry
+        known = self.carry.get("vertex_jet")
+        try:
+            jet = surface.distance_jet(mesh.vertices[0 if known is None else len(known[0]):])
+        except OutsideTube as err:  # the jet is well defined on the whole surface
+            raise BeltramiError("mesh does not interpolate the surface") from err
+        off = np.max(np.abs(jet[0]), initial=0.0)
+        if off > 1e-9 * float(np.max(surface.axis_extents())):
             raise BeltramiError(
                 f"mesh does not interpolate the surface (max |d| = {off:.3e})"
             )
+        self.vertex_jet = jet if known is None else tuple(map(np.concatenate, zip(known, jet)))
 
     def __repr__(self):
         return f"ParametricProblem({self.surface!r}, {self.mesh!r}, lift={self.lift})"
@@ -113,29 +124,38 @@ def sample_faces(es, surface, solution, forcing=True):
     es["u_exact"], es["grad_exact"] = _exact_samples(surface, solution, flat, nus, *jet)
 
 
+def _rows(kept, new):
+    """Carried rows (None when nothing is carried) followed by new ones."""
+    return new if kept is None else np.concatenate([kept, new])
+
+
 def parametric_workspace(problem):
     """The facet element set, sampled (``sample_faces``); under the
-    scaled-radial lift ``forcing`` is f(lift x) times the FD area Jacobian."""
-    mesh = problem.mesh
-    qp = TRI_DEGREE4.physical_points(mesh.triangle_coords())
-    es = {
-        "dofs": mesh.triangles,
-        "grads": mesh.grads,
-        "measures": mesh.areas,
-        "normals": mesh.normals,
-        "qp": qp,
-        "weights": mesh.areas[:, None] * TRI_DEGREE4.normalized_weights[None, :],
-        # the hat values at the reference nodes are the nodes' own barycentrics
-        "phi": np.broadcast_to(TRI_DEGREE4.points, qp.shape),
-    }
+    scaled-radial lift ``forcing`` is f(lift x) times the FD area Jacobian.
+
+    Only the facets after those ``problem.carry`` holds are sampled: their
+    rows follow the carried ones in ``qp``, ``forcing``, ``u_exact`` and
+    ``grad_exact``, and ``jet`` covers them alone.
+    """
+    mesh, carry = problem.mesh, problem.carry
+    k = len(carry.get("lambda", ()))
+    weights = mesh.areas[:, None] * TRI_DEGREE4.normalized_weights[None, :]
+    new = {"normals": mesh.normals[k:], "weights": weights[k:],
+           "qp": TRI_DEGREE4.physical_points(mesh.vertices[mesh.triangles[k:]])}
     closest = problem.lift == CLOSEST_POINT
-    sample_faces(es, problem.surface, problem.solution, forcing=closest)
+    sample_faces(new, problem.surface, problem.solution, forcing=closest)
     if not closest:
-        surface, flat, nq = problem.surface, qp.reshape(-1, 3), TRI_DEGREE4.npoints
-        ratio = _scaled_radial_jacobian(surface, flat, np.repeat(mesh.normals, nq, axis=0),
-                                        np.repeat(1e-6 * mesh.diameters, nq))
+        surface, flat, nq = problem.surface, new["qp"].reshape(-1, 3), TRI_DEGREE4.npoints
+        ratio = _scaled_radial_jacobian(surface, flat, np.repeat(new["normals"], nq, axis=0),
+                                        np.repeat(1e-6 * mesh.diameters[k:], nq))
         F = problem.solution.f(surface._scaled_radial_raw(flat)) * ratio
-        es["forcing"] = F.reshape(es["weights"].shape)
+        new["forcing"] = F.reshape(new["weights"].shape)
+    es = {"dofs": mesh.triangles, "grads": mesh.grads, "measures": mesh.areas,
+          "normals": mesh.normals, "weights": weights, "jet": new["jet"]}
+    es.update({key: _rows(carry.get(key), new[key])
+               for key in ("qp", "forcing", "u_exact", "grad_exact")})
+    # the hat values at the reference nodes are the nodes' own barycentrics
+    es["phi"] = np.broadcast_to(TRI_DEGREE4.points, es["qp"].shape)
     return es
 
 

@@ -613,3 +613,33 @@ def parse_vtk_tets(text):
             continue
         i += 1
     return points, np.array(cells, dtype=int)
+
+
+# ---------------------------------------------------------------------------
+# adaptive loop from scratch (reference for the carried rounds)
+# ---------------------------------------------------------------------------
+
+
+def fresh_adapt_loop(lib, surface, mesh, max_iters, theta, lift):
+    """The solve-estimate-mark-refine loop with every round sampled afresh.
+
+    ``lib`` is the package under test, passed in; each round builds a
+    problem that carries nothing from the round before, so the jet, the
+    data and the geometric indicators are evaluated on the whole mesh.
+    Returns (rows, mesh, field) with the rows of ``adapt_loop``.
+    """
+    rows = []
+    for it in range(max_iters + 1):
+        problem = lib.ParametricProblem(surface, mesh, lift=lift)
+        ws = {}
+        field, report = lib.parametric_solve(problem, workspace_out=ws)
+        eta, _ = lib.residual_estimator(problem, field, ws)
+        geo = lib.geometric_estimators(problem, ws)
+        marked = lib.dorfler_mark(eta.values**2, theta) if it < max_iters else []
+        rows.append({"iter": it, "n_dof": report.n_dof, "err_H1": report.err_H1,
+                     "err_L2": report.err_L2, "eta": eta.total,
+                     "lambda": geo["lambda"].total, "beta": geo["beta"].total,
+                     "mu": geo["mu"].total, "n_marked": len(marked)})
+        if it < max_iters:
+            mesh = lib.refine_bisection(mesh, marked, surface)
+    return rows, mesh, field

@@ -5,7 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import beltrami
 from beltrami import (
+    CLOSEST_POINT,
+    SCALED_RADIAL,
     Ellipsoid,
     IndicatorField,
     ManufacturedSolution,
@@ -23,6 +26,7 @@ from beltrami import (
     trace_estimators,
     trace_solve,
     parametric_solve,
+    refine_bisection,
 )
 from beltrami.estimators import _edge_jumps
 from beltrami.fem import TRI_DEGREE4, triangle_geometry
@@ -172,7 +176,7 @@ def test_flat_limit_vanishes():
     _, _, nus = triangle_geometry(coords)
     ws = {"qp": qp, "normals": nus, "dofs": np.array([[0, 1, 2]]),
           "jet": s.distance_jet(qp.reshape(-1, 3))}
-    stub = SimpleNamespace(surface=s, mesh=SimpleNamespace(vertices=coords[0]))
+    stub = SimpleNamespace(surface=s, vertex_jet=s.distance_jet(coords[0]), carry={})
     g = geometric_estimators(stub, ws)
     assert g["beta"].total < 1e-9
     assert g["lambda"].total < 1e-6
@@ -218,46 +222,47 @@ def test_geometric_indicators_match_finite_differences(surface, mesh):
     assert np.allclose(g["beta"].values, beta, rtol=1e-6, atol=0.0)
 
 
-def test_one_jet_per_quadrature_point(monkeypatch):
-    """A solve and both estimators evaluate the jet once at each quadrature
-    point and at most once more per facet vertex: 6F + 3F points or fewer.
-    A trace solve evaluates the jet (``distance_jet``) and the distance
-    gradient (``_grad_raw``) on 6F + V points or fewer: once per quadrature
-    node and once per cut vertex."""
-    s = Torus(1.0, 0.4)
-    problem = ParametricProblem(s, build_torus_mesh(s, 8, 4))
-    points = []
-    jet_raw = s._jet_raw
-
-    def counting(x):
-        points.append(len(x))
-        return jet_raw(x)
-
-    monkeypatch.setattr(s, "_jet_raw", counting)
-    ws = {}
-    field, _ = parametric_solve(problem, workspace_out=ws)
-    residual_estimator(problem, field, ws)
-    geometric_estimators(problem, ws)
-    n_facets = problem.mesh.n_triangles
-    assert sum(points) <= (6 + 3) * n_facets
-
-    s = Sphere(1.0)
-    trace = TraceProblem(s, build_bulk_mesh(s, 8))
+def count_outermost(surface, names, monkeypatch):
+    """Patch the methods ``names`` of ``surface`` to record the point count
+    of each call not made from inside another of them; returns the record."""
     points, inside = [], []
 
     def outermost(method):
-        def counted(x):
+        def counted(x, *args, **kwargs):
             if not inside:
                 points.append(len(x))
             inside.append(method)
             try:
-                return method(x)
+                return method(x, *args, **kwargs)
             finally:
                 inside.pop()
         return counted
 
-    for name in ("distance_jet", "_grad_raw"):
-        monkeypatch.setattr(s, name, outermost(getattr(s, name)))
+    for name in names:
+        monkeypatch.setattr(surface, name, outermost(getattr(surface, name)))
+    return points
+
+
+def test_one_jet_per_quadrature_point(monkeypatch):
+    """A solve and both estimators evaluate the jet (``distance_jet`` or
+    ``_jet_raw``) once at each quadrature point and once per mesh vertex:
+    6F + V points, no more than 6F + 3F.
+    A trace solve evaluates the jet (``distance_jet``) and the distance
+    gradient (``_grad_raw``) on 6F + V points or fewer: once per quadrature
+    node and once per cut vertex."""
+    s = Torus(1.0, 0.4)
+    points = count_outermost(s, ("distance_jet", "_jet_raw"), monkeypatch)
+    problem = ParametricProblem(s, build_torus_mesh(s, 8, 4))
+    ws = {}
+    field, _ = parametric_solve(problem, workspace_out=ws)
+    residual_estimator(problem, field, ws)
+    geometric_estimators(problem, ws)
+    mesh = problem.mesh
+    assert sum(points) == 6 * mesh.n_triangles + mesh.n_vertices <= (6 + 3) * mesh.n_triangles
+
+    s = Sphere(1.0)
+    trace = TraceProblem(s, build_bulk_mesh(s, 8))
+    points = count_outermost(s, ("distance_jet", "_grad_raw"), monkeypatch)
     trace_solve(trace)
     cut = trace.cut
     assert sum(points) <= 6 * cut.n_faces + len(cut.vertices)
@@ -407,6 +412,56 @@ def test_adapt_history_and_progress():
     # the returned mesh and field belong to the last history row
     assert mesh.n_vertices == dofs[-1]
     assert field.n_dof == dofs[-1]
+
+
+ADAPT_CASES = {
+    "sphere": (lambda: Sphere(1.0), lambda s: build_sphere_mesh(s, 1)),
+    "torus": (lambda: Torus(1.0, 0.4), lambda s: build_torus_mesh(s, 8, 4)),
+    "ellipsoid": (lambda: Ellipsoid(1.3, 1.0, 0.8), lambda s: build_sphere_mesh(s, 1)),
+}
+
+
+@pytest.mark.parametrize("lift", [CLOSEST_POINT, SCALED_RADIAL])
+@pytest.mark.parametrize("kind", sorted(ADAPT_CASES))
+def test_adapt_carry_matches_fresh_rounds(kind, lift):
+    """Carrying the kept facets' samples and indicators and the vertex jet
+    from round to round gives the rows, the final mesh and the final field
+    of sampling every round afresh, bit for bit."""
+    make, mesh = ADAPT_CASES[kind]
+    surface = make()
+    rows, fine, field = adapt_loop(surface, mesh(surface), max_iters=4, lift=lift)
+    ref_rows, ref_mesh, ref_field = oracles.fresh_adapt_loop(
+        beltrami, surface, mesh(surface), 4, 0.5, lift)
+    assert [list(r) for r in rows] == [list(r) for r in ref_rows]
+    for row, ref in zip(rows, ref_rows):
+        assert all(np.array_equal(row[key], ref[key]) for key in ref), (row, ref)
+    assert np.array_equal(fine.vertices, ref_mesh.vertices)
+    assert np.array_equal(fine.triangles, ref_mesh.triangles)
+    assert np.array_equal(field.coefficients, ref_field.coefficients)
+
+
+@pytest.mark.parametrize("kind", sorted(ADAPT_CASES))
+def test_adapt_rounds_evaluate_only_new_facets_and_vertices(kind, monkeypatch):
+    """After round 0 each round sends the jet (``distance_jet`` or
+    ``_jet_raw``) six points per new facet and one per new vertex, and
+    nothing more: no round samples the whole mesh again."""
+    make, mesh = ADAPT_CASES[kind]
+    surface = make()
+    points = count_outermost(surface, ("distance_jet", "_jet_raw"), monkeypatch)
+    rounds = []
+
+    def refine(coarse, marked, s):
+        fine = refine_bisection(coarse, marked, s)
+        rounds.append((sum(points), 6 * (fine.n_triangles - len(fine.kept))
+                       + fine.n_vertices - coarse.n_vertices))
+        return fine
+
+    monkeypatch.setattr(beltrami.estimators, "refine_bisection", refine)
+    start = mesh(surface)
+    adapt_loop(surface, start, max_iters=4)
+    assert rounds[0][0] == 6 * start.n_triangles + start.n_vertices
+    spent = np.diff([r[0] for r in rounds] + [sum(points)])
+    assert spent.tolist() == [r[1] for r in rounds]
 
 
 def test_adapt_eta_tol_stops_early():

@@ -131,6 +131,30 @@ def test_ellipsoid_jet_guard_reuses_its_newton_solve(monkeypatch):
     assert solves == [len(pts)]
 
 
+def test_torus_jet_guard_reads_one_cylinder(monkeypatch):
+    """The guarded torus jet takes its validity mask from the (rho, s) of
+    the jet itself: one ``_cylinder`` per call, the same jet as
+    ``_jet_raw``, and the same points rejected as ``_invalid_mask``."""
+    s = Torus(1.0, 0.4)
+    pts = s.tube_points(50, np.random.default_rng(5))
+    ref = s._jet_raw(pts)
+    bad = np.vstack([pts, [[0.0, 0.0, 0.3], [0.0, 1.0, 0.0], [1e-13, 0.0, 0.0]]])
+    assert np.count_nonzero(s._invalid_mask(bad)) == 3
+    calls = []
+    cylinder = s._cylinder
+
+    def counting(x):
+        calls.append(len(x))
+        return cylinder(x)
+
+    monkeypatch.setattr(s, "_cylinder", counting)
+    jet = s.distance_jet(pts)
+    assert calls == [len(pts)]
+    assert all(np.array_equal(a, b) for a, b in zip(jet, ref))
+    with pytest.raises(OutsideTube, match="^3 point"):
+        s.distance_jet(bad)
+
+
 @settings(max_examples=60, deadline=None)
 @given(axes=st.tuples(*[st.floats(0.3, 2.0)] * 3), seed=st.integers(0, 2**32 - 1))
 def test_ellipsoid_hessian_matches_the_solve(axes, seed):

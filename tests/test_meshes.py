@@ -166,6 +166,38 @@ def test_bisection_empty_marking_is_identity():
     mesh = build_sphere_mesh(s, 1)
     same = refine_bisection(mesh, [], s)
     assert same.n_triangles == mesh.n_triangles
+    assert np.array_equal(same.kept, np.arange(mesh.n_triangles))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["sphere", "torus"]),
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.integers(1, 4),
+)
+def test_bisection_keeps_a_prefix(kind, seed, rounds):
+    """Random marks: the old vertices are a bit-equal prefix of the new
+    ones; the kept triangles come first, in their old order, equal to the
+    old triangles at the reported ids; no triangle after them is an old
+    one, and no marked triangle is kept."""
+    if kind == "sphere":
+        surface = Sphere(1.3)
+        mesh = build_sphere_mesh(surface, 1)
+    else:
+        surface = Torus(1.0, 0.4)
+        mesh = build_torus_mesh(surface, 8, 4)
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        marked = np.flatnonzero(rng.random(mesh.n_triangles) < rng.uniform(0.05, 0.5))
+        fine = refine_bisection(mesh, marked, surface)
+        kept = fine.kept
+        assert np.array_equal(fine.vertices[:mesh.n_vertices], mesh.vertices)
+        assert np.all(np.diff(kept) > 0)
+        assert np.array_equal(fine.triangles[:len(kept)], mesh.triangles[kept])
+        assert not np.isin(marked, kept).any()
+        old = set(map(tuple, np.sort(mesh.triangles, axis=1)))
+        assert old.isdisjoint(map(tuple, np.sort(fine.triangles[len(kept):], axis=1)))
+        mesh = fine
 
 
 @settings(max_examples=40, deadline=None)

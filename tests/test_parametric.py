@@ -39,6 +39,33 @@ def test_mesh_must_interpolate():
         ParametricProblem(Sphere(1.1), mesh)
 
 
+@pytest.mark.parametrize("surface, radius", [(Ellipsoid(1.3, 1.0, 0.8), 0.5),
+                                             (Torus(1.0, 0.4), 1.0)],
+                         ids=["deep-inside-ellipsoid", "through-torus-hole"])
+def test_mesh_must_interpolate_also_outside_the_tube(surface, radius):
+    """A mesh whose vertices lie outside the jet's tube raises the
+    interpolation error before any jet work could warn: a small sphere deep
+    inside the ellipsoid, a unit sphere with vertices on the torus axis and
+    core circle."""
+    mesh = build_sphere_mesh(Sphere(radius), 1)
+    assert surface._invalid_mask(mesh.vertices).any()
+    with pytest.raises(BeltramiError, match="does not interpolate"):
+        ParametricProblem(surface, mesh)
+
+
+def test_vertex_jet_is_the_jet_at_the_vertices(sphere_problem):
+    """One guarded jet per vertex, shared by the interpolation check and
+    the geometric indicators, equal to the raw jet there."""
+    for surface, mesh in [(sphere_problem.surface, sphere_problem.mesh),
+                          (Torus(1.0, 0.4), None), (Ellipsoid(1.3, 1.0, 0.8), None)]:
+        if mesh is None:
+            mesh = (build_torus_mesh(surface, 8, 4) if surface.kind == "torus"
+                    else build_sphere_mesh(surface, 1))
+        problem = ParametricProblem(surface, mesh)
+        ref = surface._jet_raw(mesh.vertices)
+        assert all(np.array_equal(a, b) for a, b in zip(problem.vertex_jet, ref))
+
+
 def test_assembled_system_structure(sphere_problem):
     A, b, m, ws = parametric_assemble(sphere_problem)
     n = sphere_problem.mesh.n_vertices
