@@ -150,7 +150,8 @@ def trace_estimators(problem, field, ws):
     eta = h * np.sqrt(bulk) + np.sqrt(h * jump_term)
 
     surface = problem.surface
-    flat, d, dev = face_deviations(problem, ws)
+    d, dev = face_deviations(problem, ws)
+    flat = np.hstack([ws["qp"], cut.vertices[cut.faces]]).reshape(-1, 3)
     kappa = surface.parallel_curvatures(surface._project_raw(flat))
     k_face = np.abs(kappa).max(axis=1).reshape(len(d), -1).max(axis=1)
     xi = d * k_face + dev**2

@@ -15,7 +15,9 @@ gradients (tangential on faces), ``measures`` (E,) element measures
 (E, nq, k) the hat values there (a read-only broadcast view on facets
 and band tets).  Surface sets add ``normals`` (E, 3) and, sampled,
 ``jet`` (the distance jet at the points) and from it ``forcing`` (E, nq)
-where they carry the load.  On facets whose samples an adaptive round
+where they carry the load.  Every surface set is sampled in blocks of
+whole faces (``node_blocks``), and only the facets' ``jet`` keeps D^2 d:
+on cut faces it is (d, grad d).  On facets whose samples an adaptive round
 carried over (``parametric_workspace``), ``jet`` covers only the rows
 after them, the new facets'.  Band sets add ``d_h`` and ``inside`` (E, nq).
 Error sets add the flat exact samples ``u_exact`` and ``grad_exact``.
@@ -104,6 +106,16 @@ TRI_DEGREE4 = _tri_degree4()
 TET_DEGREE2 = _tet_degree2()
 TET_DEGREE4 = _tet_degree4()
 
+# Nodes per block of a sampling loop, so its temporaries stay small.
+NODE_BLOCK = 1 << 14
+
+
+def node_blocks(n, nq=1):
+    """Slices over n nodes in blocks of whole groups of nq (an element's
+    nodes): NODE_BLOCK nodes a block, or one group if that is larger."""
+    step = max(NODE_BLOCK // nq, 1) * nq
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
 
 # ---------------------------------------------------------------------------
 # element geometry
@@ -162,6 +174,8 @@ def assemble_stiffness(grads, measures, dofs, n_dof):
     """
     elem = (grads * measures[:, None, None]) @ grads.transpose(0, 2, 1)
     k = dofs.shape[1]
+    # int32, scipy's own index type here, so the COO constructor copies no triplets
+    dofs = dofs.astype(np.int32)
     rows = np.repeat(dofs, k, axis=1).ravel()
     cols = np.tile(dofs, (1, k)).ravel()
     A = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n_dof, n_dof))

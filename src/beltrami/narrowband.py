@@ -19,15 +19,13 @@ from .fem import (
     assemble_load,
     assemble_stiffness,
     lumped_mass,
+    node_blocks,
     solve_mean_zero,
 )
 from .geometry import _points, _restore
 from .meshes import extract_band, extract_cut_surface
 from .parametric import error_samples, sample_faces, surface_error_norms
 from .trace import cut_face_workspace
-
-# Inside band nodes per block of the forcing, so its temporaries stay small.
-FORCING_BLOCK = 1 << 16
 
 
 class NarrowBandProblem:
@@ -103,13 +101,14 @@ def narrowband_forcing(problem, quad):
 
     Two passes: evaluate f through the mismatch map at every node of the
     band set ``quad`` (``_band_quadrature``) where the indicator is on, over
-    blocks of ``FORCING_BLOCK`` nodes, then subtract the indicator-weighted
-    average so the singular system stays compatible.
+    blocks of those nodes (``node_blocks``), then subtract the
+    indicator-weighted average so the singular system stays compatible.
     """
     flat, d_h = quad["qp"].reshape(-1, 3), quad["d_h"].ravel()
     nodes = np.flatnonzero(quad["inside"])
     raw = np.zeros(len(flat))
-    for block in np.split(nodes, np.arange(FORCING_BLOCK, len(nodes), FORCING_BLOCK)):
+    for b in node_blocks(len(nodes)):
+        block = nodes[b]
         raw[block] = problem.solution.f(
             mismatch_map(problem.surface, d_h[block], flat[block]))
     raw = raw.reshape(quad["inside"].shape)
@@ -165,7 +164,8 @@ def _band_errors(problem, c):
 
     Uses the positive-weight degree-2 rule (with the band indicator) so
     the accumulated norms cannot go negative near the band boundary.  The
-    exact samples are u(P x) and grad_Gamma u(P x) - d D^2d grad_Gamma u(P x).
+    exact samples are u(P x) and grad_Gamma u(P x) - d D^2d grad_Gamma u(P x),
+    taken over blocks of nodes (``node_blocks``).
     """
     surface, sol = problem.surface, problem.solution
     es = _band_quadrature(problem, TET_DEGREE2)
@@ -174,12 +174,13 @@ def _band_errors(problem, c):
     nodes = np.flatnonzero(es["inside"])
     e, q = np.divmod(nodes, TET_DEGREE2.points.shape[0])
     flat = es["qp"].reshape(-1, 3).take(nodes, axis=0)
-    d, g, H = surface._jet_raw(flat)
-    p = flat - d[:, None] * g
-    gg = sol.grad_gamma(p)
-    u_exact = sol.u(p)
-    grad_exact = gg - d[:, None] * np.einsum("nij,nj->ni", H, gg)
-    del d, g, H, p, gg  # the jet goes before the rows are gathered, the band set after
+    u_exact, grad_exact = np.empty(len(flat)), np.empty((len(flat), 3))
+    for b in node_blocks(len(flat)):
+        d, g, H = surface._jet_raw(flat[b])
+        p = flat[b] - d[:, None] * g
+        gg = sol.grad_gamma(p)
+        u_exact[b] = sol.u(p)
+        grad_exact[b] = gg - d[:, None] * np.einsum("nij,nj->ni", H, gg)
     rows = {"dofs": es["dofs"].take(e, axis=0), "grads": es["grads"].take(e, axis=0),
             "phi": TET_DEGREE2.points.take(q, axis=0)[:, None], "qp": flat[:, None],
             "weights": es["weights"].take(nodes), "u_exact": u_exact,

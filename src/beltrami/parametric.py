@@ -17,6 +17,7 @@ from .fem import (
     assemble_load,
     assemble_stiffness,
     lumped_mass,
+    node_blocks,
     solve_mean_zero,
 )
 from .geometry import CLOSEST_POINT, SCALED_RADIAL, plane_basis
@@ -27,7 +28,8 @@ class ParametricProblem:
 
     ``vertex_jet`` is the distance jet at the mesh vertices.  ``carry``,
     empty on a fresh problem, is what an adaptive round hands the next
-    (``adapt_loop``); the vertices and facets it covers are not evaluated.
+    (``adapt_loop``); the vertices and facets it covers are not evaluated,
+    and its vertex jet moves into ``vertex_jet``.
     """
 
     def __init__(self, surface, mesh, lift=CLOSEST_POINT, solution=None, carry=None):
@@ -38,7 +40,7 @@ class ParametricProblem:
         self.lift = lift
         self.solution = solution if solution is not None else surface.manufactured()
         self.carry = {} if carry is None else carry
-        known = self.carry.get("vertex_jet")
+        known = self.carry.pop("vertex_jet", None)
         try:
             jet = surface.distance_jet(mesh.vertices[0 if known is None else len(known[0]):])
         except OutsideTube as err:  # the jet is well defined on the whole surface
@@ -110,18 +112,28 @@ def error_samples(es, c):
             np.repeat(np.einsum("ek,ekd->ed", c_local, es["grads"]), nq, axis=0))
 
 
-def sample_faces(es, surface, solution, forcing=True):
+def sample_faces(es, surface, solution, forcing=True, hessian=False):
     """Fill a surface element set's ``jet`` at its quadrature points, then
     (if ``forcing``) the closest-point forcing F = f(P_d x) q/q_Gamma, then
-    ``u_exact`` and ``grad_exact``, all from that one jet."""
-    flat = es["qp"].reshape(-1, 3)
-    nus = np.repeat(es["normals"], es["qp"].shape[1], axis=0)
-    jet = es["jet"] = surface.distance_jet(flat)
-    # the forcing first: the ellipsoid's f evaluates a jet of its own
+    ``u_exact`` and ``grad_exact``, all from that one jet.  Blocks of whole
+    faces (``node_blocks``) fill preallocated arrays; ``jet`` keeps D^2 d
+    only with ``hessian``, as the facets' geometric indicators need it."""
+    flat, nq = es["qp"].reshape(-1, 3), es["qp"].shape[1]
+    n = len(flat)
+    jet = (np.empty(n), np.empty((n, 3))) + ((np.empty((n, 3, 3)),) if hessian else ())
+    F, u, grad = np.empty(n) if forcing else None, np.empty(n), np.empty((n, 3))
+    for b in node_blocks(n, nq):
+        pts, nus = flat[b], np.repeat(es["normals"][b.start // nq:b.stop // nq], nq, axis=0)
+        part = surface.distance_jet(pts)
+        for whole, block in zip(jet, part):
+            whole[b] = block
+        # the forcing first: the ellipsoid's f evaluates a jet of its own
+        if forcing:
+            F[b] = _jet_forcing(surface, solution, pts, nus, *part)
+        u[b], grad[b] = _exact_samples(surface, solution, pts, nus, *part)
+    es["jet"], es["u_exact"], es["grad_exact"] = jet, u, grad
     if forcing:
-        F = _jet_forcing(surface, solution, flat, nus, *jet)
         es["forcing"] = F.reshape(es["weights"].shape)
-    es["u_exact"], es["grad_exact"] = _exact_samples(surface, solution, flat, nus, *jet)
 
 
 def _rows(kept, new):
@@ -143,7 +155,7 @@ def parametric_workspace(problem):
     new = {"normals": mesh.normals[k:], "weights": weights[k:],
            "qp": TRI_DEGREE4.physical_points(mesh.vertices[mesh.triangles[k:]])}
     closest = problem.lift == CLOSEST_POINT
-    sample_faces(new, problem.surface, problem.solution, forcing=closest)
+    sample_faces(new, problem.surface, problem.solution, forcing=closest, hessian=True)
     if not closest:
         surface, flat, nq = problem.surface, new["qp"].reshape(-1, 3), TRI_DEGREE4.npoints
         ratio = _scaled_radial_jacobian(surface, flat, np.repeat(new["normals"], nq, axis=0),

@@ -64,10 +64,9 @@ def cut_face_workspace(bulk, cut, active_dofs):
 
 def _face_workspace(problem):
     """The sampled cut-face element set (``sample_faces``); its ``jet``
-    keeps (d, grad d) only."""
+    is (d, grad d)."""
     ws = cut_face_workspace(problem.bulk, problem.cut, problem.cut.active_dofs)
     sample_faces(ws, problem.surface, problem.solution)
-    ws["jet"] = ws["jet"][:2]
     return ws
 
 
@@ -97,19 +96,16 @@ def trace_solve(problem, tol=1e-10, workspace_out=None):
 
 
 def face_deviations(problem, ws):
-    """Samples (F * 9, 3) at face quadrature nodes and vertices, and per
-    face the max |d| and max |grad d - nu_F| over them.  The nodes take
-    the workspace's jet; the cut vertices are evaluated here, once each."""
+    """Per face the max |d| and max |grad d - nu_F| over its quadrature
+    nodes and vertices.  The nodes take the workspace's jet; the cut
+    vertices are evaluated here, once each."""
     cut = problem.cut
-    corners = cut.vertices[cut.faces]
-    n_f = len(corners)
+    nus = ws["normals"][:, None, :]
     d_v, g_v = problem.surface._grad_raw(cut.vertices)
-    d_q, g_q = ws["jet"]
-    d = np.hstack([d_q.reshape(n_f, -1), d_v[cut.faces]])
-    g = np.hstack([g_q.reshape(n_f, -1, 3), g_v[cut.faces]])
-    dev = row_norm(g - ws["normals"][:, None, :])
-    flat = np.hstack([ws["qp"], corners]).reshape(-1, 3)
-    return flat, np.abs(d).max(axis=1), dev.max(axis=1)
+    d_q, g_q = (a.reshape((cut.n_faces, -1) + a.shape[1:]) for a in ws["jet"])
+    d = np.maximum(np.abs(d_q).max(axis=1), np.abs(d_v[cut.faces]).max(axis=1))
+    dev = np.maximum(row_norm(g_q - nus).max(axis=1), row_norm(g_v[cut.faces] - nus).max(axis=1))
+    return d, dev
 
 
 def geometric_resolution(problem, ws):
@@ -120,7 +116,7 @@ def geometric_resolution(problem, ws):
     surface (second order in h) and max normal deviation (first order),
     plus the h-normalized constants.
     """
-    _, per_face_d, per_face_dev = face_deviations(problem, ws)
+    per_face_d, per_face_dev = face_deviations(problem, ws)
     h = problem.cut.h_face
     return {
         "max_distance": float(per_face_d.max()),

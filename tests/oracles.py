@@ -11,6 +11,7 @@ a closest-point map), the callable is passed in as an argument.
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 # ---------------------------------------------------------------------------
 # surface parametrizations (used only for brute-force sampling)
@@ -643,3 +644,51 @@ def fresh_adapt_loop(lib, surface, mesh, max_iters, theta, lift):
         if it < max_iters:
             mesh = lib.refine_bisection(mesh, marked, surface)
     return rows, mesh, field
+
+
+# ---------------------------------------------------------------------------
+# one-call face sampling and int64 COO assembly (references for the blocked
+# sampler and the int32 triplets)
+# ---------------------------------------------------------------------------
+
+
+def one_call_sample_faces(es, surface, solution, forcing=True):
+    """The face sampler as one call over the whole set: the jet (d, g, H)
+    at every quadrature node, then F = f(P_d x) q/q_Gamma (with
+    ``forcing``), u(P_d x) and the lifted tangential gradient, from the
+    surface's own jet helpers.  Returns a dict of those entries."""
+    flat = es["qp"].reshape(-1, 3)
+    nus = np.repeat(es["normals"], es["qp"].shape[1], axis=0)
+    d, g, H = jet = surface.distance_jet(flat)
+    lifted = flat - d[:, None] * g
+    out = {"jet": jet, "u_exact": solution.u(lifted),
+           "grad_exact": surface._jet_lifted_gradient(d, g, H, nus, solution.grad_gamma(lifted))}
+    if forcing:
+        F = solution.f(lifted) * surface._jet_area_ratio(d, g, H, nus)
+        out["forcing"] = F.reshape(es["weights"].shape)
+    return out
+
+
+def one_call_face_deviations(surface, vertices, faces, qp, normals, node_jet):
+    """Samples (F * 9, 3) at the quadrature nodes ``qp`` and vertices of the
+    faces, and per face the max |d| and max |grad d - nu_F| over them, all
+    nine stacked in one array.  ``node_jet`` is (d, grad d) at the nodes."""
+    n_f = len(faces)
+    d_v, g_v = surface._grad_raw(vertices)
+    d_q, g_q = node_jet
+    d = np.hstack([d_q.reshape(n_f, -1), d_v[faces]])
+    g = np.hstack([g_q.reshape(n_f, -1, 3), g_v[faces]])
+    dev = np.linalg.norm(g - normals[:, None, :], axis=-1)
+    flat = np.hstack([qp, vertices[faces]]).reshape(-1, 3)
+    return flat, np.abs(d).max(axis=1), dev.max(axis=1)
+
+
+def int64_coo_stiffness(grads, measures, dofs, n_dof):
+    """CSR stiffness from int64 COO triplets, which the COO constructor
+    copies down to its own index type."""
+    elem = (grads * measures[:, None, None]) @ grads.transpose(0, 2, 1)
+    k = dofs.shape[1]
+    dofs = dofs.astype(np.int64)
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, (1, k)).ravel()
+    return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n_dof, n_dof)).tocsr()

@@ -16,7 +16,7 @@ from beltrami import (
     narrowband_solve,
 )
 from beltrami.fem import assemble_stiffness
-import beltrami.narrowband
+import beltrami.fem
 from beltrami.narrowband import _band_quadrature, narrowband_forcing
 
 import oracles
@@ -141,9 +141,9 @@ def test_blocked_forcing_equals_one_call(surface, monkeypatch):
     problem = NarrowBandProblem(surface, bulk, delta=bulk.h)
     quad = _band_quadrature(problem)
     assert quad["inside"].sum() > 3000
-    monkeypatch.setattr(beltrami.narrowband, "FORCING_BLOCK", quad["inside"].size)
+    monkeypatch.setattr(beltrami.fem, "NODE_BLOCK", quad["inside"].size)
     whole = narrowband_forcing(problem, quad)
-    monkeypatch.setattr(beltrami.narrowband, "FORCING_BLOCK", 1000)
+    monkeypatch.setattr(beltrami.fem, "NODE_BLOCK", 1000)
     blocked = narrowband_forcing(problem, quad)
     assert np.array_equal(blocked[0], whole[0])
     assert blocked[1:] == whole[1:]

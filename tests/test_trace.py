@@ -1,7 +1,12 @@
 """Trace FEM on reconstructed level sets of the lattice distance."""
 
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beltrami import (
     Ellipsoid,
@@ -16,9 +21,11 @@ from beltrami import (
     skin_containment,
     trace_solve,
 )
+import beltrami.fem
 from beltrami.errors import BeltramiError
-from beltrami.fem import assemble_stiffness, solve_mean_zero
-from beltrami.trace import _face_workspace, geometric_resolution
+from beltrami.fem import TRI_DEGREE4, assemble_stiffness, solve_mean_zero
+from beltrami.parametric import sample_faces
+from beltrami.trace import _face_workspace, cut_face_workspace, face_deviations, geometric_resolution
 
 import oracles
 
@@ -204,3 +211,74 @@ def test_linearity_in_the_data(coarse_problem):
     f1, r1 = trace_solve(problem, tol=1e-12)
     assert np.abs(f1.coefficients + 2.0 * f0.coefficients).max() < 1e-8
     assert r1.err_H1 == pytest.approx(2.0 * r0.err_H1, rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def cut_sets():
+    """Unsampled cut-face sets on the three surfaces, with their problems."""
+    sets = {}
+    for surface in (Sphere(1.0), Torus(1.0, 0.4), Ellipsoid(1.3, 1.0, 0.8)):
+        problem = TraceProblem(surface, build_bulk_mesh(surface, 10))
+        sets[surface.kind] = problem, cut_face_workspace(
+            problem.bulk, problem.cut, problem.cut.active_dofs)
+    return sets
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["sphere", "torus", "ellipsoid"]), block=st.integers(1, 40),
+       n_faces=st.integers(1, 30), forcing=st.booleans(), hessian=st.booleans())
+@example(kind="ellipsoid", block=TRI_DEGREE4.npoints, n_faces=7, forcing=True, hessian=True)
+@example(kind="torus", block=4 * TRI_DEGREE4.npoints - 1, n_faces=9, forcing=False,
+         hessian=False)
+def test_blocked_sampling_equals_one_call(cut_sets, kind, block, n_faces, forcing, hessian):
+    """Blocks of whole faces, with face counts that straddle a small block,
+    give the jet, forcing, exact samples and per-face deviation maxima of
+    one call over the whole set, bit for bit."""
+    problem, ws = cut_sets[kind]
+    part = {key: ws[key][:n_faces] for key in ("qp", "normals", "weights")}
+    ref = oracles.one_call_sample_faces(part, problem.surface, problem.solution, forcing)
+    es = dict(part)
+    with mock.patch.object(beltrami.fem, "NODE_BLOCK", block):
+        sample_faces(es, problem.surface, problem.solution, forcing=forcing, hessian=hessian)
+    assert len(es["jet"]) == (3 if hessian else 2)
+    for got, want in zip(es["jet"], ref["jet"]):
+        assert np.array_equal(got, want)
+    assert ("forcing" in es) == forcing
+    for key in ("forcing", "u_exact", "grad_exact") if forcing else ("u_exact", "grad_exact"):
+        assert np.array_equal(es[key], ref[key]), key
+    cut = problem.cut
+    faces = cut.faces[:n_faces]
+    stub = SimpleNamespace(surface=problem.surface, cut=SimpleNamespace(
+        vertices=cut.vertices, faces=faces, n_faces=n_faces))
+    d, dev = face_deviations(stub, {"jet": es["jet"][:2], "normals": part["normals"]})
+    _, d_ref, dev_ref = oracles.one_call_face_deviations(
+        problem.surface, cut.vertices, faces, part["qp"], part["normals"], ref["jet"][:2])
+    assert np.array_equal(d, d_ref)
+    assert np.array_equal(dev, dev_ref)
+
+
+@pytest.mark.parametrize("surface, method", [(Sphere(1.0), "trace"), (Sphere(1.0), "narrowband"),
+                                             (Torus(1.0, 0.4), "narrowband")],
+                         ids=["trace-sphere", "narrowband-sphere", "narrowband-torus"])
+def test_solves_sample_at_most_a_block(surface, method, monkeypatch):
+    """With a small node block, no call of the surface's jet sees more than
+    one block of points, so no whole-set (N, 3, 3) array comes back; the
+    trace workspace keeps (d, grad d) only."""
+    bulk = build_bulk_mesh(surface, 24)
+    block = 500
+    monkeypatch.setattr(beltrami.fem, "NODE_BLOCK", block)
+    sizes = []
+    for name in ("_jet_raw", "distance_jet"):
+        def counted(x, jet=getattr(surface, name)):
+            sizes.append(len(x))
+            return jet(x)
+        monkeypatch.setattr(surface, name, counted)
+    if method == "trace":
+        ws = {}
+        trace_solve(TraceProblem(surface, bulk), workspace_out=ws)
+        assert len(ws["jet"]) == 2
+        assert len(ws["qp"].reshape(-1, 3)) > 10 * block
+    else:
+        narrowband_solve(NarrowBandProblem(surface, bulk))
+    assert len(sizes) > 10
+    assert max(sizes) <= block
