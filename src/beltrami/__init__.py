@@ -51,7 +51,6 @@ from .meshes import (
     extract_band,
     extract_cut_surface,
     refine_bisection,
-    refine_uniform,
     write_off,
     write_vtk_tets,
 )

@@ -146,7 +146,7 @@ def trace_estimators(problem, field, ws):
 
     w = ws["weights"]
     bulk = (w * ws["forcing"] ** 2).sum(axis=1)
-    h = cut.h_face
+    h = cut.bulk.tet_diameter
     eta = h * np.sqrt(bulk) + np.sqrt(h * jump_term)
 
     surface = problem.surface

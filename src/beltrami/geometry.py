@@ -3,9 +3,11 @@
 Each surface exposes the signed distance function d, its gradient (the
 unit-normal extension), and its Hessian (the Weingarten map extension),
 plus the derived quantities every discretization in this package needs:
-closest-point and scaled-radial lifts, parallel-surface curvatures, area
-element ratios, lifted tangential gradients, and manufactured reference
-solutions of  -Delta_gamma u = f.
+the closest-point projection, parallel-surface curvatures, area element
+ratios and lifted tangential gradients (all from that one jet), and
+manufactured reference solutions of  -Delta_gamma u = f.  The ellipsoid
+also carries the scaled-radial chart x / s(x) with its area ratio in
+closed form; on the sphere and torus that lift is the closest-point map.
 
 Conventions
 -----------
@@ -115,6 +117,12 @@ class ImplicitSurface:
     def _invalid_mask(self, pts):
         raise NotImplementedError
 
+    # Whether the scaled-radial lift is a chart of its own, with the lift and
+    # its area ratio in ``_scaled_radial_raw(pts, nus)``.  Not on the sphere
+    # and torus: the ray from the center (or the core circle) meets them at
+    # the closest point, so there that lift is the closest-point map.
+    _own_chart = False
+
     def max_curvature(self):
         """Upper bound K_inf on the principal curvature magnitudes."""
         raise NotImplementedError
@@ -183,27 +191,6 @@ class ImplicitSurface:
         p = self._project_raw(pts)
         return _restore(p, single, np.asarray(x).shape[:-1])
 
-    def generic_lift(self, x, lift=CLOSEST_POINT):
-        """Map a point onto the surface by the requested lift.
-
-        ``closest_point`` delegates to the distance projection,
-        ``scaled_radial`` intersects the ray from the surface's center
-        (for the torus, from the core circle) with the surface.  Neither
-        route applies the tube guard; the lifts are well defined wherever
-        the rays are nondegenerate.
-        """
-        pts, single = _points(x)
-        if lift == CLOSEST_POINT:
-            p = self._project_raw(pts)
-        elif lift == SCALED_RADIAL:
-            p = self._scaled_radial_raw(pts)
-        else:
-            raise ValueError(f"unknown lift kind {lift!r}")
-        return _restore(p, single, np.asarray(x).shape[:-1])
-
-    def _scaled_radial_raw(self, pts):
-        raise NotImplementedError
-
     def _tangent_curvatures(self, g, H):
         """Eigenvalues of H restricted to the plane orthogonal to g.
 
@@ -259,22 +246,6 @@ class ImplicitSurface:
         det = 0.5 * (tr**2 - np.einsum("nij,nij->n", H, H))
         return (1.0 - d * tr + d**2 * det) * dots
 
-    def lifted_tangential_gradient(self, x, nu_gamma, grad_gamma):
-        """Tangential gradient on a facet of the lifted field u o P_d.
-
-        Implements Pi_Gamma (I - d W) Pi grad_gamma at x, where grad_gamma
-        is the surface-tangential gradient evaluated at P_d(x) and
-        nu_gamma is the facet's unit normal.
-        """
-        pts, single = _points(x)
-        nus, _ = _points(nu_gamma)
-        gg, _ = _points(grad_gamma)
-        nus = np.broadcast_to(nus, pts.shape).reshape(-1, 3)
-        gg = np.broadcast_to(gg, pts.shape).reshape(-1, 3)
-        self._check_valid(pts)
-        v = self._jet_lifted_gradient(*self._jet_raw(pts), nus, gg)
-        return _restore(v, single, np.asarray(x).shape[:-1])
-
     def _jet_lifted_gradient(self, d, g, H, nus, gg):
         gt = gg - np.einsum("ni,ni->n", gg, g)[:, None] * g
         v = gt - d[:, None] * np.einsum("nij,nj->ni", H, gt)
@@ -325,12 +296,6 @@ class Sphere(ImplicitSurface):
         r = d + self.radius
         H = (_EYE3[None, :, :] - g[:, :, None] * g[:, None, :]) / r[:, None, None]
         return d, g, H
-
-    def _scaled_radial_raw(self, pts):
-        r = np.linalg.norm(pts, axis=1)
-        if np.any(r < 1e-12 * self.radius):
-            raise RayMiss("scaled-radial lift undefined at the center")
-        return self.radius * pts / r[:, None]
 
     def surface_points(self, n, rng):
         v = rng.standard_normal((n, 3))
@@ -449,20 +414,6 @@ class Torus(ImplicitSurface):
         H[:, 1, 2] = H[:, 2, 1] = t1 * t2 / s
         return d, g, H
 
-    def _scaled_radial_raw(self, pts):
-        R, r = self.major_radius, self.minor_radius
-        rho = np.hypot(pts[:, 0], pts[:, 1])
-        if np.any(rho < 1e-12 * R):
-            raise RayMiss("scaled-radial lift undefined on the torus axis")
-        c = np.zeros_like(pts)
-        c[:, 0] = R * pts[:, 0] / rho
-        c[:, 1] = R * pts[:, 1] / rho
-        q = pts - c
-        sq = np.linalg.norm(q, axis=1)
-        if np.any(sq < 1e-12 * r):
-            raise RayMiss("scaled-radial lift undefined on the core circle")
-        return c + r * q / sq[:, None]
-
     def surface_points(self, n, rng):
         R, r = self.major_radius, self.minor_radius
         phi = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -531,6 +482,7 @@ class Ellipsoid(ImplicitSurface):
     """Axis-aligned ellipsoid (x/a)^2 + (y/b)^2 + (z/c)^2 = 1."""
 
     kind = "ellipsoid"
+    _own_chart = True
 
     def __init__(self, a, b, c):
         if not all(0 < v < np.inf for v in (a, b, c)):
@@ -655,11 +607,19 @@ class Ellipsoid(ImplicitSurface):
         self._reject(d <= -self.tube_halfwidth())
         return d, g, self._hessian(pts, d, g)
 
-    def _scaled_radial_raw(self, pts):
-        s = np.sqrt(np.sum(pts**2 / self.abc2, axis=1))
+    def _scaled_radial_raw(self, pts, nus):
+        """The chart L(x) = x / s(x), s(x) = |x / abc|, and its area ratio on
+        the facet planes with unit normals nus.
+
+        s is 1-homogeneous (x . grad s = s), so DL = (I - x grad s^T / s) / s
+        has rank 2 with cofactor grad s x^T / s^3, and the ratio |cof(DL) nu|
+        is |x . nu| |grad s| / s^3, where grad s = (x / abc^2) / s.
+        """
+        y = pts / self.abc2
+        s = np.sqrt(row_dot(pts, y))
         if np.any(s < 1e-12):
             raise RayMiss("scaled-radial lift undefined at the center")
-        return pts / s[:, None]
+        return pts / s[:, None], np.abs(row_dot(pts, nus)) * row_norm(y) / s**4
 
     def surface_points(self, n, rng):
         v = rng.standard_normal((n, 3))

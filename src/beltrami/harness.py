@@ -14,13 +14,7 @@ import numpy as np
 from .errors import BadSeries, ConfigError
 from .estimators import adapt_loop, geometric_estimators, residual_estimator
 from .geometry import CLOSEST_POINT, SCALED_RADIAL, is_finite_number, surface_from_config
-from .meshes import (
-    build_bulk_mesh,
-    build_sphere_mesh,
-    build_torus_mesh,
-    write_off,
-    write_vtk_tets,
-)
+from .meshes import build_bulk_mesh, build_sphere_mesh, build_torus_mesh
 from .narrowband import NarrowBandProblem, narrowband_solve
 from .parametric import ParametricProblem, parametric_solve
 from .trace import TraceProblem, trace_solve

@@ -240,14 +240,6 @@ def build_torus_mesh(surface, n_major, n_minor):
     return _finish_surface_mesh(vertices, tris, surface)
 
 
-def refine_uniform(mesh, surface):
-    """Red refinement: every triangle into four, midpoints projected."""
-    def project(x):
-        return surface._project_raw(x)
-    vertices, triangles = _subdivide_once(mesh.vertices, mesh.triangles, project)
-    return _finish_surface_mesh(vertices, triangles, surface)
-
-
 # Children of a triangle (v0, v1, v2) by its edge marks (bit i set when the
 # edge opposite v_i is split at m_i), as indices into (v0, v1, v2, m0, m1, m2).
 # Closure marks the refinement edge of every triangle with a marked edge,
@@ -494,7 +486,6 @@ class CutSurface:
         self.areas, self.normals = areas, normals
         self.parent_tet = parent_tet
         self.n_degenerate = int(n_degenerate)
-        self.h_face = np.full(len(faces), bulk.tet_diameter)
         self.cut_tets = np.unique(parent_tet)
         self.active_dofs = np.unique(bulk.tet_vertices(self.cut_tets))
         self.d_vertex = lattice_d[np.searchsorted(lattice_ids, self.active_dofs)]

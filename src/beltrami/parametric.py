@@ -2,9 +2,10 @@
 
 Assembles the P1 Laplace-Beltrami problem directly on a polyhedral
 surface whose vertices sit on the smooth one.  The right-hand side pulls
-the data back through a lift (closest-point or scaled-radial), scaled by
-the surface-to-facet area element ratio so the discrete problem stays
-compatible with the mean-zero constraint.
+the data back through a lift, scaled by the surface-to-facet area element
+ratio so the discrete problem stays compatible with the mean-zero
+constraint.  The closest-point lift takes the ratio from the distance jet;
+the ellipsoid's scaled-radial chart x / s(x) has its own in closed form.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from .fem import (
     node_blocks,
     solve_mean_zero,
 )
-from .geometry import CLOSEST_POINT, SCALED_RADIAL, plane_basis
+from .geometry import CLOSEST_POINT, SCALED_RADIAL
 
 
 class ParametricProblem:
@@ -54,21 +55,6 @@ class ParametricProblem:
 
     def __repr__(self):
         return f"ParametricProblem({self.surface!r}, {self.mesh!r}, lift={self.lift})"
-
-
-def _scaled_radial_jacobian(surface, pts, nus, steps):
-    """Facet-plane area Jacobian of the scaled-radial lift, by central FD."""
-    t1, t2 = plane_basis(nus)
-    s = steps[:, None]
-    c1 = (
-        surface._scaled_radial_raw(pts + s * t1)
-        - surface._scaled_radial_raw(pts - s * t1)
-    ) / (2.0 * s)
-    c2 = (
-        surface._scaled_radial_raw(pts + s * t2)
-        - surface._scaled_radial_raw(pts - s * t2)
-    ) / (2.0 * s)
-    return np.linalg.norm(np.cross(c1, c2), axis=1)
 
 
 def _jet_forcing(surface, solution, pts, nus, d, g, H):
@@ -142,26 +128,27 @@ def _rows(kept, new):
 
 
 def parametric_workspace(problem):
-    """The facet element set, sampled (``sample_faces``); under the
-    scaled-radial lift ``forcing`` is f(lift x) times the FD area Jacobian.
+    """The facet element set, sampled (``sample_faces``).  Under the
+    scaled-radial lift on a surface with a chart of its own (the
+    ellipsoid's x / s(x)), ``forcing`` is f(L x) times the chart's
+    closed-form area ratio; elsewhere it is the closest-point forcing,
+    which on the sphere and torus is that lift.
 
     Only the facets after those ``problem.carry`` holds are sampled: their
     rows follow the carried ones in ``qp``, ``forcing``, ``u_exact`` and
     ``grad_exact``, and ``jet`` covers them alone.
     """
-    mesh, carry = problem.mesh, problem.carry
+    mesh, carry, surface = problem.mesh, problem.carry, problem.surface
     k = len(carry.get("lambda", ()))
     weights = mesh.areas[:, None] * TRI_DEGREE4.normalized_weights[None, :]
     new = {"normals": mesh.normals[k:], "weights": weights[k:],
            "qp": TRI_DEGREE4.physical_points(mesh.vertices[mesh.triangles[k:]])}
-    closest = problem.lift == CLOSEST_POINT
-    sample_faces(new, problem.surface, problem.solution, forcing=closest, hessian=True)
-    if not closest:
-        surface, flat, nq = problem.surface, new["qp"].reshape(-1, 3), TRI_DEGREE4.npoints
-        ratio = _scaled_radial_jacobian(surface, flat, np.repeat(new["normals"], nq, axis=0),
-                                        np.repeat(1e-6 * mesh.diameters[k:], nq))
-        F = problem.solution.f(surface._scaled_radial_raw(flat)) * ratio
-        new["forcing"] = F.reshape(new["weights"].shape)
+    chart = problem.lift == SCALED_RADIAL and surface._own_chart
+    sample_faces(new, surface, problem.solution, forcing=not chart, hessian=True)
+    if chart:
+        lifted, ratio = surface._scaled_radial_raw(
+            new["qp"].reshape(-1, 3), np.repeat(new["normals"], TRI_DEGREE4.npoints, axis=0))
+        new["forcing"] = (problem.solution.f(lifted) * ratio).reshape(new["weights"].shape)
     es = {"dofs": mesh.triangles, "grads": mesh.grads, "measures": mesh.areas,
           "normals": mesh.normals, "weights": weights, "jet": new["jet"]}
     es.update({key: _rows(carry.get(key), new[key])

@@ -117,11 +117,11 @@ def geometric_resolution(problem, ws):
     plus the h-normalized constants.
     """
     per_face_d, per_face_dev = face_deviations(problem, ws)
-    h = problem.cut.h_face
+    h = problem.bulk.tet_diameter
     return {
         "max_distance": float(per_face_d.max()),
         "max_normal_dev": float(per_face_dev.max()),
-        "c_distance": float((per_face_d / h**2).max()),
+        "c_distance": float((per_face_d / (h * h)).max()),
         "c_normal": float((per_face_dev / h).max()),
     }
 

@@ -442,7 +442,7 @@ def test_lifted_tangential_gradient_chain_rule():
     sol = s.manufactured()
     pts = tube_sample(s, 10, fill=0.5)
     _, g = s._grad_raw(pts)
-    grad_exact = s.lifted_tangential_gradient(pts, g, sol.grad_gamma(s.closest_point(pts)))
+    grad_exact = s._jet_lifted_gradient(*s._jet_raw(pts), g, sol.grad_gamma(s.closest_point(pts)))
 
     def ext(y):
         return float(sol.u(s.closest_point(np.atleast_2d(y))[0]))
@@ -505,7 +505,9 @@ def test_ellipsoid_forcing_on_the_surface_skips_the_newton_solve(e, lift, monkey
     """Lift images lie on the surface to rounding, so f takes d = 0 and
     grad d = nu there instead of solving for the closest point, and still
     equals the jet formula with the solved d, grad d and D^2 d."""
-    pts = e.generic_lift(e.tube_points(400, np.random.default_rng(4)), lift)
+    pts = e.tube_points(400, np.random.default_rng(4))
+    # the chart's area ratio, unused here, takes any normals
+    pts = e._project_raw(pts) if lift == CLOSEST_POINT else e._scaled_radial_raw(pts, pts)[0]
     solves = []
     closest_t = e._closest_t
 
@@ -575,7 +577,7 @@ def test_manufactured_data_is_odd(surface):
 def test_scaled_radial_lift_lands_on_surface():
     e = Ellipsoid(1.3, 1.0, 0.8)
     pts = tube_sample(e, 80, fill=0.5)
-    p = e.generic_lift(pts, SCALED_RADIAL)
+    p, _ = e._scaled_radial_raw(pts, pts)
     assert np.abs(e._distance_raw(p)).max() < 1e-9
     # central ray: the scaled coordinates of x and P are colinear
     a = pts / np.array([1.3, 1.0, 0.8])
@@ -584,18 +586,27 @@ def test_scaled_radial_lift_lands_on_surface():
     assert cross.max() < 1e-9 * np.linalg.norm(a, axis=1).max()
 
 
-def test_lifts_coincide_on_sphere():
-    s = Sphere(1.0)
-    pts = tube_sample(s, 60)
-    assert np.allclose(
-        s.generic_lift(pts, CLOSEST_POINT), s.generic_lift(pts, SCALED_RADIAL),
-        atol=1e-12,
-    )
-
-
-def test_generic_lift_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        Sphere(1.0).generic_lift(np.array([[0.0, 0.0, 1.1]]), "nearest")
+@settings(max_examples=40, deadline=None)
+@given(axes=st.tuples(*[st.floats(0.3, 2.0)] * 3), ball=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_scaled_radial_chart_area_ratio(axes, ball, seed):
+    """The chart's closed-form ratio is the area scaling of x -> x / s(x)
+    on the facet plane, here against central differences; on a ball the
+    chart is the closest-point map and the ratio the distance jet's."""
+    e = Ellipsoid(*(axes[:1] * 3 if ball else axes))
+    rng = np.random.default_rng(seed)
+    pts = e.tube_points(16, rng)
+    _, g = e._grad_raw(pts)
+    nus = g + 0.1 * rng.standard_normal(g.shape)
+    nus /= row_norm(nus)[:, None]
+    _, ratio = e._scaled_radial_raw(pts, nus)
+    for x, nu, r in zip(pts, nus, ratio):
+        jac = oracles.plane_jacobian(
+            lambda y: e._scaled_radial_raw(y[None], nu[None])[0][0], x, nu, 1e-6)
+        assert r == pytest.approx(jac, rel=1e-6)
+    if ball:
+        jet_ratio = e._jet_area_ratio(*e._jet_raw(pts), nus)
+        assert (np.abs(ratio - jet_ratio) <= 1e-13 * np.abs(jet_ratio)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from beltrami import (
     build_torus_mesh,
     geometric_estimators,
     parametric_solve,
-    refine_uniform,
     residual_estimator,
     surface_error_norms,
 )
@@ -100,7 +99,8 @@ def test_forcing_transfer_closest_point(sphere_problem):
 def test_forcing_scaled_radial_matches_fd_jacobian():
     e = Ellipsoid(1.3, 1.0, 0.8)
     mesh = build_sphere_mesh(Sphere(1.0), 1)
-    verts = e.generic_lift(mesh.vertices * np.array([1.3, 1.0, 0.8]), SCALED_RADIAL)
+    # the chart's images of the stretched icosphere; the area ratio takes any normals
+    verts, _ = e._scaled_radial_raw(mesh.vertices * e.abc, mesh.vertices)
     from beltrami.meshes import SurfaceMesh
 
     emesh = SurfaceMesh(verts, mesh.triangles)
@@ -109,9 +109,9 @@ def test_forcing_scaled_radial_matches_fd_jacobian():
     for qp, nu, F in zip(ws["qp"][:5], ws["normals"][:5], ws["forcing"][:5]):
         for x, Fi in zip(qp, F):
             jac = oracles.plane_jacobian(
-                lambda y: e._scaled_radial_raw(np.atleast_2d(y))[0], x, nu, 1e-6
+                lambda y: e._scaled_radial_raw(np.atleast_2d(y), nu[None])[0][0], x, nu, 1e-6
             )
-            lifted = e._scaled_radial_raw(x[None])[0]
+            lifted = e._scaled_radial_raw(x[None], nu[None])[0][0]
             assert Fi == pytest.approx(float(prob.solution.f(lifted)) * jac, rel=1e-5)
 
 
@@ -149,7 +149,7 @@ def test_error_norms_vanish_for_exact_data(sphere_problem):
     nus = np.repeat(ws["normals"], TRI_DEGREE4.npoints, axis=0)
     lifted = s.closest_point(pts)
     u_exact = sol.u(lifted)
-    g_exact = s.lifted_tangential_gradient(pts, nus, sol.grad_gamma(lifted))
+    g_exact = s._jet_lifted_gradient(*s._jet_raw(pts), nus, sol.grad_gamma(lifted))
     l2, h1 = surface_error_norms(w, ws["u_exact"], ws["grad_exact"], u_exact, g_exact)
     assert l2 < 1e-12 and h1 < 1e-12
 
@@ -182,15 +182,19 @@ def test_linearity_in_the_data(sphere_problem):
     assert r1.err_L2 == pytest.approx(3.0 * r0.err_L2, rel=1e-9)
 
 
-def test_lifts_agree_on_the_sphere():
-    """On a centered sphere the scaled-radial and closest-point lifts are
-    the same map, so the two solves differ only by FD noise in the ratio."""
-    s = Sphere(1.0)
-    mesh = build_sphere_mesh(s, 2)
+@pytest.mark.parametrize("build", [
+    lambda: (Sphere(1.0), build_sphere_mesh(Sphere(1.0), 2)),
+    lambda: (Torus(1.0, 0.4), build_torus_mesh(Torus(1.0, 0.4), 16, 8)),
+], ids=["sphere", "torus"])
+def test_scaled_radial_rows_equal_closest_point_rows(build):
+    """The ray from the center (the core circle) meets the sphere (torus)
+    at the closest point: the scaled-radial lift is the closest-point map,
+    and the two solves agree exactly."""
+    s, mesh = build()
     _, r_cp = parametric_solve(ParametricProblem(s, mesh, lift=CLOSEST_POINT))
     _, r_sr = parametric_solve(ParametricProblem(s, mesh, lift=SCALED_RADIAL))
-    assert r_sr.err_H1 == pytest.approx(r_cp.err_H1, rel=1e-5)
-    assert r_sr.err_L2 == pytest.approx(r_cp.err_L2, rel=1e-4)
+    assert (r_sr.err_H1, r_sr.err_L2) == (r_cp.err_H1, r_cp.err_L2)
+    assert r_sr.info["lift"] == SCALED_RADIAL
 
 
 def test_discrete_area_approaches_smooth(sphere_problem):
