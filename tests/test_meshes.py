@@ -50,17 +50,10 @@ import oracles
 def test_icosphere_counts_and_euler():
     s = Sphere(1.0)
     expected = [(12, 20), (42, 80), (162, 320)]
-    area = 0.0
     for level, (nv, nt) in enumerate(expected):
         mesh = build_sphere_mesh(s, level)
         assert mesh.n_vertices == nv
         assert mesh.n_triangles == nt
-        # each level splits every facet in four and keeps the coarser
-        # vertices first; the total area increases toward 4 pi from below
-        if level:
-            assert np.array_equal(mesh.vertices[:len(coarse.vertices)], coarse.vertices)
-        assert area < mesh.areas.sum() < 4 * np.pi
-        coarse, area = mesh, mesh.areas.sum()
         assert mesh.euler_characteristic() == 2
         assert mesh.is_closed_manifold()
         # vertices on the sphere, normals outward
@@ -99,6 +92,19 @@ def test_shape_regularity_enforced():
     tris = np.array([[0, 1, 2], [1, 0, 3], [0, 2, 3], [1, 3, 2]])
     with pytest.raises(BeltramiError):
         SurfaceMesh(v, tris)
+
+
+def test_refine_uniform_quadruples():
+    """Each icosphere level is a red refinement of the one below."""
+    s = Sphere(1.0)
+    m0 = build_sphere_mesh(s, 0)
+    m1 = build_sphere_mesh(s, 1)
+    assert m1.n_triangles == 4 * m0.n_triangles
+    # the coarser vertices come first, the midpoints are projected
+    assert np.array_equal(m1.vertices[:m0.n_vertices], m0.vertices)
+    assert np.abs(np.linalg.norm(m1.vertices, axis=1) - 1.0).max() < 1e-12
+    # total area increases toward 4 pi from below
+    assert m0.areas.sum() < m1.areas.sum() < 4 * np.pi
 
 
 def test_bisection_marked_elements_shrink():
