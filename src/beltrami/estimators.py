@@ -12,7 +12,7 @@ import numpy as np
 from .fem import triangle_geometry
 from .geometry import CLOSEST_POINT, plane_basis, row_dot, row_norm
 from .meshes import edge_table, refine_bisection
-from .parametric import ParametricProblem, _rows, parametric_solve
+from .parametric import ParametricProblem, parametric_solve
 from .trace import face_deviations
 
 
@@ -117,7 +117,8 @@ def geometric_estimators(problem, ws):
                     + d[:, :, None] * np.einsum("nkij,nj->nki", H, t)) for t in (t1, t2))
         lam = np.maximum(lam, _spectral_norm_3x2(c1, c2).max(axis=1))
         beta = np.maximum(beta, np.abs(d).max(axis=1))
-    lam, beta = _rows(carry.get("lambda"), lam), _rows(carry.get("beta"), beta)
+    if "lambda" in carry:
+        lam, beta = np.concatenate([carry["lambda"], lam]), np.concatenate([carry["beta"], beta])
     return {
         "lambda": IndicatorField("lambda", lam, reduction="max"),
         "beta": IndicatorField("beta", beta, reduction="max"),
@@ -184,12 +185,17 @@ def dorfler_mark(values, theta):
     return np.sort(order[: k + 1])
 
 
-def _carry(problem, ws, geo, kept):
-    """What the next adaptive round reads of this one: the vertex jet, and
-    the samples and geometric indicators of the facets ``kept``."""
-    shape = (len(ws["dofs"]), ws["qp"].shape[1], -1)  # the flat samples by facet
-    carry = {key: ws[key].reshape(shape)[kept].reshape((-1,) + ws[key].shape[1:])
-             for key in ("qp", "forcing", "u_exact", "grad_exact")}
+def _carry(problem, ws, geo, fine):
+    """What the round on the refined mesh ``fine`` reads of this one: the
+    vertex jet, and the indicators and samples of the facets ``fine.kept``,
+    the samples as the prefix of arrays that the next workspace fills."""
+    kept, nq = fine.kept, ws["qp"].shape[1]
+    carry = {}
+    for key in ("qp", "forcing", "u_exact", "grad_exact"):
+        by_facet = ws[key].reshape(len(ws["dofs"]), nq, -1)
+        rows = np.empty((fine.n_triangles,) + by_facet.shape[1:])
+        rows[:len(kept)] = by_facet[kept]
+        carry[key] = rows.reshape((-1,) + ws[key].shape[1:])
     carry.update({key: geo[key].values[kept] for key in ("lambda", "beta")})
     carry["vertex_jet"] = problem.vertex_jet
     return carry
@@ -237,5 +243,5 @@ def adapt_loop(surface, mesh, max_iters=8, theta=0.5, lift=None,
         if not refine:
             break
         mesh = refine_bisection(mesh, marked, surface)
-        carry = _carry(problem, ws, geo, mesh.kept)
+        carry = _carry(problem, ws, geo, mesh)
     return rows, mesh, field

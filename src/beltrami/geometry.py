@@ -16,10 +16,10 @@ Conventions
   array and return correspondingly shaped results.
 * The conservative tube half-width 1/(2 K_inf) (K_inf = largest principal
   curvature magnitude) is exposed as ``tube_halfwidth`` and is what mesh
-  and band admissibility checks use.  The jet itself is rejected only
-  where it stops being well defined (near medial axes / centers), which
-  is a strictly larger region, so callers may evaluate outside the
-  conservative tube when they know the closest point is still unique.
+  and band admissibility checks use.  The public routes reject points
+  (``OutsideTube``) only where the jet stops being well defined, a
+  strictly larger region, by each surface's rule read off the evaluation
+  it guards (``_guarded_grad``), so they evaluate every point once.
 """
 
 import numpy as np
@@ -107,15 +107,27 @@ class ImplicitSurface:
     def _grad_raw(self, pts):
         raise NotImplementedError
 
-    def _jet_raw(self, pts):
+    def _guarded_grad(self, pts):
+        """``_grad_raw``, after rejecting (``OutsideTube``) the points where
+        the jet is not well defined, by a rule read off that evaluation."""
         raise NotImplementedError
+
+    def _hessian(self, pts, d, g):
+        """D^2 d at pts, given (d, grad d) there.  The torus builds it from
+        the parts of its gradient instead, in its own two jets."""
+        raise NotImplementedError
+
+    def _jet_raw(self, pts):
+        d, g = self._grad_raw(pts)
+        return d, g, self._hessian(pts, d, g)
+
+    def _guarded_jet(self, pts):
+        d, g = self._guarded_grad(pts)
+        return d, g, self._hessian(pts, d, g)
 
     def _project_raw(self, pts):
         d, g = self._grad_raw(pts)
         return pts - d[:, None] * g
-
-    def _invalid_mask(self, pts):
-        raise NotImplementedError
 
     # Whether the scaled-radial lift is a chart of its own, with the lift and
     # its area ratio in ``_scaled_radial_raw(pts, nus)``.  Not on the sphere
@@ -144,19 +156,12 @@ class ImplicitSurface:
         """Conservative tube half-width 1/(2 K_inf)."""
         return 0.5 / self.max_curvature()
 
-    def _check_valid(self, pts):
-        self._reject(self._invalid_mask(pts))
-
     def _reject(self, bad):
         if np.any(bad):
             raise OutsideTube(
                 f"{int(np.count_nonzero(bad))} point(s) outside the region where "
                 f"the {self.kind} distance jet is well defined"
             )
-
-    def _guarded_jet(self, pts):
-        self._check_valid(pts)
-        return self._jet_raw(pts)
 
     def distance_jet(self, x):
         """Signed distance, unit normal extension, and Weingarten extension.
@@ -179,17 +184,15 @@ class ImplicitSurface:
     def distance(self, x):
         """Signed distance only (validity-guarded)."""
         pts, single = _points(x)
-        self._check_valid(pts)
-        d = self._distance_raw(pts)
+        d, _ = self._guarded_grad(pts)
         lead = np.asarray(x).shape[:-1]
         return d[0] if single else d.reshape(lead)
 
     def closest_point(self, x):
         """Closest point projection P_d(x) = x - d(x) grad d(x)."""
         pts, single = _points(x)
-        self._check_valid(pts)
-        p = self._project_raw(pts)
-        return _restore(p, single, np.asarray(x).shape[:-1])
+        d, g = self._guarded_grad(pts)
+        return _restore(pts - d[:, None] * g, single, np.asarray(x).shape[:-1])
 
     def _tangent_curvatures(self, g, H):
         """Eigenvalues of H restricted to the plane orthogonal to g.
@@ -217,8 +220,7 @@ class ImplicitSurface:
         Sorted descending.
         """
         pts, single = _points(x)
-        self._check_valid(pts)
-        _, g, H = self._jet_raw(pts)
+        _, g, H = self._guarded_jet(pts)
         kap = self._tangent_curvatures(g, H)
         return _restore(kap, single, np.asarray(x).shape[:-1])
 
@@ -232,8 +234,7 @@ class ImplicitSurface:
         pts, single = _points(x)
         nus, _ = _points(nu_gamma)
         nus = np.broadcast_to(nus, pts.shape).reshape(-1, 3)
-        self._check_valid(pts)
-        ratio = self._jet_area_ratio(*self._jet_raw(pts), nus)
+        ratio = self._jet_area_ratio(*self._guarded_jet(pts), nus)
         return ratio[0] if single else ratio.reshape(np.asarray(x).shape[:-1])
 
     def _jet_area_ratio(self, d, g, H, nus):
@@ -281,9 +282,6 @@ class Sphere(ImplicitSurface):
     def axis_extents(self):
         return np.full(3, self.radius)
 
-    def _invalid_mask(self, pts):
-        return row_norm(pts) < 1e-12 * self.radius
-
     def _distance_raw(self, pts):
         return row_norm(pts) - self.radius
 
@@ -291,11 +289,15 @@ class Sphere(ImplicitSurface):
         r = np.maximum(row_norm(pts), 1e-300)
         return r - self.radius, pts / r[:, None]
 
-    def _jet_raw(self, pts):
+    def _guarded_grad(self, pts):
         d, g = self._grad_raw(pts)
+        # off the center: d + R is the r that _grad_raw divided by (exactly for r >= R/2)
+        self._reject(d + self.radius < 1e-12 * self.radius)
+        return d, g
+
+    def _hessian(self, pts, d, g):
         r = d + self.radius
-        H = (_EYE3[None, :, :] - g[:, :, None] * g[:, None, :]) / r[:, None, None]
-        return d, g, H
+        return (_EYE3[None, :, :] - g[:, :, None] * g[:, None, :]) / r[:, None, None]
 
     def surface_points(self, n, rng):
         v = rng.standard_normal((n, 3))
@@ -362,13 +364,6 @@ class Torus(ImplicitSurface):
         s = np.hypot(u, pts[:, 2])
         return rho, u, s
 
-    def _invalid_mask(self, pts):
-        rho, _, s = self._cylinder(pts)
-        return self._singular(rho, s)
-
-    def _singular(self, rho, s):
-        return (rho < 1e-12 * self.major_radius) | (s < 1e-12 * self.minor_radius)
-
     def _distance_raw(self, pts):
         _, _, s = self._cylinder(pts)
         return s - self.minor_radius
@@ -392,11 +387,18 @@ class Torus(ImplicitSurface):
     def _jet_raw(self, pts):
         return self._jet_from_parts(pts, *self._grad_parts(pts))
 
-    def _guarded_jet(self, pts):
+    def _guarded_parts(self, pts):
         grad, parts = self._grad_parts(pts)
-        # the validity mask, read off the clamped (rho, s): the same points
-        self._reject(self._singular(parts[0], parts[2]))
-        return self._jet_from_parts(pts, grad, parts)
+        # off the z-axis and the core circle, read off the clamped (rho, s)
+        rho, s = parts[0], parts[2]
+        self._reject((rho < 1e-12 * self.major_radius) | (s < 1e-12 * self.minor_radius))
+        return grad, parts
+
+    def _guarded_grad(self, pts):
+        return self._guarded_parts(pts)[0]
+
+    def _guarded_jet(self, pts):
+        return self._jet_from_parts(pts, *self._guarded_parts(pts))
 
     def _jet_from_parts(self, pts, grad, parts):
         (d, g), (rho, u, s, c, sn) = grad, parts
@@ -586,26 +588,13 @@ class Ellipsoid(ImplicitSurface):
         H /= (1.0 + d * tr + d**2 * det)[:, None, None]
         return H
 
-    def _jet_raw(self, pts):
-        d, g = self._grad_raw(pts)
-        return d, g, self._hessian(pts, d, g)
-
-    def _invalid_mask(self, pts):
-        # outside: always a unique closest point; inside: stay within the
-        # conservative inner bound where the jet is guaranteed smooth.
-        inside = self.level_value(pts) < 0.0
-        bad = np.zeros(len(pts), dtype=bool)
-        if np.any(inside):
-            d = self._distance_raw(pts[inside])
-            bad[inside] = np.abs(d) >= self.tube_halfwidth()
-        return bad
-
-    def _guarded_jet(self, pts):
-        # the same inner bound, read from the Newton solve the jet needs
-        # anyway (d > 0 outside), and checked before 1 + d k_i can vanish
+    def _guarded_grad(self, pts):
+        # outside (d > 0) the closest point is unique; inside, stay within
+        # the conservative bound, before 1 + d k_i can vanish.  d comes from
+        # the Newton solve this guards.
         d, g = self._grad_raw(pts)
         self._reject(d <= -self.tube_halfwidth())
-        return d, g, self._hessian(pts, d, g)
+        return d, g
 
     def _scaled_radial_raw(self, pts, nus):
         """The chart L(x) = x / s(x), s(x) = |x / abc|, and its area ratio on

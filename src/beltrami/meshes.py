@@ -16,6 +16,8 @@ from .fem import edge_vectors, triangle_geometry
 from .geometry import row_norm
 
 MAX_VERTEX_VALENCE = 32
+# the shape-regularity bound on diam / sqrt(area) per facet
+SIGMA_MAX = 4.0
 
 
 class SurfaceMesh:
@@ -29,12 +31,11 @@ class SurfaceMesh:
     triangles kept unchanged, which come first; otherwise None.
     """
 
-    def __init__(self, vertices, triangles, sigma_max=4.0):
+    def __init__(self, vertices, triangles):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must be (T, 3)")
-        self.sigma_max = float(sigma_max)
         self.kept = None
         self._build_caches()
         self._check()
@@ -58,9 +59,9 @@ class SurfaceMesh:
                 f"vertex valence {valence.max()} exceeds {MAX_VERTEX_VALENCE}"
             )
         ratio = (self.diameters / self.h).max()
-        if ratio > self.sigma_max:
+        if ratio > SIGMA_MAX:
             raise BeltramiError(
-                f"shape regularity diam/h = {ratio:.3f} exceeds {self.sigma_max}"
+                f"shape regularity diam/h = {ratio:.3f} exceeds {SIGMA_MAX}"
             )
 
     def is_closed_manifold(self):
@@ -302,8 +303,7 @@ def refine_bisection(mesh, marked, surface):
         out.extend(rows[:, child] for child in children)
     kept = np.flatnonzero(code == 0)
     children = _orient_outward(vertices, np.concatenate(out), surface)
-    fine = SurfaceMesh(vertices, np.concatenate([mesh.triangles[kept], children]),
-                       sigma_max=mesh.sigma_max)
+    fine = SurfaceMesh(vertices, np.concatenate([mesh.triangles[kept], children]))
     fine.kept = kept
     return fine
 

@@ -60,8 +60,7 @@ def mismatch_map(surface, d_h_value, x):
     """
     pts, single = _points(x)
     d_h = np.broadcast_to(np.asarray(d_h_value, dtype=float), np.shape(x)[:-1]).ravel()
-    surface._check_valid(pts)
-    d, g = surface._grad_raw(pts)
+    d, g = surface._guarded_grad(pts)
     return _restore(pts + (d_h - d)[:, None] * g, single, np.shape(x)[:-1])
 
 
@@ -172,7 +171,6 @@ def _band_errors(problem, c):
     # one sample row per node where the indicator is on: the other nodes
     # carry zero weight but can sit far outside the distance tube
     nodes = np.flatnonzero(es["inside"])
-    e, q = np.divmod(nodes, TET_DEGREE2.points.shape[0])
     flat = es["qp"].reshape(-1, 3).take(nodes, axis=0)
     u_exact, grad_exact = np.empty(len(flat)), np.empty((len(flat), 3))
     for b in node_blocks(len(flat)):
@@ -181,12 +179,13 @@ def _band_errors(problem, c):
         gg = sol.grad_gamma(p)
         u_exact[b] = sol.u(p)
         grad_exact[b] = gg - d[:, None] * np.einsum("nij,nj->ni", H, gg)
-    rows = {"dofs": es["dofs"].take(e, axis=0), "grads": es["grads"].take(e, axis=0),
-            "phi": TET_DEGREE2.points.take(q, axis=0)[:, None], "qp": flat[:, None],
-            "weights": es["weights"].take(nodes), "u_exact": u_exact,
-            "grad_exact": grad_exact}
-    del es
-    return surface_error_norms(*error_samples(rows, c))
+    # U is linear on each tet: its gradient per element, its nodal values
+    # from the nodes' barycentrics
+    c_local = c[es["dofs"]]
+    grad_u = np.einsum("ek,ekd->ed", c_local, es["grads"])
+    return surface_error_norms(
+        es["weights"].take(nodes), u_exact, grad_exact,
+        (c_local @ TET_DEGREE2.points.T).take(nodes), grad_u[nodes // TET_DEGREE2.npoints])
 
 
 def _surface_errors(problem, c):

@@ -122,11 +122,6 @@ def sample_faces(es, surface, solution, forcing=True, hessian=False):
         es["forcing"] = F.reshape(es["weights"].shape)
 
 
-def _rows(kept, new):
-    """Carried rows (None when nothing is carried) followed by new ones."""
-    return new if kept is None else np.concatenate([kept, new])
-
-
 def parametric_workspace(problem):
     """The facet element set, sampled (``sample_faces``).  Under the
     scaled-radial lift on a surface with a chart of its own (the
@@ -134,9 +129,10 @@ def parametric_workspace(problem):
     closed-form area ratio; elsewhere it is the closest-point forcing,
     which on the sphere and torus is that lift.
 
-    Only the facets after those ``problem.carry`` holds are sampled: their
-    rows follow the carried ones in ``qp``, ``forcing``, ``u_exact`` and
-    ``grad_exact``, and ``jet`` covers them alone.
+    Only the facets after those ``problem.carry`` holds are sampled: the
+    carried ``qp``, ``forcing``, ``u_exact`` and ``grad_exact`` span the
+    whole mesh with the kept facets' rows filled, the new rows fill their
+    tails, and ``jet`` covers the new facets alone.
     """
     mesh, carry, surface = problem.mesh, problem.carry, problem.surface
     k = len(carry.get("lambda", ()))
@@ -151,8 +147,10 @@ def parametric_workspace(problem):
         new["forcing"] = (problem.solution.f(lifted) * ratio).reshape(new["weights"].shape)
     es = {"dofs": mesh.triangles, "grads": mesh.grads, "measures": mesh.areas,
           "normals": mesh.normals, "weights": weights, "jet": new["jet"]}
-    es.update({key: _rows(carry.get(key), new[key])
-               for key in ("qp", "forcing", "u_exact", "grad_exact")})
+    for key in ("qp", "forcing", "u_exact", "grad_exact"):
+        es[key] = rows = carry.get(key, new[key])
+        if rows is not new[key]:
+            rows[len(rows) - len(new[key]):] = new[key]
     # the hat values at the reference nodes are the nodes' own barycentrics
     es["phi"] = np.broadcast_to(TRI_DEGREE4.points, es["qp"].shape)
     return es

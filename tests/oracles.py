@@ -198,6 +198,28 @@ def ellipsoid_forcing_from_jet(abc, pts, d, g):
     return quad + np.einsum("ni,ni->n", gu, nu) * trH
 
 
+def outside_tube_mask(surface, pts):
+    """The points (N, 3) where the surface's distance jet is rejected, by
+    each kind's rule on its own evaluation of the geometry: the sphere's
+    center; the torus's z-axis and core circle; inside the ellipsoid,
+    points at least the conservative tube half-width deep, measured with
+    the library's signed distance ``surface._distance_raw``."""
+    if surface.kind == "sphere":
+        return np.linalg.norm(pts, axis=1) < 1e-12 * surface.radius
+    if surface.kind == "torus":
+        R, r = surface.major_radius, surface.minor_radius
+        rho = np.hypot(pts[:, 0], pts[:, 1])
+        return (rho < 1e-12 * R) | (np.hypot(rho - R, pts[:, 2]) < 1e-12 * r)
+    abc = surface.abc
+    q = pts**2 / abc**2
+    inside = q[:, 0] + q[:, 1] + q[:, 2] - 1.0 < 0.0
+    bad = np.zeros(len(pts), dtype=bool)
+    if inside.any():
+        halfwidth = 0.5 / (abc.max() / abc.min() ** 2)
+        bad[inside] = np.abs(surface._distance_raw(pts[inside])) >= halfwidth
+    return bad
+
+
 def torus_exact_curvatures(R, r, point):
     """Principal curvatures of the torus surface at an on-surface point.
 

@@ -441,6 +441,34 @@ def test_adapt_carry_matches_fresh_rounds(kind, lift):
 
 
 @pytest.mark.parametrize("kind", sorted(ADAPT_CASES))
+def test_carried_problem_solved_twice_is_bit_identical(kind, monkeypatch):
+    """A carried problem's workspace fills the tails of the carried sample
+    arrays in place, so solving it again (twice more after its adaptive
+    round) gives that round's field, errors and indicators bit for bit."""
+    make, mesh = ADAPT_CASES[kind]
+    surface = make()
+    problems = []
+    build = beltrami.estimators.ParametricProblem
+
+    def keep(*args, **kwargs):
+        problems.append(build(*args, **kwargs))
+        return problems[-1]
+
+    monkeypatch.setattr(beltrami.estimators, "ParametricProblem", keep)
+    rows, _, field = adapt_loop(surface, mesh(surface), max_iters=1)
+    carried, row = problems[-1], rows[-1]
+    assert "qp" in carried.carry
+    for _ in range(2):
+        ws = {}
+        again, report = parametric_solve(carried, workspace_out=ws)
+        geo = geometric_estimators(carried, ws)
+        assert np.array_equal(again.coefficients, field.coefficients)
+        assert (report.err_H1, report.err_L2) == (row["err_H1"], row["err_L2"])
+        assert [geo[key].total for key in ("lambda", "beta", "mu")] == [
+            row["lambda"], row["beta"], row["mu"]]
+
+
+@pytest.mark.parametrize("kind", sorted(ADAPT_CASES))
 def test_adapt_rounds_evaluate_only_new_facets_and_vertices(kind, monkeypatch):
     """After round 0 each round sends the jet (``distance_jet`` or
     ``_jet_raw``) six points per new facet and one per new vertex, and

@@ -21,6 +21,7 @@ from beltrami import (
 )
 from beltrami.fem import barycentric_values
 from beltrami.geometry import row_dot, row_norm
+from beltrami.narrowband import mismatch_map
 from beltrami.parametric import parametric_workspace
 
 import oracles
@@ -110,49 +111,69 @@ def test_outside_tube_raises():
         Sphere(1.0).distance(np.zeros(3))
 
 
-def test_ellipsoid_jet_guard_reuses_its_newton_solve(monkeypatch):
-    """The guarded ellipsoid jet reads d from the Newton solve it guards:
-    one solve per call, and rejection before I + dW turns singular (it is
-    singular at the center of this spheroid)."""
-    e = Ellipsoid(1.0, 0.8, 0.8)
-    with pytest.raises(OutsideTube):
-        e.distance_jet(np.zeros(3))
-    pts = e.tube_points(40, np.random.default_rng(3))
-    assert (e.level_value(pts) < 0.0).any()
-    solves = []
-    closest_t = e._closest_t
-
-    def counting(x):
-        solves.append(len(x))
-        return closest_t(x)
-
-    monkeypatch.setattr(e, "_closest_t", counting)
-    e.distance_jet(pts)
-    assert solves == [len(pts)]
+GUARDED = {"sphere": Sphere(1.0), "torus": Torus(1.0, 0.4),
+           "ellipsoid": Ellipsoid(1.3, 1.0, 0.8)}
+# where each surface's jet is not defined: the sphere's center, the torus
+# axis and core circle, the ellipsoid's deep interior
+SINGULAR = [(0.0, 0.0, 0.0), (0.0, 0.0, 0.3), (0.0, 1.0, 0.0), (1e-13, 0.0, 0.0),
+            (0.1, 0.0, 0.0)]
 
 
-def test_torus_jet_guard_reads_one_cylinder(monkeypatch):
-    """The guarded torus jet takes its validity mask from the (rho, s) of
-    the jet itself: one ``_cylinder`` per call, the same jet as
-    ``_jet_raw``, and the same points rejected as ``_invalid_mask``."""
-    s = Torus(1.0, 0.4)
-    pts = s.tube_points(50, np.random.default_rng(5))
-    ref = s._jet_raw(pts)
-    bad = np.vstack([pts, [[0.0, 0.0, 0.3], [0.0, 1.0, 0.0], [1e-13, 0.0, 0.0]]])
-    assert np.count_nonzero(s._invalid_mask(bad)) == 3
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(GUARDED)), seed=st.integers(0, 2**32 - 1),
+       fill=st.floats(0.5, 2.5), extra=st.lists(st.sampled_from(SINGULAR), max_size=3))
+@example(kind="sphere", seed=0, fill=0.9, extra=[(0.0, 0.0, 0.0)])
+@example(kind="torus", seed=0, fill=0.9, extra=[(0.0, 0.0, 0.3), (0.0, 1.0, 0.0)])
+@example(kind="ellipsoid", seed=0, fill=0.9, extra=[(0.1, 0.0, 0.0)])
+def test_guarded_routes_reject_the_oracles_points(kind, seed, fill, extra):
+    """The guarded (d, grad d) and jet of each surface reject exactly the
+    points of the reference rule (``oracles.outside_tube_mask``), counted in
+    the ``OutsideTube`` message, and equal the raw jet on the others.  Tube
+    points beyond the half-width reach the rule's region too."""
+    s = GUARDED[kind]
+    pts = np.vstack([s.tube_points(30, np.random.default_rng(seed), fill=fill),
+                     np.reshape(extra, (-1, 3))])
+    bad = oracles.outside_tube_mask(s, pts)
+    ok = pts[~bad]
+    for route in (s._guarded_grad, s._guarded_jet):
+        if bad.any():
+            with pytest.raises(OutsideTube, match=f"^{np.count_nonzero(bad)} point"):
+                route(pts)
+        assert all(np.array_equal(a, b) for a, b in zip(route(ok), s._jet_raw(ok)))
+
+
+# the one evaluation each surface's guarded route makes per point
+EVALUATION = {"sphere": "_grad_raw", "torus": "_cylinder", "ellipsoid": "_closest_t"}
+ROUTES = {
+    "distance_jet": lambda s, pts, nus: s.distance_jet(pts),
+    "distance": lambda s, pts, nus: s.distance(pts),
+    "closest_point": lambda s, pts, nus: s.closest_point(pts),
+    "parallel_curvatures": lambda s, pts, nus: s.parallel_curvatures(pts),
+    "area_ratio": lambda s, pts, nus: s.area_ratio(pts, nus),
+    "mismatch_map": lambda s, pts, nus: mismatch_map(s, 0.0, pts),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("kind", sorted(GUARDED))
+def test_each_guarded_route_evaluates_each_point_once(kind, route, monkeypatch):
+    """Each guarded route reads its tube rule off the evaluation it guards:
+    one ``_grad_raw`` (sphere), ``_cylinder`` (torus) or Newton solve
+    (``_closest_t``, ellipsoid) per call, on tube points on both sides."""
+    s = GUARDED[kind]
+    pts = s.tube_points(40, np.random.default_rng(3))
+    nus = s._grad_raw(pts)[1]
+    assert (s._distance_raw(pts) < 0.0).any() and (s._distance_raw(pts) > 0.0).any()
     calls = []
-    cylinder = s._cylinder
+    original = getattr(s, EVALUATION[kind])
 
     def counting(x):
         calls.append(len(x))
-        return cylinder(x)
+        return original(x)
 
-    monkeypatch.setattr(s, "_cylinder", counting)
-    jet = s.distance_jet(pts)
+    monkeypatch.setattr(s, EVALUATION[kind], counting)
+    ROUTES[route](s, pts, nus)
     assert calls == [len(pts)]
-    assert all(np.array_equal(a, b) for a, b in zip(jet, ref))
-    with pytest.raises(OutsideTube, match="^3 point"):
-        s.distance_jet(bad)
 
 
 @settings(max_examples=60, deadline=None)

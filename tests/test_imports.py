@@ -1,7 +1,9 @@
-"""Every import in a library module is used by that module.
+"""Every import in a library module is used by that module, and every
+private definition in the package is used somewhere in it.
 
-``__init__.py`` imports only to re-export, so it is left out.  A name
-counts as used when the module loads it (``name`` or ``name.attr``).
+``__init__.py`` imports only to re-export, so it is left out of the
+import check.  A name counts as used when code loads it (``name`` or
+``name.attr``, for a private definition ``obj.name`` too).
 """
 
 import ast
@@ -38,3 +40,38 @@ def test_the_guard_sees_an_unused_import():
 def test_module_uses_every_import(module):
     with open(os.path.join(SRC, module)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def unloaded_private_definitions(sources):
+    """``_``-prefixed functions, methods and classes (dunders aside) defined
+    in ``sources`` (file name -> source text) that none of them loads by
+    name or attribute, as ``file:line: name``."""
+    defined, loaded = {}, set()
+    for name, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.setdefault(node.name, f"{name}:{node.lineno}")
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return sorted(f"{where}: {name}" for name, where in defined.items()
+                  if name not in loaded)
+
+
+def test_the_guard_sees_an_unloaded_private_definition():
+    sources = {
+        "a.py": "def _used():\n    pass\n\n\nclass _Base:\n    def _stub(self):\n"
+                "        pass\n\n    def __init__(self):\n        self._hook()\n",
+        "b.py": "from a import _used\n_used()\n\n\ndef _hook():\n    pass\n",
+    }
+    assert unloaded_private_definitions(sources) == ["a.py:5: _Base", "a.py:6: _stub"]
+
+
+def test_package_loads_every_private_definition():
+    sources = {}
+    for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
+        with open(os.path.join(SRC, module)) as fh:
+            sources[module] = fh.read()
+    assert unloaded_private_definitions(sources) == []

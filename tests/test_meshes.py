@@ -35,7 +35,7 @@ from beltrami.fem import (
     local_dofs,
 )
 from beltrami.harness import surface_mesh_for_level
-from beltrami.meshes import edge_table
+from beltrami.meshes import SIGMA_MAX, edge_table
 from beltrami.narrowband import _band_quadrature, narrowband_forcing
 from beltrami.trace import _face_workspace
 
@@ -85,7 +85,7 @@ def test_torus_mesh_euler_and_surface():
 
 
 def test_shape_regularity_enforced():
-    # a long sliver violates diam / sqrt(area) <= sigma_max
+    # a long sliver violates diam / sqrt(area) <= SIGMA_MAX
     v = np.array([
         [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.02, 0.0], [0.5, -0.02, 0.0],
     ])
@@ -131,7 +131,7 @@ def test_bisection_keeps_shape_regularity():
         marked = rng.choice(mesh.n_triangles, size=max(mesh.n_triangles // 5, 1),
                             replace=False)
         mesh = refine_bisection(mesh, marked, s)
-    assert (mesh.diameters / mesh.h).max() <= mesh.sigma_max
+    assert (mesh.diameters / mesh.h).max() <= SIGMA_MAX
     assert mesh.is_closed_manifold()
 
 

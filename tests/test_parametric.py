@@ -47,7 +47,7 @@ def test_mesh_must_interpolate_also_outside_the_tube(surface, radius):
     inside the ellipsoid, a unit sphere with vertices on the torus axis and
     core circle."""
     mesh = build_sphere_mesh(Sphere(radius), 1)
-    assert surface._invalid_mask(mesh.vertices).any()
+    assert oracles.outside_tube_mask(surface, mesh.vertices).any()
     with pytest.raises(BeltramiError, match="does not interpolate"):
         ParametricProblem(surface, mesh)
 
