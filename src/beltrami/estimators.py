@@ -9,7 +9,7 @@ Doerfler marking plus newest-vertex bisection closes the loop.
 
 import numpy as np
 
-from .fem import triangle_geometry
+from .fem import node_blocks, triangle_geometry
 from .geometry import CLOSEST_POINT, plane_basis, row_dot, row_norm
 from .meshes import edge_table, refine_bisection
 from .parametric import ParametricProblem, parametric_solve
@@ -100,23 +100,26 @@ def geometric_estimators(problem, ws):
     aggregate by max.  The nodes take the jet of the solve's facet element
     set ``ws`` and the vertices ``problem.vertex_jet``.  Facets whose
     indicators ``problem.carry`` holds keep them; only the others, whose
-    rows ``ws["jet"]`` covers, are computed.
+    rows ``ws["jet"]`` covers, are computed, in blocks of whole facets
+    (``node_blocks``).
     """
     carry = problem.carry
-    k = len(carry.get("lambda", ()))
-    corners = ws["dofs"][k:].ravel()
-    jets = (ws["jet"], [a[corners] for a in problem.vertex_jet])
+    k, nq = len(carry.get("lambda", ())), ws["qp"].shape[1]
+    dofs = ws["dofs"][k:]
     t1, t2 = plane_basis(ws["normals"][k:])
-    n = len(t1)
-    lam = np.zeros(n)
-    beta = np.zeros(n)
-    for d, g, H in jets:
-        d, g, H = d.reshape(n, -1), g.reshape(n, -1, 3), H.reshape(n, -1, 3, 3)
-        # (DP - I) t = -g (g . t) - d H t for the in-plane t = t1, t2
-        c1, c2 = (-(g * np.einsum("nki,ni->nk", g, t)[:, :, None]
-                    + d[:, :, None] * np.einsum("nkij,nj->nki", H, t)) for t in (t1, t2))
-        lam = np.maximum(lam, _spectral_norm_3x2(c1, c2).max(axis=1))
-        beta = np.maximum(beta, np.abs(d).max(axis=1))
+    lam, beta = np.zeros(len(t1)), np.zeros(len(t1))
+    for b in node_blocks(len(t1) * nq, nq):  # blocks of whole facets
+        f = slice(b.start // nq, b.stop // nq)
+        e = len(lam[f])
+        for d, g, H in ([a[b] for a in ws["jet"]],
+                        [a[dofs[f].ravel()] for a in problem.vertex_jet]):
+            d, g, H = d.reshape(e, -1), g.reshape(e, -1, 3), H.reshape(e, -1, 3, 3)
+            # (DP - I) t = -g (g . t) - d H t for the in-plane t = t1, t2
+            c1, c2 = (-(g * np.einsum("nki,ni->nk", g, t)[:, :, None]
+                        + d[:, :, None] * np.einsum("nkij,nj->nki", H, t))
+                      for t in (t1[f], t2[f]))
+            lam[f] = np.maximum(lam[f], _spectral_norm_3x2(c1, c2).max(axis=1))
+            beta[f] = np.maximum(beta[f], np.abs(d).max(axis=1))
     if "lambda" in carry:
         lam, beta = np.concatenate([carry["lambda"], lam]), np.concatenate([carry["beta"], beta])
     return {

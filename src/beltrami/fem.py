@@ -2,7 +2,7 @@
 
 Quadrature rules on reference simplices, constant element gradients for
 triangles in 3-D, CSR stiffness/load assembly, lumped masses, and the
-mean-zero-constrained Jacobi-preconditioned conjugate gradient solver
+mean-zero-constrained CG solver (Jacobi or hierarchical-basis preconditioned)
 shared by the parametric, trace, and narrow-band methods.
 
 The three methods differ only in their element set: facets of the
@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateSimplex, NoConvergence
-from .geometry import row_norm
+from .geometry import row_dot, row_norm
 
 
 class QuadratureRule:
@@ -182,6 +182,24 @@ def assemble_stiffness(grads, measures, dofs, n_dof):
     return A.tocsr()
 
 
+def stiffness_diagonal(grads, measures, dofs, n_dof):
+    """The diagonal of ``assemble_stiffness``: sum_T |T| |g_i|^2 per DOF."""
+    return np.bincount(dofs.ravel(), (measures[:, None] * row_dot(grads, grads)).ravel(), n_dof)
+
+
+def extend_basis(S, n, parents):
+    """The hierarchical-to-nodal map after a bisection round: S on the n old
+    vertices (None: the identity), then for each new vertex v, in the order
+    of its parent edges (p0, p1), the row (S[p0] + S[p1]) / 2 + e_v."""
+    S = sp.identity(n, format="csr") if S is None else S
+    k = len(parents)
+    mid = sp.csr_matrix((np.full(2 * k, 0.5), parents.ravel(), np.arange(0, 2 * k + 1, 2)),
+                        shape=(k, n))
+    top = sp.csr_matrix((S.data, S.indices, S.indptr), shape=(n, n + k))  # S, widened
+    return sp.vstack([top, sp.hstack([mid @ S, sp.identity(k, format="csr")], format="csr")],
+                     format="csr")
+
+
 def assemble_load(dofs, phi, values, point_measures, n_dof):
     """Load vector b_i = sum_e sum_q w_eq F(x_eq) phi_i(x_eq).
 
@@ -254,8 +272,8 @@ class ErrorReport:
 # ---------------------------------------------------------------------------
 
 
-def solve_mean_zero(A, b, mass, tol=1e-10, max_iter=None, history=None):
-    """Jacobi-preconditioned CG for the singular mean-zero problem.
+def solve_mean_zero(A, b, mass, tol=1e-10, max_iter=None, history=None, basis=None):
+    """Preconditioned CG for the singular mean-zero problem.
 
     The stiffness A is symmetric PSD with the constants in its kernel; b
     is deflated (b <- b - (sum b / sum m) m) so the system is consistent,
@@ -269,6 +287,10 @@ def solve_mean_zero(A, b, mass, tol=1e-10, max_iter=None, history=None):
     ----------
     history : list, optional
         If given, receives the preconditioned residual norm per iteration.
+    basis : (S, d_H), optional
+        A hierarchical basis (``SurfaceMesh.hierarchy``): the preconditioner
+        is S D_H^-1 S^T (Yserentant; Bank, Dupont and Yserentant) instead of
+        Jacobi.  It covers every row, so no row may be frozen (ValueError).
 
     Returns
     -------
@@ -284,6 +306,8 @@ def solve_mean_zero(A, b, mass, tol=1e-10, max_iter=None, history=None):
         return x_full
     keep = diag > 1e-14 * max_diag
     if not np.all(keep):
+        if basis is not None:
+            raise ValueError("a hierarchical basis cannot skip frozen rows")
         idx = np.flatnonzero(keep)
         A_r = A[idx][:, idx].tocsr()
         b_r = b[idx].copy()
@@ -303,11 +327,15 @@ def solve_mean_zero(A, b, mass, tol=1e-10, max_iter=None, history=None):
     n_r = len(b_r)
     if max_iter is None:
         max_iter = max(20 * n_r, 100)
-    minv = 1.0 / d_r
+    S, d_H = basis or (None, d_r)
+    St, dinv = None if S is None else S.T, 1.0 / d_H  # S.T: a CSC view, no copy
+
+    def precondition(r):
+        return dinv * r if S is None else S @ (dinv * (St @ r))
 
     x = np.zeros(n_r)
     r = b_r.copy()
-    z = minv * r
+    z = precondition(r)
     z -= (m_r @ z) / msum
     p = z.copy()
     rz = r @ z
@@ -321,7 +349,7 @@ def solve_mean_zero(A, b, mass, tol=1e-10, max_iter=None, history=None):
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        mr = minv * r
+        mr = precondition(r)
         if history is not None:
             history.append(float(np.sqrt(max(r @ mr, 0.0))))
         if r @ r <= stop:

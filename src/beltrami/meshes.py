@@ -12,7 +12,7 @@ band.
 import numpy as np
 
 from .errors import BeltramiError, BoxTooSmall, EmptyBand, UnsupportedSurface
-from .fem import edge_vectors, triangle_geometry
+from .fem import edge_vectors, extend_basis, stiffness_diagonal, triangle_geometry
 from .geometry import row_norm
 
 MAX_VERTEX_VALENCE = 32
@@ -29,6 +29,10 @@ class SurfaceMesh:
     ``tri_edges[:, i]`` is the global edge id opposite local vertex i.
     ``kept``: on a ``refine_bisection`` result the parent's ids of the
     triangles kept unchanged, which come first; otherwise None.
+    ``hierarchy``: on a ``refine_bisection`` result the hierarchical basis
+    (S, d_H) of ``solve_mean_zero`` over its chain of bisections; S (CSR)
+    maps hierarchical to nodal values, d_H holds each vertex's stiffness
+    diagonal on the mesh that created it; otherwise None.
     """
 
     def __init__(self, vertices, triangles):
@@ -36,7 +40,7 @@ class SurfaceMesh:
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must be (T, 3)")
-        self.kept = None
+        self.kept = self.hierarchy = None
         self._build_caches()
         self._check()
 
@@ -268,7 +272,8 @@ def refine_bisection(mesh, marked, surface):
     edge, so no rotation is applied; only the children are oriented.  The
     result keeps its parent as prefixes: the old vertices first, then the
     midpoints; the unchanged triangles first, in their old order (their
-    old ids in ``kept``), then the children.
+    old ids in ``kept``), then the children.  ``hierarchy`` extends the
+    parent's by the midpoints, or starts from S = I on an unrefined parent.
     """
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size and (marked.min() < 0 or marked.max() >= mesh.n_triangles):
@@ -305,6 +310,10 @@ def refine_bisection(mesh, marked, surface):
     children = _orient_outward(vertices, np.concatenate(out), surface)
     fine = SurfaceMesh(vertices, np.concatenate([mesh.triangles[kept], children]))
     fine.kept = kept
+    n, c = mesh.n_vertices, slice(len(kept), None)  # the midpoints lie on children alone
+    S, d = mesh.hierarchy or (None, stiffness_diagonal(mesh.grads, mesh.areas, mesh.triangles, n))
+    d_new = stiffness_diagonal(fine.grads[c], fine.areas[c], fine.triangles[c], len(vertices))
+    fine.hierarchy = extend_basis(S, n, mesh.edges[split_edges]), np.concatenate([d, d_new[n:]])
     return fine
 
 

@@ -176,7 +176,7 @@ def parametric_solve(problem, tol=1e-10, workspace_out=None):
     mesh = problem.mesh
     A, b, m, ws = parametric_assemble(problem)
     history = []
-    c = solve_mean_zero(A, b, m, tol=tol, history=history)
+    c = solve_mean_zero(A, b, m, tol=tol, history=history, basis=mesh.hierarchy)
     field = SolutionField(c, np.arange(mesh.n_vertices), m)
     l2, h1 = surface_error_norms(*error_samples(ws, c))
     if workspace_out is not None:

@@ -30,6 +30,7 @@ from beltrami import (
 )
 from beltrami.estimators import _edge_jumps
 from beltrami.fem import TRI_DEGREE4, triangle_geometry
+from beltrami.harness import surface_mesh_for_level
 from beltrami.parametric import parametric_workspace
 
 import oracles
@@ -490,6 +491,70 @@ def test_adapt_rounds_evaluate_only_new_facets_and_vertices(kind, monkeypatch):
     assert rounds[0][0] == 6 * start.n_triangles + start.n_vertices
     spent = np.diff([r[0] for r in rounds] + [sum(points)])
     assert spent.tolist() == [r[1] for r in rounds]
+
+
+def test_hierarchical_basis_keeps_the_jacobi_marks(monkeypatch):
+    """On the benchmark's adapt-torus config (Torus(1, 0.4), level 1,
+    theta 0.5, 13 rounds) every round after the first solves with the
+    bisected mesh's hierarchical basis, in fewer than half the CG
+    iterations, and marks the same facets as a run whose CG is Jacobi
+    throughout; the errors agree to 1e-9 relative."""
+    surface = Torus(1.0, 0.4)
+    mark, solve = beltrami.estimators.dorfler_mark, beltrami.parametric.solve_mean_zero
+    runs = {}
+
+    def run(jacobi):
+        marks, bases, iterations = runs.setdefault(jacobi, ([], [], []))
+
+        def record_marks(*args):
+            marks.append(mark(*args))
+            return marks[-1]
+
+        def record_solve(*args, basis=None, history, **kwargs):
+            bases.append(basis is not None)
+            x = solve(*args, basis=None if jacobi else basis, history=history, **kwargs)
+            iterations.append(len(history))
+            return x
+
+        monkeypatch.setattr(beltrami.estimators, "dorfler_mark", record_marks)
+        monkeypatch.setattr(beltrami.parametric, "solve_mean_zero", record_solve)
+        return adapt_loop(surface, surface_mesh_for_level(surface, 1), max_iters=13)[0]
+
+    rows, ref_rows = run(False), run(True)
+    (marks, bases, iterations), (ref_marks, _, ref_iterations) = runs[False], runs[True]
+    assert bases == [False] + [True] * 13
+    assert 2 * sum(iterations) < sum(ref_iterations)
+    assert len(marks) == len(ref_marks) == 13
+    assert all(np.array_equal(a, b) for a, b in zip(marks, ref_marks))
+    for row, ref in zip(rows, ref_rows):
+        assert (row["n_dof"], row["n_marked"]) == (ref["n_dof"], ref["n_marked"])
+        for key in ("err_H1", "err_L2", "eta"):
+            assert row[key] == pytest.approx(ref[key], rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("block", [1, 96, 6 * 75])
+def test_geometric_estimators_blocks_are_bit_identical(block, monkeypatch):
+    """Blocks of whole facets give lambda, beta and mu of a carried round
+    bit for bit, from one facet a block to blocks with a ragged tail (76
+    new facets here)."""
+    make, mesh = ADAPT_CASES["torus"]
+    surface = make()
+    problems = []
+    build = beltrami.estimators.ParametricProblem
+
+    def keep(*args, **kwargs):
+        problems.append(build(*args, **kwargs))
+        return problems[-1]
+
+    monkeypatch.setattr(beltrami.estimators, "ParametricProblem", keep)
+    adapt_loop(surface, mesh(surface), max_iters=2)
+    ws = {}
+    parametric_solve(problems[-1], workspace_out=ws)
+    geo = geometric_estimators(problems[-1], ws)
+    monkeypatch.setattr(beltrami.fem, "NODE_BLOCK", block)
+    blocked = geometric_estimators(problems[-1], ws)
+    for key in ("lambda", "beta", "mu"):
+        assert np.array_equal(blocked[key].values, geo[key].values)
 
 
 def test_adapt_eta_tol_stops_early():

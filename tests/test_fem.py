@@ -21,8 +21,10 @@ from beltrami import (
     Torus,
     TraceProblem,
     build_bulk_mesh,
+    build_sphere_mesh,
     build_torus_mesh,
     extract_cut_surface,
+    refine_bisection,
     solve_mean_zero,
 )
 from beltrami.estimators import geometric_estimators, residual_estimator
@@ -304,6 +306,48 @@ def test_solver_returns_mean_zero_solution(n, seed, frozen, tol):
     solve_mean_zero(A, b, m, tol=tol, max_iter=len(history))
     with pytest.raises(NoConvergence):
         solve_mean_zero(A, b, m, tol=tol, max_iter=len(history) - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["sphere", "torus"]),
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.integers(1, 4),
+    tol=st.sampled_from([1e-6, 1e-8, 1e-10]),
+)
+def test_solver_with_bisection_basis(kind, seed, rounds, tol):
+    """On the stiffness of a randomly bisected mesh, CG with the mesh's
+    hierarchical basis returns m-weighted mean zero, the deflated residual
+    within tol, and at a tight tol the Jacobi solution to 1e-9 relative."""
+    surface = Sphere(1.3) if kind == "sphere" else Torus(1.0, 0.4)
+    mesh = build_sphere_mesh(surface, 1) if kind == "sphere" else build_torus_mesh(surface, 8, 4)
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        marked = np.flatnonzero(rng.random(mesh.n_triangles) < rng.uniform(0.05, 0.5))
+        mesh = refine_bisection(mesh, marked, surface)
+    n = mesh.n_vertices
+    A = assemble_stiffness(mesh.grads, mesh.areas, mesh.triangles, n)
+    m = lumped_mass(mesh.triangles, mesh.areas, n)
+    b = rng.normal(size=n)
+    history = []
+    x = solve_mean_zero(A, b, m, tol=tol, history=history, basis=mesh.hierarchy)
+    assert abs(float(m @ x)) <= 1e-9 * np.linalg.norm(m) * np.linalg.norm(x)
+    b_r = b - (b.sum() / m.sum()) * m
+    drift = len(history) * np.finfo(float).eps * sp.linalg.norm(A) * np.linalg.norm(x)
+    assert np.linalg.norm(b_r - A @ x) <= tol * np.linalg.norm(b_r) + drift
+    x_h = solve_mean_zero(A, b, m, tol=1e-12, basis=mesh.hierarchy)
+    x_j = solve_mean_zero(A, b, m, tol=1e-12)
+    assert np.linalg.norm(x_h - x_j) <= 1e-9 * np.linalg.norm(x_j)
+
+
+def test_solver_basis_refuses_frozen_rows():
+    """A hierarchical basis spans every row, so a system with a frozen row
+    is refused rather than solved in part."""
+    A39, b39, m39 = random_mean_zero_system(39, seed=5)
+    A = sp.csr_matrix(np.pad(A39.toarray(), ((0, 1), (0, 1))))
+    basis = (sp.identity(40, format="csr"), np.ones(40))
+    with pytest.raises(ValueError, match="frozen"):
+        solve_mean_zero(A, np.append(b39, 0.0), np.append(m39, 1.0), basis=basis)
 
 
 def test_solver_raises_without_convergence():

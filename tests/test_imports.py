@@ -8,6 +8,8 @@ import check.  A name counts as used when code loads it (``name`` or
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -75,3 +77,16 @@ def test_package_loads_every_private_definition():
         with open(os.path.join(SRC, module)) as fh:
             sources[module] = fh.read()
     assert unloaded_private_definitions(sources) == []
+
+
+def test_import_loads_no_solver_modules():
+    """``import beltrami`` loads neither ``scipy.sparse.linalg`` nor
+    ``scipy.linalg``: a CLI or benchmark start-up pays only for what the
+    package uses at import time."""
+    code = ("import sys, beltrami; "
+            "print([m for m in ('scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

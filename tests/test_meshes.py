@@ -202,6 +202,41 @@ def test_bisection_keeps_a_prefix(kind, seed, rounds):
         mesh = fine
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["sphere", "torus"]),
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.integers(1, 4),
+)
+def test_bisection_hierarchy_is_the_per_level_product(kind, seed, rounds):
+    """Random marks: each new vertex's row of S is (S[p0] + S[p1]) / 2 + e_v
+    for the coarse edge (p0, p1) it bisects, S equals the dense product of
+    the per-level maps exactly, and d_H holds each vertex's stiffness
+    diagonal on the mesh that created it."""
+    if kind == "sphere":
+        surface = Sphere(1.3)
+        mesh = build_sphere_mesh(surface, 1)
+    else:
+        surface = Torus(1.0, 0.4)
+        mesh = build_torus_mesh(surface, 8, 4)
+    assert mesh.hierarchy is None
+    rng = np.random.default_rng(seed)
+    meshes = [mesh]
+    for _ in range(rounds):
+        marked = np.flatnonzero(rng.random(mesh.n_triangles) < rng.uniform(0.05, 0.5))
+        mesh = refine_bisection(mesh, marked, surface)
+        meshes.append(mesh)
+    S, d_H = mesh.hierarchy
+    S_ref, d_ref, parents = oracles.per_level_hierarchy(meshes, surface._project_raw)
+    S = S.toarray()
+    identity = np.eye(mesh.n_vertices)
+    for coarse, level in zip(meshes, parents):
+        new = coarse.n_vertices + np.arange(len(level))
+        assert np.array_equal(S[new], 0.5 * (S[level[:, 0]] + S[level[:, 1]]) + identity[new])
+    assert np.array_equal(S, S_ref)
+    np.testing.assert_allclose(d_H, d_ref, rtol=1e-12)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(["sphere", "ellipsoid", "torus"]),
