@@ -87,9 +87,6 @@ class SurfaceMesh:
     def h_max(self):
         return float(self.diameters.max())
 
-    def euler_characteristic(self):
-        return self.n_vertices - self.n_edges + self.n_triangles
-
     def triangle_coords(self):
         return self.vertices[self.triangles]
 
@@ -478,26 +475,32 @@ def build_bulk_mesh(surface, cells_per_axis, half_width=None):
 # ---------------------------------------------------------------------------
 
 
+def _number_rows(ids, corners, vids, d, rows):
+    """The tets ``rows`` of the culled set (``BulkMesh._near_surface``)
+    with their DOFs: (tet ids, corners (E, 4) as positions in the vertices
+    they use, those vertices' ascending ids, d there).  The culled vertex
+    ids ascend, so counting the used ones numbers them without a sort."""
+    used = np.zeros(len(vids), dtype=bool)
+    used[corners[rows]] = True
+    return ids[rows], (np.cumsum(used) - 1)[corners[rows]], vids[used], d[used]
+
+
 class CutSurface:
     """Triangulated zero level set of the vertex-interpolated distance.
 
     Faces live inside bulk tetrahedra (``parent_tet``), are oriented with
     grad d, and their degrees of freedom are the vertices of cut bulk
-    tetrahedra (``active_dofs``), where ``d_vertex`` holds the nudged d
-    picked from ``lattice_d`` at the ascending ``lattice_ids``.
+    tetrahedra, ascending in ``active_dofs``; ``dofs`` (F, 4) gives each
+    face's parent corners by position there, ``d_vertex`` the nudged d.
     """
 
-    def __init__(self, bulk, vertices, faces, areas, normals, parent_tet,
-                 lattice_ids, lattice_d, n_degenerate):
+    def __init__(self, bulk, vertices, faces, areas, normals, n_degenerate, numbering):
         self.bulk = bulk
         self.vertices = vertices
         self.faces = faces
         self.areas, self.normals = areas, normals
-        self.parent_tet = parent_tet
         self.n_degenerate = int(n_degenerate)
-        self.cut_tets = np.unique(parent_tet)
-        self.active_dofs = np.unique(bulk.tet_vertices(self.cut_tets))
-        self.d_vertex = lattice_d[np.searchsorted(lattice_ids, self.active_dofs)]
+        self.parent_tet, self.dofs, self.active_dofs, self.d_vertex = numbering
 
     @property
     def n_faces(self):
@@ -597,7 +600,7 @@ def extract_cut_surface(bulk, surface):
     faces = inverse.reshape(-1, 3)
     f0, f1, f2 = faces.T
     distinct = (f0 != f1) & (f1 != f2) & (f2 != f0)
-    faces, parents = faces[distinct], ids[parents[distinct]]
+    faces, parents = faces[distinct], parents[distinct]
     p0, p1, p2 = cut_vertices[faces.T]
     n = np.cross(p1 - p0, p2 - p0)
     two_area = row_norm(n)
@@ -607,22 +610,18 @@ def extract_cut_surface(bulk, surface):
     flip = np.einsum("td,td->t", n, surface._grad_raw((p0 + p1 + p2)[good] / 3)[1]) < 0.0
     faces[flip], n[flip] = faces[flip][:, [0, 2, 1]], -n[flip]
     return CutSurface(bulk, cut_vertices, faces, 0.5 * two_area, n / two_area[:, None],
-                      parents[good], vids, d, len(good) - len(faces))
+                      len(good) - len(faces), _number_rows(ids, tets, vids, d, parents[good]))
 
 
 class BandMesh:
     """Tetrahedra meeting the band {|d_h| < delta} of the bulk mesh;
-    ``dofs`` (E, 4) numbers their corners by position in ``active_dofs``,
-    and ``d_vertex`` holds d picked from ``lattice_d`` at ``active_dofs``."""
+    ``dofs`` (E, 4) numbers their corners by position in the ascending
+    ``active_dofs``, and ``d_vertex`` holds d there (``_number_rows``)."""
 
-    def __init__(self, bulk, delta, tet_ids, lattice_ids, lattice_d):
+    def __init__(self, bulk, delta, numbering):
         self.bulk = bulk
         self.delta = float(delta)
-        self.tet_ids = tet_ids
-        self.active_dofs, inverse = np.unique(bulk.tet_vertices(tet_ids),
-                                              return_inverse=True)
-        self.dofs = inverse.reshape(-1, 4)
-        self.d_vertex = lattice_d[np.searchsorted(lattice_ids, self.active_dofs)]
+        self.tet_ids, self.dofs, self.active_dofs, self.d_vertex = numbering
 
     @property
     def n_tets(self):
@@ -631,9 +630,6 @@ class BandMesh:
     @property
     def n_active_dofs(self):
         return len(self.active_dofs)
-
-    def tets(self):
-        return self.bulk.tet_vertices(self.tet_ids)
 
     def __repr__(self):
         return f"BandMesh(delta={self.delta:g}, tets={self.n_tets})"
@@ -654,7 +650,7 @@ def extract_band(bulk, surface, delta):
     member = (lo[0] | lo[1] | lo[2] | lo[3]) & (hi[0] | hi[1] | hi[2] | hi[3])
     if not member.any():
         raise EmptyBand("no tetrahedra meet the band")
-    return BandMesh(bulk, delta, ids[member], vids, d)
+    return BandMesh(bulk, delta, _number_rows(ids, tets, vids, d, member))
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,17 @@ from .trace import cut_face_workspace
 
 
 class NarrowBandProblem:
-    """Problem data: surface, bulk mesh, band half-thickness, solution."""
+    """Problem data: surface, bulk mesh, band half-thickness (a given
+    band's own, else ``delta`` or 1.5 h), solution."""
 
     def __init__(self, surface, bulk, delta=None, band=None, solution=None):
         self.surface = surface
         self.bulk = bulk
-        self.delta = float(delta) if delta is not None else 1.5 * bulk.h
-        self.band = band if band is not None else extract_band(bulk, surface, self.delta)
+        if band is None:
+            band = extract_band(bulk, surface, float(delta) if delta is not None else 1.5 * bulk.h)
+        elif delta is not None and float(delta) != band.delta:
+            raise ValueError(f"delta={float(delta):g} differs from the band's {band.delta:g}")
+        self.band, self.delta = band, band.delta
         self.solution = solution if solution is not None else surface.manufactured()
 
     @property

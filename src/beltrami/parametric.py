@@ -84,18 +84,18 @@ def surface_error_norms(weights, u_exact, grad_exact, u_values, u_gradients):
     mean = weights @ e / total
     l2_sq = max(float(weights @ e**2 - total * mean**2), 0.0)
     diff = grad_exact - u_gradients
-    h1_sq = float(weights @ np.einsum("nd,nd->n", diff, diff))
+    h1_sq = float(weights @ np.einsum("...d,...d->...", diff, diff).ravel())
     return np.sqrt(l2_sq), np.sqrt(h1_sq)
 
 
 def error_samples(es, c):
-    """Sample arguments of ``surface_error_norms`` for the P1 field with
-    coefficients c on the element set es (``fem`` module docstring)."""
+    """Sample arguments of ``surface_error_norms`` for the P1 field c on the
+    set es (``fem`` module docstring), gradients as (E, nq, 3) and (E, 1, 3)."""
     c_local = c[es["dofs"]]
     nq = es["qp"].shape[1]
-    return (es["weights"].ravel(), es["u_exact"], es["grad_exact"],
+    return (es["weights"].ravel(), es["u_exact"], es["grad_exact"].reshape(-1, nq, 3),
             np.einsum("eqk,ek->eq", es["phi"], c_local).ravel(),
-            np.repeat(np.einsum("ek,ekd->ed", c_local, es["grads"]), nq, axis=0))
+            np.einsum("ek,ekd->ed", c_local, es["grads"])[:, None])
 
 
 def sample_faces(es, surface, solution, forcing=True, hessian=False):

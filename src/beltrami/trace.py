@@ -45,20 +45,19 @@ class TraceProblem:
 
 def cut_face_workspace(bulk, cut, active_dofs):
     """The cut-face element set: parent-tet hat gradients projected into
-    the face planes, DOFs numbered by ``active_dofs``."""
-    tets = bulk.tet_vertices(cut.parent_tet)
+    the face planes, DOFs numbered by ``active_dofs`` (the cut's or a band's)."""
     tet_grads = bulk.tet_grads(cut.parent_tet)
     nus = cut.normals
     pg = tet_grads - np.einsum("fkd,fd->fk", tet_grads, nus)[:, :, None] * nus[:, None, :]
     qp = TRI_DEGREE4.physical_points(cut.vertices[cut.faces])
     return {
-        "dofs": local_dofs(active_dofs, tets),
+        "dofs": local_dofs(active_dofs, cut.active_dofs)[cut.dofs],
         "grads": pg,
         "measures": cut.areas,
         "normals": nus,
         "qp": qp,
         "weights": cut.areas[:, None] * TRI_DEGREE4.normalized_weights[None, :],
-        "phi": barycentric_values(tet_grads, bulk.vertex_points(tets), qp),
+        "phi": barycentric_values(tet_grads, bulk.vertex_points(cut.active_dofs)[cut.dofs], qp),
     }
 
 
@@ -143,4 +142,4 @@ def skin_containment(problem):
         + fractions[None, :, None] * (ends - starts)[:, None, :]
     ).reshape(-1, 3)
     tids = bulk.point_to_tet(pts)
-    return float(np.isin(tids, cut.cut_tets).mean())
+    return float(np.isin(tids, cut.parent_tet).mean())

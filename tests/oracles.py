@@ -583,6 +583,22 @@ def dense_band(vertices, tets, distance, delta):
             "d_vertex": d[active]}
 
 
+def sorted_numbering(tets, lattice_ids, lattice_d):
+    """DOFs of lattice tetrahedra (E, 4) numbered by sorting: the ascending
+    unique vertex ids, each corner's position among them, and d looked up
+    there by binary search in the ascending ``lattice_ids``."""
+    active, inverse = np.unique(tets, return_inverse=True)
+    return (active, inverse.reshape(tets.shape),
+            lattice_d[np.searchsorted(lattice_ids, active)])
+
+
+def searched_dofs(active, tets):
+    """Positions of the corners ``tets`` in the ascending ``active`` ids by
+    binary search, -1 where a corner is absent."""
+    pos = np.minimum(np.searchsorted(active, tets), len(active) - 1)
+    return np.where(active[pos] == tets, pos, -1)
+
+
 # ---------------------------------------------------------------------------
 # tiny text-format readers (for export round trips)
 # ---------------------------------------------------------------------------

@@ -284,7 +284,7 @@ def _band_case(surface, bulk):
     n = band.n_active_dofs
     lookup = np.full(bulk.n_vertices, -1, dtype=np.int64)
     lookup[band.active_dofs] = np.arange(n)
-    dofs = lookup[band.tets()]
+    dofs = lookup[bulk.tet_vertices(band.tet_ids)]
     A = assemble_stiffness(quad["grads"], quad["measures"], dofs, n)
     m = np.bincount(dofs.ravel(),
                     weights=np.repeat(quad["measures"] / 4.0, 4), minlength=n)

@@ -476,7 +476,7 @@ def test_cli_export_band_writes_only_the_band(tmp_path, capsys):
     points = bulk.vertex_points(band.active_dofs)
     assert len(v) == band.n_active_dofs < bulk.n_vertices
     assert np.abs(v - points).max() < 1e-11
-    assert np.array_equal(band.active_dofs[t], band.tets())
+    assert np.array_equal(band.active_dofs[t], bulk.tet_vertices(band.tet_ids))
 
 
 def test_cli_adapt_artifacts(tmp_path, capsys):

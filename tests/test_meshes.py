@@ -37,7 +37,7 @@ from beltrami.fem import (
 from beltrami.harness import surface_mesh_for_level
 from beltrami.meshes import SIGMA_MAX, edge_table
 from beltrami.narrowband import _band_quadrature, narrowband_forcing
-from beltrami.trace import _face_workspace
+from beltrami.trace import _face_workspace, cut_face_workspace
 
 import oracles
 
@@ -54,7 +54,7 @@ def test_icosphere_counts_and_euler():
         mesh = build_sphere_mesh(s, level)
         assert mesh.n_vertices == nv
         assert mesh.n_triangles == nt
-        assert mesh.euler_characteristic() == 2
+        assert mesh.n_vertices - mesh.n_edges + mesh.n_triangles == 2
         assert mesh.is_closed_manifold()
         # vertices on the sphere, normals outward
         r = np.linalg.norm(mesh.vertices, axis=1)
@@ -76,7 +76,7 @@ def test_icosphere_h_halves_per_level():
 def test_torus_mesh_euler_and_surface():
     t = Torus(1.0, 0.4)
     mesh = build_torus_mesh(t, 24, 12)
-    assert mesh.euler_characteristic() == 0
+    assert mesh.n_vertices - mesh.n_edges + mesh.n_triangles == 0
     assert mesh.n_vertices == 24 * 12
     assert np.abs(t.distance(mesh.vertices)).max() < 1e-12
     centers = t.closest_point(mesh.vertices[mesh.triangles].mean(axis=1))
@@ -115,7 +115,7 @@ def test_bisection_marked_elements_shrink():
     fine = refine_bisection(mesh, marked, s)
     assert fine.n_triangles > mesh.n_triangles
     assert fine.is_closed_manifold()
-    assert fine.euler_characteristic() == 2
+    assert fine.n_vertices - fine.n_edges + fine.n_triangles == 2
     assert np.abs(np.linalg.norm(fine.vertices, axis=1) - 1.0).max() < 1e-12
     # conformity closure refines at least the marked count extra triangles
     assert fine.n_triangles >= mesh.n_triangles + len(marked)
@@ -155,7 +155,7 @@ def test_bisection_keeps_topology_and_edge_table(kind, seed, rounds):
         marked = np.flatnonzero(rng.random(mesh.n_triangles) < rng.uniform(0.05, 0.5))
         mesh = refine_bisection(mesh, marked, surface)
     assert mesh.is_closed_manifold()
-    assert mesh.euler_characteristic() == chi
+    assert mesh.n_vertices - mesh.n_edges + mesh.n_triangles == chi
     t = mesh.triangles
     for i in range(3):
         opposite = np.sort(t[:, [(i + 1) % 3, (i + 2) % 3]], axis=1)
@@ -435,7 +435,7 @@ def test_cut_active_dofs_are_cut_tet_vertices():
     s = Sphere(1.0)
     bulk = build_bulk_mesh(s, 8)
     cut = extract_cut_surface(bulk, s)
-    expected = np.unique(bulk.tet_vertices(cut.cut_tets))
+    expected = np.unique(bulk.tet_vertices(np.unique(cut.parent_tet)))
     assert np.array_equal(cut.active_dofs, expected)
     assert cut.n_active_dofs == len(expected)
 
@@ -490,6 +490,7 @@ def test_sparse_extraction_matches_dense_lattice(case):
             extract_cut_surface(bulk, surface)
     else:
         cut = extract_cut_surface(bulk, surface)
+        assert np.array_equal(cut.dofs, local_dofs(cut.active_dofs, tets[cut.parent_tet]))
         for name, want in ref.items():
             assert np.array_equal(getattr(cut, name), want), name
 
@@ -500,10 +501,71 @@ def test_sparse_extraction_matches_dense_lattice(case):
             extract_band(bulk, surface, delta)
     else:
         band = extract_band(bulk, surface, delta)
-        assert np.array_equal(band.tets(), ref.pop("tets"))
-        assert np.array_equal(band.dofs, local_dofs(band.active_dofs, band.tets()))
+        band_tets = ref.pop("tets")
+        assert np.array_equal(bulk.tet_vertices(band.tet_ids), band_tets)
+        assert np.array_equal(band.dofs, local_dofs(band.active_dofs, band_tets))
         for name, want in ref.items():
             assert np.array_equal(getattr(band, name), want), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(surface=SURFACES, n=st.integers(6, 40), factor=st.floats(1.0, 2.0))
+@example(surface=Torus(1.0, 0.4), n=16, factor=1.0)
+def test_records_number_dofs_as_sorting_does(surface, n, factor):
+    """The cut's and the band's DOFs, numbered by marking rows of the
+    culled set, equal the sort-and-search rule (``oracles.sorted_numbering``)
+    over the culled vertices, and so do the cut-face sets' dofs and hat
+    values under the trace and the band numbering."""
+    bulk = build_bulk_mesh(surface, n)
+    delta = factor * bulk.h
+    try:
+        cut = extract_cut_surface(bulk, surface)
+        band = extract_band(bulk, surface, delta)
+    except BeltramiError:
+        assume(False)
+
+    ids, corners, vids, d = bulk._near_surface(surface, delta)
+    dv = d[corners]
+    assert np.array_equal(band.tet_ids, ids[(dv.min(axis=1) < delta) & (dv.max(axis=1) > -delta)])
+    want = oracles.sorted_numbering(bulk.tet_vertices(band.tet_ids), vids, d)
+    for name, value in zip(("active_dofs", "dofs", "d_vertex"), want):
+        assert np.array_equal(getattr(band, name), value), name
+
+    eps = 1e-12 * bulk.h
+    ids, corners, vids, d = bulk._near_surface(surface, eps)
+    d[np.abs(d) < eps] = eps
+    mixed = ids[((d < 0.0)[corners].any(axis=1)) & ((d > 0.0)[corners].any(axis=1))]
+    assert np.isin(cut.parent_tet, mixed).all()
+    tets = bulk.tet_vertices(cut.parent_tet)
+    want = oracles.sorted_numbering(tets, vids, d)
+    for name, value in zip(("active_dofs", "dofs", "d_vertex"), want):
+        assert np.array_equal(getattr(cut, name), value), name
+
+    grads = bulk.tet_grads(cut.parent_tet)
+    for active in (cut.active_dofs, band.active_dofs):
+        ws = cut_face_workspace(bulk, cut, active)
+        assert np.array_equal(ws["dofs"], oracles.searched_dofs(active, tets))
+        phi = barycentric_values(grads, bulk.vertex_points(tets), ws["qp"])
+        assert np.array_equal(ws["phi"], phi)
+
+
+def test_extraction_sorts_only_to_cull_and_key_edges(monkeypatch):
+    """Neither record sorts to number its DOFs: ``extract_band`` calls
+    ``np.unique`` once (the culling), ``extract_cut_surface`` twice (the
+    culling and the crossing-edge keys)."""
+    calls, unique = [], np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    t = Torus(1.0, 0.4)
+    bulk = build_bulk_mesh(t, 16)
+    extract_band(bulk, t, 1.5 * bulk.h)
+    assert len(calls) == 1
+    extract_cut_surface(bulk, t)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +699,7 @@ def test_band_stiffness_kernel_is_constants(case):
     except BeltramiError:
         assume(False)
     band = problem.band
-    dofs = local_dofs(band.active_dofs, band.tets())
+    dofs = local_dofs(band.active_dofs, bulk.tet_vertices(band.tet_ids))
     A = assemble_stiffness(quad["grads"], quad["measures"], dofs, band.n_active_dofs)
     assert _kernel_dimension(A) == 1
 
@@ -690,7 +752,7 @@ def test_band_contains_cut_tets(n):
     bulk = build_bulk_mesh(s, n)
     cut = extract_cut_surface(bulk, s)
     band = extract_band(bulk, s, 1.5 * bulk.h)
-    assert np.isin(cut.cut_tets, band.tet_ids).all()
+    assert np.isin(cut.parent_tet, band.tet_ids).all()
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ def band_system(problem, quad=None):
     n = band.n_active_dofs
     lookup = np.full(bulk.n_vertices, -1, dtype=np.int64)
     lookup[band.active_dofs] = np.arange(n)
-    dofs = lookup[band.tets()]
+    dofs = lookup[bulk.tet_vertices(band.tet_ids)]
     A = assemble_stiffness(quad["grads"], quad["measures"], dofs, n)
     m = np.repeat(quad["measures"][:, None] / 4.0, 4, axis=1)
     m = np.bincount(dofs.ravel(), weights=m.ravel(), minlength=n)
@@ -288,6 +288,23 @@ def test_quick_convergence_torus():
         _, _, rg = narrowband_solve(NarrowBandProblem(t, build_bulk_mesh(t, n)))
         errs.append(rg.err_H1)
     assert errs[1] < 0.75 * errs[0]
+
+
+def test_given_band_brings_its_delta():
+    """A band passed in sets the problem's delta, so its band measure is
+    that of the problem's own band of that delta; an explicit delta that
+    differs from the band's raises ValueError."""
+    t = Torus(1.0, 0.4)
+    bulk = build_bulk_mesh(t, 16)
+    band = extract_band(bulk, t, bulk.h)
+    given = NarrowBandProblem(t, bulk, band=band)
+    own = NarrowBandProblem(t, bulk, delta=bulk.h)
+    assert given.delta == own.delta == band.delta
+    measures = [narrowband_forcing(p, _band_quadrature(p))[2] for p in (given, own)]
+    assert measures[0] == measures[1]
+    assert NarrowBandProblem(t, bulk, delta=bulk.h, band=band).delta == band.delta
+    with pytest.raises(ValueError, match="differs from the band"):
+        NarrowBandProblem(t, bulk, delta=1.5 * bulk.h, band=band)
 
 
 def test_foreign_band_raises_typed_error():

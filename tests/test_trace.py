@@ -62,7 +62,7 @@ def rebuild_system(problem):
 def test_dofs_are_cut_tet_vertices(coarse_problem):
     cut = coarse_problem.cut
     bulk = coarse_problem.bulk
-    assert np.array_equal(cut.active_dofs, np.unique(bulk.tet_vertices(cut.cut_tets)))
+    assert np.array_equal(cut.active_dofs, np.unique(bulk.tet_vertices(np.unique(cut.parent_tet))))
 
 
 def test_stiffness_kernel_and_symmetry(coarse_problem):
