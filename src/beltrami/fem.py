@@ -21,6 +21,10 @@ on cut faces it is (d, grad d).  On facets whose samples an adaptive round
 carried over (``parametric_workspace``), ``jet`` covers only the rows
 after them, the new facets'.  Band sets add ``d_h`` and ``inside`` (E, nq).
 Error sets add the flat exact samples ``u_exact`` and ``grad_exact``.
+The stiffness also takes the set's edge numbering (``assemble_stiffness``),
+which no record holds: the facets' cached ``(edges, tri_edges)``, or on cut
+faces (by their parent tets) and band tets ``meshes.kuhn_edges``, which the
+solve computes just before assembly and drops after it.
 """
 
 import numpy as np
@@ -159,6 +163,15 @@ def barycentric_values(grads, coords, points):
 # ---------------------------------------------------------------------------
 
 
+# local vertex pairs of the edges of a simplex with k vertices, the column
+# order of an edge numbering: on triangles row i is the edge opposite vertex
+# i, on tetrahedra the pairs are in lexicographic order
+SIMPLEX_EDGES = {
+    3: np.array([[1, 2], [2, 0], [0, 1]]),
+    4: np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]),
+}
+
+
 def local_dofs(active, elements):
     """Element vertex ids as positions in the sorted ``active`` (-1 where
     absent)."""
@@ -166,20 +179,28 @@ def local_dofs(active, elements):
     return np.where(active[pos] == elements, pos, -1)
 
 
-def assemble_stiffness(grads, measures, dofs, n_dof):
+def assemble_stiffness(grads, measures, dofs, n_dof, edges):
     """CSR stiffness from constant element gradients.
 
     A_ij = sum_T |T| g_i . g_j ; symmetric positive semidefinite with the
-    constant vector in its kernel on every connected component.
+    constant vector in its kernel on every connected component.  ``edges``
+    is the element set's edge numbering, (pairs (M, 2), ids (E, k(k-1)/2))
+    as ``meshes.edge_table`` returns it: the off-diagonal entries are summed
+    per edge, so scipy receives 2M + n distinct entries, n the DOFs that the
+    elements touch.
     """
-    elem = (grads * measures[:, None, None]) @ grads.transpose(0, 2, 1)
-    k = dofs.shape[1]
-    # int32, scipy's own index type here, so the COO constructor copies no triplets
-    dofs = dofs.astype(np.int32)
-    rows = np.repeat(dofs, k, axis=1).ravel()
-    cols = np.tile(dofs, (1, k)).ravel()
-    A = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n_dof, n_dof))
-    return A.tocsr()
+    pairs, ids = edges
+    off = np.empty(ids.shape)
+    for j, (a, b) in enumerate(SIMPLEX_EDGES[dofs.shape[1]]):
+        off[:, j] = row_dot(grads[:, a], grads[:, b])
+    off *= measures[:, None]
+    off = np.bincount(ids.ravel(), off.ravel(), len(pairs))
+    touched = np.zeros(n_dof, dtype=bool)
+    touched[pairs] = True
+    lo, hi, own = pairs[:, 0], pairs[:, 1], np.flatnonzero(touched)
+    data = np.concatenate([off, off, stiffness_diagonal(grads, measures, dofs, n_dof)[own]])
+    rows, cols = np.concatenate([lo, hi, own]), np.concatenate([hi, lo, own])
+    return sp.coo_matrix((data, (rows, cols)), shape=(n_dof, n_dof)).tocsr()
 
 
 def stiffness_diagonal(grads, measures, dofs, n_dof):
@@ -194,10 +215,13 @@ def extend_basis(S, n, parents):
     S = sp.identity(n, format="csr") if S is None else S
     k = len(parents)
     mid = sp.csr_matrix((np.full(2 * k, 0.5), parents.ravel(), np.arange(0, 2 * k + 1, 2)),
-                        shape=(k, n))
-    top = sp.csr_matrix((S.data, S.indices, S.indptr), shape=(n, n + k))  # S, widened
-    return sp.vstack([top, sp.hstack([mid @ S, sp.identity(k, format="csr")], format="csr")],
-                     format="csr")
+                        shape=(k, n)) @ S
+    # each new row is its row of mid, then its own unit entry at n + i
+    ends = mid.indptr[1:]
+    indptr = np.concatenate([S.indptr, S.indptr[-1] + ends + np.arange(1, k + 1)])
+    indices = np.concatenate([S.indices, np.insert(mid.indices, ends, n + np.arange(k))])
+    data = np.concatenate([S.data, np.insert(mid.data, ends, 1.0)])
+    return sp.csr_matrix((data, indices, indptr), shape=(n + k, n + k))
 
 
 def assemble_load(dofs, phi, values, point_measures, n_dof):
@@ -328,7 +352,7 @@ def solve_mean_zero(A, b, mass, tol=1e-10, max_iter=None, history=None, basis=No
     if max_iter is None:
         max_iter = max(20 * n_r, 100)
     S, d_H = basis or (None, d_r)
-    St, dinv = None if S is None else S.T, 1.0 / d_H  # S.T: a CSC view, no copy
+    St, dinv = None if S is None else S.T.tocsr(), 1.0 / d_H
 
     def precondition(r):
         return dinv * r if S is None else S @ (dinv * (St @ r))

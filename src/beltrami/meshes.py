@@ -12,7 +12,7 @@ band.
 import numpy as np
 
 from .errors import BeltramiError, BoxTooSmall, EmptyBand, UnsupportedSurface
-from .fem import edge_vectors, extend_basis, stiffness_diagonal, triangle_geometry
+from .fem import SIMPLEX_EDGES, edge_vectors, extend_basis, stiffness_diagonal, triangle_geometry
 from .geometry import row_norm
 
 MAX_VERTEX_VALENCE = 32
@@ -97,14 +97,16 @@ class SurfaceMesh:
         )
 
 
-def edge_table(triangles):
-    """Sorted vertex pairs (E, 2) and per-triangle edge ids (T, 3), the
-    edge ``tri_edges[:, i]`` opposite local vertex i.  Pairs are keyed as
+def edge_table(simplices):
+    """Sorted vertex pairs (E, 2) and per-simplex edge ids (T, k(k-1)/2),
+    column j the edge between the local vertices ``SIMPLEX_EDGES[k][j]``
+    (on triangles the edge opposite local vertex j).  Pairs are keyed as
     lo * nv + hi, whose sort order is the lexicographic one."""
-    a, b = triangles[:, [1, 2, 0]].T.ravel(), triangles[:, [2, 0, 1]].T.ravel()
-    nv = int(triangles.max()) + 1 if triangles.size else 1
+    local = SIMPLEX_EDGES[simplices.shape[1]]
+    a, b = simplices[:, local[:, 0]].T.ravel(), simplices[:, local[:, 1]].T.ravel()
+    nv = int(simplices.max()) + 1 if simplices.size else 1
     keys, inv = np.unique(np.minimum(a, b) * nv + np.maximum(a, b), return_inverse=True)
-    return np.stack([keys // nv, keys % nv], axis=1), inv.reshape(3, len(triangles)).T
+    return np.stack([keys // nv, keys % nv], axis=1), inv.reshape(len(local), len(simplices)).T
 
 
 def _orient_outward(vertices, triangles, surface):
@@ -345,6 +347,47 @@ _KUHN_LOOKUP = np.full(9, -1, dtype=np.int64)
 _KUHN_LOOKUP[[3 * p[0] + p[1] for p in _KUHN_PERMS]] = np.arange(6)
 # offsets of the eight children of a halved block
 _OCTANTS = np.stack(np.unravel_index(np.arange(8), (2, 2, 2)), axis=-1)
+_TET_EDGES = SIMPLEX_EDGES[4]
+
+
+def _kuhn_edge_table():
+    """Per Kuhn tetrahedron and local edge (6, 6): the corner the edge
+    leaves, the corner it reaches, and its step, the index of the offset
+    between them among the seven positive 0/1 offsets in lexicographic
+    order.  Kuhn corners form a chain, so every edge has such a step."""
+    a, b = (_KUHN_OFFSETS[:, _TET_EDGES[:, i]] for i in (0, 1))
+    up = (b >= a).all(axis=-1)
+    low = np.where(up, _TET_EDGES[:, 0], _TET_EDGES[:, 1])
+    high = np.where(up, _TET_EDGES[:, 1], _TET_EDGES[:, 0])
+    return low, high, np.abs(b - a) @ (4, 2, 1) - 1
+
+
+_KUHN_EDGE_LOW, _KUHN_EDGE_HIGH, _KUHN_EDGE_STEP = _kuhn_edge_table()
+
+
+def kuhn_edges(tet_ids, dofs):
+    """``edge_table(dofs)`` of the Kuhn tetrahedra ``tet_ids``, whose
+    corners ``dofs`` (E, 4) are positions in ascending lattice vertex ids,
+    in closed form: pairs (M, 2) and edge ids (E, 6).
+
+    An edge is keyed low * 7 + step (``_kuhn_edge_table``).  A later step
+    reaches a larger lattice id, and positions ascend with the ids, so the
+    keys sort as the pairs do, and a running count over the keys present
+    numbers the edges without a sort.
+    """
+    kind, rows = tet_ids % 6, np.arange(len(dofs))
+    keys = np.empty((len(dofs), 6), dtype=np.int64)
+    for j in range(6):
+        keys[:, j] = dofs[rows, _KUHN_EDGE_LOW[kind, j]] * 7 + _KUHN_EDGE_STEP[kind, j]
+    present = np.zeros(7 * (int(dofs.max()) + 1), dtype=bool)
+    present[keys] = True
+    ids = (np.cumsum(present) - 1)[keys]
+    del keys
+    lo = np.flatnonzero(present) // 7
+    hi = np.empty_like(lo)
+    for j in range(6):
+        hi[ids[:, j]] = dofs[rows, _KUHN_EDGE_HIGH[kind, j]]
+    return np.stack([lo, hi], axis=1), ids
 
 
 class BulkMesh:
@@ -515,10 +558,6 @@ class CutSurface:
 
     def __repr__(self):
         return f"CutSurface(faces={self.n_faces}, dofs={self.n_active_dofs})"
-
-
-# local vertex pairs of a tetrahedron's six edges
-_TET_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
 
 
 def _cut_face_table():

@@ -23,7 +23,7 @@ from .fem import (
     solve_mean_zero,
 )
 from .geometry import _points, _restore
-from .meshes import extract_band, extract_cut_surface
+from .meshes import extract_band, extract_cut_surface, kuhn_edges
 from .parametric import error_samples, sample_faces, surface_error_norms
 from .trace import cut_face_workspace
 
@@ -134,7 +134,8 @@ def narrowband_solve(problem, tol=1e-10):
     n = band.n_active_dofs
     dofs = band.dofs
 
-    A = assemble_stiffness(quad["grads"], quad["measures"], dofs, n)
+    A = assemble_stiffness(quad["grads"], quad["measures"], dofs, n,
+                           kuhn_edges(band.tet_ids, dofs))
     m = lumped_mass(dofs, quad["measures"], n)
     F, correction, band_measure = narrowband_forcing(problem, quad)
     b = assemble_load(dofs, quad["phi"], F, quad["weights"], n)

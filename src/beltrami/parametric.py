@@ -164,8 +164,9 @@ def parametric_assemble(problem):
     """
     ws = parametric_workspace(problem)
     dofs = ws["dofs"]
-    n = problem.mesh.n_vertices
-    A = assemble_stiffness(ws["grads"], ws["measures"], dofs, n)
+    mesh = problem.mesh
+    n = mesh.n_vertices
+    A = assemble_stiffness(ws["grads"], ws["measures"], dofs, n, (mesh.edges, mesh.tri_edges))
     b = assemble_load(dofs, ws["phi"], ws["forcing"], ws["weights"], n)
     m = lumped_mass(dofs, ws["measures"], n)
     return A, b, m, ws

@@ -21,7 +21,7 @@ from .fem import (
     solve_mean_zero,
 )
 from .geometry import row_norm
-from .meshes import extract_cut_surface
+from .meshes import extract_cut_surface, kuhn_edges
 from .parametric import error_samples, sample_faces, surface_error_norms
 
 
@@ -51,7 +51,8 @@ def cut_face_workspace(bulk, cut, active_dofs):
     pg = tet_grads - np.einsum("fkd,fd->fk", tet_grads, nus)[:, :, None] * nus[:, None, :]
     qp = TRI_DEGREE4.physical_points(cut.vertices[cut.faces])
     return {
-        "dofs": local_dofs(active_dofs, cut.active_dofs)[cut.dofs],
+        "dofs": (cut.dofs if active_dofs is cut.active_dofs
+                 else local_dofs(active_dofs, cut.active_dofs)[cut.dofs]),
         "grads": pg,
         "measures": cut.areas,
         "normals": nus,
@@ -75,7 +76,7 @@ def trace_solve(problem, tol=1e-10, workspace_out=None):
     ws = _face_workspace(problem)
     n = cut.n_active_dofs
     dofs = ws["dofs"]
-    A = assemble_stiffness(ws["grads"], ws["measures"], dofs, n)
+    A = assemble_stiffness(ws["grads"], ws["measures"], dofs, n, kuhn_edges(cut.parent_tet, dofs))
     b = assemble_load(dofs, ws["phi"], ws["forcing"], ws["weights"], n)
     # row-sum mass of the trace basis: m_i = integral of hat_i over the cut,
     # the load of the unit function

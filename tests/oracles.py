@@ -765,12 +765,11 @@ def one_call_face_deviations(surface, vertices, faces, qp, normals, node_jet):
     return flat, np.abs(d).max(axis=1), dev.max(axis=1)
 
 
-def int64_coo_stiffness(grads, measures, dofs, n_dof):
-    """CSR stiffness from int64 COO triplets, which the COO constructor
-    copies down to its own index type."""
+def coo_stiffness(grads, measures, dofs, n_dof):
+    """CSR stiffness from the E k^2 COO triplets of the element matrices,
+    which scipy sorts and sums per entry; no edge numbering involved."""
     elem = (grads * measures[:, None, None]) @ grads.transpose(0, 2, 1)
     k = dofs.shape[1]
-    dofs = dofs.astype(np.int64)
     rows = np.repeat(dofs, k, axis=1).ravel()
     cols = np.tile(dofs, (1, k)).ravel()
     return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n_dof, n_dof)).tocsr()

@@ -28,7 +28,7 @@ from beltrami import (
     run_convergence,
     trace_solve,
 )
-from beltrami.fem import assemble_stiffness, assemble_load
+from beltrami.fem import assemble_load
 from beltrami.narrowband import _band_quadrature, narrowband_forcing
 from beltrami.parametric import parametric_assemble
 from beltrami.trace import _face_workspace
@@ -257,7 +257,7 @@ def _trace_case(surface, bulk):
     ws = _face_workspace(problem)
     cut = problem.cut
     n = cut.n_active_dofs
-    A = assemble_stiffness(ws["grads"], cut.areas, ws["dofs"], n)
+    A = oracles.coo_stiffness(ws["grads"], cut.areas, ws["dofs"], n)
     flat = ws["qp"].reshape(-1, 3)
     nus_q = np.repeat(ws["normals"], ws["qp"].shape[1], axis=0)
     fvals = (problem.solution.f(surface.closest_point(flat))
@@ -285,7 +285,7 @@ def _band_case(surface, bulk):
     lookup = np.full(bulk.n_vertices, -1, dtype=np.int64)
     lookup[band.active_dofs] = np.arange(n)
     dofs = lookup[bulk.tet_vertices(band.tet_ids)]
-    A = assemble_stiffness(quad["grads"], quad["measures"], dofs, n)
+    A = oracles.coo_stiffness(quad["grads"], quad["measures"], dofs, n)
     m = np.bincount(dofs.ravel(),
                     weights=np.repeat(quad["measures"] / 4.0, 4), minlength=n)
     F, _, _ = narrowband_forcing(problem, quad)

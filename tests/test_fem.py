@@ -37,6 +37,7 @@ from beltrami.fem import (
     triangle_geometry,
 )
 from beltrami.harness import surface_mesh_for_level
+from beltrami.meshes import edge_table
 from beltrami.narrowband import _band_quadrature, narrowband_solve
 from beltrami.parametric import parametric_solve, parametric_workspace, sample_faces
 from beltrami.trace import _face_workspace, cut_face_workspace, trace_solve
@@ -119,7 +120,7 @@ def test_barycentric_values_partition_and_nodal():
 def test_stiffness_matches_hand_patch():
     vertices, triangles, K_exact = oracles.hand_square_patch()
     grads, areas, _ = triangle_geometry(vertices[triangles])
-    A = assemble_stiffness(grads, areas, triangles, len(vertices))
+    A = assemble_stiffness(grads, areas, triangles, len(vertices), edge_table(triangles))
     assert np.abs(A.toarray() - K_exact).max() < 1e-13
 
 
@@ -128,7 +129,7 @@ def test_stiffness_row_sums_vanish():
     coords = rng.normal(size=(30, 3, 3))
     grads, areas, _ = triangle_geometry(coords)
     dofs = np.arange(90).reshape(30, 3)
-    A = assemble_stiffness(grads, areas, dofs, 90)
+    A = assemble_stiffness(grads, areas, dofs, 90, edge_table(dofs))
     assert np.abs(A @ np.ones(90)).max() < 1e-12
     assert np.abs((A - A.T).toarray()).max() < 1e-14
 
@@ -196,7 +197,7 @@ def test_element_kernels_match_index_contractions(e, k, nq, log_scale, seed, bro
     assert _maxabs(phi - oracles.einsum_barycentric_values(grads, coords, qp)) <= tol
 
     dofs = np.arange(e * k).reshape(e, k)
-    A = assemble_stiffness(grads, measures, dofs, e * k).toarray()
+    A = assemble_stiffness(grads, measures, dofs, e * k, edge_table(dofs)).toarray()
     blocks = A.reshape(e, k, e, k)[np.arange(e), :, np.arange(e), :]
     tol = 1e-13 * _maxabs(measures) * _maxabs(grads) ** 2
     assert _maxabs(blocks - oracles.einsum_element_stiffness(grads, measures)) <= tol
@@ -326,7 +327,7 @@ def test_solver_with_bisection_basis(kind, seed, rounds, tol):
         marked = np.flatnonzero(rng.random(mesh.n_triangles) < rng.uniform(0.05, 0.5))
         mesh = refine_bisection(mesh, marked, surface)
     n = mesh.n_vertices
-    A = assemble_stiffness(mesh.grads, mesh.areas, mesh.triangles, n)
+    A = assemble_stiffness(mesh.grads, mesh.areas, mesh.triangles, n, (mesh.edges, mesh.tri_edges))
     m = lumped_mass(mesh.triangles, mesh.areas, n)
     b = rng.normal(size=n)
     history = []
@@ -450,15 +451,20 @@ def test_element_set_record(name):
 
 
 @pytest.mark.parametrize("name", list(ELEMENT_SETS))
-def test_int32_triplets_equal_int64_coo(name):
-    """The stiffness from int32 triplets equals the int64 COO route bit for
-    bit, in data, indices and indptr, on facet, cut-face and band sets."""
+def test_edge_stiffness_matches_coo(name):
+    """The stiffness summed per edge has the indptr, indices and dtypes of
+    the one scipy sums from E k^2 COO triplets (``oracles.coo_stiffness``),
+    and its entries within 4 ulp (unit roundoff) of each row's largest, on
+    facet, cut-face and band sets."""
     es, n, _ = ELEMENT_SETS[name]()
-    A = assemble_stiffness(es["grads"], es["measures"], es["dofs"], n)
-    ref = oracles.int64_coo_stiffness(es["grads"], es["measures"], es["dofs"], n)
+    A = assemble_stiffness(es["grads"], es["measures"], es["dofs"], n, edge_table(es["dofs"]))
+    ref = oracles.coo_stiffness(es["grads"], es["measures"], es["dofs"], n)
     for key in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(A, key), getattr(ref, key)), key
         assert getattr(A, key).dtype == getattr(ref, key).dtype, key
+    for key in ("indices", "indptr"):
+        assert np.array_equal(getattr(A, key), getattr(ref, key)), key
+    row_max = np.repeat(abs(ref).max(axis=1).toarray().ravel(), np.diff(ref.indptr))
+    assert (np.abs(A.data - ref.data) <= 4 * np.finfo(float).eps * row_max).all()
 
 
 def _parametric_torus_with_estimators():

@@ -35,7 +35,7 @@ from beltrami.fem import (
     local_dofs,
 )
 from beltrami.harness import surface_mesh_for_level
-from beltrami.meshes import SIGMA_MAX, edge_table
+from beltrami.meshes import SIGMA_MAX, edge_table, kuhn_edges
 from beltrami.narrowband import _band_quadrature, narrowband_forcing
 from beltrami.trace import _face_workspace, cut_face_workspace
 
@@ -549,6 +549,26 @@ def test_records_number_dofs_as_sorting_does(surface, n, factor):
         assert np.array_equal(ws["phi"], phi)
 
 
+@settings(max_examples=25, deadline=None)
+@given(surface=SURFACES, n=st.integers(6, 40), factor=st.floats(1.0, 2.0))
+def test_kuhn_edges_equal_edge_table(surface, n, factor):
+    """The closed-form edge numbering of Kuhn tetrahedra equals the sorted
+    one of ``edge_table`` on the cut's rows, the band's rows and the cut
+    faces numbered by the band."""
+    bulk = build_bulk_mesh(surface, n)
+    try:
+        cut = extract_cut_surface(bulk, surface)
+        band = extract_band(bulk, surface, factor * bulk.h)
+    except BeltramiError:
+        assume(False)
+    band_cut = cut_face_workspace(bulk, cut, band.active_dofs)["dofs"]
+    assert band_cut.min() >= 0
+    for tet_ids, dofs in ((cut.parent_tet, cut.dofs), (band.tet_ids, band.dofs),
+                          (cut.parent_tet, band_cut)):
+        for got, want in zip(kuhn_edges(tet_ids, dofs), edge_table(dofs)):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+
+
 def test_extraction_sorts_only_to_cull_and_key_edges(monkeypatch):
     """Neither record sorts to number its DOFs: ``extract_band`` calls
     ``np.unique`` once (the culling), ``extract_cut_surface`` twice (the
@@ -681,7 +701,8 @@ def test_trace_stiffness_kernel_is_constants_and_distance(case):
     except BeltramiError:
         assume(False)
     cut = problem.cut
-    A = assemble_stiffness(ws["grads"], cut.areas, ws["dofs"], cut.n_active_dofs)
+    A = assemble_stiffness(ws["grads"], cut.areas, ws["dofs"], cut.n_active_dofs,
+                           kuhn_edges(cut.parent_tet, ws["dofs"]))
     d = cut.d_vertex
     assert np.abs(A @ d).max() <= 1e-12 * abs(A).max() * np.abs(d).max()
     assert _kernel_dimension(A) == 2
@@ -700,7 +721,8 @@ def test_band_stiffness_kernel_is_constants(case):
         assume(False)
     band = problem.band
     dofs = local_dofs(band.active_dofs, bulk.tet_vertices(band.tet_ids))
-    A = assemble_stiffness(quad["grads"], quad["measures"], dofs, band.n_active_dofs)
+    A = assemble_stiffness(quad["grads"], quad["measures"], dofs, band.n_active_dofs,
+                           kuhn_edges(band.tet_ids, dofs))
     assert _kernel_dimension(A) == 1
 
 
@@ -711,7 +733,8 @@ def test_parametric_stiffness_kernel_is_constants(surface, level):
         mesh = surface_mesh_for_level(surface, level)
     except BeltramiError:
         assume(False)
-    A = assemble_stiffness(mesh.grads, mesh.areas, mesh.triangles, mesh.n_vertices)
+    A = assemble_stiffness(mesh.grads, mesh.areas, mesh.triangles, mesh.n_vertices,
+                           (mesh.edges, mesh.tri_edges))
     assert _kernel_dimension(A) == 1
 
 

@@ -24,6 +24,7 @@ from beltrami import (
 import beltrami.fem
 from beltrami.errors import BeltramiError
 from beltrami.fem import TRI_DEGREE4, assemble_stiffness, solve_mean_zero
+from beltrami.meshes import kuhn_edges
 from beltrami.parametric import sample_faces
 from beltrami.trace import _face_workspace, cut_face_workspace, face_deviations, geometric_resolution
 
@@ -41,7 +42,8 @@ def rebuild_system(problem):
     ws = _face_workspace(problem)
     cut = problem.cut
     n = cut.n_active_dofs
-    A = assemble_stiffness(ws["grads"], cut.areas, ws["dofs"], n)
+    A = assemble_stiffness(ws["grads"], cut.areas, ws["dofs"], n,
+                           kuhn_edges(cut.parent_tet, ws["dofs"]))
     flat = ws["qp"].reshape(-1, 3)
     nus_q = np.repeat(ws["normals"], ws["qp"].shape[1], axis=0)
     fvals = (
