@@ -172,13 +172,6 @@ SIMPLEX_EDGES = {
 }
 
 
-def local_dofs(active, elements):
-    """Element vertex ids as positions in the sorted ``active`` (-1 where
-    absent)."""
-    pos = np.minimum(np.searchsorted(active, elements), len(active) - 1)
-    return np.where(active[pos] == elements, pos, -1)
-
-
 def assemble_stiffness(grads, measures, dofs, n_dof, edges):
     """CSR stiffness from constant element gradients.
 

@@ -102,6 +102,8 @@ class RunConfig:
         if self.iterations < 0:
             raise ConfigError("iterations must be >= 0")
         self.seed = _config_number(data.get("seed", 0), "seed", integral=True)
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         self.tol = _config_number(data.get("tol", 1e-10), "tol")
         if not 0.0 < self.tol < 1.0:
             raise ConfigError("tol must lie in (0, 1)")
@@ -183,18 +185,13 @@ def _solve_level(config, level):
             "mu": geo["mu"].total,
         }
         return problem, field, report
-    if config.method == "trace":
-        bulk = bulk_mesh_for_level(config, level)
-        problem = TraceProblem(surface, bulk)
-        field, report = trace_solve(problem, tol=config.tol)
-        return problem, field, report
     bulk = bulk_mesh_for_level(config, level)
-    problem = NarrowBandProblem(surface, bulk, delta=config.delta_factor * bulk.h)
-    field, report_band, report = narrowband_solve(problem, tol=config.tol)
-    report.info["band_err_H1"] = report_band.err_H1
-    report.info["band_err_L2"] = report_band.err_L2
-    for key in ("band_measure", "mean_correction", "tube_ok"):
-        report.info[key] = report_band.info[key]
+    if config.method == "trace":
+        problem, solve = TraceProblem(surface, bulk), trace_solve
+    else:
+        problem = NarrowBandProblem(surface, bulk, delta=config.delta_factor * bulk.h)
+        solve = narrowband_solve
+    field, report = solve(problem, tol=config.tol)
     return problem, field, report
 
 

@@ -535,6 +535,7 @@ class CutSurface:
     grad d, and their degrees of freedom are the vertices of cut bulk
     tetrahedra, ascending in ``active_dofs``; ``dofs`` (F, 4) gives each
     face's parent corners by position there, ``d_vertex`` the nudged d.
+    A band-marched cut numbers its DOFs as the band: ``n_active_dofs`` is the band's.
     """
 
     def __init__(self, bulk, vertices, faces, areas, normals, n_degenerate, numbering):
@@ -595,19 +596,22 @@ def _cut_face_table():
 _CUT_FACES, _CUT_GROUPS = _cut_face_table()
 
 
-def extract_cut_surface(bulk, surface):
+def extract_cut_surface(bulk, surface, band=None):
     """March the interpolated signed distance through the bulk mesh.
 
-    Only the cells near the surface are visited.  Vertex distances within
-    1e-12 h of zero are nudged positive so every tetrahedron falls into a
-    strict sign pattern, and such a vertex is the cut vertex of every
-    crossing edge that ends at it; faces that repeat a vertex then vanish.
+    Only the cells near the surface are visited: a fresh cull, or the rows
+    of a ``band`` (every cut tet meets it), marched on a copy of its d and
+    numbered as the band.  Vertex distances within 1e-12 h of zero are
+    nudged positive so every tetrahedron falls into a strict sign pattern,
+    and such a vertex is the cut vertex of every crossing edge that ends at
+    it; faces that repeat a vertex then vanish.
     One vertex on a side yields a triangle; two yield a planar quad split
     into two triangles along the cycle (ac, ad, bd, bc).  Faces with area
     below 1e-14 h^2 are dropped and counted in ``n_degenerate``.
     """
     eps = 1e-12 * bulk.h
-    ids, tets, vids, d = bulk._near_surface(surface, eps)
+    ids, tets, vids, d = (bulk._near_surface(surface, eps) if band is None else
+                          (band.tet_ids, band.dofs, band.active_dofs, band.d_vertex.copy()))
     on_surface = np.abs(d) < eps
     d[on_surface] = eps
     pattern = np.packbits((d < 0.0)[tets], axis=1, bitorder="little")[:, 0]
@@ -648,17 +652,20 @@ def extract_cut_surface(bulk, surface):
     # orient along grad d: swapping two corners negates n exactly
     flip = np.einsum("td,td->t", n, surface._grad_raw((p0 + p1 + p2)[good] / 3)[1]) < 0.0
     faces[flip], n[flip] = faces[flip][:, [0, 2, 1]], -n[flip]
+    rows = parents[good]
+    numbering = (_number_rows(ids, tets, vids, d, rows) if band is None
+                 else (ids[rows], tets[rows], vids, d))
     return CutSurface(bulk, cut_vertices, faces, 0.5 * two_area, n / two_area[:, None],
-                      len(good) - len(faces), _number_rows(ids, tets, vids, d, parents[good]))
+                      len(good) - len(faces), numbering)
 
 
 class BandMesh:
-    """Tetrahedra meeting the band {|d_h| < delta} of the bulk mesh;
+    """Bulk tetrahedra meeting the band {|d_h| < delta} of ``surface``;
     ``dofs`` (E, 4) numbers their corners by position in the ascending
     ``active_dofs``, and ``d_vertex`` holds d there (``_number_rows``)."""
 
-    def __init__(self, bulk, delta, numbering):
-        self.bulk = bulk
+    def __init__(self, bulk, surface, delta, numbering):
+        self.bulk, self.surface = bulk, surface
         self.delta = float(delta)
         self.tet_ids, self.dofs, self.active_dofs, self.d_vertex = numbering
 
@@ -689,7 +696,7 @@ def extract_band(bulk, surface, delta):
     member = (lo[0] | lo[1] | lo[2] | lo[3]) & (hi[0] | hi[1] | hi[2] | hi[3])
     if not member.any():
         raise EmptyBand("no tetrahedra meet the band")
-    return BandMesh(bulk, delta, _number_rows(ids, tets, vids, d, member))
+    return BandMesh(bulk, surface, delta, _number_rows(ids, tets, vids, d, member))
 
 
 # ---------------------------------------------------------------------------

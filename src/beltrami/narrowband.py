@@ -37,6 +37,8 @@ class NarrowBandProblem:
         self.bulk = bulk
         if band is None:
             band = extract_band(bulk, surface, float(delta) if delta is not None else 1.5 * bulk.h)
+        elif band.surface is not surface or band.bulk is not bulk:
+            raise BeltramiError("the band was not extracted for this surface and bulk mesh")
         elif delta is not None and float(delta) != band.delta:
             raise ValueError(f"delta={float(delta):g} differs from the band's {band.delta:g}")
         self.band, self.delta = band, band.delta
@@ -122,12 +124,11 @@ def narrowband_forcing(problem, quad):
 
 
 def narrowband_solve(problem, tol=1e-10):
-    """Solve on the band; returns (SolutionField, band report, surface report).
+    """Solve on the band; returns (SolutionField, ErrorReport).
 
-    The band report measures u - U against the normal extension of the
-    exact solution over the indicator-weighted band; the surface report
-    measures the restriction of U to the reconstructed surface (the zero
-    level set of d_h inside the band).
+    The report measures U on the reconstructed surface (the zero level set
+    of d_h inside the band); its ``info`` adds ``band_err_H1``/``_L2``
+    against the normal extension of u over the indicator-weighted band.
     """
     bulk, band = problem.bulk, problem.band
     quad = _band_quadrature(problem)
@@ -148,19 +149,18 @@ def narrowband_solve(problem, tol=1e-10):
 
     band_l2, band_h1 = _band_errors(problem, c)
     l2, h1, cut = _surface_errors(problem, c)
-    report_band = ErrorReport(
-        bulk.tet_diameter, n, band_l2, band_h1, iterations=len(history),
+    report = ErrorReport(
+        bulk.tet_diameter, n, l2, h1, iterations=len(history),
         info={
+            "n_cut_faces": cut.n_faces,
+            "band_err_H1": float(band_h1),
+            "band_err_L2": float(band_l2),
             "band_measure": band_measure,
             "mean_correction": correction,
             "tube_ok": problem.tube_ok,
         },
     )
-    report_gamma = ErrorReport(
-        bulk.tet_diameter, n, l2, h1, iterations=len(history),
-        info={"n_cut_faces": cut.n_faces},
-    )
-    return field, report_band, report_gamma
+    return field, report
 
 
 def _band_errors(problem, c):
@@ -194,12 +194,10 @@ def _band_errors(problem, c):
 
 
 def _surface_errors(problem, c):
-    """Errors of the band solution restricted to the reconstructed surface."""
+    """Errors of U on the reconstructed surface, the cut marched from the band."""
     surface, bulk = problem.surface, problem.bulk
-    cut = extract_cut_surface(bulk, surface)
-    es = cut_face_workspace(bulk, cut, problem.band.active_dofs)
-    if np.any(es["dofs"] < 0):
-        raise BeltramiError("band not extracted for this surface and bulk mesh")
+    cut = extract_cut_surface(bulk, surface, problem.band)
+    es = cut_face_workspace(bulk, cut)
     sample_faces(es, surface, problem.solution, forcing=False)
     l2, h1 = surface_error_norms(*error_samples(es, c))
     return l2, h1, cut

@@ -17,7 +17,6 @@ from .fem import (
     assemble_load,
     assemble_stiffness,
     barycentric_values,
-    local_dofs,
     solve_mean_zero,
 )
 from .geometry import row_norm
@@ -43,16 +42,15 @@ class TraceProblem:
         return f"TraceProblem({self.surface!r}, {self.bulk!r})"
 
 
-def cut_face_workspace(bulk, cut, active_dofs):
+def cut_face_workspace(bulk, cut):
     """The cut-face element set: parent-tet hat gradients projected into
-    the face planes, DOFs numbered by ``active_dofs`` (the cut's or a band's)."""
+    the face planes, DOFs numbered as the cut's (its own or its band's)."""
     tet_grads = bulk.tet_grads(cut.parent_tet)
     nus = cut.normals
     pg = tet_grads - np.einsum("fkd,fd->fk", tet_grads, nus)[:, :, None] * nus[:, None, :]
     qp = TRI_DEGREE4.physical_points(cut.vertices[cut.faces])
     return {
-        "dofs": (cut.dofs if active_dofs is cut.active_dofs
-                 else local_dofs(active_dofs, cut.active_dofs)[cut.dofs]),
+        "dofs": cut.dofs,
         "grads": pg,
         "measures": cut.areas,
         "normals": nus,
@@ -65,7 +63,7 @@ def cut_face_workspace(bulk, cut, active_dofs):
 def _face_workspace(problem):
     """The sampled cut-face element set (``sample_faces``); its ``jet``
     is (d, grad d)."""
-    ws = cut_face_workspace(problem.bulk, problem.cut, problem.cut.active_dofs)
+    ws = cut_face_workspace(problem.bulk, problem.cut)
     sample_faces(ws, problem.surface, problem.solution)
     return ws
 

@@ -291,7 +291,7 @@ def _band_case(surface, bulk):
     F, _, _ = narrowband_forcing(problem, quad)
     contrib = np.einsum("eq,eq,eqk->ek", quad["weights"], F, quad["phi"])
     b = np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=n)
-    field, _, _ = narrowband_solve(problem, tol=1e-12)
+    field, _ = narrowband_solve(problem, tol=1e-12)
     diag = A.diagonal()
     idx = np.flatnonzero(diag > 1e-14 * diag.max())
     ref = oracles.dense_solve_mean_zero(A.toarray()[np.ix_(idx, idx)],

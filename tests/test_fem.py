@@ -402,8 +402,8 @@ def _band_problem():
 def _band_surface():
     """The narrow band's surface set, as ``_surface_errors`` builds it."""
     problem = _band_problem()
-    cut = extract_cut_surface(problem.bulk, problem.surface)
-    es = cut_face_workspace(problem.bulk, cut, problem.band.active_dofs)
+    cut = extract_cut_surface(problem.bulk, problem.surface, problem.band)
+    es = cut_face_workspace(problem.bulk, cut)
     sample_faces(es, problem.surface, problem.solution, forcing=False)
     return es, problem.band.n_active_dofs, False
 

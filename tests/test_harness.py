@@ -117,6 +117,7 @@ def test_config_defaults():
     ({"theta": None}, "theta"),
     ({"levels": [True, 2]}, "levels"),
     ({"windows": {"eoc_H1": ["a", "b"]}}, "window"),
+    ({"seed": -1}, "seed"),
 ])
 def test_config_rejections(patch, message):
     data = dict(SPHERE_CFG)
@@ -497,6 +498,14 @@ def test_cli_check_geometry(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.count("PASS") == 10 and "FAIL" not in out
+
+
+def test_cli_negative_seed_is_exit_2(tmp_path, capsys):
+    """numpy's generator refuses a negative seed: the config does first."""
+    cfg = write_config(tmp_path, SPHERE_CFG)
+    rc = main(["check-geometry", "--config", cfg, "--seed", "-1"])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_cli_subprocess_end_to_end(tmp_path):

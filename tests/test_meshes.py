@@ -32,7 +32,6 @@ from beltrami.fem import (
     TET_DEGREE4,
     assemble_stiffness,
     barycentric_values,
-    local_dofs,
 )
 from beltrami.harness import surface_mesh_for_level
 from beltrami.meshes import SIGMA_MAX, edge_table, kuhn_edges
@@ -490,7 +489,8 @@ def test_sparse_extraction_matches_dense_lattice(case):
             extract_cut_surface(bulk, surface)
     else:
         cut = extract_cut_surface(bulk, surface)
-        assert np.array_equal(cut.dofs, local_dofs(cut.active_dofs, tets[cut.parent_tet]))
+        assert np.array_equal(cut.dofs, oracles.searched_dofs(cut.active_dofs,
+                                                               tets[cut.parent_tet]))
         for name, want in ref.items():
             assert np.array_equal(getattr(cut, name), want), name
 
@@ -503,7 +503,7 @@ def test_sparse_extraction_matches_dense_lattice(case):
         band = extract_band(bulk, surface, delta)
         band_tets = ref.pop("tets")
         assert np.array_equal(bulk.tet_vertices(band.tet_ids), band_tets)
-        assert np.array_equal(band.dofs, local_dofs(band.active_dofs, band_tets))
+        assert np.array_equal(band.dofs, oracles.searched_dofs(band.active_dofs, band_tets))
         for name, want in ref.items():
             assert np.array_equal(getattr(band, name), want), name
 
@@ -515,7 +515,7 @@ def test_records_number_dofs_as_sorting_does(surface, n, factor):
     """The cut's and the band's DOFs, numbered by marking rows of the
     culled set, equal the sort-and-search rule (``oracles.sorted_numbering``)
     over the culled vertices, and so do the cut-face sets' dofs and hat
-    values under the trace and the band numbering."""
+    values of the cut and of the cut marched from the band."""
     bulk = build_bulk_mesh(surface, n)
     delta = factor * bulk.h
     try:
@@ -542,11 +542,38 @@ def test_records_number_dofs_as_sorting_does(surface, n, factor):
         assert np.array_equal(getattr(cut, name), value), name
 
     grads = bulk.tet_grads(cut.parent_tet)
-    for active in (cut.active_dofs, band.active_dofs):
-        ws = cut_face_workspace(bulk, cut, active)
-        assert np.array_equal(ws["dofs"], oracles.searched_dofs(active, tets))
+    for marched in (cut, extract_cut_surface(bulk, surface, band)):
+        ws = cut_face_workspace(bulk, marched)
+        assert np.array_equal(ws["dofs"], oracles.searched_dofs(marched.active_dofs, tets))
         phi = barycentric_values(grads, bulk.vertex_points(tets), ws["qp"])
         assert np.array_equal(ws["phi"], phi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(surface=SURFACES, n=st.integers(6, 40), factor=st.floats(1.0, 2.0))
+@example(surface=Sphere(1.0), n=30, factor=1.5)
+@example(surface=Torus(1.0, 0.4), n=16, factor=1.0)
+def test_band_marched_cut_is_the_cut(surface, n, factor):
+    """The cut marched from a band's rows is the freshly culled cut byte for
+    byte, numbered as the band by search, and leaves the band's d as it
+    was; the unit sphere at n = 30 has lattice vertices (+-1, 0, 0) on it."""
+    bulk = build_bulk_mesh(surface, n)
+    try:
+        cut = extract_cut_surface(bulk, surface)
+        band = extract_band(bulk, surface, factor * bulk.h)
+    except BeltramiError:
+        assume(False)
+    d = band.d_vertex.copy()
+    marched = extract_cut_surface(bulk, surface, band)
+    for name in ("vertices", "faces", "areas", "normals", "parent_tet"):
+        got, want = getattr(marched, name), getattr(cut, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert marched.n_degenerate == cut.n_degenerate
+    assert np.array_equal(marched.active_dofs, band.active_dofs)
+    assert np.array_equal(marched.dofs, oracles.searched_dofs(
+        band.active_dofs, bulk.tet_vertices(cut.parent_tet)))
+    assert band.d_vertex.tobytes() == d.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -554,14 +581,14 @@ def test_records_number_dofs_as_sorting_does(surface, n, factor):
 def test_kuhn_edges_equal_edge_table(surface, n, factor):
     """The closed-form edge numbering of Kuhn tetrahedra equals the sorted
     one of ``edge_table`` on the cut's rows, the band's rows and the cut
-    faces numbered by the band."""
+    marched from the band."""
     bulk = build_bulk_mesh(surface, n)
     try:
         cut = extract_cut_surface(bulk, surface)
         band = extract_band(bulk, surface, factor * bulk.h)
     except BeltramiError:
         assume(False)
-    band_cut = cut_face_workspace(bulk, cut, band.active_dofs)["dofs"]
+    band_cut = extract_cut_surface(bulk, surface, band).dofs
     assert band_cut.min() >= 0
     for tet_ids, dofs in ((cut.parent_tet, cut.dofs), (band.tet_ids, band.dofs),
                           (cut.parent_tet, band_cut)):
@@ -572,7 +599,7 @@ def test_kuhn_edges_equal_edge_table(surface, n, factor):
 def test_extraction_sorts_only_to_cull_and_key_edges(monkeypatch):
     """Neither record sorts to number its DOFs: ``extract_band`` calls
     ``np.unique`` once (the culling), ``extract_cut_surface`` twice (the
-    culling and the crossing-edge keys)."""
+    culling and the crossing-edge keys), and once when marched from a band."""
     calls, unique = [], np.unique
 
     def counted(*args, **kwargs):
@@ -582,10 +609,12 @@ def test_extraction_sorts_only_to_cull_and_key_edges(monkeypatch):
     monkeypatch.setattr(np, "unique", counted)
     t = Torus(1.0, 0.4)
     bulk = build_bulk_mesh(t, 16)
-    extract_band(bulk, t, 1.5 * bulk.h)
+    band = extract_band(bulk, t, 1.5 * bulk.h)
     assert len(calls) == 1
     extract_cut_surface(bulk, t)
     assert len(calls) == 3
+    extract_cut_surface(bulk, t, band)
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +692,11 @@ def test_bulk_solves_are_finite_and_mean_zero(case):
     bulk = build_bulk_mesh(surface, n, half_width=half_width)
     _assert_finite_mean_zero(*trace_solve(TraceProblem(surface, bulk)))
     try:
-        result = narrowband_solve(NarrowBandProblem(surface, bulk))
+        field, report = narrowband_solve(NarrowBandProblem(surface, bulk))
     except BeltramiError:
         return
-    _assert_finite_mean_zero(*result)
+    _assert_finite_mean_zero(field, report)
+    assert np.isfinite([report.info["band_err_L2"], report.info["band_err_H1"]]).all()
 
 
 def _kernel_dimension(A):
@@ -720,7 +750,7 @@ def test_band_stiffness_kernel_is_constants(case):
     except BeltramiError:
         assume(False)
     band = problem.band
-    dofs = local_dofs(band.active_dofs, bulk.tet_vertices(band.tet_ids))
+    dofs = oracles.searched_dofs(band.active_dofs, bulk.tet_vertices(band.tet_ids))
     A = assemble_stiffness(quad["grads"], quad["measures"], dofs, band.n_active_dofs,
                            kuhn_edges(band.tet_ids, dofs))
     assert _kernel_dimension(A) == 1

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from beltrami import (
     BeltramiError,
+    BulkMesh,
     ManufacturedSolution,
     NarrowBandProblem,
     Ellipsoid,
@@ -219,7 +220,7 @@ def test_solve_matches_dense_oracle(n):
     problem = NarrowBandProblem(s, build_bulk_mesh(s, n))
     A, b, m, _ = band_system(problem)
     assert A.shape[0] <= 200
-    field, _, _ = narrowband_solve(problem, tol=1e-12)
+    field, _ = narrowband_solve(problem, tol=1e-12)
     diag = A.diagonal()
     keep = diag > 1e-14 * diag.max()
     if not keep.all():
@@ -237,20 +238,20 @@ def test_zero_data_gives_zero_solution(sphere16):
     )
     problem = NarrowBandProblem(sphere16.surface, sphere16.bulk,
                                 band=sphere16.band, solution=zero)
-    field, rb, rg = narrowband_solve(problem)
+    field, report = narrowband_solve(problem)
     assert np.abs(field.coefficients).max() == 0.0
-    assert rg.err_H1 == 0.0 and rb.err_H1 == 0.0
+    assert report.err_H1 == 0.0 and report.info["band_err_H1"] == 0.0
 
 
 def test_reports_and_diagnostics(sphere16):
-    field, rb, rg = narrowband_solve(sphere16)
+    field, report = narrowband_solve(sphere16)
     assert field.domain == "band"
     assert abs(field.weighted_mean()) < 1e-10
-    assert rb.info["tube_ok"] is True
-    assert rb.info["band_measure"] > 0
-    assert rg.info["n_cut_faces"] > 0
-    assert rg.err_H1 > rg.err_L2 > 0
-    assert rb.err_H1 > 0 and rb.err_L2 > 0
+    assert report.info["tube_ok"] is True
+    assert report.info["band_measure"] > 0
+    assert report.info["n_cut_faces"] > 0
+    assert report.err_H1 > report.err_L2 > 0
+    assert report.info["band_err_H1"] > 0 and report.info["band_err_L2"] > 0
 
 
 def test_tube_flag_reflects_coarse_bands():
@@ -265,8 +266,8 @@ def test_delta_insensitivity():
     """Surface errors move by less than 2x across the admissible window."""
     s = Sphere(1.0)
     bulk = build_bulk_mesh(s, 32)
-    _, _, lo = narrowband_solve(NarrowBandProblem(s, bulk, delta=1.2 * bulk.h))
-    _, _, hi = narrowband_solve(NarrowBandProblem(s, bulk, delta=1.8 * bulk.h))
+    _, lo = narrowband_solve(NarrowBandProblem(s, bulk, delta=1.2 * bulk.h))
+    _, hi = narrowband_solve(NarrowBandProblem(s, bulk, delta=1.8 * bulk.h))
     ratio = hi.err_H1 / lo.err_H1
     assert 0.5 < ratio < 2.0
     assert 0.5 < hi.err_L2 / lo.err_L2 < 2.0
@@ -278,10 +279,10 @@ def test_linearity_in_the_data(sphere16):
         "scaled", lambda x: 4.0 * base.u(x), lambda x: 4.0 * base.grad_gamma(x),
         lambda x: 4.0 * base.f(x),
     )
-    f0, _, r0 = narrowband_solve(sphere16, tol=1e-12)
+    f0, r0 = narrowband_solve(sphere16, tol=1e-12)
     problem = NarrowBandProblem(sphere16.surface, sphere16.bulk,
                                 band=sphere16.band, solution=scaled)
-    f1, _, r1 = narrowband_solve(problem, tol=1e-12)
+    f1, r1 = narrowband_solve(problem, tol=1e-12)
     assert np.abs(f1.coefficients - 4.0 * f0.coefficients).max() < 1e-8
     assert r1.err_H1 == pytest.approx(4.0 * r0.err_H1, rel=1e-8)
 
@@ -290,7 +291,7 @@ def test_quick_convergence_torus():
     t = Torus(1.0, 0.4)
     errs = []
     for n in (16, 32):
-        _, _, rg = narrowband_solve(NarrowBandProblem(t, build_bulk_mesh(t, n)))
+        _, rg = narrowband_solve(NarrowBandProblem(t, build_bulk_mesh(t, n)))
         errs.append(rg.err_H1)
     assert errs[1] < 0.75 * errs[0]
 
@@ -320,6 +321,43 @@ def test_foreign_band_raises_typed_error():
     band = extract_band(bulk, Sphere(0.5), 1.5 * bulk.h)
     with pytest.raises(BeltramiError, match="not extracted for this surface"):
         narrowband_solve(NarrowBandProblem(t, bulk, band=band))
+
+
+def _count_lattice_work(monkeypatch, surface):
+    """Wrap the lattice cull and the surface's distance to record calls."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(BulkMesh, "_near_surface",
+                        counted("_near_surface", BulkMesh._near_surface))
+    monkeypatch.setattr(surface, "_distance_raw",
+                        counted("_distance_raw", surface._distance_raw))
+    return calls
+
+
+def test_solve_reads_the_cut_off_the_band(monkeypatch):
+    """A built problem's solve marches its surface errors' cut through the
+    band's rows and d: it culls no lattice and evaluates no distance."""
+    t = Torus(1.0, 0.4)
+    problem = NarrowBandProblem(t, build_bulk_mesh(t, 24))
+    calls = _count_lattice_work(monkeypatch, t)
+    narrowband_solve(problem)
+    assert calls == []
+
+
+def test_band_without_a_cut_raises_typed_error(monkeypatch):
+    """At n = 5 the torus's band holds no tetrahedron that changes sign:
+    the band march raises, and the level culls the lattice once."""
+    t = Torus(1.0, 0.4)
+    calls = _count_lattice_work(monkeypatch, t)
+    with pytest.raises(BeltramiError, match="surface does not cut the bulk mesh"):
+        narrowband_solve(NarrowBandProblem(t, build_bulk_mesh(t, 5)))
+    assert calls.count("_near_surface") == 1
 
 
 def test_band_assembly_hands_scipy_an_entry_per_edge_and_dof(monkeypatch):

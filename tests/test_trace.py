@@ -221,8 +221,7 @@ def cut_sets():
     sets = {}
     for surface in (Sphere(1.0), Torus(1.0, 0.4), Ellipsoid(1.3, 1.0, 0.8)):
         problem = TraceProblem(surface, build_bulk_mesh(surface, 10))
-        sets[surface.kind] = problem, cut_face_workspace(
-            problem.bulk, problem.cut, problem.cut.active_dofs)
+        sets[surface.kind] = problem, cut_face_workspace(problem.bulk, problem.cut)
     return sets
 
 
