@@ -59,7 +59,10 @@ def _load_config(args):
 
 def _out_dir(args):
     path = args.out or "beltrami-out"
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path!r}: {exc.strerror}")
     return path
 
 
@@ -119,6 +122,8 @@ def _cmd_solve(args):
 
 def _cmd_converge(args):
     config = _load_config(args)
+    if args.do_assert and not config.windows:
+        raise ConfigError("--assert needs a 'windows' object in the config")
     out = _out_dir(args)
     result = run_convergence(config)
     fields = converge_csv_fields(result["rows"])
@@ -129,8 +134,6 @@ def _cmd_converge(args):
         print(f"{name}: " + " ".join("%.3f" % v for v in series))
     print(f"elapsed: {result['elapsed_seconds']:.1f}s; artifacts in {out}")
     if args.do_assert:
-        if not config.windows:
-            raise ConfigError("--assert needs a 'windows' object in the config")
         ok, details = assert_windows(result, config.windows)
         for key, info in sorted(details.items()):
             verdict = "ok" if info["ok"] else "FAIL"

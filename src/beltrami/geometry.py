@@ -93,6 +93,29 @@ class ManufacturedSolution:
         return f"ManufacturedSolution({self.name})"
 
 
+def _xyz_gradient(x):
+    """The ambient gradient (yz, xz, xy) of xyz at (..., 3) points."""
+    return np.stack([x[..., 1] * x[..., 2], x[..., 0] * x[..., 2], x[..., 0] * x[..., 1]],
+                    axis=-1)
+
+
+def _xyz_solution(name, normal, f):
+    """u = xyz with forcing f; grad_gamma projects ``_xyz_gradient`` off the
+    unit normal field ``normal`` (a callable on (..., 3) points)."""
+
+    def u(x):
+        x = np.asarray(x, dtype=float)
+        return x[..., 0] * x[..., 1] * x[..., 2]
+
+    def grad_gamma(x):
+        x = np.asarray(x, dtype=float)
+        nu = normal(x)
+        gu = _xyz_gradient(x)
+        return gu - row_dot(gu, nu)[..., None] * nu
+
+    return ManufacturedSolution(name, u, grad_gamma, f)
+
+
 class ImplicitSurface:
     """Base class for the closed C^2 surfaces (sphere, torus, ellipsoid)."""
 
@@ -101,8 +124,9 @@ class ImplicitSurface:
     # -- subclass hooks ----------------------------------------------------
 
     def _distance_raw(self, pts):
-        """Exact signed distance; bulk-mesh culling relies on it being 1-Lipschitz."""
-        raise NotImplementedError
+        """Exact signed distance, 1-Lipschitz as bulk-mesh culling needs; by
+        default the d of ``_grad_raw`` (the sphere and torus have cheaper ones)."""
+        return self._grad_raw(pts)[0]
 
     def _grad_raw(self, pts):
         raise NotImplementedError
@@ -144,8 +168,11 @@ class ImplicitSurface:
         raise NotImplementedError
 
     def surface_points(self, n, rng):
-        """n pseudo-random points exactly on the surface."""
-        raise NotImplementedError
+        """n pseudo-random points exactly on the surface: by default Gaussian
+        directions scaled by ``axis_extents`` and mapped by ``_project_raw``."""
+        v = rng.standard_normal((n, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        return self._project_raw(v * self.axis_extents())
 
     def manufactured(self):
         raise NotImplementedError
@@ -299,11 +326,6 @@ class Sphere(ImplicitSurface):
         r = d + self.radius
         return (_EYE3[None, :, :] - g[:, :, None] * g[:, None, :]) / r[:, None, None]
 
-    def surface_points(self, n, rng):
-        v = rng.standard_normal((n, 3))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return self.radius * v
-
     def manufactured(self):
         """u = xyz (degree-3 spherical harmonic), f = 12 xyz / R^2 on r = R.
 
@@ -315,25 +337,12 @@ class Sphere(ImplicitSurface):
         """
         R = self.radius
 
-        def u(x):
-            x = np.asarray(x, dtype=float)
-            return x[..., 0] * x[..., 1] * x[..., 2]
-
-        def grad_gamma(x):
-            x = np.asarray(x, dtype=float)
-            nu = x / row_norm(x)[..., None]
-            gu = np.stack(
-                [x[..., 1] * x[..., 2], x[..., 0] * x[..., 2], x[..., 0] * x[..., 1]],
-                axis=-1,
-            )
-            return gu - row_dot(gu, nu)[..., None] * nu
-
         def f(x):
             x = np.asarray(x, dtype=float)
-            r2 = row_dot(x, x)
-            return 12.0 * R**3 * u(x) / r2**2.5
+            return 12.0 * R**3 * (x[..., 0] * x[..., 1] * x[..., 2]) / row_dot(x, x)**2.5
 
-        return ManufacturedSolution(f"sphere(R={R}): u=xyz", u, grad_gamma, f)
+        return _xyz_solution(f"sphere(R={R}): u=xyz",
+                             lambda x: x / row_norm(x)[..., None], f)
 
 
 class Torus(ImplicitSurface):
@@ -416,12 +425,15 @@ class Torus(ImplicitSurface):
         H[:, 1, 2] = H[:, 2, 1] = t1 * t2 / s
         return d, g, H
 
+    def _point_at(self, phi, theta):
+        """The surface point at toroidal angle phi and poloidal angle theta."""
+        rho = self.major_radius + self.minor_radius * np.cos(theta)
+        return np.stack([rho * np.cos(phi), rho * np.sin(phi),
+                         self.minor_radius * np.sin(theta)], axis=-1)
+
     def surface_points(self, n, rng):
-        R, r = self.major_radius, self.minor_radius
         phi = rng.uniform(0.0, 2.0 * np.pi, n)
-        theta = rng.uniform(0.0, 2.0 * np.pi, n)
-        rho = R + r * np.cos(theta)
-        return np.stack([rho * np.cos(phi), rho * np.sin(phi), r * np.sin(theta)], axis=1)
+        return self._point_at(phi, rng.uniform(0.0, 2.0 * np.pi, n))
 
     def manufactured(self):
         """u = sin(3 phi) cos(theta) in toroidal/poloidal angles.
@@ -564,9 +576,6 @@ class Ellipsoid(ImplicitSurface):
         g = n / row_norm(n)[:, None]
         return np.einsum("ni,ni->n", pts - p, g), g
 
-    def _distance_raw(self, pts):
-        return self._grad_raw(pts)[0]
-
     def _hessian(self, pts, d, g):
         # D^2 d = W (I + d W)^-1 with the Weingarten map at the closest point
         # P, W = Pi diag(a^-2) Pi / |P / a^2| and Pi = I - g g^T.  W g = 0, so
@@ -610,11 +619,6 @@ class Ellipsoid(ImplicitSurface):
             raise RayMiss("scaled-radial lift undefined at the center")
         return pts / s[:, None], np.abs(row_dot(pts, nus)) * row_norm(y) / s**4
 
-    def surface_points(self, n, rng):
-        v = rng.standard_normal((n, 3))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return self._project_raw(v * self.abc)
-
     def manufactured(self):
         """u = xyz with f from the level-set identity.
 
@@ -633,22 +637,6 @@ class Ellipsoid(ImplicitSurface):
             x = np.asarray(x, dtype=float)
             nrm = x / self.abc2
             return nrm / row_norm(nrm)[..., None]
-
-        def u(x):
-            x = np.asarray(x, dtype=float)
-            return x[..., 0] * x[..., 1] * x[..., 2]
-
-        def _grad_u(x):
-            return np.stack(
-                [x[..., 1] * x[..., 2], x[..., 0] * x[..., 2], x[..., 0] * x[..., 1]],
-                axis=-1,
-            )
-
-        def grad_gamma(x):
-            x = np.asarray(x, dtype=float)
-            nu = _normal(x)
-            gu = _grad_u(x)
-            return gu - row_dot(gu, nu)[..., None] * nu
 
         def f(x):
             x = np.asarray(x, dtype=float)
@@ -669,14 +657,11 @@ class Ellipsoid(ImplicitSurface):
                 + pts[:, 1] * nu[:, 0] * nu[:, 2]
                 + pts[:, 0] * nu[:, 1] * nu[:, 2]
             )
-            gu = _grad_u(pts)
-            val = quad + np.einsum("ni,ni->n", gu, nu) * trH
+            val = quad + np.einsum("ni,ni->n", _xyz_gradient(pts), nu) * trH
             return val[0] if single else val.reshape(x.shape[:-1])
 
         a, b, c = self.abc
-        return ManufacturedSolution(
-            f"ellipsoid({a},{b},{c}): u=xyz", u, grad_gamma, f
-        )
+        return _xyz_solution(f"ellipsoid({a},{b},{c}): u=xyz", _normal, f)
 
 
 # ---------------------------------------------------------------------------

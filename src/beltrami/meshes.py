@@ -184,63 +184,43 @@ def _subdivide_once(vertices, triangles, project):
 def build_sphere_mesh(surface, level):
     """Icosphere interpolating a sphere or ellipsoid: 20 * 4^level facets.
 
-    Starts from the regular icosahedron scaled into the surface, then
-    subdivides ``level`` times, projecting every new vertex back.
+    Starts from the regular icosahedron scaled by ``axis_extents``, then
+    subdivides ``level`` times; every vertex is placed by the surface's
+    ``_project_raw``.
     """
-    if surface.kind == "sphere":
-        def project(x):
-            return surface.radius * x / np.linalg.norm(x, axis=-1, keepdims=True)
-        vertices = project(_icosahedron_vertices())
-    elif surface.kind == "ellipsoid":
-        def project(x):
-            return surface._project_raw(x)
-        vertices = project(_icosahedron_vertices() * surface.abc)
-    else:
+    if surface.kind not in ("sphere", "ellipsoid"):
         raise UnsupportedSurface(f"no icosphere builder for {surface.kind}")
+    vertices = surface._project_raw(_icosahedron_vertices() * surface.axis_extents())
     triangles = _ICO_FACES.copy()
     for _ in range(int(level)):
-        vertices, triangles = _subdivide_once(vertices, triangles, project)
+        vertices, triangles = _subdivide_once(vertices, triangles, surface._project_raw)
     return _finish_surface_mesh(vertices, triangles, surface)
 
 
+# The two triangles of a quad (v00, v10, v11, v01), as indices into it: row 0
+# splits along the diagonal (v00, v11), row 1 along (v10, v01).
+_QUAD_SPLITS = np.array([[[0, 1, 2], [0, 2, 3]], [[0, 1, 3], [1, 2, 3]]])
+
+
 def build_torus_mesh(surface, n_major, n_minor):
-    """Structured torus mesh: n_major x n_minor quads, split along the
-    shorter diagonal of each quad (ties toward the (i,j)-(i+1,j+1) one)."""
+    """Structured torus mesh: n_major x n_minor quads of the surface's
+    ``_point_at`` grid, split along the shorter diagonal of each quad (ties
+    toward the (i,j)-(i+1,j+1) one)."""
     if surface.kind != "torus":
         raise UnsupportedSurface(f"torus builder got {surface.kind}")
     if n_major < 3 or n_minor < 3:
         raise ValueError("need at least 3 segments around each circle")
-    R, r = surface.major_radius, surface.minor_radius
     phi = 2.0 * np.pi * np.arange(n_major) / n_major
     theta = 2.0 * np.pi * np.arange(n_minor) / n_minor
-    P, T = np.meshgrid(phi, theta, indexing="ij")
-    rho = R + r * np.cos(T)
-    vertices = np.stack(
-        [rho * np.cos(P), rho * np.sin(P), r * np.sin(T)], axis=-1
-    ).reshape(-1, 3)
+    vertices = surface._point_at(*np.meshgrid(phi, theta, indexing="ij")).reshape(-1, 3)
 
-    i = np.repeat(np.arange(n_major), n_minor)
-    j = np.tile(np.arange(n_minor), n_major)
-    ip = (i + 1) % n_major
-    jp = (j + 1) % n_minor
-    v00 = i * n_minor + j
-    v10 = ip * n_minor + j
-    v11 = ip * n_minor + jp
-    v01 = i * n_minor + jp
-    d_a = np.linalg.norm(vertices[v00] - vertices[v11], axis=1)
-    d_b = np.linalg.norm(vertices[v10] - vertices[v01], axis=1)
-    use_a = d_a <= d_b
-    tris = np.empty((2 * len(v00), 3), dtype=np.int64)
-    tris[0::2] = np.where(
-        use_a[:, None],
-        np.stack([v00, v10, v11], axis=1),
-        np.stack([v00, v10, v01], axis=1),
-    )
-    tris[1::2] = np.where(
-        use_a[:, None],
-        np.stack([v00, v11, v01], axis=1),
-        np.stack([v10, v11, v01], axis=1),
-    )
+    # quad (v00, v10, v11, v01) at each grid vertex: it and its shifts by one
+    grid = np.arange(n_major * n_minor).reshape(n_major, n_minor)
+    quads = np.stack([grid, np.roll(grid, -1, 0), np.roll(grid, (-1, -1), (0, 1)),
+                      np.roll(grid, -1, 1)], axis=-1).reshape(-1, 4)
+    diagonals = np.linalg.norm(vertices[quads[:, :2]] - vertices[quads[:, 2:]], axis=-1)
+    split = _QUAD_SPLITS[(diagonals[:, 0] > diagonals[:, 1]).astype(np.intp)].reshape(-1, 6)
+    tris = np.take_along_axis(quads, split, axis=1).reshape(-1, 3)
     return _finish_surface_mesh(vertices, tris, surface)
 
 

@@ -339,6 +339,56 @@ def unique_rows_edge_table(triangles):
     return edges, inv.reshape(3, len(triangles)).T
 
 
+def radial_icosphere(R, level, faces):
+    """Icosphere of radius R by radial projection, before orientation and
+    edge rotation: the regular icosahedron (golden-ratio vertices, numbered
+    as ``faces`` expects) pushed to |x| = R, then ``level`` rounds of 4-way
+    subdivision with each edge midpoint m placed at R m / |m|.  Midpoints
+    follow the edges in lexicographic order; the children of all triangles
+    come in four blocks, the corner ones at v0, v1, v2, then the middle one."""
+    p = (1.0 + np.sqrt(5.0)) / 2.0
+    v = np.array([[-1, p, 0], [1, p, 0], [-1, -p, 0], [1, -p, 0],
+                  [0, -1, p], [0, 1, p], [0, -1, -p], [0, 1, -p],
+                  [p, 0, -1], [p, 0, 1], [-p, 0, -1], [-p, 0, 1]], dtype=float)
+    v = v / np.linalg.norm(v[0])
+    v = R * v / np.linalg.norm(v, axis=-1, keepdims=True)
+    t = np.array(faces)
+    for _ in range(level):
+        edges, opposite = unique_rows_edge_table(t)
+        mids = 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])
+        m = len(v) + opposite
+        v = np.vstack([v, R * mids / np.linalg.norm(mids, axis=-1, keepdims=True)])
+        t = np.concatenate([
+            np.stack([t[:, 0], m[:, 2], m[:, 1]], axis=1),
+            np.stack([t[:, 1], m[:, 0], m[:, 2]], axis=1),
+            np.stack([t[:, 2], m[:, 1], m[:, 0]], axis=1),
+            m,
+        ])
+    return v, t
+
+
+def torus_grid(R, r, n_major, n_minor):
+    """Torus grid mesh before orientation and edge rotation: vertex (i, j)
+    at the angles (2 pi i / n_major, 2 pi j / n_minor); quad (v00, v10, v11,
+    v01) splits along (v00, v11) unless (v10, v01) is strictly shorter, into
+    two consecutive triangles."""
+    phi = 2.0 * np.pi * np.arange(n_major) / n_major
+    theta = 2.0 * np.pi * np.arange(n_minor) / n_minor
+    P, T = np.meshgrid(phi, theta, indexing="ij")
+    rho = R + r * np.cos(T)
+    v = np.stack([rho * np.cos(P), rho * np.sin(P), r * np.sin(T)], axis=-1).reshape(-1, 3)
+    i = np.repeat(np.arange(n_major), n_minor)
+    j = np.tile(np.arange(n_minor), n_major)
+    v00, v10 = i * n_minor + j, (i + 1) % n_major * n_minor + j
+    v11, v01 = (i + 1) % n_major * n_minor + (j + 1) % n_minor, i * n_minor + (j + 1) % n_minor
+    use_a = (np.linalg.norm(v[v00] - v[v11], axis=1)
+             <= np.linalg.norm(v[v10] - v[v01], axis=1))[:, None]
+    t = np.empty((2 * len(v00), 3), dtype=np.int64)
+    t[0::2] = np.where(use_a, np.stack([v00, v10, v11], axis=1), np.stack([v00, v10, v01], axis=1))
+    t[1::2] = np.where(use_a, np.stack([v00, v11, v01], axis=1), np.stack([v10, v11, v01], axis=1))
+    return v, t
+
+
 # ---------------------------------------------------------------------------
 # dense linear-algebra references
 # ---------------------------------------------------------------------------

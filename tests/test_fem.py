@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beltrami import (
+    DegenerateSimplex,
     NarrowBandProblem,
     NoConvergence,
     ParametricProblem,
@@ -349,6 +350,24 @@ def test_solver_basis_refuses_frozen_rows():
     basis = (sp.identity(40, format="csr"), np.ones(40))
     with pytest.raises(ValueError, match="frozen"):
         solve_mean_zero(A, np.append(b39, 0.0), np.append(m39, 1.0), basis=basis)
+
+
+def test_solver_zero_matrix_returns_zero():
+    """A matrix with no positive diagonal leaves nothing to solve for."""
+    x = solve_mean_zero(sp.csr_matrix((3, 3)), np.array([1.0, -2.0, 0.5]), np.ones(3))
+    assert np.array_equal(x, np.zeros(3))
+
+
+def test_solver_refuses_an_indefinite_matrix():
+    A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(NoConvergence, match="nonpositive curvature"):
+        solve_mean_zero(A, np.array([1.0, 0.0]), np.ones(2))
+
+
+def test_triangle_geometry_refuses_a_collinear_triangle():
+    coords = np.array([[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]])
+    with pytest.raises(DegenerateSimplex, match="vanishing area"):
+        triangle_geometry(coords)
 
 
 def test_solver_raises_without_convergence():

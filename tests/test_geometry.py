@@ -13,6 +13,7 @@ from beltrami import (
     Sphere,
     Torus,
     ParametricProblem,
+    RayMiss,
     UnsupportedSurface,
     build_bulk_mesh,
     build_sphere_mesh,
@@ -658,6 +659,23 @@ def test_invalid_parameters_rejected():
         Torus(0.3, 0.4)  # needs r < R
     with pytest.raises(ValueError):
         Ellipsoid(1.0, -2.0, 0.5)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "sphere"},
+    {"kind": "torus", "major_radius": 1.0},
+    {"kind": "ellipsoid", "a": 1.3, "c": 0.8},
+], ids=["sphere", "torus", "ellipsoid"])
+def test_surface_from_config_names_a_missing_parameter(spec):
+    with pytest.raises(UnsupportedSurface, match="missing"):
+        surface_from_config(spec)
+
+
+def test_scaled_radial_lift_refuses_the_center():
+    e = Ellipsoid(1.3, 1.0, 0.8)
+    pts = np.array([[0.5, 0.2, 0.1], [0.0, 0.0, 0.0]])
+    with pytest.raises(RayMiss, match="center"):
+        e._scaled_radial_raw(pts, np.tile([0.0, 0.0, 1.0], (2, 1)))
 
 
 def test_single_point_and_batch_shapes_agree():

@@ -406,6 +406,70 @@ def test_cli_bad_config_is_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_non_utf8_config_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_bytes(b"\xff\xfe")
+    rc = main(["converge", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+def test_cli_out_through_a_file_is_exit_2(tmp_path, capsys, under):
+    """An --out that is a file, or lies under one, is named in a config
+    error before any solve runs."""
+    cfg = write_config(tmp_path, {**SPHERE_CFG, "levels": [1]})
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" / under if under else tmp_path / "taken"
+    rc = main(["solve", "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert f"config error: cannot make output directory {str(out)!r}" in capsys.readouterr().err
+
+
+def test_cli_levels_range_expands(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**SPHERE_CFG, "levels": [3]})
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--levels", "1..2", "--out", str(out)]) == 0
+    result = json.loads((out / "converge.json").read_text())
+    assert [row["level"] for row in result["rows"]] == [1, 2]
+
+
+@pytest.mark.parametrize("levels", ["2..1", "a..b", "2.."])
+def test_cli_bad_levels_range_is_exit_2(tmp_path, capsys, levels):
+    cfg = write_config(tmp_path, SPHERE_CFG)
+    rc = main(["converge", "--config", cfg, "--levels", levels, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "--levels" in capsys.readouterr().err
+
+
+def test_cli_assert_without_windows_is_exit_2(tmp_path, capsys):
+    """The missing windows are named before any solve runs or any
+    artifact is written."""
+    cfg = write_config(tmp_path, {**SPHERE_CFG, "levels": [1, 2]})
+    rc = main(["converge", "--config", cfg, "--out", str(tmp_path / "out"), "--assert"])
+    assert rc == 2
+    assert "windows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_adapt_on_trace_is_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**SPHERE_CFG, "levels": [8]})
+    rc = main(["adapt", "--config", cfg, "--method", "trace", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "parametric" in capsys.readouterr().err
+
+
+def test_cli_export_parametric_mesh(tmp_path, capsys):
+    import oracles
+
+    cfg = write_config(tmp_path, {**SPHERE_CFG, "levels": [1]})
+    out = tmp_path / "out"
+    assert main(["export-mesh", "--config", cfg, "--out", str(out)]) == 0
+    v, f = oracles.parse_off((out / "mesh.off").read_text())
+    assert v.shape == (42, 3) and f.shape == (80, 3)
+    assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() < 1e-12
+
+
 def test_cli_nonfinite_surface_is_exit_2(tmp_path, capsys):
     """Python's json reads NaN; converge must refuse it, not print nan
     rates."""

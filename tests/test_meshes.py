@@ -15,6 +15,7 @@ from beltrami import (
     SurfaceMesh,
     Torus,
     TraceProblem,
+    UnsupportedSurface,
     build_bulk_mesh,
     build_sphere_mesh,
     build_torus_mesh,
@@ -34,7 +35,13 @@ from beltrami.fem import (
     barycentric_values,
 )
 from beltrami.harness import surface_mesh_for_level
-from beltrami.meshes import SIGMA_MAX, edge_table, kuhn_edges
+from beltrami.meshes import (
+    _ICO_FACES,
+    SIGMA_MAX,
+    _finish_surface_mesh,
+    edge_table,
+    kuhn_edges,
+)
 from beltrami.narrowband import _band_quadrature, narrowband_forcing
 from beltrami.trace import _face_workspace, cut_face_workspace
 
@@ -93,6 +100,62 @@ def test_shape_regularity_enforced():
         SurfaceMesh(v, tris)
 
 
+@pytest.mark.parametrize("radius", [0.7, 1.0, 2.3])
+def test_icosphere_is_the_radial_icosphere(radius):
+    """Placing the sphere's vertices with its ``_project_raw`` keeps the
+    radially projected icosphere: the same triangles, and vertices within
+    4e-16 R of it."""
+    s = Sphere(radius)
+    for level in range(5):
+        v, t = oracles.radial_icosphere(radius, level, _ICO_FACES)
+        ref = _finish_surface_mesh(v, t, s)
+        mesh = build_sphere_mesh(s, level)
+        assert np.array_equal(mesh.triangles, ref.triangles)
+        assert np.abs(mesh.vertices - ref.vertices).max() <= 4e-16 * radius
+
+
+@pytest.mark.parametrize("radii", [(1.0, 0.4), (2.0, 0.3)])
+@pytest.mark.parametrize("n_major, n_minor", [(7, 3), (8, 4), (12, 5), (16, 8), (32, 16)])
+def test_torus_mesh_is_the_angle_grid(radii, n_major, n_minor):
+    """The grid placed by ``Torus._point_at`` and split by ``_QUAD_SPLITS``
+    is the angle grid with its diagonals chosen one by one, bit for bit."""
+    t = Torus(*radii)
+    ref = _finish_surface_mesh(*oracles.torus_grid(*radii, n_major, n_minor), t)
+    mesh = build_torus_mesh(t, n_major, n_minor)
+    assert np.array_equal(mesh.vertices, ref.vertices)
+    assert np.array_equal(mesh.triangles, ref.triangles)
+
+
+@pytest.mark.parametrize("build, surface", [
+    (lambda s: build_sphere_mesh(s, 1), Torus(1.0, 0.4)),
+    (lambda s: build_torus_mesh(s, 8, 4), Sphere(1.0)),
+    (lambda s: build_torus_mesh(s, 8, 4), Ellipsoid(1.3, 1.0, 0.8)),
+], ids=["icosphere-torus", "grid-sphere", "grid-ellipsoid"])
+def test_builders_refuse_the_wrong_kind(build, surface):
+    with pytest.raises(UnsupportedSurface):
+        build(surface)
+
+
+def _bipyramid(n):
+    """Closed mesh of an n-gon bipyramid: both apexes have valence n."""
+    ring = np.arange(n)
+    angle = 2.0 * np.pi * ring / n
+    v = np.vstack([np.stack([np.cos(angle), np.sin(angle), 0.0 * angle], axis=1),
+                   [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    nxt = (ring + 1) % n
+    return v, np.concatenate([np.stack([np.full(n, n), ring, nxt], axis=1),
+                              np.stack([np.full(n, n + 1), nxt, ring], axis=1)])
+
+
+@pytest.mark.parametrize("mesh, message", [
+    ((np.eye(3), [[0, 1, 2]]), "not a closed manifold"),
+    (_bipyramid(33), "valence 33"),
+], ids=["open", "valence-33"])
+def test_surface_mesh_refuses_bad_connectivity(mesh, message):
+    with pytest.raises(BeltramiError, match=message):
+        SurfaceMesh(*mesh)
+
+
 def test_refine_uniform_quadruples():
     """Each icosphere level is a red refinement of the one below."""
     s = Sphere(1.0)
@@ -119,6 +182,13 @@ def test_bisection_marked_elements_shrink():
     # conformity closure refines at least the marked count extra triangles
     assert fine.n_triangles >= mesh.n_triangles + len(marked)
     assert fine.areas.max() <= old_areas.max() + 1e-12
+
+
+@pytest.mark.parametrize("mark", [-1, 80])
+def test_bisection_refuses_out_of_range_marks(mark):
+    s = Sphere(1.0)
+    with pytest.raises(IndexError, match="out of range"):
+        refine_bisection(build_sphere_mesh(s, 1), [0, mark], s)
 
 
 def test_bisection_keeps_shape_regularity():
