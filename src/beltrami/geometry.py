@@ -18,8 +18,10 @@ Conventions
   curvature magnitude) is exposed as ``tube_halfwidth`` and is what mesh
   and band admissibility checks use.  The public routes reject points
   (``OutsideTube``) only where the jet stops being well defined, a
-  strictly larger region, by each surface's rule read off the evaluation
-  it guards (``_guarded_grad``), so they evaluate every point once.
+  strictly larger region, so they evaluate every point once.
+* A surface supplies three hooks, ``_parts`` (d, grad d and what they come
+  from, in one evaluation), ``_outside`` (the rejection mask read off it) and
+  ``_hessian``; ``ImplicitSurface`` composes every distance route from them.
 """
 
 import numpy as np
@@ -32,22 +34,26 @@ SCALED_RADIAL = "scaled_radial"
 _EYE3 = np.eye(3)
 
 
-def _points(x):
-    """Return (points (N, 3), was_single) for vector-or-batch input."""
+def _rows(x):
+    """The (N, 3) rows of a 3-vector or an (..., 3) array."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        if x.shape != (3,):
-            raise ValueError("expected a 3-vector or an (..., 3) array")
-        return x[None, :], True
-    if x.shape[-1] != 3:
+    if x.ndim == 0 or x.shape[-1] != 3:
         raise ValueError("expected a 3-vector or an (..., 3) array")
-    return x.reshape(-1, 3), False
+    return x.reshape(-1, 3)
 
 
-def _restore(arr, was_single, lead_shape):
-    if was_single:
-        return arr[0]
-    return arr.reshape(lead_shape + arr.shape[1:])
+def _per_point(route, x, *more):
+    """``route(pts, *rows)`` on the (N, 3) rows of x and of each of ``more``
+    broadcast to them; each array it returns (one, or a tuple) gets x's
+    leading shape, so a 3-vector x gives one point's values."""
+    x = np.asarray(x, dtype=float)
+    pts = _rows(x)
+    out = route(pts, *(np.broadcast_to(_rows(m), pts.shape) for m in more))
+
+    def shaped(a):
+        return a[0] if x.ndim == 1 else a.reshape(x.shape[:-1] + a.shape[1:])
+
+    return tuple(map(shaped, out)) if isinstance(out, tuple) else shaped(out)
 
 
 def row_dot(a, b):
@@ -123,31 +129,44 @@ class ImplicitSurface:
 
     # -- subclass hooks ----------------------------------------------------
 
+    def _parts(self, pts):
+        """(d, grad d, parts) from one evaluation; ``parts`` holds what
+        ``_outside`` and ``_hessian`` read off it."""
+        raise NotImplementedError
+
+    def _outside(self, d, parts):
+        """Mask of the points where the jet is not defined, read off ``_parts``."""
+        raise NotImplementedError
+
+    def _hessian(self, pts, d, g, parts):
+        """D^2 d at pts, given one ``_parts`` evaluation there."""
+        raise NotImplementedError
+
+    # -- routes composed from the hooks --------------------------------------
+
     def _distance_raw(self, pts):
-        """Exact signed distance, 1-Lipschitz as bulk-mesh culling needs; by
-        default the d of ``_grad_raw`` (the sphere and torus have cheaper ones)."""
-        return self._grad_raw(pts)[0]
+        """Exact signed distance, 1-Lipschitz as bulk-mesh culling needs."""
+        return self._parts(pts)[0]
 
     def _grad_raw(self, pts):
-        raise NotImplementedError
+        return self._parts(pts)[:2]
+
+    def _guarded_parts(self, pts):
+        """``_parts``, after rejecting (``OutsideTube``) the ``_outside`` points."""
+        d, g, parts = self._parts(pts)
+        self._reject(self._outside(d, parts))
+        return d, g, parts
 
     def _guarded_grad(self, pts):
-        """``_grad_raw``, after rejecting (``OutsideTube``) the points where
-        the jet is not well defined, by a rule read off that evaluation."""
-        raise NotImplementedError
-
-    def _hessian(self, pts, d, g):
-        """D^2 d at pts, given (d, grad d) there.  The torus builds it from
-        the parts of its gradient instead, in its own two jets."""
-        raise NotImplementedError
+        return self._guarded_parts(pts)[:2]
 
     def _jet_raw(self, pts):
-        d, g = self._grad_raw(pts)
-        return d, g, self._hessian(pts, d, g)
+        d, g, parts = self._parts(pts)
+        return d, g, self._hessian(pts, d, g, parts)
 
     def _guarded_jet(self, pts):
-        d, g = self._guarded_grad(pts)
-        return d, g, self._hessian(pts, d, g)
+        d, g, parts = self._guarded_parts(pts)
+        return d, g, self._hessian(pts, d, g, parts)
 
     def _project_raw(self, pts):
         d, g = self._grad_raw(pts)
@@ -199,27 +218,20 @@ class ImplicitSurface:
         grad : (..., 3); satisfies |grad| = 1
         hess : (..., 3, 3); symmetric with hess @ grad = 0
         """
-        pts, single = _points(x)
-        d, g, H = self._guarded_jet(pts)
-        lead = np.asarray(x).shape[:-1]
-        return (
-            d[0] if single else d.reshape(lead),
-            _restore(g, single, lead),
-            _restore(H, single, lead),
-        )
+        return _per_point(self._guarded_jet, x)
 
     def distance(self, x):
         """Signed distance only (validity-guarded)."""
-        pts, single = _points(x)
-        d, _ = self._guarded_grad(pts)
-        lead = np.asarray(x).shape[:-1]
-        return d[0] if single else d.reshape(lead)
+        return _per_point(lambda pts: self._guarded_grad(pts)[0], x)
 
     def closest_point(self, x):
         """Closest point projection P_d(x) = x - d(x) grad d(x)."""
-        pts, single = _points(x)
-        d, g = self._guarded_grad(pts)
-        return _restore(pts - d[:, None] * g, single, np.asarray(x).shape[:-1])
+
+        def project(pts):
+            d, g = self._guarded_grad(pts)
+            return pts - d[:, None] * g
+
+        return _per_point(project, x)
 
     def _tangent_curvatures(self, g, H):
         """Eigenvalues of H restricted to the plane orthogonal to g.
@@ -246,10 +258,8 @@ class ImplicitSurface:
         kappa_i(x) = kappa_i(P_d(x)) / (1 + d(x) kappa_i(P_d(x))).
         Sorted descending.
         """
-        pts, single = _points(x)
-        _, g, H = self._guarded_jet(pts)
-        kap = self._tangent_curvatures(g, H)
-        return _restore(kap, single, np.asarray(x).shape[:-1])
+        return _per_point(
+            lambda pts: self._tangent_curvatures(*self._guarded_jet(pts)[1:]), x)
 
     def area_ratio(self, x, nu_gamma):
         """Ratio q/q_Gamma of surface to facet area elements at x.
@@ -258,11 +268,8 @@ class ImplicitSurface:
         the tangent plane and computed from the invariants of the
         Weingarten extension W = D^2 d.
         """
-        pts, single = _points(x)
-        nus, _ = _points(nu_gamma)
-        nus = np.broadcast_to(nus, pts.shape).reshape(-1, 3)
-        ratio = self._jet_area_ratio(*self._guarded_jet(pts), nus)
-        return ratio[0] if single else ratio.reshape(np.asarray(x).shape[:-1])
+        return _per_point(
+            lambda pts, nus: self._jet_area_ratio(*self._guarded_jet(pts), nus), x, nu_gamma)
 
     def _jet_area_ratio(self, d, g, H, nus):
         dots = np.einsum("ni,ni->n", g, nus)
@@ -309,21 +316,15 @@ class Sphere(ImplicitSurface):
     def axis_extents(self):
         return np.full(3, self.radius)
 
-    def _distance_raw(self, pts):
-        return row_norm(pts) - self.radius
-
-    def _grad_raw(self, pts):
+    def _parts(self, pts):
         r = np.maximum(row_norm(pts), 1e-300)
-        return r - self.radius, pts / r[:, None]
+        return r - self.radius, pts / r[:, None], r
 
-    def _guarded_grad(self, pts):
-        d, g = self._grad_raw(pts)
-        # off the center: d + R is the r that _grad_raw divided by (exactly for r >= R/2)
-        self._reject(d + self.radius < 1e-12 * self.radius)
-        return d, g
+    def _outside(self, d, r):
+        # off the center, read off the r that grad d divides by
+        return r < 1e-12 * self.radius
 
-    def _hessian(self, pts, d, g):
-        r = d + self.radius
+    def _hessian(self, pts, d, g, r):
         return (_EYE3[None, :, :] - g[:, :, None] * g[:, None, :]) / r[:, None, None]
 
     def manufactured(self):
@@ -373,12 +374,8 @@ class Torus(ImplicitSurface):
         s = np.hypot(u, pts[:, 2])
         return rho, u, s
 
-    def _distance_raw(self, pts):
-        _, _, s = self._cylinder(pts)
-        return s - self.minor_radius
-
-    def _grad_parts(self, pts):
-        """(d, grad d) and the (rho, u, s, c, sn) they come from: ``_cylinder``'s
+    def _parts(self, pts):
+        """d, grad d and the (rho, u, s, c, sn) they come from: ``_cylinder``'s
         values, rho and s clamped away from zero, and (c, sn) = (x, y) / rho."""
         rho, u, s = self._cylinder(pts)
         rho = np.where(rho < 1e-300, 1e-300, rho)
@@ -388,29 +385,15 @@ class Torus(ImplicitSurface):
         g[:, 0] = u * c / s
         g[:, 1] = u * sn / s
         g[:, 2] = pts[:, 2] / s
-        return (s - self.minor_radius, g), (rho, u, s, c, sn)
+        return s - self.minor_radius, g, (rho, u, s, c, sn)
 
-    def _grad_raw(self, pts):
-        return self._grad_parts(pts)[0]
-
-    def _jet_raw(self, pts):
-        return self._jet_from_parts(pts, *self._grad_parts(pts))
-
-    def _guarded_parts(self, pts):
-        grad, parts = self._grad_parts(pts)
+    def _outside(self, d, parts):
         # off the z-axis and the core circle, read off the clamped (rho, s)
         rho, s = parts[0], parts[2]
-        self._reject((rho < 1e-12 * self.major_radius) | (s < 1e-12 * self.minor_radius))
-        return grad, parts
+        return (rho < 1e-12 * self.major_radius) | (s < 1e-12 * self.minor_radius)
 
-    def _guarded_grad(self, pts):
-        return self._guarded_parts(pts)[0]
-
-    def _guarded_jet(self, pts):
-        return self._jet_from_parts(pts, *self._guarded_parts(pts))
-
-    def _jet_from_parts(self, pts, grad, parts):
-        (d, g), (rho, u, s, c, sn) = grad, parts
+    def _hessian(self, pts, d, g, parts):
+        rho, u, s, c, sn = parts
         # D^2 d = (tau tau^T + (u / rho) phi phi^T) / s: six distinct entries from
         # the toroidal phi = (-sn, c, 0) and the poloidal unit tangent tau = phi x g
         t0, t1 = c * g[:, 2], sn * g[:, 2]
@@ -423,7 +406,7 @@ class Torus(ImplicitSurface):
         H[:, 0, 1] = H[:, 1, 0] = (-(sn * c) * k + t0 * t1) / s
         H[:, 0, 2] = H[:, 2, 0] = t0 * t2 / s
         H[:, 1, 2] = H[:, 2, 1] = t1 * t2 / s
-        return d, g, H
+        return H
 
     def _point_at(self, phi, theta):
         """The surface point at toroidal angle phi and poloidal angle theta."""
@@ -569,14 +552,20 @@ class Ellipsoid(ImplicitSurface):
         )
         return p
 
-    def _grad_raw(self, pts):
+    def _parts(self, pts):
         # x - P is parallel to the normal P / a^2 at P, so d = (x - P) . g
         p = self._project_raw(pts)
         n = p / self.abc2
         g = n / row_norm(n)[:, None]
-        return np.einsum("ni,ni->n", pts - p, g), g
+        return np.einsum("ni,ni->n", pts - p, g), g, None
 
-    def _hessian(self, pts, d, g):
+    def _outside(self, d, parts):
+        # outside (d > 0) the closest point is unique; inside, stay within
+        # the conservative bound, before 1 + d k_i can vanish.  d comes from
+        # the Newton solve this guards.
+        return d <= -self.tube_halfwidth()
+
+    def _hessian(self, pts, d, g, parts=None):
         # D^2 d = W (I + d W)^-1 with the Weingarten map at the closest point
         # P, W = Pi diag(a^-2) Pi / |P / a^2| and Pi = I - g g^T.  W g = 0, so
         # Cayley-Hamilton on the tangent plane inverts I + d W in closed form,
@@ -596,14 +585,6 @@ class Ellipsoid(ImplicitSurface):
         H -= W2
         H /= (1.0 + d * tr + d**2 * det)[:, None, None]
         return H
-
-    def _guarded_grad(self, pts):
-        # outside (d > 0) the closest point is unique; inside, stay within
-        # the conservative bound, before 1 + d k_i can vanish.  d comes from
-        # the Newton solve this guards.
-        d, g = self._grad_raw(pts)
-        self._reject(d <= -self.tube_halfwidth())
-        return d, g
 
     def _scaled_radial_raw(self, pts, nus):
         """The chart L(x) = x / s(x), s(x) = |x / abc|, and its area ratio on
@@ -638,9 +619,7 @@ class Ellipsoid(ImplicitSurface):
             nrm = x / self.abc2
             return nrm / row_norm(nrm)[..., None]
 
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            pts, single = _points(x)
+        def forcing(pts):
             nu = _normal(pts)
             # on the surface d = 0 and grad d = nu; only the other points
             # need the Newton solve (and g a copy of nu)
@@ -657,11 +636,11 @@ class Ellipsoid(ImplicitSurface):
                 + pts[:, 1] * nu[:, 0] * nu[:, 2]
                 + pts[:, 0] * nu[:, 1] * nu[:, 2]
             )
-            val = quad + np.einsum("ni,ni->n", _xyz_gradient(pts), nu) * trH
-            return val[0] if single else val.reshape(x.shape[:-1])
+            return quad + np.einsum("ni,ni->n", _xyz_gradient(pts), nu) * trH
 
         a, b, c = self.abc
-        return _xyz_solution(f"ellipsoid({a},{b},{c}): u=xyz", _normal, f)
+        return _xyz_solution(f"ellipsoid({a},{b},{c}): u=xyz", _normal,
+                             lambda x: _per_point(forcing, x))
 
 
 # ---------------------------------------------------------------------------

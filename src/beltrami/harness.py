@@ -211,6 +211,8 @@ def _report_row(level, report):
 
 def run_convergence(config):
     """Solve the configured problem across levels and attach EOC columns."""
+    if any(b <= a for a, b in zip(config.levels, config.levels[1:])):
+        raise ConfigError(f"levels must increase strictly to converge, got {config.levels}")
     t0 = time.perf_counter()
     rows = []
     for level in config.levels:
@@ -335,7 +337,7 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return v if np.isfinite(v) else ("inf" if v > 0 else "-inf")
+        return v if np.isfinite(v) else str(v)  # "nan", "inf" or "-inf"
     return obj
 
 

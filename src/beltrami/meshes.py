@@ -163,22 +163,18 @@ def _icosahedron_vertices():
     return v / np.linalg.norm(v[0])
 
 
+# The four children of red refinement, the three corners then the middle, as
+# indices into (v0, v1, v2, m0, m1, m2) like ``_BISECTION_CHILDREN``.
+_RED_CHILDREN = ((0, 5, 4), (1, 3, 5), (2, 4, 3), (3, 4, 5))
+
+
 def _subdivide_once(vertices, triangles, project):
     """One round of 4-way (red) subdivision with projected midpoints."""
     edges, tri_edges = edge_table(triangles)
     mids = project(0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]]))
     mid_ids = len(vertices) + np.arange(len(edges))
-    m = mid_ids[tri_edges]  # (T, 3): midpoint opposite local vertex i
-    v0, v1, v2 = triangles[:, 0], triangles[:, 1], triangles[:, 2]
-    children = np.concatenate(
-        [
-            np.stack([v0, m[:, 2], m[:, 1]], axis=1),
-            np.stack([v1, m[:, 0], m[:, 2]], axis=1),
-            np.stack([v2, m[:, 1], m[:, 0]], axis=1),
-            np.stack([m[:, 0], m[:, 1], m[:, 2]], axis=1),
-        ]
-    )
-    return np.vstack([vertices, mids]), children
+    cols = np.column_stack([triangles, mid_ids[tri_edges]])
+    return np.vstack([vertices, mids]), np.concatenate([cols[:, c] for c in _RED_CHILDREN])
 
 
 def build_sphere_mesh(surface, level):

@@ -22,7 +22,7 @@ from .fem import (
     node_blocks,
     solve_mean_zero,
 )
-from .geometry import _points, _restore
+from .geometry import _per_point
 from .meshes import extract_band, extract_cut_surface, kuhn_edges
 from .parametric import error_samples, sample_faces, surface_error_norms
 from .trace import cut_face_workspace
@@ -64,10 +64,13 @@ def mismatch_map(surface, d_h_value, x):
     d_h agrees with d -- in particular at every bulk vertex.  x is a 3-vector
     or an (..., 3) array, d_h_value broadcasts to its leading shape.
     """
-    pts, single = _points(x)
     d_h = np.broadcast_to(np.asarray(d_h_value, dtype=float), np.shape(x)[:-1]).ravel()
-    d, g = surface._guarded_grad(pts)
-    return _restore(pts + (d_h - d)[:, None] * g, single, np.shape(x)[:-1])
+
+    def carry(pts):
+        d, g = surface._guarded_grad(pts)
+        return pts + (d_h - d)[:, None] * g
+
+    return _per_point(carry, x)
 
 
 def _band_quadrature(problem, rule=TET_DEGREE4):

@@ -97,6 +97,18 @@ def brute_force_closest_point_torus(R, r, x):
     return pts[k], dist
 
 
+def sphere_distance(R, pts):
+    """Signed distance |x| - R to the sphere of radius R about the origin."""
+    return np.linalg.norm(np.asarray(pts, dtype=float), axis=1) - R
+
+
+def torus_distance(R, r, pts):
+    """Signed distance hypot(hypot(x, y) - R, z) - r to the torus around the
+    z-axis with core radius R and tube radius r."""
+    pts = np.asarray(pts, dtype=float)
+    return np.hypot(np.hypot(pts[:, 0], pts[:, 1]) - R, pts[:, 2]) - r
+
+
 def torus_hessian_outer_products(R, pts):
     """D^2 d of the torus around the z-axis with core radius R, summed from
     the Hessians of rho = |(x, y)| and s = |(rho - R, z)|:

@@ -144,7 +144,7 @@ def test_guarded_routes_reject_the_oracles_points(kind, seed, fill, extra):
 
 
 # the one evaluation each surface's guarded route makes per point
-EVALUATION = {"sphere": "_grad_raw", "torus": "_cylinder", "ellipsoid": "_closest_t"}
+EVALUATION = {"sphere": "_parts", "torus": "_cylinder", "ellipsoid": "_closest_t"}
 ROUTES = {
     "distance_jet": lambda s, pts, nus: s.distance_jet(pts),
     "distance": lambda s, pts, nus: s.distance(pts),
@@ -159,7 +159,7 @@ ROUTES = {
 @pytest.mark.parametrize("kind", sorted(GUARDED))
 def test_each_guarded_route_evaluates_each_point_once(kind, route, monkeypatch):
     """Each guarded route reads its tube rule off the evaluation it guards:
-    one ``_grad_raw`` (sphere), ``_cylinder`` (torus) or Newton solve
+    one ``_parts`` (sphere), ``_cylinder`` (torus) or Newton solve
     (``_closest_t``, ellipsoid) per call, on tube points on both sides."""
     s = GUARDED[kind]
     pts = s.tube_points(40, np.random.default_rng(3))
@@ -371,14 +371,38 @@ def test_torus_hessian_is_rank_two():
     assert (err <= 1e-12 * np.linalg.norm(ref, axis=(1, 2))).all()
 
 
-def test_torus_jet_shares_the_gradient():
-    """The jet's (d, grad d) are the gradient path's, bit for bit; its
-    Hessian is checked by ``test_torus_hessian_is_rank_two``."""
-    s = Torus(1.0, 0.4)
+@pytest.mark.parametrize("kind", sorted(GUARDED))
+def test_jet_shares_the_gradient(kind):
+    """``_distance_raw``, the raw and guarded jets carry the (d, grad d) of
+    ``_grad_raw`` on tube points, bit for bit: all read one ``_parts``.  The
+    torus Hessian is checked by ``test_torus_hessian_is_rank_two``."""
+    s = GUARDED[kind]
     pts = s.tube_points(2000, np.random.default_rng(23))
-    d, g, _ = s._jet_raw(pts)
     d_ref, g_ref = s._grad_raw(pts)
-    assert np.array_equal(d, d_ref) and np.array_equal(g, g_ref)
+    assert np.array_equal(s._distance_raw(pts), d_ref)
+    for route in (s._jet_raw, s._guarded_jet):
+        d, g, _ = route(pts)
+        assert np.array_equal(d, d_ref) and np.array_equal(g, g_ref)
+
+
+CLOSED_FORMS = {
+    "sphere": (Sphere(1.0), lambda pts: oracles.sphere_distance(1.0, pts)),
+    "torus": (Torus(1.0, 0.4), lambda pts: oracles.torus_distance(1.0, 0.4, pts)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLOSED_FORMS))
+def test_distance_is_the_closed_form(kind):
+    """The sphere's and torus's ``_distance_raw``, the d of ``_parts``, equal
+    |x| - R and hypot(hypot(x, y) - R, z) - r bit for bit: on tube points
+    and on the vertices that bulk-mesh culling keeps and evaluates."""
+    s, closed_form = CLOSED_FORMS[kind]
+    pts = s.tube_points(2000, np.random.default_rng(31))
+    assert np.array_equal(s._distance_raw(pts), closed_form(pts))
+    bulk = build_bulk_mesh(s, 48)
+    _, _, vids, d = bulk._near_surface(s, 1.5 * bulk.h)
+    assert len(vids) > 1000
+    assert np.array_equal(d, closed_form(bulk.vertex_points(vids)))
 
 
 @pytest.mark.parametrize("radii", [(1.0, 0.4), (2.5, 0.3), (1.0, 0.9)])

@@ -19,6 +19,7 @@ from beltrami import (
     Torus,
     compute_eoc,
     geometry_checks,
+    harness,
     run_adapt,
     run_convergence,
     run_solve,
@@ -450,6 +451,34 @@ def test_cli_assert_without_windows_is_exit_2(tmp_path, capsys):
     assert rc == 2
     assert "windows" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_nan_label_round_trips(tmp_path):
+    """A config label NaN (which Python's json reads) is "nan" in solve.json,
+    not "-inf"; -Infinity stays "-inf"."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"surface": {"kind": "sphere", "radius": 1.0}, "levels": [0], '
+                   '"label": [NaN, -Infinity]}')
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    label = json.loads((out / "solve.json").read_text())["config"]["label"]
+    assert label == ["nan", "-inf"]
+
+
+@pytest.mark.parametrize("levels, argv", [([3, 2], []), ([8, 8], []),
+                                          ([1], ["--levels", "3,2"])])
+def test_cli_levels_not_increasing_is_exit_2(tmp_path, capsys, monkeypatch, levels, argv):
+    """Levels that do not increase strictly are named before any level is
+    solved; a ladder of them has no decreasing mesh sizes to fit."""
+
+    def solve(config, level):
+        raise AssertionError(f"level {level} solved")
+
+    monkeypatch.setattr(harness, "_solve_level", solve)
+    cfg = write_config(tmp_path, {**SPHERE_CFG, "levels": levels})
+    rc = main(["converge", "--config", cfg, "--out", str(tmp_path / "out")] + argv)
+    assert rc == 2
+    assert "levels" in capsys.readouterr().err
 
 
 def test_cli_adapt_on_trace_is_exit_2(tmp_path, capsys):
