@@ -79,16 +79,6 @@ def residual_estimator(problem, field, ws):
     return IndicatorField("eta", eta), IndicatorField("osc", osc)
 
 
-def _spectral_norm_3x2(c1, c2):
-    """Largest singular value of the 3x2 matrices [c1 c2] along the last axis."""
-    a = np.einsum("...d,...d->...", c1, c1)
-    b = np.einsum("...d,...d->...", c2, c2)
-    c = np.einsum("...d,...d->...", c1, c2)
-    half = 0.5 * (a + b)
-    disc = np.sqrt(np.maximum(0.25 * (a - b) ** 2 + c**2, 0.0))
-    return np.sqrt(np.maximum(half + disc, 0.0))
-
-
 def geometric_estimators(problem, ws):
     """Facetwise parametrization-quality indicators lambda, beta, mu.
 
@@ -96,7 +86,9 @@ def geometric_estimators(problem, ws):
     beta_T is the largest displacement |P(x) - x| = |d(x)| (second order);
     lambda_T the largest in-plane deviation of the differential
     DP = I - grad d grad d^T - d D^2 d from the identity, exact from the
-    distance jet (first order); mu_T = beta_T + lambda_T^2.  Totals
+    distance jet (first order), from the Gram matrix G of (DP - I)[t1 t2]:
+    DP - I is diag(-1, -d k_0, -d k_1) on the frame (grad d, e, grad d x e)
+    and |t_i| = 1.  mu_T = beta_T + lambda_T^2.  Totals
     aggregate by max.  The nodes take the jet of the solve's facet element
     set ``ws`` and the vertices ``problem.vertex_jet``.  Facets whose
     indicators ``problem.carry`` holds keep them; only the others, whose
@@ -104,21 +96,25 @@ def geometric_estimators(problem, ws):
     (``node_blocks``).
     """
     carry = problem.carry
-    k, nq = len(carry.get("lambda", ())), ws["qp"].shape[1]
-    dofs = ws["dofs"][k:]
-    t1, t2 = plane_basis(ws["normals"][k:])
+    kept, nq = len(carry.get("lambda", ())), ws["qp"].shape[1]
+    dofs = ws["dofs"][kept:]
+    t1, t2 = plane_basis(ws["normals"][kept:])
     lam, beta = np.zeros(len(t1)), np.zeros(len(t1))
     for b in node_blocks(len(t1) * nq, nq):  # blocks of whole facets
         f = slice(b.start // nq, b.stop // nq)
-        e = len(lam[f])
-        for d, g, H in ([a[b] for a in ws["jet"]],
-                        [a[dofs[f].ravel()] for a in problem.vertex_jet]):
-            d, g, H = d.reshape(e, -1), g.reshape(e, -1, 3), H.reshape(e, -1, 3, 3)
-            # (DP - I) t = -g (g . t) - d H t for the in-plane t = t1, t2
-            c1, c2 = (-(g * np.einsum("nki,ni->nk", g, t)[:, :, None]
-                        + d[:, :, None] * np.einsum("nkij,nj->nki", H, t))
-                      for t in (t1[f], t2[f]))
-            lam[f] = np.maximum(lam[f], _spectral_norm_3x2(c1, c2).max(axis=1))
+        n_f = len(lam[f])
+        for d, g, k, e in ([a[b] for a in ws["jet"]],
+                           [a[dofs[f].ravel()] for a in problem.vertex_jet]):
+            d, k = d.reshape(n_f, -1), k.reshape(n_f, -1, 2)
+            g, e = g.reshape(n_f, -1, 3), e.reshape(n_f, -1, 3)
+            # G_ij = q delta_ij + (1 - q) a_i a_j + (p - q) b_i b_j with
+            # a_i = g . t_i, b_i = e . t_i, p = (d k_0)^2 and q = (d k_1)^2
+            p, q = (d * k[..., 0]) ** 2, (d * k[..., 1]) ** 2
+            a1, a2, b1, b2 = (row_dot(v, t[f, None]) for v in (g, e) for t in (t1, t2))
+            G11, G22 = (q + (1.0 - q) * a * a + (p - q) * b * b for a, b in ((a1, b1), (a2, b2)))
+            G12 = (1.0 - q) * a1 * a2 + (p - q) * b1 * b2
+            top = 0.5 * (G11 + G22) + np.sqrt(0.25 * (G11 - G22) ** 2 + G12 * G12)
+            lam[f] = np.maximum(lam[f], np.sqrt(np.maximum(top, 0.0)).max(axis=1))
             beta[f] = np.maximum(beta[f], np.abs(d).max(axis=1))
     if "lambda" in carry:
         lam, beta = np.concatenate([carry["lambda"], lam]), np.concatenate([carry["beta"], beta])

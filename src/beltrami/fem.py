@@ -16,8 +16,9 @@ gradients (tangential on faces), ``measures`` (E,) element measures
 and band tets).  Surface sets add ``normals`` (E, 3) and, sampled,
 ``jet`` (the distance jet at the points) and from it ``forcing`` (E, nq)
 where they carry the load.  Every surface set is sampled in blocks of
-whole faces (``node_blocks``), and only the facets' ``jet`` keeps D^2 d:
-on cut faces it is (d, grad d).  On facets whose samples an adaptive round
+whole faces (``node_blocks``), and only the facets' ``jet`` keeps D^2 d,
+as its curvatures and principal tangent (d, grad d, k, e): on cut faces
+it is (d, grad d).  On facets whose samples an adaptive round
 carried over (``parametric_workspace``), ``jet`` covers only the rows
 after them, the new facets'.  Band sets add ``d_h`` and ``inside`` (E, nq).
 Error sets add the flat exact samples ``u_exact`` and ``grad_exact``.

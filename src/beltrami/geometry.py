@@ -21,7 +21,8 @@ Conventions
   strictly larger region, so they evaluate every point once.
 * A surface supplies three hooks, ``_parts`` (d, grad d and what they come
   from, in one evaluation), ``_outside`` (the rejection mask read off it) and
-  ``_hessian``; ``ImplicitSurface`` composes every distance route from them.
+  ``_hessian`` (D^2 d as curvatures k and a principal tangent e, expanded by
+  ``hessian_matrix``); ``ImplicitSurface`` composes every route from them.
 """
 
 import numpy as np
@@ -31,14 +32,14 @@ from .errors import NewtonDivergence, NormalFlip, OutsideTube, RayMiss, Unsuppor
 CLOSEST_POINT = "closest_point"
 SCALED_RADIAL = "scaled_radial"
 
-_EYE3 = np.eye(3)
-
 
 def _rows(x):
-    """The (N, 3) rows of a 3-vector or an (..., 3) array."""
+    """The (N, 3) rows of a 3-vector or an (..., 3) array of finite coordinates."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != 3:
         raise ValueError("expected a 3-vector or an (..., 3) array")
+    if not np.isfinite(x).all():
+        raise ValueError(f"non-finite coordinates {x[~np.isfinite(x)]} in the points")
     return x.reshape(-1, 3)
 
 
@@ -64,6 +65,19 @@ def row_dot(a, b):
 def row_norm(v):
     """``np.linalg.norm(v, axis=-1)`` for a last axis of length 3, bit-identical."""
     return np.sqrt(row_dot(v, v))
+
+
+def hessian_matrix(g, k, e):
+    """D^2 d = k_1 (I - g g^T) + (k_0 - k_1) e e^T, (N, 3, 3), from the
+    compact jet (g, k, e) of ``ImplicitSurface._hessian``."""
+    return (k[:, 1, None, None] * (np.eye(3) - g[:, :, None] * g[:, None, :])
+            + (k[:, 0] - k[:, 1])[:, None, None] * (e[:, :, None] * e[:, None, :]))
+
+
+def hessian_times(g, k, e, t):
+    """D^2 d t for (N, 3) vectors t, from the compact jet (g, k, e)."""
+    return (k[:, 1, None] * (t - row_dot(g, t)[:, None] * g)
+            + ((k[:, 0] - k[:, 1]) * row_dot(e, t))[:, None] * e)
 
 
 def plane_basis(normals):
@@ -139,7 +153,9 @@ class ImplicitSurface:
         raise NotImplementedError
 
     def _hessian(self, pts, d, g, parts):
-        """D^2 d at pts, given one ``_parts`` evaluation there."""
+        """D^2 d at pts as (k, e), given one ``_parts`` evaluation there: the
+        parallel-surface curvatures k (N, 2) along the unit principal tangent
+        e (N, 3) and along g x e (``hessian_matrix``)."""
         raise NotImplementedError
 
     # -- routes composed from the hooks --------------------------------------
@@ -161,12 +177,13 @@ class ImplicitSurface:
         return self._guarded_parts(pts)[:2]
 
     def _jet_raw(self, pts):
+        """The compact jet (d, g, k, e)."""
         d, g, parts = self._parts(pts)
-        return d, g, self._hessian(pts, d, g, parts)
+        return (d, g) + self._hessian(pts, d, g, parts)
 
     def _guarded_jet(self, pts):
         d, g, parts = self._guarded_parts(pts)
-        return d, g, self._hessian(pts, d, g, parts)
+        return (d, g) + self._hessian(pts, d, g, parts)
 
     def _project_raw(self, pts):
         d, g = self._grad_raw(pts)
@@ -218,7 +235,12 @@ class ImplicitSurface:
         grad : (..., 3); satisfies |grad| = 1
         hess : (..., 3, 3); symmetric with hess @ grad = 0
         """
-        return _per_point(self._guarded_jet, x)
+
+        def jet(pts):
+            d, g, k, e = self._guarded_jet(pts)
+            return d, g, hessian_matrix(g, k, e)
+
+        return _per_point(jet, x)
 
     def distance(self, x):
         """Signed distance only (validity-guarded)."""
@@ -233,58 +255,35 @@ class ImplicitSurface:
 
         return _per_point(project, x)
 
-    def _tangent_curvatures(self, g, H):
-        """Eigenvalues of H restricted to the plane orthogonal to g.
-
-        Returns the two principal curvatures of the parallel surface,
-        sorted descending.  Restricting to an explicit tangent basis keeps
-        an honestly-zero curvature (torus top circle) distinct from the
-        zero eigenvalue along the normal.
-        """
-        t1, t2 = plane_basis(g)
-        Ht1 = np.einsum("nij,nj->ni", H, t1)
-        Ht2 = np.einsum("nij,nj->ni", H, t2)
-        b11 = np.einsum("ni,ni->n", t1, Ht1)
-        b22 = np.einsum("ni,ni->n", t2, Ht2)
-        b12 = np.einsum("ni,ni->n", t1, Ht2)
-        mean = 0.5 * (b11 + b22)
-        disc = np.sqrt(0.25 * (b11 - b22) ** 2 + b12**2)
-        return np.stack([mean + disc, mean - disc], axis=1)
-
     def parallel_curvatures(self, x):
         """Principal curvatures of the parallel surface through x.
 
-        These are the nonzero eigenvalues of D^2 d(x) and satisfy
+        These are the tangent eigenvalues k of D^2 d(x) and satisfy
         kappa_i(x) = kappa_i(P_d(x)) / (1 + d(x) kappa_i(P_d(x))).
         Sorted descending.
         """
-        return _per_point(
-            lambda pts: self._tangent_curvatures(*self._guarded_jet(pts)[1:]), x)
+        return _per_point(lambda pts: np.sort(self._guarded_jet(pts)[2], axis=1)[:, ::-1], x)
 
     def area_ratio(self, x, nu_gamma):
         """Ratio q/q_Gamma of surface to facet area elements at x.
 
         Equals det(I - d(x) W(x)) (nu . nu_Gamma), the determinant taken on
-        the tangent plane and computed from the invariants of the
-        Weingarten extension W = D^2 d.
+        the tangent plane, the product of 1 - d k_i over the tangent
+        eigenvalues k of the Weingarten extension W = D^2 d.
         """
         return _per_point(
             lambda pts, nus: self._jet_area_ratio(*self._guarded_jet(pts), nus), x, nu_gamma)
 
-    def _jet_area_ratio(self, d, g, H, nus):
-        dots = np.einsum("ni,ni->n", g, nus)
+    def _jet_area_ratio(self, d, g, k, e, nus):
+        dots = row_dot(g, nus)
         if np.any(dots <= 0.0):
             raise NormalFlip("facet normal points against the surface normal")
-        # W g = 0, so on the tangent plane det(I - d W) = 1 - d tr W + d^2 det,
-        # and the product of its two eigenvalues is (tr^2 W - |W|_F^2) / 2
-        tr = H[:, 0, 0] + H[:, 1, 1] + H[:, 2, 2]
-        det = 0.5 * (tr**2 - np.einsum("nij,nij->n", H, H))
-        return (1.0 - d * tr + d**2 * det) * dots
+        return (1.0 - d * k[:, 0]) * (1.0 - d * k[:, 1]) * dots
 
-    def _jet_lifted_gradient(self, d, g, H, nus, gg):
-        gt = gg - np.einsum("ni,ni->n", gg, g)[:, None] * g
-        v = gt - d[:, None] * np.einsum("nij,nj->ni", H, gt)
-        return v - np.einsum("ni,ni->n", v, nus)[:, None] * nus
+    def _jet_lifted_gradient(self, d, g, k, e, nus, gg):
+        gt = gg - row_dot(gg, g)[:, None] * g
+        v = gt - d[:, None] * hessian_times(g, k, e, gt)
+        return v - row_dot(v, nus)[:, None] * nus
 
     def tube_points(self, n, rng, fill=0.9):
         """n pseudo-random points inside the tube, |d| < fill * halfwidth."""
@@ -325,7 +324,8 @@ class Sphere(ImplicitSurface):
         return r < 1e-12 * self.radius
 
     def _hessian(self, pts, d, g, r):
-        return (_EYE3[None, :, :] - g[:, :, None] * g[:, None, :]) / r[:, None, None]
+        # umbilic: both curvatures are 1/r, and e drops out of D^2 d
+        return np.repeat((1.0 / r)[:, None], 2, axis=1), np.zeros((len(pts), 3))
 
     def manufactured(self):
         """u = xyz (degree-3 spherical harmonic), f = 12 xyz / R^2 on r = R.
@@ -394,19 +394,10 @@ class Torus(ImplicitSurface):
 
     def _hessian(self, pts, d, g, parts):
         rho, u, s, c, sn = parts
-        # D^2 d = (tau tau^T + (u / rho) phi phi^T) / s: six distinct entries from
-        # the toroidal phi = (-sn, c, 0) and the poloidal unit tangent tau = phi x g
-        t0, t1 = c * g[:, 2], sn * g[:, 2]
-        t2 = -(sn * g[:, 1]) - c * g[:, 0]
-        k = u / rho
-        H = np.empty((len(pts), 3, 3))
-        H[:, 0, 0] = (sn * sn * k + t0 * t0) / s
-        H[:, 1, 1] = (c * c * k + t1 * t1) / s
-        H[:, 2, 2] = t2 * t2 / s
-        H[:, 0, 1] = H[:, 1, 0] = (-(sn * c) * k + t0 * t1) / s
-        H[:, 0, 2] = H[:, 2, 0] = t0 * t2 / s
-        H[:, 1, 2] = H[:, 2, 1] = t1 * t2 / s
-        return H
+        # D^2 d = (tau tau^T + (u / rho) phi phi^T) / s: curvature u / (rho s)
+        # along the toroidal phi = (-sn, c, 0), 1 / s along tau = phi x g
+        return (np.column_stack([u / rho / s, 1.0 / s]),
+                np.column_stack([-sn, c, np.zeros(len(pts))]))
 
     def _point_at(self, phi, theta):
         """The surface point at toroidal angle phi and poloidal angle theta."""
@@ -565,26 +556,24 @@ class Ellipsoid(ImplicitSurface):
         # the Newton solve this guards.
         return d <= -self.tube_halfwidth()
 
-    def _hessian(self, pts, d, g, parts=None):
+    def _hessian(self, pts, d, g, parts):
         # D^2 d = W (I + d W)^-1 with the Weingarten map at the closest point
-        # P, W = Pi diag(a^-2) Pi / |P / a^2| and Pi = I - g g^T.  W g = 0, so
-        # Cayley-Hamilton on the tangent plane inverts I + d W in closed form,
-        #   D^2 d = ((1 + d tr W) W - d W^2) / (1 + d tr W + d^2 det W),
-        # the denominator being (1 + d k_1)(1 + d k_2).  Built in place: at
-        # most three (N, 3, 3) arrays are alive at once.
-        n = (pts - d[:, None] * g) / self.abc2
-        proj = _EYE3 - g[:, :, None] * g[:, None, :]
-        H = (proj / self.abc2) @ proj
-        del proj
-        H /= row_norm(n)[:, None, None]
-        tr = H[:, 0, 0] + H[:, 1, 1] + H[:, 2, 2]
-        det = 0.5 * (tr**2 - np.einsum("nij,nij->n", H, H))
-        W2 = H @ H
-        W2 *= d[:, None, None]
-        H *= (1.0 + d * tr)[:, None, None]
-        H -= W2
-        H /= (1.0 + d * tr + d**2 * det)[:, None, None]
-        return H
+        # P, W = Pi diag(a^-2) Pi / |P / a^2| and Pi = I - g g^T: the
+        # eigenpairs of W's 2x2 block B in a tangent basis, kappa mapped to
+        # kappa / (1 + d kappa).  e_0 is orthogonal to the larger row of
+        # B - kappa_0 I, which cancels nothing (t1 at an umbilic, B = kappa I).
+        t1, t2 = plane_basis(g)
+        w1, scale = t1 / self.abc2, 1.0 / row_norm((pts - d[:, None] * g) / self.abc2)
+        b11, b12 = row_dot(w1, t1) * scale, row_dot(w1, t2) * scale
+        b22 = row_dot(t2 / self.abc2, t2) * scale
+        half = 0.5 * (b11 - b22)
+        disc = np.sqrt(half * half + b12 * b12)
+        kappa = np.column_stack([0.5 * (b11 + b22) + disc, 0.5 * (b11 + b22) - disc])
+        w = np.abs(half) + disc
+        w[w == 0.0] = 1.0
+        v1, v2 = np.where(half >= 0.0, w, b12), np.where(half >= 0.0, b12, w)
+        return (kappa / (1.0 + d[:, None] * kappa),
+                (v1[:, None] * t1 + v2[:, None] * t2) / np.hypot(v1, v2)[:, None])
 
     def _scaled_radial_raw(self, pts, nus):
         """The chart L(x) = x / s(x), s(x) = |x / abc|, and its area ratio on
@@ -628,15 +617,14 @@ class Ellipsoid(ImplicitSurface):
             if off.any():
                 g = nu.copy()
                 d[off], g[off] = self._grad_raw(pts[off])
-            H = self._hessian(pts, d, g)
-            trH = H[:, 0, 0] + H[:, 1, 1] + H[:, 2, 2]
             # D^2(xyz) nu contracted twice: 2 (x y z -> symmetric off-diagonal)
             quad = 2.0 * (
                 pts[:, 2] * nu[:, 0] * nu[:, 1]
                 + pts[:, 1] * nu[:, 0] * nu[:, 2]
                 + pts[:, 0] * nu[:, 1] * nu[:, 2]
             )
-            return quad + np.einsum("ni,ni->n", _xyz_gradient(pts), nu) * trH
+            trace = self._hessian(pts, d, g, None)[0].sum(axis=1)
+            return quad + row_dot(_xyz_gradient(pts), nu) * trace
 
         a, b, c = self.abc
         return _xyz_solution(f"ellipsoid({a},{b},{c}): u=xyz", _normal,

@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import BadSeries, ConfigError
 from .estimators import adapt_loop, geometric_estimators, residual_estimator
-from .geometry import CLOSEST_POINT, SCALED_RADIAL, is_finite_number, surface_from_config
+from .geometry import (CLOSEST_POINT, SCALED_RADIAL, hessian_matrix, is_finite_number, row_dot,
+                       row_norm, surface_from_config)
 from .meshes import build_bulk_mesh, build_sphere_mesh, build_torus_mesh
 from .narrowband import NarrowBandProblem, narrowband_solve
 from .parametric import ParametricProblem, parametric_solve
@@ -371,7 +372,9 @@ def geometry_checks(surface, n=200, seed=0):
     """
     rng = np.random.default_rng(seed)
     pts = surface.tube_points(n, rng)
-    d, g, H = surface.distance_jet(pts)
+    # one jet: the public distance_jet's D^2 d is hessian_matrix of this
+    d, g, k, e = surface._guarded_jet(pts)
+    H = hessian_matrix(g, k, e)
     scale = float(np.max(surface.axis_extents()))
     checks = []
 
@@ -407,4 +410,8 @@ def geometry_checks(surface, n=200, seed=0):
     add("area ratio positive in the tube", float(-(ratio.min() - 1e-12)), 0.0)
     add("surface curvatures within the stated bound",
         np.abs(kap_p).max() / surface.max_curvature() - 1.0, 1e-6)
+    m = k[:, 0] != k[:, 1]
+    add("principal direction is a unit tangent",
+        max(np.abs(row_dot(e, g))[m].max(initial=0.0),
+            np.abs(row_norm(e) - 1.0)[m].max(initial=0.0)), 1e-12)
     return checks

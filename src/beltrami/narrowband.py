@@ -22,7 +22,7 @@ from .fem import (
     node_blocks,
     solve_mean_zero,
 )
-from .geometry import _per_point
+from .geometry import _per_point, hessian_times
 from .meshes import extract_band, extract_cut_surface, kuhn_edges
 from .parametric import error_samples, sample_faces, surface_error_norms
 from .trace import cut_face_workspace
@@ -182,11 +182,11 @@ def _band_errors(problem, c):
     flat = es["qp"].reshape(-1, 3).take(nodes, axis=0)
     u_exact, grad_exact = np.empty(len(flat)), np.empty((len(flat), 3))
     for b in node_blocks(len(flat)):
-        d, g, H = surface._jet_raw(flat[b])
+        d, g, k, e = surface._jet_raw(flat[b])
         p = flat[b] - d[:, None] * g
         gg = sol.grad_gamma(p)
         u_exact[b] = sol.u(p)
-        grad_exact[b] = gg - d[:, None] * np.einsum("nij,nj->ni", H, gg)
+        grad_exact[b] = gg - d[:, None] * hessian_times(g, k, e, gg)
     # U is linear on each tet: its gradient per element, its nodal values
     # from the nodes' barycentrics
     c_local = c[es["dofs"]]

@@ -27,10 +27,10 @@ from .geometry import CLOSEST_POINT, SCALED_RADIAL
 class ParametricProblem:
     """Problem data: surface, interpolating mesh, lift, reference solution.
 
-    ``vertex_jet`` is the distance jet at the mesh vertices.  ``carry``,
-    empty on a fresh problem, is what an adaptive round hands the next
-    (``adapt_loop``); the vertices and facets it covers are not evaluated,
-    and its vertex jet moves into ``vertex_jet``.
+    ``vertex_jet`` is the distance jet (d, grad d, k, e) at the mesh
+    vertices.  ``carry``, empty on a fresh problem, is what an adaptive
+    round hands the next (``adapt_loop``); the vertices and facets it
+    covers are not evaluated, and its vertex jet moves into ``vertex_jet``.
     """
 
     def __init__(self, surface, mesh, lift=CLOSEST_POINT, solution=None, carry=None):
@@ -43,7 +43,7 @@ class ParametricProblem:
         self.carry = {} if carry is None else carry
         known = self.carry.pop("vertex_jet", None)
         try:
-            jet = surface.distance_jet(mesh.vertices[0 if known is None else len(known[0]):])
+            jet = surface._guarded_jet(mesh.vertices[0 if known is None else len(known[0]):])
         except OutsideTube as err:  # the jet is well defined on the whole surface
             raise BeltramiError("mesh does not interpolate the surface") from err
         off = np.max(np.abs(jet[0]), initial=0.0)
@@ -57,17 +57,17 @@ class ParametricProblem:
         return f"ParametricProblem({self.surface!r}, {self.mesh!r}, lift={self.lift})"
 
 
-def _jet_forcing(surface, solution, pts, nus, d, g, H):
-    """F(x) = f(P_d(x)) q/q_Gamma from the distance jet (d, g, H) at pts."""
-    return solution.f(pts - d[:, None] * g) * surface._jet_area_ratio(d, g, H, nus)
+def _jet_forcing(surface, solution, pts, nus, d, g, k, e):
+    """F(x) = f(P_d(x)) q/q_Gamma from the distance jet (d, g, k, e) at pts."""
+    return solution.f(pts - d[:, None] * g) * surface._jet_area_ratio(d, g, k, e, nus)
 
 
-def _exact_samples(surface, solution, pts, nus, d, g, H):
+def _exact_samples(surface, solution, pts, nus, d, g, k, e):
     """u(P_d x) and its lifted tangential gradient at points x of facets
-    with unit normals nus, from the distance jet (d, g, H) at pts."""
+    with unit normals nus, from the distance jet (d, g, k, e) at pts."""
     lifted = pts - d[:, None] * g
     return solution.u(lifted), surface._jet_lifted_gradient(
-        d, g, H, nus, solution.grad_gamma(lifted)
+        d, g, k, e, nus, solution.grad_gamma(lifted)
     )
 
 
@@ -102,18 +102,19 @@ def sample_faces(es, surface, solution, forcing=True, hessian=False):
     """Fill a surface element set's ``jet`` at its quadrature points, then
     (if ``forcing``) the closest-point forcing F = f(P_d x) q/q_Gamma, then
     ``u_exact`` and ``grad_exact``, all from that one jet.  Blocks of whole
-    faces (``node_blocks``) fill preallocated arrays; ``jet`` keeps D^2 d
-    only with ``hessian``, as the facets' geometric indicators need it."""
+    faces (``node_blocks``) fill preallocated arrays; ``jet`` keeps D^2 d's
+    (k, e) only with ``hessian``, as the facets' geometric indicators need it."""
     flat, nq = es["qp"].reshape(-1, 3), es["qp"].shape[1]
     n = len(flat)
-    jet = (np.empty(n), np.empty((n, 3))) + ((np.empty((n, 3, 3)),) if hessian else ())
+    jet = (np.empty(n), np.empty((n, 3))) + ((np.empty((n, 2)), np.empty((n, 3)))
+                                             if hessian else ())
     F, u, grad = np.empty(n) if forcing else None, np.empty(n), np.empty((n, 3))
     for b in node_blocks(n, nq):
         pts, nus = flat[b], np.repeat(es["normals"][b.start // nq:b.stop // nq], nq, axis=0)
-        part = surface.distance_jet(pts)
+        part = surface._guarded_jet(pts)
         for whole, block in zip(jet, part):
             whole[b] = block
-        # the forcing first: the ellipsoid's f evaluates a jet of its own
+        # the forcing first: the ellipsoid's f may solve for closest points of its own
         if forcing:
             F[b] = _jet_forcing(surface, solution, pts, nus, *part)
         u[b], grad[b] = _exact_samples(surface, solution, pts, nus, *part)

@@ -128,11 +128,12 @@ def torus_hessian_outer_products(R, pts):
 
 
 def torus_jet_tangent_outer_products(R, r, pts):
-    """(d, grad d, D^2 d) of the torus around the z-axis with core radius R
-    and tube radius r, with D^2 d = (tau tau^T + (u / rho) phi phi^T) / s
-    summed over all nine entries from stacked tangents: phi the toroidal
-    unit tangent and tau = phi x grad d the poloidal one, with rho and s
-    clamped at 1e-300 as the library clamps them."""
+    """(d, grad d, D^2 d, k, phi) of the torus around the z-axis with core
+    radius R and tube radius r, with D^2 d = (tau tau^T + (u / rho) phi
+    phi^T) / s summed over all nine entries from stacked tangents: phi the
+    toroidal unit tangent and tau = phi x grad d the poloidal one, with rho
+    and s clamped at 1e-300 as the library clamps them.  k = (u / (rho s),
+    1 / s) holds the curvatures along phi and tau that D^2 d is built from."""
     pts = np.asarray(pts, dtype=float)
     rho = np.hypot(pts[:, 0], pts[:, 1])
     u = rho - R
@@ -149,7 +150,7 @@ def torus_jet_tangent_outer_products(R, r, pts):
         for j in range(3):
             H[:, i, j] += tau[:, i] * tau[:, j]
     H /= s[:, None, None]
-    return s - r, g, H
+    return s - r, g, H, np.column_stack([u / rho / s, 1.0 / s]), phi
 
 
 def torus_manufactured_by_angles(R, r, x):
@@ -208,6 +209,81 @@ def ellipsoid_forcing_from_jet(abc, pts, d, g):
     gu = np.stack([y * z, x * z, x * y], axis=1)
     trH = np.trace(ellipsoid_hessian_solve(abc, pts, d, g), axis1=1, axis2=2)
     return quad + np.einsum("ni,ni->n", gu, nu) * trH
+
+
+def sphere_hessian_matrix(pts):
+    """D^2 d = (I - g g^T) / r of the sphere about the origin, g = x / r."""
+    r = np.linalg.norm(pts, axis=1)
+    g = pts / r[:, None]
+    return (np.eye(3) - g[:, :, None] * g[:, None, :]) / r[:, None, None]
+
+
+def torus_hessian_entries(R, pts):
+    """D^2 d = (tau tau^T + (u / rho) phi phi^T) / s of the torus around the
+    z-axis with core radius R, its six distinct entries written out from
+    the toroidal phi = (-sn, c, 0), (c, sn) = (x, y) / rho, and the poloidal
+    unit tangent tau = phi x g, g = grad d."""
+    pts = np.asarray(pts, dtype=float)
+    rho = np.hypot(pts[:, 0], pts[:, 1])
+    u = rho - R
+    s = np.hypot(u, pts[:, 2])
+    c, sn = pts[:, 0] / rho, pts[:, 1] / rho
+    g = np.column_stack([u * c / s, u * sn / s, pts[:, 2] / s])
+    t0, t1 = c * g[:, 2], sn * g[:, 2]
+    t2 = -(sn * g[:, 1]) - c * g[:, 0]
+    k = u / rho
+    H = np.empty((len(pts), 3, 3))
+    H[:, 0, 0] = (sn * sn * k + t0 * t0) / s
+    H[:, 1, 1] = (c * c * k + t1 * t1) / s
+    H[:, 2, 2] = t2 * t2 / s
+    H[:, 0, 1] = H[:, 1, 0] = (-(sn * c) * k + t0 * t1) / s
+    H[:, 0, 2] = H[:, 2, 0] = t0 * t2 / s
+    H[:, 1, 2] = H[:, 2, 1] = t1 * t2 / s
+    return H
+
+
+def ellipsoid_hessian_cayley_hamilton(abc, pts, d, g):
+    """D^2 d = W (I + d W)^-1 of the ellipsoid with semi-axes abc at pts,
+    given d and grad d there, with W = Pi diag(a^-2) Pi / |P / a^2| at the
+    closest point P = x - d g, Pi = I - g g^T.  W g = 0, so Cayley-Hamilton
+    on the tangent plane inverts I + d W in closed form:
+    ((1 + d tr W) W - d W^2) / (1 + d tr W + d^2 det W), with the tangent
+    determinant det W = (tr^2 W - |W|_F^2) / 2."""
+    abc2 = np.asarray(abc, dtype=float) ** 2
+    n = (pts - d[:, None] * g) / abc2
+    proj = np.eye(3) - g[:, :, None] * g[:, None, :]
+    W = (proj / abc2) @ proj / np.linalg.norm(n, axis=1)[:, None, None]
+    tr = np.trace(W, axis1=1, axis2=2)
+    det = 0.5 * (tr**2 - np.einsum("nij,nij->n", W, W))
+    H = (1.0 + d * tr)[:, None, None] * W - d[:, None, None] * (W @ W)
+    return H / (1.0 + d * tr + d**2 * det)[:, None, None]
+
+
+def hessian_matrix_reference(surface, pts, d, g):
+    """The (N, 3, 3) D^2 d of ``surface`` at pts by its kind's written-out
+    body above; d and g, the library's jet at pts, serve the ellipsoid."""
+    if surface.kind == "sphere":
+        return sphere_hessian_matrix(pts)
+    if surface.kind == "torus":
+        return torus_hessian_entries(surface.major_radius, pts)
+    return ellipsoid_hessian_cayley_hamilton(surface.abc, pts, d, g)
+
+
+def spectral_norm_indicators(d, g, H, normals):
+    """Per-facet lambda_T and beta_T from the full jet at each facet's
+    samples: d (F, n), g (F, n, 3), H (F, n, 3, 3), facet unit normals
+    (F, 3).  lambda_T is the largest singular value over the samples of the
+    3x2 columns c_i = (DP - I) t_i = -g (g . t_i) - d H t_i on an in-plane
+    basis t1, t2 (``plane_basis``), beta_T the largest |d|."""
+    c1, c2 = (-(g * np.einsum("nki,ni->nk", g, t)[:, :, None]
+                + d[:, :, None] * np.einsum("nkij,nj->nki", H, t))
+              for t in np.array([plane_basis(nu) for nu in normals]).transpose(1, 0, 2))
+    a = np.einsum("...d,...d->...", c1, c1)
+    b = np.einsum("...d,...d->...", c2, c2)
+    c = np.einsum("...d,...d->...", c1, c2)
+    disc = np.sqrt(np.maximum(0.25 * (a - b) ** 2 + c**2, 0.0))
+    lam = np.sqrt(np.maximum(0.5 * (a + b) + disc, 0.0))
+    return lam.max(axis=1), np.abs(d).max(axis=1)
 
 
 def outside_tube_mask(surface, pts):
@@ -797,18 +873,19 @@ def per_level_hierarchy(meshes, project):
 
 
 def one_call_sample_faces(es, surface, solution, forcing=True):
-    """The face sampler as one call over the whole set: the jet (d, g, H)
-    at every quadrature node, then F = f(P_d x) q/q_Gamma (with
-    ``forcing``), u(P_d x) and the lifted tangential gradient, from the
-    surface's own jet helpers.  Returns a dict of those entries."""
+    """The face sampler as one call over the whole set: the guarded compact
+    jet (d, g, k, e) at every quadrature node, then F = f(P_d x) q/q_Gamma
+    (with ``forcing``), u(P_d x) and the lifted tangential gradient, from
+    the surface's own jet helpers.  Returns a dict of those entries."""
     flat = es["qp"].reshape(-1, 3)
     nus = np.repeat(es["normals"], es["qp"].shape[1], axis=0)
-    d, g, H = jet = surface.distance_jet(flat)
+    d, g, k, e = jet = surface._guarded_jet(flat)
     lifted = flat - d[:, None] * g
     out = {"jet": jet, "u_exact": solution.u(lifted),
-           "grad_exact": surface._jet_lifted_gradient(d, g, H, nus, solution.grad_gamma(lifted))}
+           "grad_exact": surface._jet_lifted_gradient(d, g, k, e, nus,
+                                                      solution.grad_gamma(lifted))}
     if forcing:
-        F = solution.f(lifted) * surface._jet_area_ratio(d, g, H, nus)
+        F = solution.f(lifted) * surface._jet_area_ratio(d, g, k, e, nus)
         out["forcing"] = F.reshape(es["weights"].shape)
     return out
 

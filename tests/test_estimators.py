@@ -12,6 +12,7 @@ from beltrami import (
     Ellipsoid,
     IndicatorField,
     ManufacturedSolution,
+    NarrowBandProblem,
     ParametricProblem,
     Sphere,
     Torus,
@@ -22,6 +23,7 @@ from beltrami import (
     build_torus_mesh,
     dorfler_mark,
     geometric_estimators,
+    narrowband_solve,
     residual_estimator,
     trace_estimators,
     trace_solve,
@@ -176,8 +178,8 @@ def test_flat_limit_vanishes():
     qp = TRI_DEGREE4.physical_points(coords)
     _, _, nus = triangle_geometry(coords)
     ws = {"qp": qp, "normals": nus, "dofs": np.array([[0, 1, 2]]),
-          "jet": s.distance_jet(qp.reshape(-1, 3))}
-    stub = SimpleNamespace(surface=s, vertex_jet=s.distance_jet(coords[0]), carry={})
+          "jet": s._guarded_jet(qp.reshape(-1, 3))}
+    stub = SimpleNamespace(surface=s, vertex_jet=s._guarded_jet(coords[0]), carry={})
     g = geometric_estimators(stub, ws)
     assert g["beta"].total < 1e-9
     assert g["lambda"].total < 1e-6
@@ -223,6 +225,10 @@ def test_geometric_indicators_match_finite_differences(surface, mesh):
     assert np.allclose(g["beta"].values, beta, rtol=1e-6, atol=0.0)
 
 
+# the surface methods that evaluate the distance jet
+JETS = ("distance_jet", "_guarded_jet", "_jet_raw")
+
+
 def count_outermost(surface, names, monkeypatch):
     """Patch the methods ``names`` of ``surface`` to record the point count
     of each call not made from inside another of them; returns the record."""
@@ -245,14 +251,14 @@ def count_outermost(surface, names, monkeypatch):
 
 
 def test_one_jet_per_quadrature_point(monkeypatch):
-    """A solve and both estimators evaluate the jet (``distance_jet`` or
-    ``_jet_raw``) once at each quadrature point and once per mesh vertex:
-    6F + V points, no more than 6F + 3F.
-    A trace solve evaluates the jet (``distance_jet``) and the distance
-    gradient (``_grad_raw``) on 6F + V points or fewer: once per quadrature
-    node and once per cut vertex."""
+    """A solve and both estimators evaluate the jet (``distance_jet``,
+    ``_guarded_jet`` or ``_jet_raw``) once at each quadrature point and once
+    per mesh vertex: 6F + V points, no more than 6F + 3F.
+    A trace solve evaluates the jet (``distance_jet`` or ``_guarded_jet``)
+    and the distance gradient (``_grad_raw``) on 6F + V points or fewer:
+    once per quadrature node and once per cut vertex."""
     s = Torus(1.0, 0.4)
-    points = count_outermost(s, ("distance_jet", "_jet_raw"), monkeypatch)
+    points = count_outermost(s, JETS, monkeypatch)
     problem = ParametricProblem(s, build_torus_mesh(s, 8, 4))
     ws = {}
     field, _ = parametric_solve(problem, workspace_out=ws)
@@ -263,7 +269,7 @@ def test_one_jet_per_quadrature_point(monkeypatch):
 
     s = Sphere(1.0)
     trace = TraceProblem(s, build_bulk_mesh(s, 8))
-    points = count_outermost(s, ("distance_jet", "_grad_raw"), monkeypatch)
+    points = count_outermost(s, ("distance_jet", "_guarded_jet", "_grad_raw"), monkeypatch)
     trace_solve(trace)
     cut = trace.cut
     assert sum(points) <= 6 * cut.n_faces + len(cut.vertices)
@@ -442,6 +448,57 @@ def test_adapt_carry_matches_fresh_rounds(kind, lift):
 
 
 @pytest.mark.parametrize("kind", sorted(ADAPT_CASES))
+def test_geometric_indicators_match_the_spectral_norm_oracle(kind):
+    """lambda_T from the Gram matrix of the compact jet is the largest
+    singular value of the columns (DP - I) t_i = -g (g . t_i) - d H t_i with
+    the oracles' (N, 3, 3) D^2 d, and beta_T is max |d|, both to 1e-12
+    relative, on the adaptive fixture and on its mesh after two rounds."""
+    make, mesh = ADAPT_CASES[kind]
+    surface = make()
+    for m in (mesh(surface), adapt_loop(surface, mesh(surface), max_iters=2)[1]):
+        problem = ParametricProblem(surface, m)
+        ws = parametric_workspace(problem)
+        geo = geometric_estimators(problem, ws)
+        samples = np.concatenate([ws["qp"], m.triangle_coords()], axis=1)
+        flat, n = samples.reshape(-1, 3), samples.shape[1]
+        d, g = surface._grad_raw(flat)
+        H = oracles.hessian_matrix_reference(surface, flat, d, g)
+        lam, beta = oracles.spectral_norm_indicators(
+            d.reshape(-1, n), g.reshape(-1, n, 3), H.reshape(-1, n, 3, 3), ws["normals"])
+        for key, ref in (("lambda", lam), ("beta", beta)):
+            assert (np.abs(geo[key].values - ref) <= 1e-12 * ref).all(), key
+
+
+def test_no_solve_builds_a_3x3_hessian(monkeypatch):
+    """Solves, estimators and adaptive rounds read the compact jet alone:
+    with ``distance_jet`` and ``hessian_matrix`` raising, a parametric, a
+    trace and a narrow-band solve, the residual, geometric and trace
+    estimators and an ``adapt_loop`` round all run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 3x3 D^2 d was built")
+
+    monkeypatch.setattr(beltrami.geometry.ImplicitSurface, "distance_jet", refuse)
+    monkeypatch.setattr(beltrami.geometry, "hessian_matrix", refuse)
+    torus = Torus(1.0, 0.4)
+    problem = ParametricProblem(torus, build_torus_mesh(torus, 8, 4))
+    ws = {}
+    field, _ = parametric_solve(problem, workspace_out=ws)
+    residual_estimator(problem, field, ws)
+    geometric_estimators(problem, ws)
+    sphere = Sphere(1.0)
+    trace = TraceProblem(sphere, build_bulk_mesh(sphere, 8))
+    ws = {}
+    field, _ = trace_solve(trace, workspace_out=ws)
+    trace_estimators(trace, field, ws)
+    narrowband_solve(NarrowBandProblem(torus, build_bulk_mesh(torus, 16)))
+    ellipsoid = Ellipsoid(1.3, 1.0, 0.8)
+    rows, _, _ = adapt_loop(ellipsoid, build_sphere_mesh(ellipsoid, 1), max_iters=1)
+    assert len(rows) == 2
+    with pytest.raises(AssertionError, match="3x3"):
+        torus.distance_jet(np.array([1.4, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("kind", sorted(ADAPT_CASES))
 def test_carried_problem_solved_twice_is_bit_identical(kind, monkeypatch):
     """A carried problem's workspace fills the tails of the carried sample
     arrays in place, so solving it again (twice more after its adaptive
@@ -471,12 +528,12 @@ def test_carried_problem_solved_twice_is_bit_identical(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(ADAPT_CASES))
 def test_adapt_rounds_evaluate_only_new_facets_and_vertices(kind, monkeypatch):
-    """After round 0 each round sends the jet (``distance_jet`` or
-    ``_jet_raw``) six points per new facet and one per new vertex, and
-    nothing more: no round samples the whole mesh again."""
+    """After round 0 each round sends the jet (``distance_jet``,
+    ``_guarded_jet`` or ``_jet_raw``) six points per new facet and one per
+    new vertex, and nothing more: no round samples the whole mesh again."""
     make, mesh = ADAPT_CASES[kind]
     surface = make()
-    points = count_outermost(surface, ("distance_jet", "_jet_raw"), monkeypatch)
+    points = count_outermost(surface, JETS, monkeypatch)
     rounds = []
 
     def refine(coarse, marked, s):

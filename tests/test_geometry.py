@@ -21,7 +21,7 @@ from beltrami import (
     surface_from_config,
 )
 from beltrami.fem import barycentric_values
-from beltrami.geometry import row_dot, row_norm
+from beltrami.geometry import hessian_matrix, row_dot, row_norm
 from beltrami.narrowband import mismatch_map
 from beltrami.parametric import parametric_workspace
 
@@ -180,17 +180,91 @@ def test_each_guarded_route_evaluates_each_point_once(kind, route, monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(axes=st.tuples(*[st.floats(0.3, 2.0)] * 3), seed=st.integers(0, 2**32 - 1))
 def test_ellipsoid_hessian_matches_the_solve(axes, seed):
-    """The closed-form ellipsoid D^2 d (Cayley-Hamilton on the tangent
-    plane) agrees with W (I + d W)^-1 by a 3x3 solve out to 0.95 of the
-    tube halfwidth, and annihilates the normal."""
+    """The closed-form ellipsoid D^2 d (the tangent eigenpairs of W mapped
+    by kappa / (1 + d kappa), expanded by ``hessian_matrix``) agrees with
+    W (I + d W)^-1 by a 3x3 solve out to 0.95 of the tube halfwidth, and
+    annihilates the normal."""
     e = Ellipsoid(*axes)
     pts = e.tube_points(64, np.random.default_rng(seed), fill=0.95)
     d, g = e._grad_raw(pts)
-    H = e._hessian(pts, d, g)
+    H = hessian_matrix(g, *e._hessian(pts, d, g, None))
     ref = oracles.ellipsoid_hessian_solve(e.abc, pts, d, g)
     scale = np.linalg.norm(ref, axis=(1, 2))
     assert (np.abs(H - ref).max(axis=(1, 2)) <= 1e-12 * scale).all()
     assert (np.abs(np.einsum("nij,nj->ni", H, g)).max(axis=1) <= 1e-12 * scale).all()
+
+
+def drawn_surface(kind, size):
+    """A sphere of radius size[0], a torus of radii (size[0] + size[1],
+    size[1]), or an ellipsoid with the sizes as semi-axes, longest first."""
+    if kind == "sphere":
+        return Sphere(size[0])
+    if kind == "torus":
+        return Torus(size[0] + size[1], size[1])
+    return Ellipsoid(*sorted(size, reverse=True))
+
+
+def delicate_points(surface):
+    """Surface points where the principal frame is delicate: the four
+    umbilics of an ellipsoid with a > b > c (xz-plane, x^2 = a^2 (a^2 - b^2)
+    / (a^2 - c^2), z^2 = c^2 (b^2 - c^2) / (a^2 - c^2)), and the torus's top
+    and bottom circles, where the toroidal curvature k_0 vanishes."""
+    if surface.kind == "torus":
+        R, r = surface.major_radius, surface.minor_radius
+        phi = np.linspace(0.0, 2.0 * np.pi, 7)
+        return np.concatenate([np.stack([R * np.cos(phi), R * np.sin(phi),
+                                         np.full(7, z)], axis=1) for z in (r, -r)])
+    if surface.kind == "sphere" or surface.abc[0] == surface.abc[2]:
+        return np.empty((0, 3))
+    a2, b2, c2 = surface.abc2
+    x, z = np.sqrt(a2 * (a2 - b2) / (a2 - c2)), np.sqrt(c2 * (b2 - c2) / (a2 - c2))
+    return np.array([[sx * x, 0.0, sz * z] for sx in (1, -1) for sz in (1, -1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(GUARDED)), size=st.tuples(*[st.floats(0.3, 2.0)] * 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind="ellipsoid", size=(1.3, 1.0, 0.8), seed=0)  # four umbilics
+@example(kind="ellipsoid", size=(2.0, 0.5, 0.3), seed=1)
+@example(kind="torus", size=(0.6, 0.4, 1.0), seed=2)  # top and bottom circles, k_0 = 0
+@example(kind="sphere", size=(0.7, 1.0, 1.0), seed=3)
+def test_compact_hessian_matches_the_matrix_oracles(kind, size, seed):
+    """``hessian_matrix(g, k, e)`` of the compact jet equals the (N, 3, 3)
+    D^2 d of ``oracles`` (the sphere's (I - g g^T) / r, the torus's six
+    written-out entries, the ellipsoid's Cayley-Hamilton form) to 1e-12 of
+    its norm: on tube points out to 0.9 of the half-width on both sides,
+    and at the delicate points, on the surface and moved along the normal."""
+    s = drawn_surface(kind, size)
+    rng = np.random.default_rng(seed)
+    base = delicate_points(s)
+    nu = s._grad_raw(base)[1]
+    t = rng.uniform(-0.9, 0.9, (3, len(base), 1)) * s.tube_halfwidth()
+    pts = np.concatenate([s.tube_points(64, rng, fill=0.9), base, *(base + t * nu)])
+    d, g, k, e = s._jet_raw(pts)
+    ref = oracles.hessian_matrix_reference(s, pts, d, g)
+    err = np.linalg.norm(hessian_matrix(g, k, e) - ref, axis=(1, 2))
+    assert (err <= 1e-12 * np.linalg.norm(ref, axis=(1, 2))).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("kind", sorted(GUARDED))
+def test_public_routes_refuse_non_finite_points(kind, route):
+    """A point with an inf or NaN coordinate ends in a ValueError that names
+    it, with no RuntimeWarning and no NaN, for one point and in a batch."""
+    s = GUARDED[kind]
+    pts = s.tube_points(5, np.random.default_rng(3))
+    nus = s._grad_raw(pts)[1]
+    for bad in (np.inf, -np.inf, np.nan):
+        x = pts.copy()
+        x[2, 0] = bad
+        with pytest.raises(ValueError, match=rf"non-finite coordinates \[{bad}\] in"):
+            ROUTES[route](s, x, nus)
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            ROUTES[route](s, np.array([bad, 0.5, 0.5]), nus[0])
+    if route == "area_ratio":
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            s.area_ratio(pts, np.where(np.arange(5)[:, None] == 1, np.nan, nus))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +455,7 @@ def test_jet_shares_the_gradient(kind):
     d_ref, g_ref = s._grad_raw(pts)
     assert np.array_equal(s._distance_raw(pts), d_ref)
     for route in (s._jet_raw, s._guarded_jet):
-        d, g, _ = route(pts)
+        d, g = route(pts)[:2]
         assert np.array_equal(d, d_ref) and np.array_equal(g, g_ref)
 
 
@@ -407,13 +481,18 @@ def test_distance_is_the_closed_form(kind):
 
 @pytest.mark.parametrize("radii", [(1.0, 0.4), (2.5, 0.3), (1.0, 0.9)])
 def test_torus_jet_equals_the_tangent_outer_products(radii):
-    """The six written-out entries of D^2 d, and d and grad d, are the
-    stacked-tangent sums of ``oracles``, bit for bit."""
+    """d, grad d and the compact (k, e) = ((u / (rho s), 1 / s), phi) are
+    the values the stacked-tangent sums of ``oracles`` are built from, bit
+    for bit, and D^2 d expanded from (k, e) is their D^2 d to 1e-12 of its
+    norm."""
     s = Torus(*radii)
     pts = s.tube_points(3000, np.random.default_rng(29))
     jet = s._jet_raw(pts)
-    ref = oracles.torus_jet_tangent_outer_products(*radii, pts)
-    assert all(np.array_equal(a, b) for a, b in zip(jet, ref))
+    ref_d, ref_g, ref_H, ref_k, ref_phi = oracles.torus_jet_tangent_outer_products(*radii, pts)
+    assert all(np.array_equal(a, b) for a, b in zip(jet, (ref_d, ref_g, ref_k, ref_phi)))
+    _, g, k, e = jet
+    err = np.linalg.norm(hessian_matrix(g, k, e) - ref_H, axis=(1, 2))
+    assert (err <= 1e-12 * np.linalg.norm(ref_H, axis=(1, 2))).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -453,16 +532,19 @@ def test_torus_manufactured_closed_forms_match_the_angle_forms(R, ratio, phi, th
 
 @pytest.mark.parametrize("surface", SURFACES, ids=repr)
 def test_area_ratio_invariants_match_tangent_curvatures(surface):
-    """1 - d tr W + d^2 (tr^2 W - |W|^2) / 2 equals (1 - d k1)(1 - d k2)
-    from the curvatures on an explicit tangent basis."""
+    """(1 - d k_0)(1 - d k_1) from the jet's tangent curvatures equals
+    1 - d tr W + d^2 (tr^2 W - |W|^2) / 2 from the invariants of the
+    expanded W = ``hessian_matrix(g, k, e)``."""
     pts = surface.tube_points(2000, np.random.default_rng(19))
-    d, g, H = surface._jet_raw(pts)
+    d, g, k, e = surface._jet_raw(pts)
+    H = hessian_matrix(g, k, e)
     rng = np.random.default_rng(23)
     tilted = g + 0.3 * rng.normal(size=g.shape)
     tilted /= np.linalg.norm(tilted, axis=1, keepdims=True)
     nus = np.where((np.einsum("ni,ni->n", g, tilted) > 0.1)[:, None], tilted, g)
-    kap = surface._tangent_curvatures(g, H)
-    ref = (1.0 - d * kap[:, 0]) * (1.0 - d * kap[:, 1]) * np.einsum("ni,ni->n", g, nus)
+    tr = np.trace(H, axis1=1, axis2=2)
+    det = 0.5 * (tr**2 - np.einsum("nij,nij->n", H, H))
+    ref = (1.0 - d * tr + d**2 * det) * np.einsum("ni,ni->n", g, nus)
     ratio = surface.area_ratio(pts, nus)
     assert np.abs(ratio - ref).max() <= 1e-12 * np.abs(ref).max()
 

@@ -310,7 +310,7 @@ def test_geometry_checks_all_pass():
     for surface in (Sphere(1.0), Torus(1.0, 0.4), Ellipsoid(1.3, 1.0, 0.8)):
         checks = geometry_checks(surface, n=300, seed=1)
         assert all(passed for _, passed, _, _ in checks)
-        assert len(checks) == 10
+        assert len(checks) == 11
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +590,7 @@ def test_cli_check_geometry(tmp_path, capsys):
     rc = main(["check-geometry", "--config", cfg])
     out = capsys.readouterr().out
     assert rc == 0
-    assert out.count("PASS") == 10 and "FAIL" not in out
+    assert out.count("PASS") == 11 and "FAIL" not in out
 
 
 def test_cli_negative_seed_is_exit_2(tmp_path, capsys):

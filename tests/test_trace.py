@@ -241,7 +241,7 @@ def test_blocked_sampling_equals_one_call(cut_sets, kind, block, n_faces, forcin
     es = dict(part)
     with mock.patch.object(beltrami.fem, "NODE_BLOCK", block):
         sample_faces(es, problem.surface, problem.solution, forcing=forcing, hessian=hessian)
-    assert len(es["jet"]) == (3 if hessian else 2)
+    assert len(es["jet"]) == (4 if hessian else 2)
     for got, want in zip(es["jet"], ref["jet"]):
         assert np.array_equal(got, want)
     assert ("forcing" in es) == forcing
@@ -263,13 +263,13 @@ def test_blocked_sampling_equals_one_call(cut_sets, kind, block, n_faces, forcin
                          ids=["trace-sphere", "narrowband-sphere", "narrowband-torus"])
 def test_solves_sample_at_most_a_block(surface, method, monkeypatch):
     """With a small node block, no call of the surface's jet sees more than
-    one block of points, so no whole-set (N, 3, 3) array comes back; the
-    trace workspace keeps (d, grad d) only."""
+    one block of points, so no whole-set jet array comes back; the trace
+    workspace keeps (d, grad d) only."""
     bulk = build_bulk_mesh(surface, 24)
     block = 500
     monkeypatch.setattr(beltrami.fem, "NODE_BLOCK", block)
     sizes = []
-    for name in ("_jet_raw", "distance_jet"):
+    for name in ("_jet_raw", "_guarded_jet", "distance_jet"):
         def counted(x, jet=getattr(surface, name)):
             sizes.append(len(x))
             return jet(x)
