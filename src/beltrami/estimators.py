@@ -9,7 +9,7 @@ Doerfler marking plus newest-vertex bisection closes the loop.
 
 import numpy as np
 
-from .fem import node_blocks, triangle_geometry
+from .fem import TRI_DEGREE4, node_blocks
 from .geometry import CLOSEST_POINT, plane_basis, row_dot, row_norm
 from .meshes import edge_table, refine_bisection
 from .parametric import ParametricProblem, parametric_solve
@@ -38,10 +38,6 @@ class IndicatorField:
         return f"IndicatorField({self.name}, total={self.total:.4e})"
 
 
-def _edge_lengths(vertices, edges):
-    return row_norm(vertices[edges[:, 0]] - vertices[edges[:, 1]])
-
-
 def _edge_jumps(grad_u, grads, tri_edges, edge_lengths):
     """Summed co-normal derivatives per edge and the per-element jump term.
 
@@ -57,21 +53,27 @@ def _edge_jumps(grad_u, grads, tri_edges, edge_lengths):
     return jumps, row_dot(edge_lengths[tri_edges], jumps[tri_edges] ** 2)
 
 
+def _residual_terms(ws, u, vertices, edges):
+    """Per face of the sampled set ``ws`` the load term sum_q w_q F_q^2 and
+    the jump term (``_edge_jumps``) of the P1 field with vertex values u;
+    ``edges`` is the set's edge numbering (pairs, per-face edge ids)."""
+    pairs, face_edges = edges
+    grad_u = np.einsum("ek,ekd->ed", u[ws["dofs"]], ws["grads"])
+    lengths = row_norm(vertices[pairs[:, 0]] - vertices[pairs[:, 1]])
+    _, jump_term = _edge_jumps(grad_u, ws["grads"], face_edges, lengths)
+    return (ws["weights"] * ws["forcing"] ** 2).sum(axis=1), jump_term
+
+
 def residual_estimator(problem, field, ws):
     """Elementwise residual indicator and data oscillation (parametric).
 
     eta_T^2 = h_T^2 ||F||_T^2 + (h_T / 2) sum_{e in dT} |e| J_e^2 with
     h_T = |T|^(1/2); osc_T = h_T ||F - mean_T F||_T, from the solve's ``ws``.
     """
-    mesh = problem.mesh
-    c = field.coefficients
-    grad_u = np.einsum("ek,ekd->ed", c[ws["dofs"]], ws["grads"])
-    w = ws["weights"]
-    F = ws["forcing"]
-    bulk = (w * F**2).sum(axis=1)
+    mesh, w, F = problem.mesh, ws["weights"], ws["forcing"]
+    bulk, jump_term = _residual_terms(ws, field.coefficients, mesh.vertices,
+                                      (mesh.edges, mesh.tri_edges))
     h = mesh.h
-    edge_lengths = _edge_lengths(mesh.vertices, mesh.edges)
-    _, jump_term = _edge_jumps(grad_u, ws["grads"], mesh.tri_edges, edge_lengths)
     eta = np.sqrt(h**2 * bulk + 0.5 * h * jump_term)
 
     fbar = (w * F).sum(axis=1) / w.sum(axis=1)
@@ -133,25 +135,19 @@ def trace_estimators(problem, field, ws):
     interior quad diagonals contribute zero jump); xi_F = max_F |d| * K_F
     + (max_F |nu - nu_Gamma|)^2 with K_F the largest principal curvature
     magnitude over the projected samples, aggregated by max.  ``ws`` is the
-    cut-face element set the solve filled.
+    cut-face element set the solve filled: its face gradients act on the
+    trace E c, and the samples are each face's quadrature nodes and corners.
     """
     cut = problem.cut
-    c = field.coefficients
-    grad_u = np.einsum("ek,ekd->ed", c[ws["dofs"]], ws["grads"])
-
-    face_grads, _, _ = triangle_geometry(cut.vertices[cut.faces])
-    edges, face_edges = edge_table(cut.faces)
-    edge_lengths = _edge_lengths(cut.vertices, edges)
-    _, jump_term = _edge_jumps(grad_u, face_grads, face_edges, edge_lengths)
-
-    w = ws["weights"]
-    bulk = (w * ws["forcing"] ** 2).sum(axis=1)
+    bulk, jump_term = _residual_terms(ws, ws["E"] @ field.coefficients, cut.vertices,
+                                      edge_table(cut.faces))
     h = cut.bulk.tet_diameter
     eta = h * np.sqrt(bulk) + np.sqrt(h * jump_term)
 
     surface = problem.surface
     d, dev = face_deviations(problem, ws)
-    flat = np.hstack([ws["qp"], cut.vertices[cut.faces]]).reshape(-1, 3)
+    corners = cut.vertices[cut.faces]
+    flat = np.hstack([TRI_DEGREE4.physical_points(corners), corners]).reshape(-1, 3)
     kappa = surface.parallel_curvatures(surface._project_raw(flat))
     k_face = np.abs(kappa).max(axis=1).reshape(len(d), -1).max(axis=1)
     xi = d * k_face + dev**2

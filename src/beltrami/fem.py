@@ -10,22 +10,24 @@ polyhedral surface, cut faces of the bulk mesh, or band tetrahedra.
 Each set is one dict over E elements of k vertices and nq quadrature
 points: ``dofs`` (E, k) DOF numbers, ``grads`` (E, k, 3) constant hat
 gradients (tangential on faces), ``measures`` (E,) element measures
-(indicator-weighted in the band), ``qp`` (E, nq, 3) quadrature points,
-``weights`` (E, nq) their weights including the measure, and ``phi``
-(E, nq, k) the hat values there (a read-only broadcast view on facets
-and band tets).  Surface sets add ``normals`` (E, 3) and, sampled,
-``jet`` (the distance jet at the points) and from it ``forcing`` (E, nq)
-where they carry the load.  Every surface set is sampled in blocks of
-whole faces (``node_blocks``), and only the facets' ``jet`` keeps D^2 d,
-as its curvatures and principal tangent (d, grad d, k, e): on cut faces
-it is (d, grad d).  On facets whose samples an adaptive round
-carried over (``parametric_workspace``), ``jet`` covers only the rows
-after them, the new facets'.  Band sets add ``d_h`` and ``inside`` (E, nq).
-Error sets add the flat exact samples ``u_exact`` and ``grad_exact``.
-The stiffness also takes the set's edge numbering (``assemble_stiffness``),
-which no record holds: the facets' cached ``(edges, tri_edges)``, or on cut
-faces (by their parent tets) and band tets ``meshes.kuhn_edges``, which the
-solve computes just before assembly and drops after it.
+(indicator-weighted in the band), ``weights`` (E, nq) their weights
+including the measure, and ``phi`` (E, nq, k) the hat values there, a
+read-only broadcast view.  Facets and band tets keep the nodes ``qp``
+(E, nq, 3).  On cut faces ``dofs`` number the cut vertices at
+``vertices``, and ``E`` interpolates their values from the bulk DOFs
+(``trace``).  Surface sets add ``normals`` (E, 3) and, sampled in blocks
+of whole faces (``node_blocks``), ``forcing`` (E, nq) where they carry
+the load; the facets keep the distance jet at the nodes, ``jet``
+(d, grad d, k, e) with D^2 d as its curvatures and principal tangent, and
+cut faces only its per-face maxima ``d_max`` of |d| and ``dev_max`` of
+|grad d - nu|.  On facets whose samples an adaptive round carried over
+(``parametric_workspace``), ``jet`` covers only the new facets' rows.
+Band sets add ``d_h`` and ``inside`` (E, nq).  Error sets add the flat
+exact samples ``u_exact`` and ``grad_exact``.  The stiffness also takes
+the set's edge numbering (``assemble_stiffness``), which no record holds:
+the facets' cached ``(edges, tri_edges)``, or ``meshes.edge_table`` of the
+cut faces and ``meshes.kuhn_edges`` of the band tets, which the solve
+computes just before assembly and drops after it.
 """
 
 import numpy as np
@@ -146,17 +148,6 @@ def triangle_geometry(coords):
     nu = n / two_area[:, None]
     grads = np.cross(nu[:, None, :], e) / two_area[:, None, None]
     return grads, 0.5 * two_area, nu
-
-
-def barycentric_values(grads, coords, points):
-    """Hat-function values at physical points inside each element.
-
-    Uses the affine identity lambda_i(x) = 1/k + g_i . (x - centroid).
-    grads (E, k, 3), coords (E, k, 3), points (E, nq, 3) -> (E, nq, k).
-    """
-    k = coords.shape[1]
-    rel = points - (sum(coords[:, i] for i in range(k)) / k)[:, None, :]
-    return 1.0 / k + rel @ grads.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------

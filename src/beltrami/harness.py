@@ -388,6 +388,10 @@ def geometry_checks(surface, n=200, seed=0):
         np.abs(H - np.transpose(H, (0, 2, 1))).max(), 1e-8)
     add("normal in Hessian kernel (D2d grad d = 0)",
         np.abs(np.einsum("nij,nj->ni", H, g)).max(), 1e-7)
+    fd = np.stack([surface._grad_raw(pts + s)[1] - surface._grad_raw(pts - s)[1]
+                   for s in 1e-5 * scale * np.eye(3)], axis=2) / (2e-5 * scale)
+    add("compact Hessian against a central difference of grad d",
+        np.abs(H - fd).max(), 1e-6 * surface.max_curvature())
     p = surface.closest_point(pts)
     add("projection lands on the surface",
         np.abs(surface._distance_raw(p)).max(), 1e-9 * scale)

@@ -494,14 +494,16 @@ def build_bulk_mesh(surface, cells_per_axis, half_width=None):
 # ---------------------------------------------------------------------------
 
 
-def _number_rows(ids, corners, vids, d, rows):
+def _number_rows(ids, corners, vids, d, rows, at=None):
     """The tets ``rows`` of the culled set (``BulkMesh._near_surface``)
-    with their DOFs: (tet ids, corners (E, 4) as positions in the vertices
-    they use, those vertices' ascending ids, d there).  The culled vertex
-    ids ascend, so counting the used ones numbers them without a sort."""
+    with their DOFs: (tet ids, the culled vertices ``at`` -- by default
+    the rows' corners (E, 4) -- as positions in the vertices the rows use,
+    those vertices' ascending ids, d there).  The culled vertex ids
+    ascend, so counting the used ones numbers them without a sort."""
     used = np.zeros(len(vids), dtype=bool)
     used[corners[rows]] = True
-    return ids[rows], (np.cumsum(used) - 1)[corners[rows]], vids[used], d[used]
+    at = corners[rows] if at is None else at
+    return ids[rows], (np.cumsum(used) - 1)[at], vids[used], d[used]
 
 
 class CutSurface:
@@ -509,18 +511,20 @@ class CutSurface:
 
     Faces live inside bulk tetrahedra (``parent_tet``), are oriented with
     grad d, and their degrees of freedom are the vertices of cut bulk
-    tetrahedra, ascending in ``active_dofs``; ``dofs`` (F, 4) gives each
-    face's parent corners by position there, ``d_vertex`` the nudged d.
+    tetrahedra, ascending in ``active_dofs``, ``d_vertex`` the nudged d
+    there.  Cut vertex i, on some face, is (1 - t) x_a + t x_b with t
+    ``tvals[i]`` and a, b its edge's ends ``ends[i]`` by position there.
     A band-marched cut numbers its DOFs as the band: ``n_active_dofs`` is the band's.
     """
 
-    def __init__(self, bulk, vertices, faces, areas, normals, n_degenerate, numbering):
+    def __init__(self, bulk, vertices, faces, areas, normals, n_degenerate, numbering, tvals):
         self.bulk = bulk
         self.vertices = vertices
         self.faces = faces
         self.areas, self.normals = areas, normals
         self.n_degenerate = int(n_degenerate)
-        self.parent_tet, self.dofs, self.active_dofs, self.d_vertex = numbering
+        self.parent_tet, self.ends, self.active_dofs, self.d_vertex = numbering
+        self.tvals = tvals
 
     @property
     def n_faces(self):
@@ -628,11 +632,14 @@ def extract_cut_surface(bulk, surface, band=None):
     # orient along grad d: swapping two corners negates n exactly
     flip = np.einsum("td,td->t", n, surface._grad_raw((p0 + p1 + p2)[good] / 3)[1]) < 0.0
     faces[flip], n[flip] = faces[flip][:, [0, 2, 1]], -n[flip]
+    # keep the cut vertices that faces use: their edge ends are corners of kept tets
+    kept = np.bincount(faces.ravel(), minlength=len(uniq)) > 0
+    faces, ends = (np.cumsum(kept) - 1)[faces], np.stack([a, b], axis=1)[kept]
     rows = parents[good]
-    numbering = (_number_rows(ids, tets, vids, d, rows) if band is None
-                 else (ids[rows], tets[rows], vids, d))
-    return CutSurface(bulk, cut_vertices, faces, 0.5 * two_area, n / two_area[:, None],
-                      len(good) - len(faces), numbering)
+    numbering = (_number_rows(ids, tets, vids, d, rows, ends) if band is None
+                 else (ids[rows], ends, vids, d))
+    return CutSurface(bulk, cut_vertices[kept], faces, 0.5 * two_area, n / two_area[:, None],
+                      len(good) - len(faces), numbering, tvals[kept])
 
 
 class BandMesh:

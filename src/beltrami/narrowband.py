@@ -25,7 +25,7 @@ from .fem import (
 from .geometry import _per_point, hessian_times
 from .meshes import extract_band, extract_cut_surface, kuhn_edges
 from .parametric import error_samples, sample_faces, surface_error_norms
-from .trace import cut_face_workspace
+from .trace import cut_face_set
 
 
 class NarrowBandProblem:
@@ -197,10 +197,11 @@ def _band_errors(problem, c):
 
 
 def _surface_errors(problem, c):
-    """Errors of U on the reconstructed surface, the cut marched from the band."""
+    """Errors of U on the reconstructed surface, the cut marched from the
+    band, where U's trace is E c (``trace`` module docstring)."""
     surface, bulk = problem.surface, problem.bulk
     cut = extract_cut_surface(bulk, surface, problem.band)
-    es = cut_face_workspace(bulk, cut)
+    es = cut_face_set(cut)
     sample_faces(es, surface, problem.solution, forcing=False)
-    l2, h1 = surface_error_norms(*error_samples(es, c))
+    l2, h1 = surface_error_norms(*error_samples(es, es["E"] @ c))
     return l2, h1, cut

@@ -21,7 +21,7 @@ from .fem import (
     node_blocks,
     solve_mean_zero,
 )
-from .geometry import CLOSEST_POINT, SCALED_RADIAL
+from .geometry import CLOSEST_POINT, SCALED_RADIAL, row_norm
 
 
 class ParametricProblem:
@@ -57,27 +57,13 @@ class ParametricProblem:
         return f"ParametricProblem({self.surface!r}, {self.mesh!r}, lift={self.lift})"
 
 
-def _jet_forcing(surface, solution, pts, nus, d, g, k, e):
-    """F(x) = f(P_d(x)) q/q_Gamma from the distance jet (d, g, k, e) at pts."""
-    return solution.f(pts - d[:, None] * g) * surface._jet_area_ratio(d, g, k, e, nus)
-
-
-def _exact_samples(surface, solution, pts, nus, d, g, k, e):
-    """u(P_d x) and its lifted tangential gradient at points x of facets
-    with unit normals nus, from the distance jet (d, g, k, e) at pts."""
-    lifted = pts - d[:, None] * g
-    return solution.u(lifted), surface._jet_lifted_gradient(
-        d, g, k, e, nus, solution.grad_gamma(lifted)
-    )
-
-
 def surface_error_norms(weights, u_exact, grad_exact, u_values, u_gradients):
     """Mean-matched L2 and H1 errors of sampled values and gradients.
 
     Weighted sums over quadrature samples only.  On a discrete surface
     ``u_exact`` and ``grad_exact`` are the exact solution pulled back
     through the closest-point lift and its lifted tangential gradient
-    (``_exact_samples``), so both norms are broken norms on that surface.
+    (``sample_faces``), so both norms are broken norms on that surface.
     """
     e = u_exact - u_values
     total = weights.sum()
@@ -90,37 +76,51 @@ def surface_error_norms(weights, u_exact, grad_exact, u_values, u_gradients):
 
 def error_samples(es, c):
     """Sample arguments of ``surface_error_norms`` for the P1 field c on the
-    set es (``fem`` module docstring), gradients as (E, nq, 3) and (E, 1, 3)."""
+    set es (``fem`` module docstring), gradients as (E, nq, 3) and (E, 1, 3);
+    on cut faces c holds the values at the cut vertices, E times the DOFs'."""
     c_local = c[es["dofs"]]
-    nq = es["qp"].shape[1]
+    nq = es["weights"].shape[1]
     return (es["weights"].ravel(), es["u_exact"], es["grad_exact"].reshape(-1, nq, 3),
             np.einsum("eqk,ek->eq", es["phi"], c_local).ravel(),
             np.einsum("ek,ekd->ed", c_local, es["grads"])[:, None])
 
 
 def sample_faces(es, surface, solution, forcing=True, hessian=False):
-    """Fill a surface element set's ``jet`` at its quadrature points, then
-    (if ``forcing``) the closest-point forcing F = f(P_d x) q/q_Gamma, then
-    ``u_exact`` and ``grad_exact``, all from that one jet.  Blocks of whole
-    faces (``node_blocks``) fill preallocated arrays; ``jet`` keeps D^2 d's
-    (k, e) only with ``hessian``, as the facets' geometric indicators need it."""
-    flat, nq = es["qp"].reshape(-1, 3), es["qp"].shape[1]
-    n = len(flat)
-    jet = (np.empty(n), np.empty((n, 3))) + ((np.empty((n, 2)), np.empty((n, 3)))
-                                             if hessian else ())
-    F, u, grad = np.empty(n) if forcing else None, np.empty(n), np.empty((n, 3))
+    """Sample a surface element set at its quadrature nodes in blocks of whole
+    faces (``node_blocks``): the distance jet, then (if ``forcing``) the
+    closest-point forcing F = f(P_d x) q/q_Gamma, then ``u_exact`` and
+    ``grad_exact``, all from that one jet.  Facets (``hessian``) read the
+    nodes from ``qp`` and keep the jet with D^2 d's (k, e) for their
+    geometric indicators; cut faces place the nodes on their corners
+    ``vertices[dofs]`` and keep per face max |d| and max |grad d - nu|."""
+    n_f, nq = es["weights"].shape
+    n = n_f * nq
+    u, grad = es["u_exact"], es["grad_exact"] = np.empty(n), np.empty((n, 3))
+    if forcing:
+        F = es["forcing"] = np.empty((n_f, nq))
+    if hessian:
+        jet = es["jet"] = (np.empty(n), np.empty((n, 3)), np.empty((n, 2)), np.empty((n, 3)))
+    else:
+        d_max, dev_max = es["d_max"], es["dev_max"] = np.empty(n_f), np.empty(n_f)
     for b in node_blocks(n, nq):
-        pts, nus = flat[b], np.repeat(es["normals"][b.start // nq:b.stop // nq], nq, axis=0)
+        f = slice(b.start // nq, b.stop // nq)
+        nus = np.repeat(es["normals"][f], nq, axis=0)
+        pts = es["qp"].reshape(-1, 3)[b] if hessian else TRI_DEGREE4.physical_points(
+            es["vertices"][es["dofs"][f]]).reshape(-1, 3)
         part = surface._guarded_jet(pts)
-        for whole, block in zip(jet, part):
-            whole[b] = block
+        d, g = part[:2]
+        if hessian:
+            for whole, block in zip(jet, part):
+                whole[b] = block
+        else:
+            d_max[f] = np.abs(d).reshape(-1, nq).max(axis=1)
+            dev_max[f] = row_norm(g - nus).reshape(-1, nq).max(axis=1)
+        lifted = pts - d[:, None] * g
         # the forcing first: the ellipsoid's f may solve for closest points of its own
         if forcing:
-            F[b] = _jet_forcing(surface, solution, pts, nus, *part)
-        u[b], grad[b] = _exact_samples(surface, solution, pts, nus, *part)
-    es["jet"], es["u_exact"], es["grad_exact"] = jet, u, grad
-    if forcing:
-        es["forcing"] = F.reshape(es["weights"].shape)
+            F[f] = (solution.f(lifted) * surface._jet_area_ratio(*part, nus)).reshape(-1, nq)
+        u[b] = solution.u(lifted)
+        grad[b] = surface._jet_lifted_gradient(*part, nus, solution.grad_gamma(lifted))
 
 
 def parametric_workspace(problem):

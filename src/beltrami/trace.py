@@ -2,12 +2,16 @@
 
 Degrees of freedom are bulk vertices of cut tetrahedra; test and trial
 functions are traces of the bulk P1 hats on the reconstructed surface.
-Element gradients are the bulk hat gradients projected into each cut
-face's plane, so the discrete problem is again a singular mean-zero
-Laplace-Beltrami system.
+A bulk P1 function is linear on each tetrahedron, so its trace on a cut
+face is the P1 interpolant of its values at the corners, and a cut vertex
+at t on the lattice edge (a, b) has the value (1 - t) c_a + t c_b.  With
+E that interpolation (V_cut x n_dof, two entries a row) the trace system
+is the cut's facet system pulled back, A = E^T A_Gamma E, b = E^T b_Gamma,
+m = E^T m_Gamma, and the trace of c on the faces is E c.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import BeltramiError
 from .fem import (
@@ -16,11 +20,11 @@ from .fem import (
     SolutionField,
     assemble_load,
     assemble_stiffness,
-    barycentric_values,
     solve_mean_zero,
+    triangle_geometry,
 )
 from .geometry import row_norm
-from .meshes import extract_cut_surface, kuhn_edges
+from .meshes import edge_table, extract_cut_surface
 from .parametric import error_samples, sample_faces, surface_error_norms
 
 
@@ -32,7 +36,7 @@ class TraceProblem:
         self.bulk = bulk
         self.cut = cut if cut is not None else extract_cut_surface(bulk, surface)
         # closed, so chi = V - F/2; a coarse lattice can split the cut apart
-        chi = np.count_nonzero(np.bincount(self.cut.faces.ravel())) - self.cut.n_faces // 2
+        chi = len(self.cut.vertices) - self.cut.n_faces // 2
         if chi != (0 if surface.kind == "torus" else 2):
             raise BeltramiError(f"cut surface has Euler characteristic {chi}: "
                                 f"the bulk mesh does not resolve the {surface.kind}")
@@ -42,86 +46,78 @@ class TraceProblem:
         return f"TraceProblem({self.surface!r}, {self.bulk!r})"
 
 
-def cut_face_workspace(bulk, cut):
-    """The cut-face element set: parent-tet hat gradients projected into
-    the face planes, DOFs numbered as the cut's (its own or its band's)."""
-    tet_grads = bulk.tet_grads(cut.parent_tet)
-    nus = cut.normals
-    pg = tet_grads - np.einsum("fkd,fd->fk", tet_grads, nus)[:, :, None] * nus[:, None, :]
-    qp = TRI_DEGREE4.physical_points(cut.vertices[cut.faces])
-    return {
-        "dofs": cut.dofs,
-        "grads": pg,
-        "measures": cut.areas,
-        "normals": nus,
-        "qp": qp,
-        "weights": cut.areas[:, None] * TRI_DEGREE4.normalized_weights[None, :],
-        "phi": barycentric_values(tet_grads, bulk.vertex_points(cut.active_dofs)[cut.dofs], qp),
-    }
+def cut_face_set(cut):
+    """The cut-face element set (``fem`` module docstring): the cut's facet
+    set, ``dofs`` the cut vertices at ``vertices``, and ``E`` (V_cut, n_dof)
+    their values (1 - t) c_a + t c_b from the DOFs at their edges' ends."""
+    t, nv = cut.tvals, len(cut.tvals)
+    E = sp.csr_matrix((np.column_stack([1.0 - t, t]).ravel(), cut.ends.ravel(),
+                       np.arange(0, 2 * nv + 1, 2)), shape=(nv, cut.n_active_dofs))
+    grads, areas, normals = triangle_geometry(cut.vertices[cut.faces])
+    weights = areas[:, None] * TRI_DEGREE4.normalized_weights[None, :]
+    # the hat values at the reference nodes are the nodes' own barycentrics
+    return {"dofs": cut.faces, "E": E, "vertices": cut.vertices, "grads": grads,
+            "measures": areas, "normals": normals, "weights": weights,
+            "phi": np.broadcast_to(TRI_DEGREE4.points, weights.shape + (3,))}
 
 
 def _face_workspace(problem):
-    """The sampled cut-face element set (``sample_faces``); its ``jet``
-    is (d, grad d)."""
-    ws = cut_face_workspace(problem.bulk, problem.cut)
+    """The sampled cut-face element set (``sample_faces``)."""
+    ws = cut_face_set(problem.cut)
     sample_faces(ws, problem.surface, problem.solution)
     return ws
+
+
+def trace_assemble(problem):
+    """Stiffness, load, and mass (the load of the unit function) of the
+    facet system on the cut, pulled back through E; (A, b, m, workspace)."""
+    ws = _face_workspace(problem)
+    E, dofs, w = ws["E"], ws["dofs"], ws["weights"]
+    nv = E.shape[0]
+    A = assemble_stiffness(ws["grads"], ws["measures"], dofs, nv, edge_table(dofs))
+    b = assemble_load(dofs, ws["phi"], ws["forcing"], w, nv)
+    m = assemble_load(dofs, ws["phi"], np.ones_like(w), w, nv)
+    Et = E.T.tocsr()
+    return Et @ (A @ E), Et @ b, Et @ m, ws
 
 
 def trace_solve(problem, tol=1e-10, workspace_out=None):
     """Solve the trace problem; returns (SolutionField, ErrorReport)."""
     cut = problem.cut
-    ws = _face_workspace(problem)
-    n = cut.n_active_dofs
-    dofs = ws["dofs"]
-    A = assemble_stiffness(ws["grads"], ws["measures"], dofs, n, kuhn_edges(cut.parent_tet, dofs))
-    b = assemble_load(dofs, ws["phi"], ws["forcing"], ws["weights"], n)
-    # row-sum mass of the trace basis: m_i = integral of hat_i over the cut,
-    # the load of the unit function
-    m = assemble_load(dofs, ws["phi"], np.ones_like(ws["weights"]), ws["weights"], n)
+    A, b, m, ws = trace_assemble(problem)
     history = []
     c = solve_mean_zero(A, b, m, tol=tol, history=history)
     field = SolutionField(c, cut.active_dofs, m, domain="cut-surface")
-    l2, h1 = surface_error_norms(*error_samples(ws, c))
+    l2, h1 = surface_error_norms(*error_samples(ws, ws["E"] @ c))
     if workspace_out is not None:
         workspace_out.update(ws)
     geo = geometric_resolution(problem, ws)
     report = ErrorReport(
-        problem.bulk.tet_diameter, n, l2, h1, iterations=len(history),
+        problem.bulk.tet_diameter, cut.n_active_dofs, l2, h1, iterations=len(history),
         info={"area": cut.total_area(), "n_faces": cut.n_faces, **geo},
     )
     return field, report
 
 
 def face_deviations(problem, ws):
-    """Per face the max |d| and max |grad d - nu_F| over its quadrature
-    nodes and vertices.  The nodes take the workspace's jet; the cut
-    vertices are evaluated here, once each."""
+    """Per face the max |d| and max |grad d - nu_F| over its quadrature nodes
+    (the sampled cut-face set's ``d_max``, ``dev_max``) and its vertices."""
     cut = problem.cut
-    nus = ws["normals"][:, None, :]
     d_v, g_v = problem.surface._grad_raw(cut.vertices)
-    d_q, g_q = (a.reshape((cut.n_faces, -1) + a.shape[1:]) for a in ws["jet"])
-    d = np.maximum(np.abs(d_q).max(axis=1), np.abs(d_v[cut.faces]).max(axis=1))
-    dev = np.maximum(row_norm(g_q - nus).max(axis=1), row_norm(g_v[cut.faces] - nus).max(axis=1))
-    return d, dev
+    dev_v = row_norm(g_v[cut.faces] - ws["normals"][:, None, :]).max(axis=1)
+    return (np.maximum(ws["d_max"], np.abs(d_v[cut.faces]).max(axis=1)),
+            np.maximum(ws["dev_max"], dev_v))
 
 
 def geometric_resolution(problem, ws):
-    """How well the cut surface resolves the smooth one.
-
-    Samples each face at its quadrature nodes (the jet of the sampled
-    cut-face set ``ws``) and vertices and returns the max distance to the
+    """How well the cut surface resolves the smooth one: over the nodes and
+    vertices of the faces (``face_deviations``), the max distance to the
     surface (second order in h) and max normal deviation (first order),
-    plus the h-normalized constants.
-    """
-    per_face_d, per_face_dev = face_deviations(problem, ws)
+    plus the h-normalized constants."""
+    d, dev = (float(x.max()) for x in face_deviations(problem, ws))
     h = problem.bulk.tet_diameter
-    return {
-        "max_distance": float(per_face_d.max()),
-        "max_normal_dev": float(per_face_dev.max()),
-        "c_distance": float((per_face_d / (h * h)).max()),
-        "c_normal": float((per_face_dev / h).max()),
-    }
+    return {"max_distance": d, "max_normal_dev": dev,
+            "c_distance": d / (h * h), "c_normal": dev / h}
 
 
 def skin_containment(problem):

@@ -574,6 +574,15 @@ def einsum_physical_points(points, coords):
     return np.einsum("qk,ekd->eqd", points, coords)
 
 
+def barycentric_values(grads, coords, points):
+    """Hat-function values at physical points inside each element, by the
+    affine identity lambda_i(x) = 1/k + g_i . (x - centroid).
+    grads (E, k, 3), coords (E, k, 3), points (E, nq, 3) -> (E, nq, k)."""
+    k = coords.shape[1]
+    rel = points - (sum(coords[:, i] for i in range(k)) / k)[:, None, :]
+    return 1.0 / k + rel @ grads.transpose(0, 2, 1)
+
+
 def einsum_barycentric_values(grads, coords, points):
     """Hat values (E, nq, k) at points (E, nq, 3) from constant gradients,
     lambda_i(x) = 1/k + g_i . (x - centroid)."""
@@ -663,6 +672,7 @@ def dense_kuhn_lattice(half_width, n):
 def dense_cut_surface(vertices, tets, h, distance, orient, tables):
     """Cut surface marched through every lattice tetrahedron, as the
     library did while its lattice was dense; None when nothing is cut.
+    ``edge_ends`` are the lattice ids of each cut vertex's edge.
 
     ``distance`` maps points to d, ``orient(vertices, faces)`` orients
     faces along grad d, and ``tables`` are the library's cut-face pattern
@@ -699,14 +709,48 @@ def dense_cut_surface(vertices, tets, h, distance, orient, tables):
     n = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
     good = np.linalg.norm(n, axis=1) >= 2e-14 * h**2
     active = np.unique(tets[np.unique(parents[good])])
+    # only the cut vertices that the kept faces use
+    used, faces = np.unique(faces[good], return_inverse=True)
     return {
-        "vertices": cut_vertices,
-        "faces": orient(cut_vertices, faces[good]),
+        "vertices": cut_vertices[used],
+        "faces": orient(cut_vertices[used], faces.reshape(-1, 3)),
+        "edge_ends": np.stack([a, b], axis=1)[used],
+        "tvals": tvals[used],
         "parent_tet": parents[good],
         "active_dofs": active,
         "d_vertex": d[active],
         "n_degenerate": int((~good).sum()),
     }
+
+
+def projected_gradient_system(bulk, cut, surface, solution, rule):
+    """The trace system (A, b, m) on ``cut`` and the element set it came
+    from, assembled on the parent tetrahedra's hats: on each cut face the
+    hats of the parent's four corners, their gradients (from the corners by
+    ``tetrahedron_geometry``) projected into the face plane, their values
+    at the quadrature nodes from the affine identity.  A comes from COO
+    triplets, b is the load of F = f(P x) q/q_Gamma from ``closest_point``
+    and ``area_ratio``, and m the load of the unit function.  ``rule`` is
+    (barycentric nodes (nq, 3), normalized weights (nq,)) on the triangle.
+    """
+    tets = bulk.tet_vertices(cut.parent_tet)
+    coords = bulk.vertex_points(tets)
+    grads, _ = tetrahedron_geometry(coords)
+    nus = cut.normals
+    pg = grads - np.einsum("fkd,fd->fk", grads, nus)[:, :, None] * nus[:, None, :]
+    qp = einsum_physical_points(rule[0], cut.vertices[cut.faces])
+    flat, nq = qp.reshape(-1, 3), qp.shape[1]
+    F = (solution.f(surface.closest_point(flat))
+         * surface.area_ratio(flat, np.repeat(nus, nq, axis=0))).reshape(-1, nq)
+    es = {"dofs": searched_dofs(cut.active_dofs, tets), "grads": pg, "qp": qp,
+          "weights": cut.areas[:, None] * rule[1], "phi": barycentric_values(grads, coords, qp)}
+    n = cut.n_active_dofs
+
+    def load(values):
+        contrib = einsum_element_load(es["phi"], values, es["weights"])
+        return np.bincount(es["dofs"].ravel(), contrib.ravel(), minlength=n)
+
+    return coo_stiffness(pg, cut.areas, es["dofs"], n), load(F), load(np.ones_like(F)), es
 
 
 def dense_band(vertices, tets, distance, delta):

@@ -28,10 +28,9 @@ from beltrami import (
     run_convergence,
     trace_solve,
 )
-from beltrami.fem import assemble_load
+from beltrami.fem import TRI_DEGREE4
 from beltrami.narrowband import _band_quadrature, narrowband_forcing
 from beltrami.parametric import parametric_assemble
-from beltrami.trace import _face_workspace
 
 import oracles
 from acceptance_report import record
@@ -252,27 +251,19 @@ def _parametric_case(surface, mesh, lift="closest_point"):
 
 def _trace_case(surface, bulk):
     """Compare traces on the cut: coefficients are unique only up to the
-    d_h kernel mode, which vanishes on the cut surface."""
+    d_h kernel mode, which vanishes on the cut surface.  The dense
+    reference is assembled on the parent tetrahedra's projected hat
+    gradients (``oracles.projected_gradient_system``), apart from the
+    solver's interpolation route."""
     problem = TraceProblem(surface, bulk)
-    ws = _face_workspace(problem)
-    cut = problem.cut
-    n = cut.n_active_dofs
-    A = oracles.coo_stiffness(ws["grads"], cut.areas, ws["dofs"], n)
-    flat = ws["qp"].reshape(-1, 3)
-    nus_q = np.repeat(ws["normals"], ws["qp"].shape[1], axis=0)
-    fvals = (problem.solution.f(surface.closest_point(flat))
-             * surface.area_ratio(flat, nus_q)).reshape(ws["weights"].shape)
-    b = assemble_load(ws["dofs"], ws["phi"], fvals, ws["weights"], n)
-    m = np.bincount(
-        ws["dofs"].ravel(),
-        weights=np.einsum("eq,eqk->ek", ws["weights"], ws["phi"]).ravel(),
-        minlength=n,
-    )
+    A, b, m, es = oracles.projected_gradient_system(
+        bulk, problem.cut, surface, problem.solution,
+        (TRI_DEGREE4.points, TRI_DEGREE4.normalized_weights))
     field, _ = trace_solve(problem, tol=1e-12)
     ref = oracles.dense_solve_mean_zero(A.toarray(), b, m)
-    u_pcg = np.einsum("eqk,ek->eq", ws["phi"], field.coefficients[ws["dofs"]])
-    u_ref = np.einsum("eqk,ek->eq", ws["phi"], ref[ws["dofs"]])
-    return n, np.abs(u_pcg - u_ref).max() / np.abs(u_ref).max()
+    u_pcg = np.einsum("eqk,ek->eq", es["phi"], field.coefficients[es["dofs"]])
+    u_ref = np.einsum("eqk,ek->eq", es["phi"], ref[es["dofs"]])
+    return problem.cut.n_active_dofs, np.abs(u_pcg - u_ref).max() / np.abs(u_ref).max()
 
 
 def _band_case(surface, bulk):

@@ -33,7 +33,6 @@ from beltrami.fem import (
     QuadratureRule,
     assemble_load,
     assemble_stiffness,
-    barycentric_values,
     lumped_mass,
     triangle_geometry,
 )
@@ -41,7 +40,7 @@ from beltrami.harness import surface_mesh_for_level
 from beltrami.meshes import edge_table
 from beltrami.narrowband import _band_quadrature, narrowband_solve
 from beltrami.parametric import parametric_solve, parametric_workspace, sample_faces
-from beltrami.trace import _face_workspace, cut_face_workspace, trace_solve
+from beltrami.trace import _face_workspace, cut_face_set, trace_solve
 
 import oracles
 
@@ -103,7 +102,7 @@ def test_tetrahedron_geometry_volumes():
     coords = np.random.default_rng(5).normal(size=(20, 4, 3))
     pts = coords.mean(axis=1) + 0.1 * np.random.default_rng(6).normal(size=(20, 3))
     grads, _ = oracles.tetrahedron_geometry(coords)
-    lam = barycentric_values(grads, coords, pts[:, None, :])[:, 0, :]
+    lam = oracles.barycentric_values(grads, coords, pts[:, None, :])[:, 0, :]
     assert np.abs(lam - oracles.tetrahedron_barycentrics(coords, pts)).max() < 1e-9
 
 
@@ -112,9 +111,9 @@ def test_barycentric_values_partition_and_nodal():
     coords = rng.normal(size=(10, 3, 3))
     grads, _, _ = triangle_geometry(coords)
     qp = TRI_DEGREE4.physical_points(coords)
-    phi = barycentric_values(grads, coords, qp)
+    phi = oracles.barycentric_values(grads, coords, qp)
     assert np.abs(phi.sum(axis=2) - 1.0).max() < 1e-12
-    at_nodes = barycentric_values(grads, coords, coords)
+    at_nodes = oracles.barycentric_values(grads, coords, coords)
     assert np.abs(at_nodes - np.eye(3)[None]).max() < 1e-10
 
 
@@ -143,7 +142,7 @@ def test_load_exact_for_linear_data():
     coords = tri[None]
     grads, areas, _ = triangle_geometry(coords)
     qp = TRI_DEGREE4.physical_points(coords)
-    phi = barycentric_values(grads, coords, qp)
+    phi = oracles.barycentric_values(grads, coords, qp)
     w = areas[:, None] * TRI_DEGREE4.normalized_weights[None, :]
     fvals = qp @ coeff + const
     b = assemble_load(np.array([[0, 1, 2]]), phi, fvals, w, 3)
@@ -192,7 +191,7 @@ def test_element_kernels_match_index_contractions(e, k, nq, log_scale, seed, bro
     assert qp.shape == (e, nq, 3)
     assert _maxabs(qp - oracles.einsum_physical_points(bary, coords)) <= 1e-13 * _maxabs(coords)
 
-    phi = barycentric_values(grads, coords, qp)
+    phi = oracles.barycentric_values(grads, coords, qp)
     tol = 1e-13 * (1.0 + 2.0 * _maxabs(grads) * _maxabs(coords))
     assert phi.shape == (e, nq, k)
     assert _maxabs(phi - oracles.einsum_barycentric_values(grads, coords, qp)) <= tol
@@ -410,7 +409,7 @@ def _facets():
 def _cut_faces():
     s = Sphere(1.0)
     problem = TraceProblem(s, build_bulk_mesh(s, 8))
-    return _face_workspace(problem), problem.cut.n_active_dofs, True
+    return _face_workspace(problem), len(problem.cut.vertices), True
 
 
 def _band_problem():
@@ -422,9 +421,9 @@ def _band_surface():
     """The narrow band's surface set, as ``_surface_errors`` builds it."""
     problem = _band_problem()
     cut = extract_cut_surface(problem.bulk, problem.surface, problem.band)
-    es = cut_face_workspace(problem.bulk, cut)
+    es = cut_face_set(cut)
     sample_faces(es, problem.surface, problem.solution, forcing=False)
-    return es, problem.band.n_active_dofs, False
+    return es, len(cut.vertices), False
 
 
 def _band_tets(rule):
@@ -445,14 +444,21 @@ ELEMENT_SETS = {
 def test_element_set_record(name):
     """Every element set has the record layout of the ``fem`` docstring:
     ``forcing`` is True for the sampled sets that carry the data, False
-    for the sampled set without it, None for the unsampled band sets."""
+    for the sampled set without it, None for the unsampled band sets.  n
+    counts what ``dofs`` numbers: on cut faces the cut vertices, whose rows
+    of E sum to one, and which hold the nodes instead of ``qp``."""
     es, n, forcing = ELEMENT_SETS[name]()
     e, k = es["dofs"].shape
-    nq = es["qp"].shape[1]
+    nq = es["weights"].shape[1]
+    cut = "E" in es
     assert es["grads"].shape == (e, k, 3)
     assert es["measures"].shape == (e,)
-    assert es["qp"].shape == (e, nq, 3)
     assert es["weights"].shape == (e, nq)
+    if cut:
+        assert "qp" not in es and es["vertices"].shape == (n, 3) and es["E"].shape[0] == n
+        assert np.abs(es["E"] @ np.ones(es["E"].shape[1]) - 1.0).max() < 1e-12
+    else:
+        assert es["qp"].shape == (e, nq, 3)
     assert es["phi"].shape == (e, nq, k)
     assert es["dofs"].min() >= 0 and es["dofs"].max() < n
     assert np.abs(es["phi"].sum(axis=-1) - 1.0).max() < 1e-12
@@ -460,8 +466,11 @@ def test_element_set_record(name):
         return
     assert es["normals"].shape == (e, 3)
     assert np.allclose(es["weights"].sum(axis=1), es["measures"], rtol=1e-12, atol=0.0)
-    d, g = es["jet"][:2]
-    assert d.shape == (e * nq,) and g.shape == (e * nq, 3)
+    if cut:
+        assert "jet" not in es and es["d_max"].shape == es["dev_max"].shape == (e,)
+    else:
+        d, g = es["jet"][:2]
+        assert d.shape == (e * nq,) and g.shape == (e * nq, 3)
     assert es["u_exact"].shape == (e * nq,)
     assert es["grad_exact"].shape == (e * nq, 3)
     assert ("forcing" in es) == forcing

@@ -20,7 +20,6 @@ from beltrami import (
     build_torus_mesh,
     surface_from_config,
 )
-from beltrami.fem import barycentric_values
 from beltrami.geometry import hessian_matrix, row_dot, row_norm
 from beltrami.narrowband import mismatch_map
 from beltrami.parametric import parametric_workspace
@@ -559,7 +558,7 @@ def test_workspace_hat_values_are_node_barycentrics(surface):
     else:
         mesh = build_sphere_mesh(surface, 2)
     ws = parametric_workspace(ParametricProblem(surface, mesh))
-    phi = barycentric_values(mesh.grads, mesh.triangle_coords(), ws["qp"])
+    phi = oracles.barycentric_values(mesh.grads, mesh.triangle_coords(), ws["qp"])
     assert ws["phi"].shape == phi.shape
     assert np.abs(ws["phi"] - phi).max() <= 1e-14
 

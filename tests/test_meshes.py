@@ -32,7 +32,7 @@ from beltrami.fem import (
     TET_DEGREE2,
     TET_DEGREE4,
     assemble_stiffness,
-    barycentric_values,
+    triangle_geometry,
 )
 from beltrami.harness import surface_mesh_for_level
 from beltrami.meshes import (
@@ -43,7 +43,7 @@ from beltrami.meshes import (
     kuhn_edges,
 )
 from beltrami.narrowband import _band_quadrature, narrowband_forcing
-from beltrami.trace import _face_workspace, cut_face_workspace
+from beltrami.trace import cut_face_set, trace_assemble
 
 import oracles
 
@@ -394,7 +394,7 @@ def test_kuhn_table_matches_dense_geometry(half_width, n, data):
     for rule in (TET_DEGREE4, TET_DEGREE2):
         pts = bulk.tet_points(ids, rule.points)
         assert np.abs(pts - rule.physical_points(coords)).max() <= 1e-12 * half_width
-        lam = barycentric_values(grads, coords, pts)
+        lam = oracles.barycentric_values(grads, coords, pts)
         assert np.abs(lam - rule.points).max() <= 1e-12
 
 
@@ -559,8 +559,7 @@ def test_sparse_extraction_matches_dense_lattice(case):
             extract_cut_surface(bulk, surface)
     else:
         cut = extract_cut_surface(bulk, surface)
-        assert np.array_equal(cut.dofs, oracles.searched_dofs(cut.active_dofs,
-                                                               tets[cut.parent_tet]))
+        assert np.array_equal(cut.active_dofs[cut.ends], ref.pop("edge_ends"))
         for name, want in ref.items():
             assert np.array_equal(getattr(cut, name), want), name
 
@@ -584,8 +583,9 @@ def test_sparse_extraction_matches_dense_lattice(case):
 def test_records_number_dofs_as_sorting_does(surface, n, factor):
     """The cut's and the band's DOFs, numbered by marking rows of the
     culled set, equal the sort-and-search rule (``oracles.sorted_numbering``)
-    over the culled vertices, and so do the cut-face sets' dofs and hat
-    values of the cut and of the cut marched from the band."""
+    over the culled vertices.  The cut's and the band-marched cut's edge
+    ends, by position, place every cut vertex, and E carries a linear
+    function from the DOFs to the cut vertices."""
     bulk = build_bulk_mesh(surface, n)
     delta = factor * bulk.h
     try:
@@ -606,17 +606,19 @@ def test_records_number_dofs_as_sorting_does(surface, n, factor):
     d[np.abs(d) < eps] = eps
     mixed = ids[((d < 0.0)[corners].any(axis=1)) & ((d > 0.0)[corners].any(axis=1))]
     assert np.isin(cut.parent_tet, mixed).all()
-    tets = bulk.tet_vertices(cut.parent_tet)
-    want = oracles.sorted_numbering(tets, vids, d)
-    for name, value in zip(("active_dofs", "dofs", "d_vertex"), want):
-        assert np.array_equal(getattr(cut, name), value), name
+    active, _, d_active = oracles.sorted_numbering(bulk.tet_vertices(cut.parent_tet), vids, d)
+    assert np.array_equal(cut.active_dofs, active)
+    assert np.array_equal(cut.d_vertex, d_active)
 
-    grads = bulk.tet_grads(cut.parent_tet)
+    def linear(x):
+        return x @ np.array([0.3, -1.1, 0.7]) + 0.2
+
     for marched in (cut, extract_cut_surface(bulk, surface, band)):
-        ws = cut_face_workspace(bulk, marched)
-        assert np.array_equal(ws["dofs"], oracles.searched_dofs(marched.active_dofs, tets))
-        phi = barycentric_values(grads, bulk.vertex_points(tets), ws["qp"])
-        assert np.array_equal(ws["phi"], phi)
+        pa, pb = np.moveaxis(bulk.vertex_points(marched.active_dofs[marched.ends]), 1, 0)
+        assert np.array_equal(marched.vertices, pa + marched.tvals[:, None] * (pb - pa))
+        E = cut_face_set(marched)["E"]
+        at_cut = E @ linear(bulk.vertex_points(marched.active_dofs))
+        assert np.abs(at_cut - linear(marched.vertices)).max() <= 1e-12 * bulk.half_width
 
 
 @settings(max_examples=25, deadline=None)
@@ -635,14 +637,13 @@ def test_band_marched_cut_is_the_cut(surface, n, factor):
         assume(False)
     d = band.d_vertex.copy()
     marched = extract_cut_surface(bulk, surface, band)
-    for name in ("vertices", "faces", "areas", "normals", "parent_tet"):
+    for name in ("vertices", "faces", "areas", "normals", "parent_tet", "tvals"):
         got, want = getattr(marched, name), getattr(cut, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
     assert marched.n_degenerate == cut.n_degenerate
     assert np.array_equal(marched.active_dofs, band.active_dofs)
-    assert np.array_equal(marched.dofs, oracles.searched_dofs(
-        band.active_dofs, bulk.tet_vertices(cut.parent_tet)))
+    assert np.array_equal(marched.active_dofs[marched.ends], cut.active_dofs[cut.ends])
     assert band.d_vertex.tobytes() == d.tobytes()
 
 
@@ -650,20 +651,42 @@ def test_band_marched_cut_is_the_cut(surface, n, factor):
 @given(surface=SURFACES, n=st.integers(6, 40), factor=st.floats(1.0, 2.0))
 def test_kuhn_edges_equal_edge_table(surface, n, factor):
     """The closed-form edge numbering of Kuhn tetrahedra equals the sorted
-    one of ``edge_table`` on the cut's rows, the band's rows and the cut
-    marched from the band."""
+    one of ``edge_table`` on the cut's parent tetrahedra, numbered as the
+    cut and as the band, and on the band's rows."""
     bulk = build_bulk_mesh(surface, n)
     try:
         cut = extract_cut_surface(bulk, surface)
         band = extract_band(bulk, surface, factor * bulk.h)
     except BeltramiError:
         assume(False)
-    band_cut = extract_cut_surface(bulk, surface, band).dofs
+    tets = bulk.tet_vertices(cut.parent_tet)
+    band_cut = oracles.searched_dofs(band.active_dofs, tets)
     assert band_cut.min() >= 0
-    for tet_ids, dofs in ((cut.parent_tet, cut.dofs), (band.tet_ids, band.dofs),
-                          (cut.parent_tet, band_cut)):
+    for tet_ids, dofs in ((cut.parent_tet, oracles.searched_dofs(cut.active_dofs, tets)),
+                          (band.tet_ids, band.dofs), (cut.parent_tet, band_cut)):
         for got, want in zip(kuhn_edges(tet_ids, dofs), edge_table(dofs)):
             assert np.array_equal(got, want) and got.dtype == want.dtype
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=lattice_cases())
+@example(case=(Sphere(1.0), 30, 2.5, 1.0))
+@example(case=(Sphere(1.0 + 1e-6 / 6.0), 30, 2.5, 1.0))
+@example(case=(Sphere(1.0 - 1e-6 / 6.0), 30, 2.5, 1.0))
+def test_extraction_keeps_only_faces_triangle_geometry_accepts(case):
+    """Extraction drops a face when 2|T| < 2e-14 h^2, ``triangle_geometry``
+    refuses one when 2|T| < 2e-14 |e_max|^2: every face extraction keeps
+    passes the second rule too, so no solve meets DegenerateSimplex.  At
+    h = 1/6 the lattice vertex (1, 0, 0) lies on the unit sphere, and
+    1e-6 h off a sphere through it, where the faces around it are slivers
+    of area ~3e-13 h^2 with edges ~h."""
+    surface, n, half_width, _ = case
+    bulk = build_bulk_mesh(surface, n, half_width=half_width)
+    try:
+        cut = extract_cut_surface(bulk, surface)
+    except BeltramiError:
+        assume(False)
+    triangle_geometry(cut.vertices[cut.faces])
 
 
 def test_extraction_sorts_only_to_cull_and_key_edges(monkeypatch):
@@ -797,13 +820,10 @@ def test_trace_stiffness_kernel_is_constants_and_distance(case):
     # not discrete problems and carry no kernel claim
     try:
         problem = TraceProblem(surface, build_bulk_mesh(surface, n, half_width=half_width))
-        ws = _face_workspace(problem)
+        A = trace_assemble(problem)[0]
     except BeltramiError:
         assume(False)
-    cut = problem.cut
-    A = assemble_stiffness(ws["grads"], cut.areas, ws["dofs"], cut.n_active_dofs,
-                           kuhn_edges(cut.parent_tet, ws["dofs"]))
-    d = cut.d_vertex
+    d = problem.cut.d_vertex
     assert np.abs(A @ d).max() <= 1e-12 * abs(A).max() * np.abs(d).max()
     assert _kernel_dimension(A) == 2
 
