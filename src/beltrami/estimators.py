@@ -10,10 +10,9 @@ Doerfler marking plus newest-vertex bisection closes the loop.
 import numpy as np
 
 from .fem import TRI_DEGREE4, node_blocks
-from .geometry import CLOSEST_POINT, plane_basis, row_dot, row_norm
+from .geometry import CLOSEST_POINT, lambda_max, row_dot, row_norm
 from .meshes import edge_table, refine_bisection
 from .parametric import ParametricProblem, parametric_solve
-from .trace import face_deviations
 
 
 class IndicatorField:
@@ -86,38 +85,24 @@ def geometric_estimators(problem, ws):
 
     Each facet is sampled at its six quadrature nodes and three vertices.
     beta_T is the largest displacement |P(x) - x| = |d(x)| (second order);
-    lambda_T the largest in-plane deviation of the differential
-    DP = I - grad d grad d^T - d D^2 d from the identity, exact from the
-    distance jet (first order), from the Gram matrix G of (DP - I)[t1 t2]:
-    DP - I is diag(-1, -d k_0, -d k_1) on the frame (grad d, e, grad d x e)
-    and |t_i| = 1.  mu_T = beta_T + lambda_T^2.  Totals
-    aggregate by max.  The nodes take the jet of the solve's facet element
-    set ``ws`` and the vertices ``problem.vertex_jet``.  Facets whose
-    indicators ``problem.carry`` holds keep them; only the others, whose
-    rows ``ws["jet"]`` covers, are computed, in blocks of whole facets
-    (``node_blocks``).
+    lambda_T the largest in-plane deviation of the differential DP from
+    the identity, exact from the distance jet (``lambda_max``, first
+    order).  mu_T = beta_T + lambda_T^2.  Totals aggregate by max.  The
+    nodes' maxima are the solve's ``ws["d_max"]`` and ``ws["lam_max"]``,
+    the vertices' come from ``problem.vertex_jet`` in blocks of whole
+    facets (``node_blocks``).  Facets whose indicators ``problem.carry``
+    holds keep them; only the others, which ``ws["lam_max"]`` covers, are
+    computed.
     """
     carry = problem.carry
-    kept, nq = len(carry.get("lambda", ())), ws["qp"].shape[1]
-    dofs = ws["dofs"][kept:]
-    t1, t2 = plane_basis(ws["normals"][kept:])
-    lam, beta = np.zeros(len(t1)), np.zeros(len(t1))
-    for b in node_blocks(len(t1) * nq, nq):  # blocks of whole facets
-        f = slice(b.start // nq, b.stop // nq)
-        n_f = len(lam[f])
-        for d, g, k, e in ([a[b] for a in ws["jet"]],
-                           [a[dofs[f].ravel()] for a in problem.vertex_jet]):
-            d, k = d.reshape(n_f, -1), k.reshape(n_f, -1, 2)
-            g, e = g.reshape(n_f, -1, 3), e.reshape(n_f, -1, 3)
-            # G_ij = q delta_ij + (1 - q) a_i a_j + (p - q) b_i b_j with
-            # a_i = g . t_i, b_i = e . t_i, p = (d k_0)^2 and q = (d k_1)^2
-            p, q = (d * k[..., 0]) ** 2, (d * k[..., 1]) ** 2
-            a1, a2, b1, b2 = (row_dot(v, t[f, None]) for v in (g, e) for t in (t1, t2))
-            G11, G22 = (q + (1.0 - q) * a * a + (p - q) * b * b for a, b in ((a1, b1), (a2, b2)))
-            G12 = (1.0 - q) * a1 * a2 + (p - q) * b1 * b2
-            top = 0.5 * (G11 + G22) + np.sqrt(0.25 * (G11 - G22) ** 2 + G12 * G12)
-            lam[f] = np.maximum(lam[f], np.sqrt(np.maximum(top, 0.0)).max(axis=1))
-            beta[f] = np.maximum(beta[f], np.abs(d).max(axis=1))
+    kept = len(carry.get("lambda", ()))
+    dofs, normals = ws["dofs"][kept:], ws["normals"][kept:]
+    lam, beta = np.empty(len(dofs)), np.empty(len(dofs))
+    for b in node_blocks(dofs.size, 3):  # blocks of whole facets
+        f = slice(b.start // 3, b.stop // 3)
+        jet = [a[dofs[f].ravel()] for a in problem.vertex_jet]
+        lam[f] = np.maximum(ws["lam_max"][f], lambda_max(jet, normals[f]))
+        beta[f] = np.maximum(ws["d_max"][f], np.abs(jet[0]).reshape(-1, 3).max(axis=1))
     if "lambda" in carry:
         lam, beta = np.concatenate([carry["lambda"], lam]), np.concatenate([carry["beta"], beta])
     return {
@@ -136,7 +121,9 @@ def trace_estimators(problem, field, ws):
     + (max_F |nu - nu_Gamma|)^2 with K_F the largest principal curvature
     magnitude over the projected samples, aggregated by max.  ``ws`` is the
     cut-face element set the solve filled: its face gradients act on the
-    trace E c, and the samples are each face's quadrature nodes and corners.
+    trace E c, the samples are each face's quadrature nodes and corners,
+    and its ``d_max`` and ``dev_max`` are the solve's maxima over both
+    (``geometric_resolution``).
     """
     cut = problem.cut
     bulk, jump_term = _residual_terms(ws, ws["E"] @ field.coefficients, cut.vertices,
@@ -145,12 +132,11 @@ def trace_estimators(problem, field, ws):
     eta = h * np.sqrt(bulk) + np.sqrt(h * jump_term)
 
     surface = problem.surface
-    d, dev = face_deviations(problem, ws)
     corners = cut.vertices[cut.faces]
     flat = np.hstack([TRI_DEGREE4.physical_points(corners), corners]).reshape(-1, 3)
     kappa = surface.parallel_curvatures(surface._project_raw(flat))
-    k_face = np.abs(kappa).max(axis=1).reshape(len(d), -1).max(axis=1)
-    xi = d * k_face + dev**2
+    k_face = np.abs(kappa).max(axis=1).reshape(cut.n_faces, -1).max(axis=1)
+    xi = ws["d_max"] * k_face + ws["dev_max"] ** 2
     return (
         IndicatorField("eta", eta),
         IndicatorField("xi", xi, reduction="max"),
@@ -184,9 +170,9 @@ def _carry(problem, ws, geo, fine):
     """What the round on the refined mesh ``fine`` reads of this one: the
     vertex jet, and the indicators and samples of the facets ``fine.kept``,
     the samples as the prefix of arrays that the next workspace fills."""
-    kept, nq = fine.kept, ws["qp"].shape[1]
+    kept, nq = fine.kept, ws["weights"].shape[1]
     carry = {}
-    for key in ("qp", "forcing", "u_exact", "grad_exact"):
+    for key in ("forcing", "u_exact", "grad_exact"):
         by_facet = ws[key].reshape(len(ws["dofs"]), nq, -1)
         rows = np.empty((fine.n_triangles,) + by_facet.shape[1:])
         rows[:len(kept)] = by_facet[kept]
@@ -207,8 +193,9 @@ def adapt_loop(surface, mesh, max_iters=8, theta=0.5, lift=None,
 
     ``refine_bisection`` keeps the old vertices and the unchanged facets
     as prefixes, so a round hands the next only the vertex jet and the
-    kept facets' qp, forcing, u_exact, grad_exact, lambda and beta; the
-    next evaluates jet, data and lambda, beta on the new ones alone.
+    kept facets' forcing, u_exact, grad_exact, lambda and beta; the next
+    evaluates jet, data and lambda, beta on the new ones alone, keeping of
+    the jet only per-facet maxima.
     """
     if lift is None:
         lift = CLOSEST_POINT

@@ -10,22 +10,22 @@ polyhedral surface, cut faces of the bulk mesh, or band tetrahedra.
 Each set is one dict over E elements of k vertices and nq quadrature
 points: ``dofs`` (E, k) DOF numbers, ``grads`` (E, k, 3) constant hat
 gradients (tangential on faces), ``measures`` (E,) element measures
-(indicator-weighted in the band), ``weights`` (E, nq) their weights
-including the measure, and ``phi`` (E, nq, k) the hat values there, a
-read-only broadcast view.  Facets and band tets keep the nodes ``qp``
-(E, nq, 3).  On cut faces ``dofs`` number the cut vertices at
-``vertices``, and ``E`` interpolates their values from the bulk DOFs
-(``trace``).  Surface sets add ``normals`` (E, 3) and, sampled in blocks
-of whole faces (``node_blocks``), ``forcing`` (E, nq) where they carry
-the load; the facets keep the distance jet at the nodes, ``jet``
-(d, grad d, k, e) with D^2 d as its curvatures and principal tangent, and
-cut faces only its per-face maxima ``d_max`` of |d| and ``dev_max`` of
-|grad d - nu|.  On facets whose samples an adaptive round carried over
-(``parametric_workspace``), ``jet`` covers only the new facets' rows.
-Band sets add ``d_h`` and ``inside`` (E, nq).  Error sets add the flat
-exact samples ``u_exact`` and ``grad_exact``.  The stiffness also takes
-the set's edge numbering (``assemble_stiffness``), which no record holds:
-the facets' cached ``(edges, tri_edges)``, or ``meshes.edge_table`` of the
+(indicator-weighted in the band), and ``weights`` (E, nq) their weights
+including the measure; the hat values at the nodes are the rule's own
+``points`` (nq, k).  Facets and cut faces are one record (``facet_set``):
+``dofs`` number the corners at ``vertices``, with the mesh's ``grads``,
+areas and ``normals`` (E, 3).  On cut faces the corners are the cut
+vertices, and ``E`` interpolates their values from the bulk DOFs
+(``trace``).  Sampled (``sample_faces``), a surface set keeps of the jet
+only per-face maxima: ``d_max`` of |d|, on facets ``lam_max`` of lambda
+(over the new facets only after an adaptive round), on cut faces
+``dev_max`` of |grad d - nu|, which the trace solve extends to the
+corners (``trace.geometric_resolution``); where it carries the load it
+adds ``forcing`` (E, nq).  Band sets keep the nodes ``qp`` (E, nq, 3) and
+add ``d_h`` and ``inside`` (E, nq).  Error sets add the flat exact
+samples ``u_exact`` and ``grad_exact``.  The stiffness also takes the
+set's edge numbering (``assemble_stiffness``), which no record holds: the
+facets' cached ``(edges, tri_edges)``, or ``meshes.edge_table`` of the
 cut faces and ``meshes.kuhn_edges`` of the band tets, which the solve
 computes just before assembly and drops after it.
 """
@@ -150,6 +150,13 @@ def triangle_geometry(coords):
     return grads, 0.5 * two_area, nu
 
 
+def facet_set(vertices, faces, grads, areas, normals):
+    """The element set of the triangles ``faces`` on ``vertices`` under
+    ``TRI_DEGREE4``, from their geometry (``triangle_geometry``)."""
+    return {"dofs": faces, "vertices": vertices, "grads": grads, "measures": areas,
+            "normals": normals, "weights": areas[:, None] * TRI_DEGREE4.normalized_weights}
+
+
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
@@ -209,13 +216,14 @@ def extend_basis(S, n, parents):
     return sp.csr_matrix((data, indices, indptr), shape=(n + k, n + k))
 
 
-def assemble_load(dofs, phi, values, point_measures, n_dof):
+def assemble_load(dofs, bary, values, point_measures, n_dof):
     """Load vector b_i = sum_e sum_q w_eq F(x_eq) phi_i(x_eq).
 
-    phi (E, nq, k), values (E, nq), point_measures (E, nq) already include
-    the element measure, so rows simply accumulate.
+    bary (nq, k) the rule's barycentric nodes, the hat values phi_i(x_eq)
+    on every element; values (E, nq), point_measures (E, nq) already
+    include the element measure, so rows simply accumulate.
     """
-    contrib = np.matmul((point_measures * values)[:, None, :], phi)[:, 0]
+    contrib = np.matmul((point_measures * values)[:, None, :], bary)[:, 0]
     return np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=n_dof)
 
 

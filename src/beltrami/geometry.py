@@ -92,6 +92,23 @@ def plane_basis(normals):
     return t1, t2
 
 
+def lambda_max(jet, normals):
+    """Per face of unit normal ``normals`` (F, 3) the max of |(DP - I) t|,
+    DP = I - grad d grad d^T - d D^2 d, over unit t in its plane and its
+    samples, ``jet`` (d, grad d, k, e) at as many per face in face order:
+    DP - I is diag(-1, -d k_0, -d k_1) on (grad d, e, grad d x e)."""
+    t1, t2 = plane_basis(normals)
+    d, g, k, e = (a.reshape((len(normals), -1) + a.shape[1:]) for a in jet)
+    # G_ij = q delta_ij + (1 - q) a_i a_j + (p - q) b_i b_j with
+    # a_i = g . t_i, b_i = e . t_i, p = (d k_0)^2 and q = (d k_1)^2
+    p, q = (d * k[..., 0]) ** 2, (d * k[..., 1]) ** 2
+    a1, a2, b1, b2 = (row_dot(v, t[:, None]) for v in (g, e) for t in (t1, t2))
+    G11, G22 = (q + (1.0 - q) * a * a + (p - q) * b * b for a, b in ((a1, b1), (a2, b2)))
+    G12 = (1.0 - q) * a1 * a2 + (p - q) * b1 * b2
+    top = 0.5 * (G11 + G22) + np.sqrt(0.25 * (G11 - G22) ** 2 + G12 * G12)
+    return np.sqrt(np.maximum(top, 0.0)).max(axis=1)
+
+
 class ManufacturedSolution:
     """Closed-form test problem on a surface: u, its tangential gradient, f.
 

@@ -510,18 +510,18 @@ class CutSurface:
     """Triangulated zero level set of the vertex-interpolated distance.
 
     Faces live inside bulk tetrahedra (``parent_tet``), are oriented with
-    grad d, and their degrees of freedom are the vertices of cut bulk
-    tetrahedra, ascending in ``active_dofs``, ``d_vertex`` the nudged d
-    there.  Cut vertex i, on some face, is (1 - t) x_a + t x_b with t
+    grad d, own their ``triangle_geometry`` (``grads``, ``areas``, ``normals``),
+    and their DOFs are the vertices of cut bulk tetrahedra, ascending in
+    ``active_dofs``, ``d_vertex`` the nudged d there.  Cut vertex i, on some face, is (1 - t) x_a + t x_b with t
     ``tvals[i]`` and a, b its edge's ends ``ends[i]`` by position there.
     A band-marched cut numbers its DOFs as the band: ``n_active_dofs`` is the band's.
     """
 
-    def __init__(self, bulk, vertices, faces, areas, normals, n_degenerate, numbering, tvals):
+    def __init__(self, bulk, vertices, faces, n_degenerate, numbering, tvals):
         self.bulk = bulk
         self.vertices = vertices
         self.faces = faces
-        self.areas, self.normals = areas, normals
+        self.grads, self.areas, self.normals = triangle_geometry(vertices[faces])
         self.n_degenerate = int(n_degenerate)
         self.parent_tet, self.ends, self.active_dofs, self.d_vertex = numbering
         self.tvals = tvals
@@ -625,21 +625,16 @@ def extract_cut_surface(bulk, surface, band=None):
     distinct = (f0 != f1) & (f1 != f2) & (f2 != f0)
     faces, parents = faces[distinct], parents[distinct]
     p0, p1, p2 = cut_vertices[faces.T]
-    n = np.cross(p1 - p0, p2 - p0)
-    two_area = row_norm(n)
-    good = two_area >= 2e-14 * bulk.h**2
-    faces, n, two_area = faces[good], n[good], two_area[good]
-    # orient along grad d: swapping two corners negates n exactly
-    flip = np.einsum("td,td->t", n, surface._grad_raw((p0 + p1 + p2)[good] / 3)[1]) < 0.0
-    faces[flip], n[flip] = faces[flip][:, [0, 2, 1]], -n[flip]
+    good = row_norm(np.cross(p1 - p0, p2 - p0)) >= 2e-14 * bulk.h**2
+    faces = _orient_outward(cut_vertices, faces[good], surface)
     # keep the cut vertices that faces use: their edge ends are corners of kept tets
     kept = np.bincount(faces.ravel(), minlength=len(uniq)) > 0
     faces, ends = (np.cumsum(kept) - 1)[faces], np.stack([a, b], axis=1)[kept]
     rows = parents[good]
     numbering = (_number_rows(ids, tets, vids, d, rows, ends) if band is None
                  else (ids[rows], ends, vids, d))
-    return CutSurface(bulk, cut_vertices[kept], faces, 0.5 * two_area, n / two_area[:, None],
-                      len(good) - len(faces), numbering, tvals[kept])
+    return CutSurface(bulk, cut_vertices[kept], faces, len(good) - len(faces), numbering,
+                      tvals[kept])
 
 
 class BandMesh:

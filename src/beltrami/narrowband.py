@@ -96,7 +96,6 @@ def _band_quadrature(problem, rule=TET_DEGREE4):
         "dofs": band.dofs,
         "grads": bulk.tet_grads(band.tet_ids),
         "qp": bulk.tet_points(band.tet_ids, bary),
-        "phi": np.broadcast_to(bary, (band.n_tets,) + bary.shape),
         "d_h": d_h,
         "inside": inside,
         "measures": frac * vol,
@@ -142,7 +141,7 @@ def narrowband_solve(problem, tol=1e-10):
                            kuhn_edges(band.tet_ids, dofs))
     m = lumped_mass(dofs, quad["measures"], n)
     F, correction, band_measure = narrowband_forcing(problem, quad)
-    b = assemble_load(dofs, quad["phi"], F, quad["weights"], n)
+    b = assemble_load(dofs, TET_DEGREE4.points, F, quad["weights"], n)
     # the error sets are built below: let the degree-4 set go first
     del quad, F
 

@@ -17,11 +17,12 @@ from .fem import (
     SolutionField,
     assemble_load,
     assemble_stiffness,
+    facet_set,
     lumped_mass,
     node_blocks,
     solve_mean_zero,
 )
-from .geometry import CLOSEST_POINT, SCALED_RADIAL, row_norm
+from .geometry import CLOSEST_POINT, SCALED_RADIAL, lambda_max, row_norm
 
 
 class ParametricProblem:
@@ -81,40 +82,34 @@ def error_samples(es, c):
     c_local = c[es["dofs"]]
     nq = es["weights"].shape[1]
     return (es["weights"].ravel(), es["u_exact"], es["grad_exact"].reshape(-1, nq, 3),
-            np.einsum("eqk,ek->eq", es["phi"], c_local).ravel(),
+            np.einsum("qk,ek->eq", TRI_DEGREE4.points, c_local).ravel(),
             np.einsum("ek,ekd->ed", c_local, es["grads"])[:, None])
 
 
 def sample_faces(es, surface, solution, forcing=True, hessian=False):
-    """Sample a surface element set at its quadrature nodes in blocks of whole
-    faces (``node_blocks``): the distance jet, then (if ``forcing``) the
-    closest-point forcing F = f(P_d x) q/q_Gamma, then ``u_exact`` and
-    ``grad_exact``, all from that one jet.  Facets (``hessian``) read the
-    nodes from ``qp`` and keep the jet with D^2 d's (k, e) for their
-    geometric indicators; cut faces place the nodes on their corners
-    ``vertices[dofs]`` and keep per face max |d| and max |grad d - nu|."""
-    n_f, nq = es["weights"].shape
+    """Sample a surface element set at its quadrature nodes, placed on the
+    corners ``vertices[dofs]``, in blocks of whole faces (``node_blocks``):
+    the distance jet, then (if ``forcing``) the closest-point forcing
+    F = f(P_d x) q/q_Gamma, then ``u_exact`` and ``grad_exact``, all from
+    that one jet.  Of the jet each face keeps its max |d| ``d_max`` and,
+    for facets (``hessian``), its max lambda ``lam_max`` (``lambda_max``),
+    for cut faces its max |grad d - nu| ``dev_max``."""
+    n_f, nq = len(es["dofs"]), TRI_DEGREE4.npoints
     n = n_f * nq
     u, grad = es["u_exact"], es["grad_exact"] = np.empty(n), np.empty((n, 3))
     if forcing:
         F = es["forcing"] = np.empty((n_f, nq))
-    if hessian:
-        jet = es["jet"] = (np.empty(n), np.empty((n, 3)), np.empty((n, 2)), np.empty((n, 3)))
-    else:
-        d_max, dev_max = es["d_max"], es["dev_max"] = np.empty(n_f), np.empty(n_f)
+    d_max = es["d_max"] = np.empty(n_f)
+    shape_max = es["lam_max" if hessian else "dev_max"] = np.empty(n_f)
     for b in node_blocks(n, nq):
         f = slice(b.start // nq, b.stop // nq)
         nus = np.repeat(es["normals"][f], nq, axis=0)
-        pts = es["qp"].reshape(-1, 3)[b] if hessian else TRI_DEGREE4.physical_points(
-            es["vertices"][es["dofs"][f]]).reshape(-1, 3)
+        pts = TRI_DEGREE4.physical_points(es["vertices"][es["dofs"][f]]).reshape(-1, 3)
         part = surface._guarded_jet(pts)
         d, g = part[:2]
-        if hessian:
-            for whole, block in zip(jet, part):
-                whole[b] = block
-        else:
-            d_max[f] = np.abs(d).reshape(-1, nq).max(axis=1)
-            dev_max[f] = row_norm(g - nus).reshape(-1, nq).max(axis=1)
+        d_max[f] = np.abs(d).reshape(-1, nq).max(axis=1)
+        shape_max[f] = (lambda_max(part, es["normals"][f]) if hessian else
+                        row_norm(g - nus).reshape(-1, nq).max(axis=1))
         lifted = pts - d[:, None] * g
         # the forcing first: the ellipsoid's f may solve for closest points of its own
         if forcing:
@@ -124,36 +119,33 @@ def sample_faces(es, surface, solution, forcing=True, hessian=False):
 
 
 def parametric_workspace(problem):
-    """The facet element set, sampled (``sample_faces``).  Under the
-    scaled-radial lift on a surface with a chart of its own (the
+    """The facet element set (``facet_set``), sampled (``sample_faces``).
+    Under the scaled-radial lift on a surface with a chart of its own (the
     ellipsoid's x / s(x)), ``forcing`` is f(L x) times the chart's
-    closed-form area ratio; elsewhere it is the closest-point forcing,
-    which on the sphere and torus is that lift.
+    closed-form area ratio at the same nodes; elsewhere it is the
+    closest-point forcing, which on the sphere and torus is that lift.
 
     Only the facets after those ``problem.carry`` holds are sampled: the
-    carried ``qp``, ``forcing``, ``u_exact`` and ``grad_exact`` span the
-    whole mesh with the kept facets' rows filled, the new rows fill their
-    tails, and ``jet`` covers the new facets alone.
+    carried ``forcing``, ``u_exact`` and ``grad_exact`` span the whole mesh
+    with the kept facets' rows filled, the new rows fill their tails, and
+    ``d_max`` and ``lam_max`` cover the new facets alone.
     """
     mesh, carry, surface = problem.mesh, problem.carry, problem.surface
+    es = facet_set(mesh.vertices, mesh.triangles, mesh.grads, mesh.areas, mesh.normals)
     k = len(carry.get("lambda", ()))
-    weights = mesh.areas[:, None] * TRI_DEGREE4.normalized_weights[None, :]
-    new = {"normals": mesh.normals[k:], "weights": weights[k:],
-           "qp": TRI_DEGREE4.physical_points(mesh.vertices[mesh.triangles[k:]])}
+    new = {"dofs": mesh.triangles[k:], "vertices": mesh.vertices, "normals": mesh.normals[k:]}
     chart = problem.lift == SCALED_RADIAL and surface._own_chart
     sample_faces(new, surface, problem.solution, forcing=not chart, hessian=True)
     if chart:
+        pts = TRI_DEGREE4.physical_points(mesh.vertices[new["dofs"]])
         lifted, ratio = surface._scaled_radial_raw(
-            new["qp"].reshape(-1, 3), np.repeat(new["normals"], TRI_DEGREE4.npoints, axis=0))
-        new["forcing"] = (problem.solution.f(lifted) * ratio).reshape(new["weights"].shape)
-    es = {"dofs": mesh.triangles, "grads": mesh.grads, "measures": mesh.areas,
-          "normals": mesh.normals, "weights": weights, "jet": new["jet"]}
-    for key in ("qp", "forcing", "u_exact", "grad_exact"):
+            pts.reshape(-1, 3), np.repeat(new["normals"], pts.shape[1], axis=0))
+        new["forcing"] = (problem.solution.f(lifted) * ratio).reshape(pts.shape[:2])
+    es["d_max"], es["lam_max"] = new["d_max"], new["lam_max"]
+    for key in ("forcing", "u_exact", "grad_exact"):
         es[key] = rows = carry.get(key, new[key])
         if rows is not new[key]:
             rows[len(rows) - len(new[key]):] = new[key]
-    # the hat values at the reference nodes are the nodes' own barycentrics
-    es["phi"] = np.broadcast_to(TRI_DEGREE4.points, es["qp"].shape)
     return es
 
 
@@ -168,7 +160,7 @@ def parametric_assemble(problem):
     mesh = problem.mesh
     n = mesh.n_vertices
     A = assemble_stiffness(ws["grads"], ws["measures"], dofs, n, (mesh.edges, mesh.tri_edges))
-    b = assemble_load(dofs, ws["phi"], ws["forcing"], ws["weights"], n)
+    b = assemble_load(dofs, TRI_DEGREE4.points, ws["forcing"], ws["weights"], n)
     m = lumped_mass(dofs, ws["measures"], n)
     return A, b, m, ws
 

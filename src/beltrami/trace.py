@@ -20,8 +20,8 @@ from .fem import (
     SolutionField,
     assemble_load,
     assemble_stiffness,
+    facet_set,
     solve_mean_zero,
-    triangle_geometry,
 )
 from .geometry import row_norm
 from .meshes import edge_table, extract_cut_surface
@@ -38,8 +38,12 @@ class TraceProblem:
         # closed, so chi = V - F/2; a coarse lattice can split the cut apart
         chi = len(self.cut.vertices) - self.cut.n_faces // 2
         if chi != (0 if surface.kind == "torus" else 2):
-            raise BeltramiError(f"cut surface has Euler characteristic {chi}: "
-                                f"the bulk mesh does not resolve the {surface.kind}")
+            n = self.cut.n_degenerate
+            raise BeltramiError(f"cut surface has Euler characteristic {chi}: " + (
+                f"extraction dropped {n} faces with 2|T| < 2e-14 h^2, the caps around lattice "
+                f"vertices within about 1e-7 h of the {surface.kind} but farther than the "
+                "1e-12 h that nudges a vertex onto it" if n else
+                f"the bulk mesh does not resolve the {surface.kind}"))
         self.solution = solution if solution is not None else surface.manufactured()
 
     def __repr__(self):
@@ -47,18 +51,13 @@ class TraceProblem:
 
 
 def cut_face_set(cut):
-    """The cut-face element set (``fem`` module docstring): the cut's facet
-    set, ``dofs`` the cut vertices at ``vertices``, and ``E`` (V_cut, n_dof)
-    their values (1 - t) c_a + t c_b from the DOFs at their edges' ends."""
+    """The cut-face element set (``fem`` module docstring): the cut's
+    ``facet_set`` on the cut vertices, and ``E`` (V_cut, n_dof) their
+    values (1 - t) c_a + t c_b from the DOFs at their edges' ends."""
     t, nv = cut.tvals, len(cut.tvals)
     E = sp.csr_matrix((np.column_stack([1.0 - t, t]).ravel(), cut.ends.ravel(),
                        np.arange(0, 2 * nv + 1, 2)), shape=(nv, cut.n_active_dofs))
-    grads, areas, normals = triangle_geometry(cut.vertices[cut.faces])
-    weights = areas[:, None] * TRI_DEGREE4.normalized_weights[None, :]
-    # the hat values at the reference nodes are the nodes' own barycentrics
-    return {"dofs": cut.faces, "E": E, "vertices": cut.vertices, "grads": grads,
-            "measures": areas, "normals": normals, "weights": weights,
-            "phi": np.broadcast_to(TRI_DEGREE4.points, weights.shape + (3,))}
+    return dict(facet_set(cut.vertices, cut.faces, cut.grads, cut.areas, cut.normals), E=E)
 
 
 def _face_workspace(problem):
@@ -75,8 +74,8 @@ def trace_assemble(problem):
     E, dofs, w = ws["E"], ws["dofs"], ws["weights"]
     nv = E.shape[0]
     A = assemble_stiffness(ws["grads"], ws["measures"], dofs, nv, edge_table(dofs))
-    b = assemble_load(dofs, ws["phi"], ws["forcing"], w, nv)
-    m = assemble_load(dofs, ws["phi"], np.ones_like(w), w, nv)
+    b = assemble_load(dofs, TRI_DEGREE4.points, ws["forcing"], w, nv)
+    m = assemble_load(dofs, TRI_DEGREE4.points, np.ones_like(w), w, nv)
     Et = E.T.tocsr()
     return Et @ (A @ E), Et @ b, Et @ m, ws
 
@@ -89,9 +88,9 @@ def trace_solve(problem, tol=1e-10, workspace_out=None):
     c = solve_mean_zero(A, b, m, tol=tol, history=history)
     field = SolutionField(c, cut.active_dofs, m, domain="cut-surface")
     l2, h1 = surface_error_norms(*error_samples(ws, ws["E"] @ c))
+    geo = geometric_resolution(problem, ws)
     if workspace_out is not None:
         workspace_out.update(ws)
-    geo = geometric_resolution(problem, ws)
     report = ErrorReport(
         problem.bulk.tet_diameter, cut.n_active_dofs, l2, h1, iterations=len(history),
         info={"area": cut.total_area(), "n_faces": cut.n_faces, **geo},
@@ -101,7 +100,7 @@ def trace_solve(problem, tol=1e-10, workspace_out=None):
 
 def face_deviations(problem, ws):
     """Per face the max |d| and max |grad d - nu_F| over its quadrature nodes
-    (the sampled cut-face set's ``d_max``, ``dev_max``) and its vertices."""
+    (the sampled cut-face set's ``d_max``, ``dev_max``) and its corners."""
     cut = problem.cut
     d_v, g_v = problem.surface._grad_raw(cut.vertices)
     dev_v = row_norm(g_v[cut.faces] - ws["normals"][:, None, :]).max(axis=1)
@@ -111,10 +110,12 @@ def face_deviations(problem, ws):
 
 def geometric_resolution(problem, ws):
     """How well the cut surface resolves the smooth one: over the nodes and
-    vertices of the faces (``face_deviations``), the max distance to the
-    surface (second order in h) and max normal deviation (first order),
-    plus the h-normalized constants."""
-    d, dev = (float(x.max()) for x in face_deviations(problem, ws))
+    corners of the faces (``face_deviations``, whose per-face maxima replace
+    the set's ``d_max`` and ``dev_max``), the max distance to the surface
+    (second order in h) and max normal deviation (first order), plus the
+    h-normalized constants."""
+    ws["d_max"], ws["dev_max"] = face_deviations(problem, ws)
+    d, dev = float(ws["d_max"].max()), float(ws["dev_max"].max())
     h = problem.bulk.tet_diameter
     return {"max_distance": d, "max_normal_dev": dev,
             "c_distance": d / (h * h), "c_normal": dev / h}

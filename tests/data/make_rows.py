@@ -2,8 +2,10 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/data/make_rows.py
+    PYTHONPATH=src python tests/data/make_rows.py [OUTPUT]
 
+OUTPUT defaults to ``tests/data/rows.json``; another path leaves the pin
+alone, so two checkouts' rows can be compared byte for byte on one host.
 The configs are read from ``perfbench/workloads.json`` and stored next to
 the rows, so the pin stays self-contained.  Floats are written as
 ``float.hex`` strings, integers as they are; ``tests/test_rows.py`` checks
@@ -12,6 +14,7 @@ a fresh pass against this file.
 
 import json
 import os
+import sys
 
 import beltrami
 
@@ -37,16 +40,16 @@ def pinned(row):
             for key in COLUMNS if key in row}
 
 
-def main():
+def main(path=os.path.join(HERE, "rows.json")):
     with open(os.path.join(ROOT, "perfbench", "workloads.json")) as fh:
         workloads = json.load(fh)["workloads"]
     out = {name: {"task": spec["task"], "config": spec["config"],
                   "rows": [pinned(r) for r in run_rows(spec["task"], spec["config"])]}
            for name, spec in workloads.items()}
-    with open(os.path.join(HERE, "rows.json"), "w") as fh:
+    with open(path, "w") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])

@@ -28,7 +28,7 @@ from beltrami import (
     run_convergence,
     trace_solve,
 )
-from beltrami.fem import TRI_DEGREE4
+from beltrami.fem import TET_DEGREE4, TRI_DEGREE4
 from beltrami.narrowband import _band_quadrature, narrowband_forcing
 from beltrami.parametric import parametric_assemble
 
@@ -280,7 +280,7 @@ def _band_case(surface, bulk):
     m = np.bincount(dofs.ravel(),
                     weights=np.repeat(quad["measures"] / 4.0, 4), minlength=n)
     F, _, _ = narrowband_forcing(problem, quad)
-    contrib = np.einsum("eq,eq,eqk->ek", quad["weights"], F, quad["phi"])
+    contrib = np.einsum("eq,eq,qk->ek", quad["weights"], F, TET_DEGREE4.points)
     b = np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=n)
     field, _ = narrowband_solve(problem, tol=1e-12)
     diag = A.diagonal()

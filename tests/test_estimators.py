@@ -33,7 +33,8 @@ from beltrami import (
 from beltrami.estimators import _edge_jumps
 from beltrami.fem import TRI_DEGREE4, triangle_geometry
 from beltrami.harness import surface_mesh_for_level
-from beltrami.parametric import parametric_workspace
+from beltrami.parametric import parametric_workspace, sample_faces
+from beltrami.trace import _face_workspace, face_deviations
 
 import oracles
 
@@ -175,10 +176,9 @@ def test_flat_limit_vanishes():
         [[0.0, 0.0, 0.0], [1e-3, 0.0, 0.0], [0.0, 1e-3, 0.0]],
     ]))
     coords = s.closest_point(coords.reshape(-1, 3)).reshape(1, 3, 3)
-    qp = TRI_DEGREE4.physical_points(coords)
     _, _, nus = triangle_geometry(coords)
-    ws = {"qp": qp, "normals": nus, "dofs": np.array([[0, 1, 2]]),
-          "jet": s._guarded_jet(qp.reshape(-1, 3))}
+    ws = {"dofs": np.array([[0, 1, 2]]), "vertices": coords[0], "normals": nus}
+    sample_faces(ws, s, s.manufactured(), forcing=False, hessian=True)
     stub = SimpleNamespace(surface=s, vertex_jet=s._guarded_jet(coords[0]), carry={})
     g = geometric_estimators(stub, ws)
     assert g["beta"].total < 1e-9
@@ -190,7 +190,7 @@ def fd_geometric_indicators(project, ws, coords):
     """Per-facet lambda and beta from central differences of the
     closest-point map ``project`` (step 1e-5 (1 + |x|)) at the facets'
     quadrature nodes and vertices ``coords``."""
-    samples = np.concatenate([ws["qp"], coords], axis=1)
+    samples = np.concatenate([TRI_DEGREE4.physical_points(coords), coords], axis=1)
     n_s = samples.shape[1]
     flat = samples.reshape(-1, 3)
     nus = np.repeat(ws["normals"], n_s, axis=0)
@@ -459,7 +459,8 @@ def test_geometric_indicators_match_the_spectral_norm_oracle(kind):
         problem = ParametricProblem(surface, m)
         ws = parametric_workspace(problem)
         geo = geometric_estimators(problem, ws)
-        samples = np.concatenate([ws["qp"], m.triangle_coords()], axis=1)
+        coords = m.triangle_coords()
+        samples = np.concatenate([TRI_DEGREE4.physical_points(coords), coords], axis=1)
         flat, n = samples.reshape(-1, 3), samples.shape[1]
         d, g = surface._grad_raw(flat)
         H = oracles.hessian_matrix_reference(surface, flat, d, g)
@@ -467,6 +468,29 @@ def test_geometric_indicators_match_the_spectral_norm_oracle(kind):
             d.reshape(-1, n), g.reshape(-1, n, 3), H.reshape(-1, n, 3, 3), ws["normals"])
         for key, ref in (("lambda", lam), ("beta", beta)):
             assert (np.abs(geo[key].values - ref) <= 1e-12 * ref).all(), key
+
+
+def test_trace_solve_and_estimators_evaluate_the_cut_vertices_once(monkeypatch):
+    """The trace solve keeps its per-face maxima of |d| and |grad d - nu|
+    over the nodes and corners (``geometric_resolution``) in the workspace,
+    and ``trace_estimators`` reads them: a ``trace_solve`` and its
+    ``trace_estimators`` evaluate grad d at the cut vertices once."""
+    sphere = Sphere(1.0)
+    problem = TraceProblem(sphere, build_bulk_mesh(sphere, 8))
+    vertices, grad_raw, calls = problem.cut.vertices, sphere._grad_raw, []
+
+    def counted(x):
+        calls.append(len(x) == len(vertices) and np.array_equal(x, vertices))
+        return grad_raw(x)
+
+    monkeypatch.setattr(sphere, "_grad_raw", counted)
+    ws = {}
+    field, _ = trace_solve(problem, workspace_out=ws)
+    trace_estimators(problem, field, ws)
+    assert sum(calls) == 1
+    for got, want in zip((ws["d_max"], ws["dev_max"]),
+                         face_deviations(problem, _face_workspace(problem))):
+        assert np.array_equal(got, want)
 
 
 def test_no_solve_builds_a_3x3_hessian(monkeypatch):
@@ -515,7 +539,7 @@ def test_carried_problem_solved_twice_is_bit_identical(kind, monkeypatch):
     monkeypatch.setattr(beltrami.estimators, "ParametricProblem", keep)
     rows, _, field = adapt_loop(surface, mesh(surface), max_iters=1)
     carried, row = problems[-1], rows[-1]
-    assert "qp" in carried.carry
+    assert "forcing" in carried.carry and "qp" not in carried.carry
     for _ in range(2):
         ws = {}
         again, report = parametric_solve(carried, workspace_out=ws)

@@ -140,12 +140,11 @@ def test_load_exact_for_linear_data():
     coeff = rng.normal(size=3)
     const = 0.4
     coords = tri[None]
-    grads, areas, _ = triangle_geometry(coords)
+    _, areas, _ = triangle_geometry(coords)
     qp = TRI_DEGREE4.physical_points(coords)
-    phi = oracles.barycentric_values(grads, coords, qp)
     w = areas[:, None] * TRI_DEGREE4.normalized_weights[None, :]
     fvals = qp @ coeff + const
-    b = assemble_load(np.array([[0, 1, 2]]), phi, fvals, w, 3)
+    b = assemble_load(np.array([[0, 1, 2]]), TRI_DEGREE4.points, fvals, w, 3)
     assert np.allclose(b, oracles.exact_load_linear(tri, coeff, const), atol=1e-14)
 
 
@@ -170,14 +169,13 @@ def _maxabs(x):
     nq=st.sampled_from([1, 4, 6, 11]),
     log_scale=st.integers(-6, 6),
     seed=st.integers(0, 2**32 - 1),
-    broadcast=st.booleans(),
 )
-@example(e=0, k=4, nq=11, log_scale=0, seed=0, broadcast=True)
-@example(e=0, k=3, nq=1, log_scale=0, seed=0, broadcast=False)
-def test_element_kernels_match_index_contractions(e, k, nq, log_scale, seed, broadcast):
+@example(e=0, k=4, nq=11, log_scale=0, seed=0)
+@example(e=0, k=3, nq=1, log_scale=0, seed=0)
+def test_element_kernels_match_index_contractions(e, k, nq, log_scale, seed):
     """The four element kernels agree with their einsum contractions in
     ``oracles`` to 1e-13 of the operand scale, on empty sets and with the
-    read-only broadcast ``phi`` that the facet and band sets pass."""
+    rule's nodes (nq, k) that every set's load passes as the hat values."""
     rng = np.random.default_rng(seed)
     scale = 10.0**log_scale
     coords = scale * rng.normal(size=(e, k, 3))
@@ -202,12 +200,10 @@ def test_element_kernels_match_index_contractions(e, k, nq, log_scale, seed, bro
     tol = 1e-13 * _maxabs(measures) * _maxabs(grads) ** 2
     assert _maxabs(blocks - oracles.einsum_element_stiffness(grads, measures)) <= tol
 
-    if broadcast:
-        phi = np.broadcast_to(bary, (e, nq, k))
-        assert not phi.flags.writeable
     values = rng.normal(size=(e, nq))
     weights = measures[:, None] * rule.normalized_weights
-    b = assemble_load(dofs, phi, values, weights, e * k).reshape(e, k)
+    b = assemble_load(dofs, bary, values, weights, e * k).reshape(e, k)
+    phi = np.broadcast_to(bary, (e, nq, k))
     tol = 1e-13 * _maxabs(weights) * _maxabs(values) * _maxabs(phi)
     assert _maxabs(b - oracles.einsum_element_load(phi, values, weights)) <= tol
 
@@ -446,7 +442,9 @@ def test_element_set_record(name):
     ``forcing`` is True for the sampled sets that carry the data, False
     for the sampled set without it, None for the unsampled band sets.  n
     counts what ``dofs`` numbers: on cut faces the cut vertices, whose rows
-    of E sum to one, and which hold the nodes instead of ``qp``."""
+    of E sum to one.  No set holds the hat values ``phi``; the surface sets
+    hold their corners ``vertices`` and, of the distance jet, only per-face
+    maxima: no nodes ``qp`` and no per-node ``jet``."""
     es, n, forcing = ELEMENT_SETS[name]()
     e, k = es["dofs"].shape
     nq = es["weights"].shape[1]
@@ -454,23 +452,25 @@ def test_element_set_record(name):
     assert es["grads"].shape == (e, k, 3)
     assert es["measures"].shape == (e,)
     assert es["weights"].shape == (e, nq)
+    assert "phi" not in es
+    # the hat values at the nodes, which the load reads from the set's rule
+    bary = {6: TRI_DEGREE4, 11: TET_DEGREE4, 4: TET_DEGREE2}[nq].points
+    assert bary.shape == (nq, k)
+    assert np.abs(bary.sum(axis=-1) - 1.0).max() < 1e-12
     if cut:
-        assert "qp" not in es and es["vertices"].shape == (n, 3) and es["E"].shape[0] == n
+        assert es["E"].shape[0] == n
         assert np.abs(es["E"] @ np.ones(es["E"].shape[1]) - 1.0).max() < 1e-12
-    else:
-        assert es["qp"].shape == (e, nq, 3)
-    assert es["phi"].shape == (e, nq, k)
     assert es["dofs"].min() >= 0 and es["dofs"].max() < n
-    assert np.abs(es["phi"].sum(axis=-1) - 1.0).max() < 1e-12
     if forcing is None:
+        assert es["qp"].shape == (e, nq, 3)
         return
+    assert "qp" not in es and "jet" not in es
+    assert es["vertices"].shape == (n, 3)
     assert es["normals"].shape == (e, 3)
     assert np.allclose(es["weights"].sum(axis=1), es["measures"], rtol=1e-12, atol=0.0)
-    if cut:
-        assert "jet" not in es and es["d_max"].shape == es["dev_max"].shape == (e,)
-    else:
-        d, g = es["jet"][:2]
-        assert d.shape == (e * nq,) and g.shape == (e * nq, 3)
+    assert es["d_max"].shape == (e,)
+    assert es["dev_max" if cut else "lam_max"].shape == (e,)
+    assert ("lam_max" in es) != cut and ("dev_max" in es) == cut
     assert es["u_exact"].shape == (e * nq,)
     assert es["grad_exact"].shape == (e * nq, 3)
     assert ("forcing" in es) == forcing

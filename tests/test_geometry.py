@@ -20,6 +20,7 @@ from beltrami import (
     build_torus_mesh,
     surface_from_config,
 )
+from beltrami.fem import TRI_DEGREE4
 from beltrami.geometry import hessian_matrix, row_dot, row_norm
 from beltrami.narrowband import mismatch_map
 from beltrami.parametric import parametric_workspace
@@ -551,16 +552,19 @@ def test_area_ratio_invariants_match_tangent_curvatures(surface):
 @pytest.mark.parametrize("surface", [Sphere(1.0), Torus(1.0, 0.4), Ellipsoid(1.3, 1.0, 0.8)],
                          ids=repr)
 def test_workspace_hat_values_are_node_barycentrics(surface):
-    """At the facet quadrature nodes the hat values are the reference
-    nodes' barycentrics, whatever the facet."""
+    """At the facet quadrature nodes, placed on the corners as the workspace
+    places them, the hat values are the reference nodes' barycentrics, the
+    rule's ``points`` that the load reads, whatever the facet."""
     if surface.kind == "torus":
         mesh = build_torus_mesh(surface, 16, 8)
     else:
         mesh = build_sphere_mesh(surface, 2)
     ws = parametric_workspace(ParametricProblem(surface, mesh))
-    phi = oracles.barycentric_values(mesh.grads, mesh.triangle_coords(), ws["qp"])
-    assert ws["phi"].shape == phi.shape
-    assert np.abs(ws["phi"] - phi).max() <= 1e-14
+    coords = ws["vertices"][ws["dofs"]]
+    phi = oracles.barycentric_values(ws["grads"], coords, TRI_DEGREE4.physical_points(coords))
+    bary = np.broadcast_to(TRI_DEGREE4.points, (len(coords),) + TRI_DEGREE4.points.shape)
+    assert bary.shape == phi.shape
+    assert np.abs(bary - phi).max() <= 1e-14
 
 
 def test_lifted_tangential_gradient_chain_rule():

@@ -637,7 +637,7 @@ def test_band_marched_cut_is_the_cut(surface, n, factor):
         assume(False)
     d = band.d_vertex.copy()
     marched = extract_cut_surface(bulk, surface, band)
-    for name in ("vertices", "faces", "areas", "normals", "parent_tet", "tvals"):
+    for name in ("vertices", "faces", "grads", "areas", "normals", "parent_tet", "tvals"):
         got, want = getattr(marched, name), getattr(cut, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name

@@ -19,7 +19,7 @@ from beltrami import (
     mismatch_map,
     narrowband_solve,
 )
-from beltrami.fem import assemble_stiffness
+from beltrami.fem import TET_DEGREE4, assemble_stiffness
 from beltrami.meshes import kuhn_edges
 import beltrami.fem
 from beltrami.narrowband import _band_quadrature, narrowband_forcing
@@ -46,7 +46,7 @@ def band_system(problem, quad=None):
     m = np.repeat(quad["measures"][:, None] / 4.0, 4, axis=1)
     m = np.bincount(dofs.ravel(), weights=m.ravel(), minlength=n)
     F, _, _ = narrowband_forcing(problem, quad)
-    contrib = np.einsum("eq,eq,eqk->ek", quad["weights"], F, quad["phi"])
+    contrib = np.einsum("eq,eq,qk->ek", quad["weights"], F, TET_DEGREE4.points)
     b = np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=n)
     return A, b, m, dofs
 

@@ -25,6 +25,11 @@ from beltrami.parametric import parametric_assemble, parametric_workspace
 import oracles
 
 
+def facet_nodes(ws):
+    """The facet set's quadrature nodes (F, nq, 3), placed on its corners."""
+    return TRI_DEGREE4.physical_points(ws["vertices"][ws["dofs"]])
+
+
 @pytest.fixture(scope="module")
 def sphere_problem():
     s = Sphere(1.0)
@@ -90,8 +95,8 @@ def test_forcing_transfer_closest_point(sphere_problem):
     f(P_d x) q/q_Gamma at every quadrature node."""
     s = sphere_problem.surface
     ws = parametric_workspace(sphere_problem)
-    qp = ws["qp"].reshape(-1, 3)
-    nus = np.repeat(ws["normals"], ws["qp"].shape[1], axis=0)
+    qp = facet_nodes(ws).reshape(-1, 3)
+    nus = np.repeat(ws["normals"], TRI_DEGREE4.npoints, axis=0)
     expected = sphere_problem.solution.f(s.closest_point(qp)) * s.area_ratio(qp, nus)
     assert np.allclose(ws["forcing"].ravel(), expected, rtol=1e-12)
 
@@ -106,7 +111,7 @@ def test_forcing_scaled_radial_matches_fd_jacobian():
     emesh = SurfaceMesh(verts, mesh.triangles)
     prob = ParametricProblem(e, emesh, lift=SCALED_RADIAL)
     ws = parametric_workspace(prob)
-    for qp, nu, F in zip(ws["qp"][:5], ws["normals"][:5], ws["forcing"][:5]):
+    for qp, nu, F in zip(facet_nodes(ws)[:5], ws["normals"][:5], ws["forcing"][:5]):
         for x, Fi in zip(qp, F):
             jac = oracles.plane_jacobian(
                 lambda y: e._scaled_radial_raw(np.atleast_2d(y), nu[None])[0][0], x, nu, 1e-6
@@ -144,7 +149,7 @@ def test_error_norms_vanish_for_exact_data(sphere_problem):
     s = sphere_problem.surface
     sol = sphere_problem.solution
     ws = parametric_workspace(sphere_problem)
-    pts = ws["qp"].reshape(-1, 3)
+    pts = facet_nodes(ws).reshape(-1, 3)
     w = ws["weights"].ravel()
     nus = np.repeat(ws["normals"], TRI_DEGREE4.npoints, axis=0)
     lifted = s.closest_point(pts)
@@ -157,7 +162,7 @@ def test_error_norms_vanish_for_exact_data(sphere_problem):
 def test_error_norms_are_mean_matched(sphere_problem):
     """A constant offset of the discrete values leaves the L2 error alone."""
     ws = parametric_workspace(sphere_problem)
-    pts = ws["qp"].reshape(-1, 3)
+    pts = facet_nodes(ws).reshape(-1, 3)
     w = ws["weights"].ravel()
     vals = np.zeros(len(pts))
     grads = np.zeros((len(pts), 3))

@@ -24,6 +24,7 @@ from beltrami import (
 import beltrami.fem
 from beltrami.errors import BeltramiError
 from beltrami.fem import TRI_DEGREE4
+from beltrami.geometry import lambda_max
 from beltrami.parametric import sample_faces
 from beltrami.trace import (
     _face_workspace,
@@ -181,6 +182,23 @@ def test_cut_split_by_a_coarse_lattice_raises_typed():
         TraceProblem(t, bulk)
 
 
+@pytest.mark.parametrize("c, chi, dropped", [(1.01e-12, 68, 228), (1e-10, 68, 228),
+                                             (1e-7, 32, 72)])
+def test_cut_opened_by_dropped_cap_faces_names_the_cause(c, chi, dropped):
+    """At h = 1/6 the lattice vertices (+-1, 0, 0), (0, +-1, 0) and
+    (0, 0, +-1) lie c h inside Sphere(1 + c h): farther than the 1e-12 h
+    nudge, so the faces of the caps around them fall below the area rule
+    and are dropped, and the error names those faces and the near-surface
+    vertices rather than the lattice's resolution."""
+    s = Sphere(1.0 + c / 6.0)
+    bulk = build_bulk_mesh(s, 30, half_width=2.5)
+    with pytest.raises(BeltramiError, match=f"Euler characteristic {chi}: extraction dropped "
+                                            f"{dropped} faces") as err:
+        TraceProblem(s, bulk)
+    assert "lattice vertices within about 1e-7 h of the sphere" in str(err.value)
+    assert "does not resolve" not in str(err.value)
+
+
 def test_quick_convergence_torus():
     t = Torus(1.0, 0.4)
     errs_h1, errs_l2, hs = [], [], []
@@ -225,10 +243,10 @@ def cut_sets():
          hessian=False)
 def test_blocked_sampling_equals_one_call(cut_sets, kind, block, n_faces, forcing, hessian):
     """Blocks of whole faces, with face counts that straddle a small block,
-    give the jet (facets' path, ``hessian``, nodes read from ``qp``) or the
-    per-face deviation maxima (cut faces' path, nodes placed on the
-    corners), the forcing and the exact samples of one call over the whole
-    set, bit for bit."""
+    give the forcing and the exact samples of one call over the whole set,
+    and per face the max |d| and either the max lambda (facets' path,
+    ``hessian``) or the max |grad d - nu| (cut faces' path) over that
+    call's jet, bit for bit; no per-node jet or node array is kept."""
     problem, ws = cut_sets[kind]
     cut = problem.cut
     faces = cut.faces[:n_faces]
@@ -237,18 +255,24 @@ def test_blocked_sampling_equals_one_call(cut_sets, kind, block, n_faces, forcin
             "weights": ws["weights"][:n_faces]}
     ref = oracles.one_call_sample_faces(dict(part, qp=qp), problem.surface, problem.solution,
                                         forcing)
-    es = dict(part, qp=qp) if hessian else dict(part)
+    es = dict(part)
     with mock.patch.object(beltrami.fem, "NODE_BLOCK", block):
         sample_faces(es, problem.surface, problem.solution, forcing=forcing, hessian=hessian)
     assert ("forcing" in es) == forcing
     for key in ("forcing", "u_exact", "grad_exact") if forcing else ("u_exact", "grad_exact"):
         assert np.array_equal(es[key], ref[key]), key
+    assert "jet" not in es and "qp" not in es
+    nq = TRI_DEGREE4.npoints
+    d, g = ref["jet"][:2]
+    assert np.array_equal(es["d_max"], np.abs(d).reshape(-1, nq).max(axis=1))
     if hessian:
-        assert len(es["jet"]) == 4 and "d_max" not in es
-        for got, want in zip(es["jet"], ref["jet"]):
-            assert np.array_equal(got, want)
+        assert "dev_max" not in es
+        assert np.array_equal(es["lam_max"], lambda_max(ref["jet"], part["normals"]))
         return
-    assert "jet" not in es
+    assert "lam_max" not in es
+    nus = np.repeat(part["normals"], nq, axis=0)
+    assert np.array_equal(es["dev_max"],
+                          np.linalg.norm(g - nus, axis=1).reshape(-1, nq).max(axis=1))
     stub = SimpleNamespace(surface=problem.surface, cut=SimpleNamespace(
         vertices=cut.vertices, faces=faces, n_faces=n_faces))
     d, dev = face_deviations(stub, es)
