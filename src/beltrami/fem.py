@@ -21,9 +21,10 @@ only per-face maxima: ``d_max`` of |d|, on facets ``lam_max`` of lambda
 (over the new facets only after an adaptive round), on cut faces
 ``dev_max`` of |grad d - nu|, which the trace solve extends to the
 corners (``trace.geometric_resolution``); where it carries the load it
-adds ``forcing`` (E, nq).  Band sets keep the nodes ``qp`` (E, nq, 3) and
-add ``d_h`` and ``inside`` (E, nq).  Error sets add the flat exact
-samples ``u_exact`` and ``grad_exact``.  The stiffness also takes the
+adds ``forcing`` (E, nq).  Band sets add ``d_h`` and ``inside`` (E, nq)
+and keep no nodes: each block of tets places its own from the lattice
+(``narrowband._band_nodes``).  Error sets add the flat exact samples
+``u_exact`` and ``grad_exact``.  The stiffness also takes the
 set's edge numbering (``assemble_stiffness``), which no record holds: the
 facets' cached ``(edges, tri_edges)``, or ``meshes.edge_table`` of the
 cut faces and ``meshes.kuhn_edges`` of the band tets, which the solve

@@ -31,6 +31,8 @@ from .errors import NewtonDivergence, NormalFlip, OutsideTube, RayMiss, Unsuppor
 
 CLOSEST_POINT = "closest_point"
 SCALED_RADIAL = "scaled_radial"
+# Iterations the ellipsoid's closest-point Newton may take (``_closest_t``).
+NEWTON_MAX_ITER = 50
 
 
 def _rows(x):
@@ -512,25 +514,31 @@ class Ellipsoid(ImplicitSurface):
     def _closest_t(self, pts):
         """Largest root of sum (a_i x_i)^2 / (a_i^2 + t)^2 = 1, vectorized.
 
-        The left side is convex and decreasing on (-min a_i^2, inf), so
-        Newton from the per-axis lower bound max_i(|a_i x_i| - a_i^2)
-        increases monotonically to the root.
+        The left side g is convex and decreasing on (-min a_i^2, inf), so a
+        Newton step from anywhere there lands left of the root, and Newton
+        from the left increases monotonically to it.  It starts at the
+        larger of the lower bound max_i(|a_i x_i| - a_i^2) and one step from
+        t = 0, the root on the surface.
 
         Axes with |a_i x_i| <= 1e-12 max a^2 carry zero weight and drop out
         of the sum.  On the focal set inside the surface the remaining
         terms stay below 1 at the lower bound t = -a_k^2 of a zero-weight
-        axis k; the clamped step then keeps t there, and ``_project_raw``
-        puts the closest point off the plane x_k = 0.  Returns t and the
-        (N, 3) mask of the axes with nonzero weight.
+        axis k; the step from 0 lands left of it, the clamped step then
+        keeps t there, and ``_project_raw`` puts the closest point off the
+        plane x_k = 0.  Returns t and the (N, 3) mask of the axes with
+        nonzero weight.
         """
         scale = self.abc2.max()
         w = np.abs(self.abc * pts)
         live = w > 1e-12 * scale
         w = np.where(live, w, 0.0)
         w2 = w**2
-        t = np.max(w - self.abc2, axis=1)
+        slope = 2.0 * (w2 / self.abc2**3).sum(axis=1)  # -g'(0); 0 with no live axis
+        t = np.maximum(np.max(w - self.abc2, axis=1), np.divide(
+            (w2 / self.abc2**2).sum(axis=1) - 1.0, slope, out=np.full(len(pts), -np.inf),
+            where=slope > 0.0))
         converged = np.zeros(len(pts), dtype=bool)
-        for _ in range(50):
+        for _ in range(NEWTON_MAX_ITER):
             den = np.where(live, self.abc2 + t[:, None], 1.0)
             q = w2 / den**2
             gval = q[:, 0] + q[:, 1] + q[:, 2] - 1.0
@@ -544,7 +552,7 @@ class Ellipsoid(ImplicitSurface):
                 return t, live
         raise NewtonDivergence(
             f"ellipsoid closest-point Newton: {int(np.count_nonzero(~converged))} "
-            "point(s) unconverged after 50 iterations"
+            f"point(s) unconverged after {NEWTON_MAX_ITER} iterations"
         )
 
     def _project_raw(self, pts):

@@ -83,19 +83,18 @@ def _band_quadrature(problem, rule=TET_DEGREE4):
     semidefinite.  Band tets are lattice translates: gradients come from
     the Kuhn table, and the hat values at the nodes are the rule's
     barycentric points.  ``d_h`` and ``inside`` hold the interpolated
-    distance and indicator at the nodes.
+    distance and indicator at the nodes; the nodes themselves are not
+    kept, each block of tets places its own (``_band_nodes``).
     """
     band, bulk = problem.band, problem.bulk
     vol = bulk.tet_volume
-    bary = rule.points
-    d_h = band.d_vertex[band.dofs] @ bary.T
+    d_h = band.d_vertex[band.dofs] @ rule.points.T
     inside = np.abs(d_h) < problem.delta
     nw = rule.normalized_weights
     frac = np.maximum((nw[None, :] * inside).sum(axis=1), 0.0)
     return {
         "dofs": band.dofs,
         "grads": bulk.tet_grads(band.tet_ids),
-        "qp": bulk.tet_points(band.tet_ids, bary),
         "d_h": d_h,
         "inside": inside,
         "measures": frac * vol,
@@ -103,26 +102,36 @@ def _band_quadrature(problem, rule=TET_DEGREE4):
     }
 
 
+def _band_nodes(problem, es, rule):
+    """Per block of whole tets of the band set es under ``rule``
+    (``node_blocks``): the tets' slice f, the flat positions ``on`` in the
+    block's (f, nq) rows of the nodes where the indicator is on, and those
+    nodes, (len(on), 3) from the lattice (``BulkMesh.tet_points``)."""
+    ids, nq = problem.band.tet_ids, rule.npoints
+    for b in node_blocks(es["inside"].size, nq):
+        f = slice(b.start // nq, b.stop // nq)
+        on = np.flatnonzero(es["inside"][f])
+        yield f, on, problem.bulk.tet_points(ids[f], rule.points).reshape(-1, 3).take(on, axis=0)
+
+
 def narrowband_forcing(problem, quad):
     """Mean-corrected transferred data F = f(M_h(x)) - band average.
 
-    Two passes: evaluate f through the mismatch map at every node of the
-    band set ``quad`` (``_band_quadrature``) where the indicator is on, over
-    blocks of those nodes (``node_blocks``), then subtract the
-    indicator-weighted average so the singular system stays compatible.
+    Two passes: evaluate f through the mismatch map at the nodes of the
+    band set ``quad`` (``_band_quadrature``) where the indicator is on,
+    block by block (``_band_nodes``), then subtract the indicator-weighted
+    average in place so the singular system stays compatible.
     """
-    flat, d_h = quad["qp"].reshape(-1, 3), quad["d_h"].ravel()
-    nodes = np.flatnonzero(quad["inside"])
-    raw = np.zeros(len(flat))
-    for b in node_blocks(len(nodes)):
-        block = nodes[b]
-        raw[block] = problem.solution.f(
-            mismatch_map(problem.surface, d_h[block], flat[block]))
-    raw = raw.reshape(quad["inside"].shape)
+    F = np.zeros(quad["inside"].shape)
+    for f, on, x in _band_nodes(problem, quad, TET_DEGREE4):
+        # F's rows f are contiguous, so ravel() is a view that writes into F
+        F[f].ravel()[on] = problem.solution.f(
+            mismatch_map(problem.surface, quad["d_h"][f].ravel()[on], x))
     w = quad["weights"]
     band_measure = float(w.sum())
-    correction = float((w * raw).sum() / band_measure)
-    return raw - correction, correction, band_measure
+    correction = float((w * F).sum() / band_measure)
+    F -= correction
+    return F, correction, band_measure
 
 
 def narrowband_solve(problem, tol=1e-10):
@@ -169,30 +178,27 @@ def _band_errors(problem, c):
     """Band L2/H1 errors against the normal extension u o P_d.
 
     Uses the positive-weight degree-2 rule (with the band indicator) so
-    the accumulated norms cannot go negative near the band boundary.  The
-    exact samples are u(P x) and grad_Gamma u(P x) - d D^2d grad_Gamma u(P x),
-    taken over blocks of nodes (``node_blocks``).
+    the accumulated norms cannot go negative near the band boundary.  Block
+    by block (``_band_nodes``), at the nodes where the indicator is on (the
+    others carry zero weight but can sit far outside the distance tube),
+    the exact samples u(P x) and grad_Gamma u(P x) - d D^2d grad_Gamma u(P x)
+    meet U, linear on each tet: its values from the nodes' barycentrics,
+    its gradient per tet.  ``surface_error_norms`` sums the blocks.
     """
     surface, sol = problem.surface, problem.solution
     es = _band_quadrature(problem, TET_DEGREE2)
-    # one sample row per node where the indicator is on: the other nodes
-    # carry zero weight but can sit far outside the distance tube
-    nodes = np.flatnonzero(es["inside"])
-    flat = es["qp"].reshape(-1, 3).take(nodes, axis=0)
-    u_exact, grad_exact = np.empty(len(flat)), np.empty((len(flat), 3))
-    for b in node_blocks(len(flat)):
-        d, g, k, e = surface._jet_raw(flat[b])
-        p = flat[b] - d[:, None] * g
-        gg = sol.grad_gamma(p)
-        u_exact[b] = sol.u(p)
-        grad_exact[b] = gg - d[:, None] * hessian_times(g, k, e, gg)
-    # U is linear on each tet: its gradient per element, its nodal values
-    # from the nodes' barycentrics
-    c_local = c[es["dofs"]]
-    grad_u = np.einsum("ek,ekd->ed", c_local, es["grads"])
-    return surface_error_norms(
-        es["weights"].take(nodes), u_exact, grad_exact,
-        (c_local @ TET_DEGREE2.points.T).take(nodes), grad_u[nodes // TET_DEGREE2.npoints])
+
+    def samples():
+        for f, on, x in _band_nodes(problem, es, TET_DEGREE2):
+            d, g, k, e = surface._jet_raw(x)
+            p = x - d[:, None] * g
+            gg = sol.grad_gamma(p)
+            c_local = c[es["dofs"][f]]
+            yield (es["weights"][f].ravel()[on], sol.u(p), gg - d[:, None] * hessian_times(g, k, e, gg),
+                   (c_local @ TET_DEGREE2.points.T).ravel()[on],
+                   np.einsum("ek,ekd->ed", c_local, es["grads"][f])[on // TET_DEGREE2.npoints])
+
+    return surface_error_norms(samples())
 
 
 def _surface_errors(problem, c):
@@ -202,5 +208,5 @@ def _surface_errors(problem, c):
     cut = extract_cut_surface(bulk, surface, problem.band)
     es = cut_face_set(cut)
     sample_faces(es, surface, problem.solution, forcing=False)
-    l2, h1 = surface_error_norms(*error_samples(es, es["E"] @ c))
+    l2, h1 = surface_error_norms(error_samples(es, es["E"] @ c))
     return l2, h1, cut

@@ -58,32 +58,40 @@ class ParametricProblem:
         return f"ParametricProblem({self.surface!r}, {self.mesh!r}, lift={self.lift})"
 
 
-def surface_error_norms(weights, u_exact, grad_exact, u_values, u_gradients):
+def surface_error_norms(samples):
     """Mean-matched L2 and H1 errors of sampled values and gradients.
 
-    Weighted sums over quadrature samples only.  On a discrete surface
-    ``u_exact`` and ``grad_exact`` are the exact solution pulled back
-    through the closest-point lift and its lifted tangential gradient
-    (``sample_faces``), so both norms are broken norms on that surface.
+    Weighted arithmetic only, summed over the blocks (weights, u_exact,
+    grad_exact, u_values, u_gradients) that ``samples`` yields: sum w,
+    sum w e, sum w e^2 (e = u_exact - u_values) and sum w |grad_exact -
+    u_gradients|^2.  On a discrete surface ``u_exact`` and ``grad_exact``
+    are the exact solution pulled back through the closest-point lift and
+    its lifted tangential gradient (``sample_faces``), so both norms are
+    broken norms on that surface.
     """
-    e = u_exact - u_values
-    total = weights.sum()
-    mean = weights @ e / total
-    l2_sq = max(float(weights @ e**2 - total * mean**2), 0.0)
-    diff = grad_exact - u_gradients
-    h1_sq = float(weights @ np.einsum("...d,...d->...", diff, diff).ravel())
-    return np.sqrt(l2_sq), np.sqrt(h1_sq)
+    sums = np.zeros(4)
+    for weights, u_exact, grad_exact, u_values, u_gradients in samples:
+        e = u_exact - u_values
+        diff = grad_exact - u_gradients
+        sums += (weights.sum(), weights @ e, weights @ e**2,
+                 weights @ np.einsum("...d,...d->...", diff, diff).ravel())
+    total, we, we2, h1_sq = sums
+    mean = we / total
+    return np.sqrt(max(float(we2 - total * mean**2), 0.0)), np.sqrt(float(h1_sq))
 
 
 def error_samples(es, c):
-    """Sample arguments of ``surface_error_norms`` for the P1 field c on the
-    set es (``fem`` module docstring), gradients as (E, nq, 3) and (E, 1, 3);
-    on cut faces c holds the values at the cut vertices, E times the DOFs'."""
-    c_local = c[es["dofs"]]
+    """Blocks of whole faces (``node_blocks``) of the samples that
+    ``surface_error_norms`` sums for the P1 field c on the set es (``fem``
+    module docstring), gradients as (n, nq, 3) and (n, 1, 3); on cut faces
+    c holds the values at the cut vertices, E times the DOFs'."""
     nq = es["weights"].shape[1]
-    return (es["weights"].ravel(), es["u_exact"], es["grad_exact"].reshape(-1, nq, 3),
-            np.einsum("qk,ek->eq", TRI_DEGREE4.points, c_local).ravel(),
-            np.einsum("ek,ekd->ed", c_local, es["grads"])[:, None])
+    for b in node_blocks(es["weights"].size, nq):
+        f = slice(b.start // nq, b.stop // nq)
+        c_local = c[es["dofs"][f]]
+        yield (es["weights"][f].ravel(), es["u_exact"][b], es["grad_exact"][b].reshape(-1, nq, 3),
+               np.einsum("qk,ek->eq", TRI_DEGREE4.points, c_local).ravel(),
+               np.einsum("ek,ekd->ed", c_local, es["grads"][f])[:, None])
 
 
 def sample_faces(es, surface, solution, forcing=True, hessian=False):
@@ -172,7 +180,7 @@ def parametric_solve(problem, tol=1e-10, workspace_out=None):
     history = []
     c = solve_mean_zero(A, b, m, tol=tol, history=history, basis=mesh.hierarchy)
     field = SolutionField(c, np.arange(mesh.n_vertices), m)
-    l2, h1 = surface_error_norms(*error_samples(ws, c))
+    l2, h1 = surface_error_norms(error_samples(ws, c))
     if workspace_out is not None:
         workspace_out.update(ws)
     report = ErrorReport(

@@ -87,7 +87,7 @@ def trace_solve(problem, tol=1e-10, workspace_out=None):
     history = []
     c = solve_mean_zero(A, b, m, tol=tol, history=history)
     field = SolutionField(c, cut.active_dofs, m, domain="cut-surface")
-    l2, h1 = surface_error_norms(*error_samples(ws, ws["E"] @ c))
+    l2, h1 = surface_error_norms(error_samples(ws, ws["E"] @ c))
     geo = geometric_resolution(problem, ws)
     if workspace_out is not None:
         workspace_out.update(ws)

@@ -3,18 +3,22 @@
 Run from the repository root:
 
     PYTHONPATH=src python tests/data/make_rows.py [OUTPUT]
+    PYTHONPATH=src python tests/data/make_rows.py --diff [PIN]
 
 OUTPUT defaults to ``tests/data/rows.json``; another path leaves the pin
 alone, so two checkouts' rows can be compared byte for byte on one host.
+``--diff`` writes nothing: it runs a fresh pass of each config that PIN
+(default the pin) holds and prints, per workload and column, the largest
+relative move of the fresh rows against PIN's.
 The configs are read from ``perfbench/workloads.json`` and stored next to
 the rows, so the pin stays self-contained.  Floats are written as
 ``float.hex`` strings, integers as they are; ``tests/test_rows.py`` checks
 a fresh pass against this file.
 """
 
+import argparse
 import json
 import os
-import sys
 
 import beltrami
 
@@ -40,7 +44,34 @@ def pinned(row):
             for key in COLUMNS if key in row}
 
 
-def main(path=os.path.join(HERE, "rows.json")):
+def largest_moves(want_rows, got_rows):
+    """Per pinned column, the largest |got - want| / |want| over the rows
+    (0 where both are 0); rows pair up in order and must carry one key set."""
+    if len(got_rows) != len(want_rows):
+        raise ValueError(f"{len(got_rows)} fresh rows against {len(want_rows)} pinned")
+    moves = {}
+    for got, want in zip(got_rows, want_rows):
+        if got.keys() != want.keys():
+            raise ValueError(f"fresh columns {sorted(got)} against pinned {sorted(want)}")
+        for key, value in want.items():
+            a, b = (float.fromhex(v) if isinstance(v, str) else float(v)
+                    for v in (got[key], value))
+            move = abs(a - b) / abs(b) if b else abs(a - b)
+            moves[key] = max(moves.get(key, 0.0), move)
+    return moves
+
+
+def diff(path):
+    """Print the largest relative move of a fresh pass against the pin."""
+    with open(path) as fh:
+        pin = json.load(fh)
+    for name, entry in pin.items():
+        got = [pinned(r) for r in run_rows(entry["task"], entry["config"])]
+        for key, move in largest_moves(entry["rows"], got).items():
+            print(f"{name:22s} {key:16s} {move:.3g}")
+
+
+def main(path):
     with open(os.path.join(ROOT, "perfbench", "workloads.json")) as fh:
         workloads = json.load(fh)["workloads"]
     out = {name: {"task": spec["task"], "config": spec["config"],
@@ -52,4 +83,10 @@ def main(path=os.path.join(HERE, "rows.json")):
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:2])
+    parser = argparse.ArgumentParser(description="Regenerate or check the pinned rows.")
+    parser.add_argument("path", nargs="?", default=os.path.join(HERE, "rows.json"),
+                        help="the file written, or with --diff the pin read")
+    parser.add_argument("--diff", action="store_true",
+                        help="print the largest relative move against the pin; write nothing")
+    args = parser.parse_args()
+    (diff if args.diff else main)(args.path)

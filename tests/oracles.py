@@ -308,6 +308,30 @@ def outside_tube_mask(surface, pts):
     return bad
 
 
+def ellipsoid_closest_t_from_lower_bound(abc, pts):
+    """(t, iterations) of Newton on sum (a_i x_i)^2 / (a_i^2 + t)^2 = 1 from
+    the per-axis lower bound max_i(|a_i x_i| - a_i^2) alone, axes with
+    |a_i x_i| <= 1e-12 max a^2 left out of the sum, steps clamped at <= 0,
+    until every step is within 1e-13 (max a^2 + |t|)."""
+    abc2 = np.asarray(abc, dtype=float) ** 2
+    scale = abc2.max()
+    w = np.abs(np.sqrt(abc2) * pts)
+    live = w > 1e-12 * scale
+    w = np.where(live, w, 0.0)
+    t = np.max(w - abc2, axis=1)
+    done = np.zeros(len(pts), dtype=bool)
+    for it in range(1, 51):
+        den = np.where(live, abc2 + t[:, None], 1.0)
+        g = np.sum(w**2 / den**2, axis=1) - 1.0
+        slope = -2.0 * np.sum(w**2 / den**3, axis=1)
+        step = np.where(done, 0.0, np.minimum(g / np.where(slope == 0.0, -1.0, slope), 0.0))
+        t = t - step
+        done |= np.abs(step) <= 1e-13 * (scale + np.abs(t))
+        if done.all():
+            return t, it
+    raise AssertionError("Newton from the lower bound did not converge")
+
+
 def torus_exact_curvatures(R, r, point):
     """Principal curvatures of the torus surface at an on-surface point.
 
@@ -956,3 +980,73 @@ def coo_stiffness(grads, measures, dofs, n_dof):
     rows = np.repeat(dofs, k, axis=1).ravel()
     cols = np.tile(dofs, (1, k)).ravel()
     return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n_dof, n_dof)).tocsr()
+
+
+# ---------------------------------------------------------------------------
+# whole-set band forcing and error norms (references for the blocked routes)
+# ---------------------------------------------------------------------------
+
+
+def weighted_error_norms(w, u_exact, grad_exact, u_values, u_gradients):
+    """Mean-matched L2 and H1 errors from one weighted sum over all samples:
+    sqrt(sum w e^2 - (sum w e)^2 / sum w), e = u_exact - u_values, and
+    sqrt(sum w |grad_exact - u_gradients|^2), the gradients broadcast."""
+    e = u_exact - u_values
+    total = w.sum()
+    mean = w @ e / total
+    diff = grad_exact - u_gradients
+    return (np.sqrt(max(float(w @ e**2 - total * mean**2), 0.0)),
+            np.sqrt(float(w @ np.einsum("...d,...d->...", diff, diff).ravel())))
+
+
+def whole_set_error_norms(es, c, bary):
+    """``weighted_error_norms`` of the P1 field c on a sampled facet or
+    cut-face set es at once: c's values at the nodes ``bary`` (nq, 3) of
+    every face, its gradient per face against the (E nq, 3) exact samples."""
+    c_local = c[es["dofs"]]
+    return weighted_error_norms(
+        es["weights"].ravel(), es["u_exact"], es["grad_exact"].reshape(-1, len(bary), 3),
+        np.einsum("qk,ek->eq", bary, c_local).ravel(),
+        np.einsum("ek,ekd->ed", c_local, es["grads"])[:, None])
+
+
+def whole_band_forcing(problem, quad, bary):
+    """The narrow-band forcing over the whole band in one call: the nodes
+    (E, nq, 3) of every band tet at ``bary`` (nq, 4), f through the mismatch
+    map x + (d_h - d) grad d at those where ``quad["inside"]`` is on (0
+    elsewhere), less the ``quad["weights"]`` mean.  Returns (F, correction,
+    band measure)."""
+    qp = problem.bulk.tet_points(problem.band.tet_ids, bary)
+    flat, d_h = qp.reshape(-1, 3), quad["d_h"].ravel()
+    nodes = np.flatnonzero(quad["inside"])
+    d, g = problem.surface._guarded_grad(flat[nodes])
+    raw = np.zeros(len(flat))
+    raw[nodes] = problem.solution.f(flat[nodes] + (d_h[nodes] - d)[:, None] * g)
+    raw = raw.reshape(quad["inside"].shape)
+    w = quad["weights"]
+    band_measure = float(w.sum())
+    correction = float((w * raw).sum() / band_measure)
+    return raw - correction, correction, band_measure
+
+
+def whole_band_errors(problem, c, rule):
+    """Band L2/H1 errors of the bulk P1 field c over the whole band at once.
+    ``rule`` is (barycentric nodes (nq, 4), normalized weights (nq,)) on
+    every band tet, weighted by the tet volume and the indicator
+    |d_h| < delta; the exact samples u(P x) and grad_Gamma u(P x) -
+    d D^2d grad_Gamma u(P x) take D^2 d as the (N, 3, 3) matrix of the
+    surface's public ``distance_jet``."""
+    band, bulk, sol = problem.band, problem.bulk, problem.solution
+    bary, nw = rule
+    d_h = band.d_vertex[band.dofs] @ bary.T
+    inside = np.abs(d_h) < problem.delta
+    x = bulk.tet_points(band.tet_ids, bary)[inside]
+    d, g, H = problem.surface.distance_jet(x)
+    p = x - d[:, None] * g
+    gg = sol.grad_gamma(p)
+    c_local = c[band.dofs]
+    grad_u = np.einsum("ek,ekd->ed", c_local, bulk.tet_grads(band.tet_ids))
+    return weighted_error_norms(
+        (bulk.tet_volume * nw * inside)[inside], sol.u(p),
+        gg - d[:, None] * np.einsum("nij,nj->ni", H, gg),
+        (c_local @ bary.T)[inside], grad_u[np.nonzero(inside)[0]])

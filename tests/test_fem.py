@@ -38,7 +38,7 @@ from beltrami.fem import (
 )
 from beltrami.harness import surface_mesh_for_level
 from beltrami.meshes import edge_table
-from beltrami.narrowband import _band_quadrature, narrowband_solve
+from beltrami.narrowband import _band_nodes, _band_quadrature, narrowband_solve
 from beltrami.parametric import parametric_solve, parametric_workspace, sample_faces
 from beltrami.trace import _face_workspace, cut_face_set, trace_solve
 
@@ -444,7 +444,8 @@ def test_element_set_record(name):
     counts what ``dofs`` numbers: on cut faces the cut vertices, whose rows
     of E sum to one.  No set holds the hat values ``phi``; the surface sets
     hold their corners ``vertices`` and, of the distance jet, only per-face
-    maxima: no nodes ``qp`` and no per-node ``jet``."""
+    maxima: no nodes ``qp`` and no per-node ``jet``.  The band sets hold
+    no nodes either: their blocks of tets place them (``_band_nodes``)."""
     es, n, forcing = ELEMENT_SETS[name]()
     e, k = es["dofs"].shape
     nq = es["weights"].shape[1]
@@ -462,7 +463,13 @@ def test_element_set_record(name):
         assert np.abs(es["E"] @ np.ones(es["E"].shape[1]) - 1.0).max() < 1e-12
     assert es["dofs"].min() >= 0 and es["dofs"].max() < n
     if forcing is None:
-        assert es["qp"].shape == (e, nq, 3)
+        assert [key for key, a in es.items() if np.ndim(a) == 3] == ["grads"]
+        assert es["d_h"].shape == es["inside"].shape == (e, nq)
+        rule = {11: TET_DEGREE4, 4: TET_DEGREE2}[nq]
+        blocks = list(_band_nodes(_band_problem(), es, rule))
+        assert sum(len(x) for _, _, x in blocks) == es["inside"].sum()
+        for _, on, x in blocks:
+            assert x.shape == (len(on), 3)
         return
     assert "qp" not in es and "jet" not in es
     assert es["vertices"].shape == (n, 3)

@@ -20,6 +20,7 @@ from beltrami import (
     build_torus_mesh,
     surface_from_config,
 )
+import beltrami.geometry
 from beltrami.fem import TRI_DEGREE4
 from beltrami.geometry import hessian_matrix, row_dot, row_norm
 from beltrami.narrowband import mismatch_map
@@ -325,6 +326,26 @@ def test_ellipsoid_closest_point_next_to_coordinate_plane():
     s = Ellipsoid(*abc)  # x lies deeper than the conservative tube: raw calls
     assert np.linalg.norm(s._project_raw(x)[0] - ref) < 5e-5
     assert s._distance_raw(x)[0] == pytest.approx(-dist, abs=1e-9)
+
+
+def test_ellipsoid_newton_starts_one_step_from_the_surface(monkeypatch):
+    """The closest-point Newton starts at the larger of the per-axis lower
+    bound and one step from t = 0: on the quadrature nodes of the level-4
+    mesh it converges within 3 iterations (8 from the bound alone), and on
+    those nodes and on tube points its roots agree with the bound's to
+    1e-15 max a^2."""
+    e = Ellipsoid(1.3, 1.0, 0.8)
+    mesh = build_sphere_mesh(e, 4)
+    nodes = TRI_DEGREE4.physical_points(mesh.vertices[mesh.triangles]).reshape(-1, 3)
+    tube = e.tube_points(20000, np.random.default_rng(11))
+    t = e._closest_t(nodes)[0]
+    monkeypatch.setattr(beltrami.geometry, "NEWTON_MAX_ITER", 3)
+    assert np.array_equal(e._closest_t(nodes)[0], t)
+    monkeypatch.undo()
+    for pts in (nodes, tube):
+        ref, iterations = oracles.ellipsoid_closest_t_from_lower_bound(e.abc, pts)
+        assert iterations > 3
+        assert np.abs(e._closest_t(pts)[0] - ref).max() <= 1e-15 * e.abc2.max()
 
 
 @settings(max_examples=60, deadline=None)

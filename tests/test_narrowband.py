@@ -19,10 +19,18 @@ from beltrami import (
     mismatch_map,
     narrowband_solve,
 )
-from beltrami.fem import TET_DEGREE4, assemble_stiffness
+from beltrami.fem import TET_DEGREE2, TET_DEGREE4, TRI_DEGREE4, assemble_stiffness
 from beltrami.meshes import kuhn_edges
 import beltrami.fem
-from beltrami.narrowband import _band_quadrature, narrowband_forcing
+from beltrami.narrowband import (
+    _band_errors,
+    _band_nodes,
+    _band_quadrature,
+    _surface_errors,
+    narrowband_forcing,
+)
+from beltrami.parametric import sample_faces
+from beltrami.trace import cut_face_set
 
 import oracles
 
@@ -31,6 +39,13 @@ import oracles
 def sphere16():
     s = Sphere(1.0)
     return NarrowBandProblem(s, build_bulk_mesh(s, 16))
+
+
+def inside_nodes(problem, quad):
+    """The band set's nodes where the indicator is on, (n, 3) in row order,
+    and d_h there, from the solver's blocked route (``_band_nodes``)."""
+    flat = np.concatenate([x for _, _, x in _band_nodes(problem, quad, TET_DEGREE4)])
+    return flat, quad["d_h"][quad["inside"]]
 
 
 def band_system(problem, quad=None):
@@ -93,9 +108,7 @@ def test_mismatch_map_identity_at_bulk_vertices(sphere16):
 def test_mismatch_map_carries_level_sets(sphere16):
     """d(M_h(x)) = d_h(x) exactly, by the eikonal property."""
     s = sphere16.surface
-    quad = _band_quadrature(sphere16)
-    flat = quad["qp"].reshape(-1, 3)[quad["inside"].ravel()]
-    d_h = quad["d_h"].ravel()[quad["inside"].ravel()]
+    flat, d_h = inside_nodes(sphere16, _band_quadrature(sphere16))
     mapped = mismatch_map(s, d_h, flat)
     assert np.abs(s.distance(mapped) - d_h).max() < 1e-12
 
@@ -105,9 +118,7 @@ def test_mismatch_is_second_order():
     consts = []
     for n in (8, 16, 32):
         problem = NarrowBandProblem(s, build_bulk_mesh(s, n))
-        quad = _band_quadrature(problem)
-        flat = quad["qp"].reshape(-1, 3)[quad["inside"].ravel()]
-        d_h = quad["d_h"].ravel()[quad["inside"].ravel()]
+        flat, d_h = inside_nodes(problem, _band_quadrature(problem))
         disp = np.linalg.norm(mismatch_map(s, d_h, flat) - flat, axis=1)
         consts.append(disp.max() / problem.bulk.h**2)
     consts = np.array(consts)
@@ -140,9 +151,9 @@ def test_forcing_mean_corrected(sphere16):
 @pytest.mark.parametrize("surface", [Torus(1.0, 0.4), Sphere(1.0), Ellipsoid(1.3, 1.0, 0.8)],
                          ids=repr)
 def test_blocked_forcing_equals_one_call(surface, monkeypatch):
-    """The forcing runs the mismatch map and f over blocks of inside nodes;
-    blocks of 1000 nodes give the same values, bit for bit, as one call
-    over all of them."""
+    """The forcing runs the mismatch map and f over blocks of whole tets'
+    inside nodes; blocks of 990 nodes (90 tets) give the same values, bit
+    for bit, as one call over all of them."""
     bulk = build_bulk_mesh(surface, 24)
     problem = NarrowBandProblem(surface, bulk, delta=bulk.h)
     quad = _band_quadrature(problem)
@@ -153,6 +164,40 @@ def test_blocked_forcing_equals_one_call(surface, monkeypatch):
     blocked = narrowband_forcing(problem, quad)
     assert np.array_equal(blocked[0], whole[0])
     assert blocked[1:] == whole[1:]
+
+
+@pytest.fixture(scope="module", params=[Sphere(1.0), Torus(1.0, 0.4)], ids=repr)
+def solved16(request):
+    """A band problem at n = 16 and its solved coefficients."""
+    problem = NarrowBandProblem(request.param, build_bulk_mesh(request.param, 16))
+    return problem, narrowband_solve(problem)[0].coefficients
+
+
+@pytest.mark.parametrize("block", [7, 64, 1 << 14])
+def test_blocked_band_routes_match_the_whole_set_oracles(solved16, block, monkeypatch):
+    """With ``fem.NODE_BLOCK`` at 7, 64 and 2^14 nodes, the blocked routes
+    give what one pass over the whole set gives (``oracles``): the forcing
+    bit for bit, the band norms and the surface norms (the cut-face set) to
+    1e-13 relative.  No band set holds an array of nodes (E, nq, 3): its
+    one 3-D array is ``grads`` (E, 4, 3)."""
+    problem, c = solved16
+    monkeypatch.setattr(beltrami.fem, "NODE_BLOCK", block)
+    quad = _band_quadrature(problem)
+    F, correction, measure = narrowband_forcing(problem, quad)
+    F_ref, correction_ref, measure_ref = oracles.whole_band_forcing(
+        problem, quad, TET_DEGREE4.points)
+    assert np.array_equal(F, F_ref)
+    assert (correction, measure) == (correction_ref, measure_ref)
+    for es in (quad, _band_quadrature(problem, TET_DEGREE2)):
+        assert [key for key, a in es.items() if np.ndim(a) == 3] == ["grads"]
+    band = oracles.whole_band_errors(
+        problem, c, (TET_DEGREE2.points, TET_DEGREE2.normalized_weights))
+    assert np.allclose(_band_errors(problem, c), band, rtol=1e-13, atol=0.0)
+    l2, h1, cut = _surface_errors(problem, c)
+    es = cut_face_set(cut)
+    sample_faces(es, problem.surface, problem.solution, forcing=False)
+    surface = oracles.whole_set_error_norms(es, es["E"] @ c, TRI_DEGREE4.points)
+    assert np.allclose((l2, h1), surface, rtol=1e-13, atol=0.0)
 
 
 def test_constant_data_cancels(sphere16):
@@ -388,3 +433,19 @@ def test_band_assembly_hands_scipy_an_entry_per_edge_and_dof(monkeypatch):
     finally:
         tracemalloc.stop()
     assert rise <= 12 * 2**20
+
+
+def test_band_solve_memory_stays_bounded():
+    """Under tracemalloc one solve of ``Torus(1, 0.4)`` at n = 32 (delta
+    1.5 h), its problem built before, peaks at 12.72 MiB; the bound is that
+    plus 10 %.  Nodes for the whole band, (E, nq, 3), and whole-band
+    error samples took it to 19.75 MiB."""
+    surface = Torus(1.0, 0.4)
+    problem = NarrowBandProblem(surface, build_bulk_mesh(surface, 32))
+    tracemalloc.start()
+    try:
+        narrowband_solve(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 12.72 * 2**20

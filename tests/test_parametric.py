@@ -18,6 +18,7 @@ from beltrami import (
     residual_estimator,
     surface_error_norms,
 )
+import beltrami.fem
 from beltrami.errors import BeltramiError
 from beltrami.fem import TRI_DEGREE4
 from beltrami.parametric import parametric_assemble, parametric_workspace
@@ -155,7 +156,7 @@ def test_error_norms_vanish_for_exact_data(sphere_problem):
     lifted = s.closest_point(pts)
     u_exact = sol.u(lifted)
     g_exact = s._jet_lifted_gradient(*s._jet_raw(pts), nus, sol.grad_gamma(lifted))
-    l2, h1 = surface_error_norms(w, ws["u_exact"], ws["grad_exact"], u_exact, g_exact)
+    l2, h1 = surface_error_norms([(w, ws["u_exact"], ws["grad_exact"], u_exact, g_exact)])
     assert l2 < 1e-12 and h1 < 1e-12
 
 
@@ -166,9 +167,21 @@ def test_error_norms_are_mean_matched(sphere_problem):
     w = ws["weights"].ravel()
     vals = np.zeros(len(pts))
     grads = np.zeros((len(pts), 3))
-    l2a, _ = surface_error_norms(w, ws["u_exact"], ws["grad_exact"], vals, grads)
-    l2b, _ = surface_error_norms(w, ws["u_exact"], ws["grad_exact"], vals + 5.0, grads)
+    l2a, _ = surface_error_norms([(w, ws["u_exact"], ws["grad_exact"], vals, grads)])
+    l2b, _ = surface_error_norms([(w, ws["u_exact"], ws["grad_exact"], vals + 5.0, grads)])
     assert l2a == pytest.approx(l2b, rel=1e-10)
+
+
+@pytest.mark.parametrize("block", [7, 64, 1 << 14])
+def test_blocked_error_norms_match_the_whole_set_oracle(sphere_problem, block, monkeypatch):
+    """Summed over blocks of whole facets (``fem.NODE_BLOCK`` at 7, 64 and
+    2^14 nodes), the solve's error norms equal one weighted sum over all
+    the facet set's samples (``oracles``) to 1e-13 relative."""
+    monkeypatch.setattr(beltrami.fem, "NODE_BLOCK", block)
+    ws = {}
+    field, report = parametric_solve(sphere_problem, workspace_out=ws)
+    want = oracles.whole_set_error_norms(ws, field.coefficients, TRI_DEGREE4.points)
+    assert np.allclose((report.err_L2, report.err_H1), want, rtol=1e-13, atol=0.0)
 
 
 def test_linearity_in_the_data(sphere_problem):
