@@ -8,27 +8,27 @@ shared by the parametric, trace, and narrow-band methods.
 The three methods differ only in their element set: facets of the
 polyhedral surface, cut faces of the bulk mesh, or band tetrahedra.
 Each set is one dict over E elements of k vertices and nq quadrature
-points: ``dofs`` (E, k) DOF numbers, ``grads`` (E, k, 3) constant hat
-gradients (tangential on faces), ``measures`` (E,) element measures
+points: ``dofs`` (E, k) DOF numbers, ``measures`` (E,) element measures
 (indicator-weighted in the band), and ``weights`` (E, nq) their weights
 including the measure; the hat values at the nodes are the rule's own
 ``points`` (nq, k).  Facets and cut faces are one record (``facet_set``):
-``dofs`` number the corners at ``vertices``, with the mesh's ``grads``,
-areas and ``normals`` (E, 3).  On cut faces the corners are the cut
-vertices, and ``E`` interpolates their values from the bulk DOFs
-(``trace``).  Sampled (``sample_faces``), a surface set keeps of the jet
-only per-face maxima: ``d_max`` of |d|, on facets ``lam_max`` of lambda
-(over the new facets only after an adaptive round), on cut faces
-``dev_max`` of |grad d - nu|, which the trace solve extends to the
-corners (``trace.geometric_resolution``); where it carries the load it
-adds ``forcing`` (E, nq).  Band sets add ``d_h`` and ``inside`` (E, nq)
-and keep no nodes: each block of tets places its own from the lattice
-(``narrowband._band_nodes``).  Error sets add the flat exact samples
-``u_exact`` and ``grad_exact``.  The stiffness also takes the
-set's edge numbering (``assemble_stiffness``), which no record holds: the
-facets' cached ``(edges, tri_edges)``, or ``meshes.edge_table`` of the
-cut faces and ``meshes.kuhn_edges`` of the band tets, which the solve
-computes just before assembly and drops after it.
+``dofs`` number the corners at ``vertices``, with the mesh's tangential
+hat ``grads`` (E, 3, 3), areas and ``normals`` (E, 3).  On cut faces the
+corners are the cut vertices, and ``E`` interpolates their values from
+the bulk DOFs (``trace``).  Sampled (``sample_faces``), a surface set
+keeps of the jet only per-face maxima: ``d_max`` of |d|, on facets
+``lam_max`` of lambda (over the new facets only after an adaptive round),
+on cut faces ``dev_max`` of |grad d - nu|, which the trace solve extends
+to the corners (``trace.geometric_resolution``); where it carries the
+load it adds ``forcing`` (E, nq).  Band sets add ``d_h`` and ``inside``
+(E, nq) but hold no gradients and no nodes (``narrowband._band_nodes``
+places them per block).  Error sets add the flat exact samples
+``u_exact`` and ``grad_exact``.  ``assemble_stiffness`` sums couplings
+per edge of a numbering no record holds: facets and cut faces couple all
+three edges (``gradient_couplings``) of the facets' cached ``(edges,
+tri_edges)`` or the cut faces' ``meshes.edge_table``; a band tet only its
+three lattice axis edges, as its other three join orthogonal hat
+gradients (``narrowband._band_stiffness``).
 """
 
 import numpy as np
@@ -172,32 +172,32 @@ SIMPLEX_EDGES = {
 }
 
 
-def assemble_stiffness(grads, measures, dofs, n_dof, edges):
-    """CSR stiffness from constant element gradients.
-
-    A_ij = sum_T |T| g_i . g_j ; symmetric positive semidefinite with the
-    constant vector in its kernel on every connected component.  ``edges``
-    is the element set's edge numbering, (pairs (M, 2), ids (E, k(k-1)/2))
-    as ``meshes.edge_table`` returns it: the off-diagonal entries are summed
-    per edge, so scipy receives 2M + n distinct entries, n the DOFs that the
-    elements touch.
-    """
+def assemble_stiffness(couplings, diagonal, edges):
+    """CSR stiffness: A_aa = diagonal[a], and A_ab sums the couplings (E, J)
+    on the edge (a, b), in its columns of the set's edge numbering ``edges``
+    (pairs (M, 2), ids (E, J); ``meshes.edge_table``), with one bincount:
+    scipy receives 2M + n distinct entries, n the DOFs the edges touch."""
     pairs, ids = edges
-    off = np.empty(ids.shape)
-    for j, (a, b) in enumerate(SIMPLEX_EDGES[dofs.shape[1]]):
-        off[:, j] = row_dot(grads[:, a], grads[:, b])
-    off *= measures[:, None]
-    off = np.bincount(ids.ravel(), off.ravel(), len(pairs))
-    touched = np.zeros(n_dof, dtype=bool)
+    off = np.bincount(ids.ravel(), couplings.ravel(), len(pairs))
+    touched = np.zeros(len(diagonal), dtype=bool)
     touched[pairs] = True
     lo, hi, own = pairs[:, 0], pairs[:, 1], np.flatnonzero(touched)
-    data = np.concatenate([off, off, stiffness_diagonal(grads, measures, dofs, n_dof)[own]])
+    data = np.concatenate([off, off, diagonal[own]])
     rows, cols = np.concatenate([lo, hi, own]), np.concatenate([hi, lo, own])
-    return sp.coo_matrix((data, (rows, cols)), shape=(n_dof, n_dof)).tocsr()
+    return sp.coo_matrix((data, (rows, cols)), shape=(len(diagonal),) * 2).tocsr()
+
+
+def gradient_couplings(es, n_dof):
+    """``assemble_stiffness``'s couplings |T| g_a . g_b on the edges (a, b) of
+    ``SIMPLEX_EDGES``, and its diagonal, for a set with constant ``grads``."""
+    grads, measures, dofs = es["grads"], es["measures"], es["dofs"]
+    edges = SIMPLEX_EDGES[dofs.shape[1]]
+    off = measures[:, None] * np.stack([row_dot(grads[:, a], grads[:, b]) for a, b in edges], 1)
+    return off, stiffness_diagonal(grads, measures, dofs, n_dof)
 
 
 def stiffness_diagonal(grads, measures, dofs, n_dof):
-    """The diagonal of ``assemble_stiffness``: sum_T |T| |g_i|^2 per DOF."""
+    """The stiffness diagonal from constant gradients: sum_T |T| |g_i|^2."""
     return np.bincount(dofs.ravel(), (measures[:, None] * row_dot(grads, grads)).ravel(), n_dof)
 
 
@@ -222,9 +222,14 @@ def assemble_load(dofs, bary, values, point_measures, n_dof):
 
     bary (nq, k) the rule's barycentric nodes, the hat values phi_i(x_eq)
     on every element; values (E, nq), point_measures (E, nq) already
-    include the element measure, so rows simply accumulate.
+    include the element measure, so rows simply accumulate; the element
+    loads (E, k) are built per block of whole elements (``node_blocks``).
     """
-    contrib = np.matmul((point_measures * values)[:, None, :], bary)[:, 0]
+    nq = len(bary)
+    contrib = np.empty(dofs.shape)
+    for b in node_blocks(values.size, nq):
+        f = slice(b.start // nq, b.stop // nq)
+        contrib[f] = np.matmul((point_measures[f] * values[f])[:, None, :], bary)[:, 0]
     return np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=n_dof)
 
 

@@ -326,44 +326,29 @@ _OCTANTS = np.stack(np.unravel_index(np.arange(8), (2, 2, 2)), axis=-1)
 _TET_EDGES = SIMPLEX_EDGES[4]
 
 
-def _kuhn_edge_table():
-    """Per Kuhn tetrahedron and local edge (6, 6): the corner the edge
-    leaves, the corner it reaches, and its step, the index of the offset
-    between them among the seven positive 0/1 offsets in lexicographic
-    order.  Kuhn corners form a chain, so every edge has such a step."""
-    a, b = (_KUHN_OFFSETS[:, _TET_EDGES[:, i]] for i in (0, 1))
-    up = (b >= a).all(axis=-1)
-    low = np.where(up, _TET_EDGES[:, 0], _TET_EDGES[:, 1])
-    high = np.where(up, _TET_EDGES[:, 1], _TET_EDGES[:, 0])
-    return low, high, np.abs(b - a) @ (4, 2, 1) - 1
+# Kuhn corners in chain order 0, e_p0, e_p0+e_p1, 1 (ascending lattice id),
+# and the stride rank 2 - p_j of chain step j (the last axis has stride 1)
+_KUHN_CHAIN = np.argsort(_KUHN_OFFSETS.sum(axis=2), axis=1)
+_KUHN_STEP_RANK = 2 - np.array(_KUHN_PERMS)
 
 
-_KUHN_EDGE_LOW, _KUHN_EDGE_HIGH, _KUHN_EDGE_STEP = _kuhn_edge_table()
-
-
-def kuhn_edges(tet_ids, dofs):
-    """``edge_table(dofs)`` of the Kuhn tetrahedra ``tet_ids``, whose
-    corners ``dofs`` (E, 4) are positions in ascending lattice vertex ids,
-    in closed form: pairs (M, 2) and edge ids (E, 6).
-
-    An edge is keyed low * 7 + step (``_kuhn_edge_table``).  A later step
-    reaches a larger lattice id, and positions ascend with the ids, so the
-    keys sort as the pairs do, and a running count over the keys present
-    numbers the edges without a sort.
-    """
-    kind, rows = tet_ids % 6, np.arange(len(dofs))
-    keys = np.empty((len(dofs), 6), dtype=np.int64)
-    for j in range(6):
-        keys[:, j] = dofs[rows, _KUHN_EDGE_LOW[kind, j]] * 7 + _KUHN_EDGE_STEP[kind, j]
-    present = np.zeros(7 * (int(dofs.max()) + 1), dtype=bool)
+def axis_edges(tet_ids, dofs):
+    """Kuhn tetrahedra ``tet_ids`` with corners ``dofs`` (E, 4), positions in
+    ascending lattice ids: the corners in chain order (E, 4), and their
+    lattice axis edges as pairs (M, 2) and ids (E, 3), column j the chain
+    edge (c_j, c_j+1).  Keys low * 3 + stride rank sort as the pairs do (a
+    larger stride reaches a larger id), so a running count over the keys
+    present numbers the edges without a sort."""
+    kind = tet_ids % 6
+    chain = np.take_along_axis(dofs, _KUHN_CHAIN[kind], axis=1)
+    keys = chain[:, :3] * 3 + _KUHN_STEP_RANK[kind]
+    present = np.zeros(3 * (int(dofs.max()) + 1), dtype=bool)
     present[keys] = True
     ids = (np.cumsum(present) - 1)[keys]
-    del keys
-    lo = np.flatnonzero(present) // 7
+    lo = np.flatnonzero(present) // 3
     hi = np.empty_like(lo)
-    for j in range(6):
-        hi[ids[:, j]] = dofs[rows, _KUHN_EDGE_HIGH[kind, j]]
-    return np.stack([lo, hi], axis=1), ids
+    hi[ids] = chain[:, 1:]
+    return chain, (np.stack([lo, hi], axis=1), ids)
 
 
 class BulkMesh:

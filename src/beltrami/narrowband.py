@@ -1,7 +1,7 @@
 """Narrow band FEM: a bulk problem on a thin shell around the surface.
 
 The stiffness integrates bulk P1 gradients over the band {|d_h| < delta}
-cut out of the Kuhn mesh by indicator-weighted quadrature; the data is
+by indicator-weighted quadrature, on the lattice axis edges only; the data is
 transferred with the mismatch map M_h(x) = x + (d_h(x) - d(x)) grad d(x),
 which carries exact level sets onto interpolated ones.  Convergence is
 measured both in the band (against the normal extension of the exact
@@ -23,7 +23,7 @@ from .fem import (
     solve_mean_zero,
 )
 from .geometry import _per_point, hessian_times
-from .meshes import extract_band, extract_cut_surface, kuhn_edges
+from .meshes import axis_edges, extract_band, extract_cut_surface
 from .parametric import error_samples, sample_faces, surface_error_norms
 from .trace import cut_face_set
 
@@ -80,21 +80,19 @@ def _band_quadrature(problem, rule=TET_DEGREE4):
     The signed point weights w = vol * w_q * 1{|d_h| < delta} follow the
     rule (the degree-4 one has a negative node); the per-element measure
     fractions are clamped at zero so the stiffness stays positive
-    semidefinite.  Band tets are lattice translates: gradients come from
-    the Kuhn table, and the hat values at the nodes are the rule's
-    barycentric points.  ``d_h`` and ``inside`` hold the interpolated
-    distance and indicator at the nodes; the nodes themselves are not
-    kept, each block of tets places its own (``_band_nodes``).
+    semidefinite.  Band tets are lattice translates: the set holds no
+    gradients (``_band_stiffness``), and the hat values at the nodes are
+    the rule's barycentric points.  ``d_h`` and ``inside`` hold the
+    interpolated distance and indicator at the nodes; the nodes themselves
+    are not kept, each block of tets places its own (``_band_nodes``).
     """
-    band, bulk = problem.band, problem.bulk
-    vol = bulk.tet_volume
+    band, vol = problem.band, problem.bulk.tet_volume
     d_h = band.d_vertex[band.dofs] @ rule.points.T
     inside = np.abs(d_h) < problem.delta
     nw = rule.normalized_weights
     frac = np.maximum((nw[None, :] * inside).sum(axis=1), 0.0)
     return {
         "dofs": band.dofs,
-        "grads": bulk.tet_grads(band.tet_ids),
         "d_h": d_h,
         "inside": inside,
         "measures": frac * vol,
@@ -143,11 +141,8 @@ def narrowband_solve(problem, tol=1e-10):
     """
     bulk, band = problem.bulk, problem.band
     quad = _band_quadrature(problem)
-    n = band.n_active_dofs
-    dofs = band.dofs
-
-    A = assemble_stiffness(quad["grads"], quad["measures"], dofs, n,
-                           kuhn_edges(band.tet_ids, dofs))
+    n, dofs = band.n_active_dofs, band.dofs
+    A = _band_stiffness(problem, quad["measures"])
     m = lumped_mass(dofs, quad["measures"], n)
     F, correction, band_measure = narrowband_forcing(problem, quad)
     b = assemble_load(dofs, TET_DEGREE4.points, F, quad["weights"], n)
@@ -174,6 +169,19 @@ def narrowband_solve(problem, tol=1e-10):
     return field, report
 
 
+def _band_stiffness(problem, measures):
+    """The band stiffness on the lattice axis edges (``meshes.axis_edges``):
+    along a Kuhn tet's chain 0, e_p0, e_p0+e_p1, 1 the hat gradients are
+    -e_p0, e_p0 - e_p1, e_p1 - e_p2, e_p2 over h, so with w = |T| / h^2 the
+    chain edges couple by -w, the diagonal takes w (1, 2, 2, 1), and the
+    other three edges, whose ends have orthogonal gradients, by exactly 0."""
+    band, q = problem.band, 1.0 / problem.bulk.h
+    chain, edges = axis_edges(band.tet_ids, band.dofs)
+    w = (q * q) * measures
+    diagonal = np.bincount(chain.ravel(), np.outer(w, (1, 2, 2, 1)).ravel(), band.n_active_dofs)
+    return assemble_stiffness(np.repeat(-w[:, None], 3, axis=1), diagonal, edges)
+
+
 def _band_errors(problem, c):
     """Band L2/H1 errors against the normal extension u o P_d.
 
@@ -185,8 +193,8 @@ def _band_errors(problem, c):
     meet U, linear on each tet: its values from the nodes' barycentrics,
     its gradient per tet.  ``surface_error_norms`` sums the blocks.
     """
-    surface, sol = problem.surface, problem.solution
-    es = _band_quadrature(problem, TET_DEGREE2)
+    surface, sol, ids = problem.surface, problem.solution, problem.band.tet_ids
+    es, grads = _band_quadrature(problem, TET_DEGREE2), problem.bulk.tet_grads
 
     def samples():
         for f, on, x in _band_nodes(problem, es, TET_DEGREE2):
@@ -196,7 +204,7 @@ def _band_errors(problem, c):
             c_local = c[es["dofs"][f]]
             yield (es["weights"][f].ravel()[on], sol.u(p), gg - d[:, None] * hessian_times(g, k, e, gg),
                    (c_local @ TET_DEGREE2.points.T).ravel()[on],
-                   np.einsum("ek,ekd->ed", c_local, es["grads"][f])[on // TET_DEGREE2.npoints])
+                   np.einsum("ek,ekd->ed", c_local, grads(ids[f]))[on // TET_DEGREE2.npoints])
 
     return surface_error_norms(samples())
 

@@ -18,6 +18,7 @@ from .fem import (
     assemble_load,
     assemble_stiffness,
     facet_set,
+    gradient_couplings,
     lumped_mass,
     node_blocks,
     solve_mean_zero,
@@ -167,7 +168,7 @@ def parametric_assemble(problem):
     dofs = ws["dofs"]
     mesh = problem.mesh
     n = mesh.n_vertices
-    A = assemble_stiffness(ws["grads"], ws["measures"], dofs, n, (mesh.edges, mesh.tri_edges))
+    A = assemble_stiffness(*gradient_couplings(ws, n), (mesh.edges, mesh.tri_edges))
     b = assemble_load(dofs, TRI_DEGREE4.points, ws["forcing"], ws["weights"], n)
     m = lumped_mass(dofs, ws["measures"], n)
     return A, b, m, ws

@@ -21,6 +21,7 @@ from .fem import (
     assemble_load,
     assemble_stiffness,
     facet_set,
+    gradient_couplings,
     solve_mean_zero,
 )
 from .geometry import row_norm
@@ -73,7 +74,7 @@ def trace_assemble(problem):
     ws = _face_workspace(problem)
     E, dofs, w = ws["E"], ws["dofs"], ws["weights"]
     nv = E.shape[0]
-    A = assemble_stiffness(ws["grads"], ws["measures"], dofs, nv, edge_table(dofs))
+    A = assemble_stiffness(*gradient_couplings(ws, nv), edge_table(dofs))
     b = assemble_load(dofs, TRI_DEGREE4.points, ws["forcing"], w, nv)
     m = assemble_load(dofs, TRI_DEGREE4.points, np.ones_like(w), w, nv)
     Et = E.T.tocsr()

@@ -805,6 +805,25 @@ def searched_dofs(active, tets):
     return np.where(active[pos] == tets, pos, -1)
 
 
+def lattice_axis_edges(dofs, lattice_ids, stride):
+    """Brute force for the axis edges of lattice tetrahedra: the corners
+    ``dofs`` (E, 4) sorted by their ``lattice_ids``, which mask (E, 6)
+    marks the corner pairs (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+    of that order whose ids differ by 1, ``stride`` or ``stride``^2 (one
+    step along one axis of the lattice), and, when every tet has the same
+    count of them, those pairs numbered by ``np.unique`` of the rows, with
+    each tet's pair ids in mask order: (chain, mask, pairs, ids)."""
+    order = np.argsort(lattice_ids[dofs], axis=1, kind="stable")
+    chain = np.take_along_axis(dofs, order, axis=1)
+    ids = lattice_ids[chain]
+    local = list(itertools.combinations(range(4), 2))
+    mask = np.stack([np.isin(ids[:, b] - ids[:, a], (1, stride, stride**2))
+                     for a, b in local], axis=1)
+    both = np.stack([chain[:, [a, b]] for a, b in local], axis=1)[mask]
+    pairs, inv = np.unique(both.reshape(-1, 2), axis=0, return_inverse=True)
+    return chain, mask, pairs, inv.reshape(len(dofs), -1)
+
+
 # ---------------------------------------------------------------------------
 # tiny text-format readers (for export round trips)
 # ---------------------------------------------------------------------------

@@ -276,7 +276,7 @@ def _band_case(surface, bulk):
     lookup = np.full(bulk.n_vertices, -1, dtype=np.int64)
     lookup[band.active_dofs] = np.arange(n)
     dofs = lookup[bulk.tet_vertices(band.tet_ids)]
-    A = oracles.coo_stiffness(quad["grads"], quad["measures"], dofs, n)
+    A = oracles.coo_stiffness(bulk.tet_grads(band.tet_ids), quad["measures"], dofs, n)
     m = np.bincount(dofs.ravel(),
                     weights=np.repeat(quad["measures"] / 4.0, 4), minlength=n)
     F, _, _ = narrowband_forcing(problem, quad)

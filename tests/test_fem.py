@@ -33,6 +33,7 @@ from beltrami.fem import (
     QuadratureRule,
     assemble_load,
     assemble_stiffness,
+    gradient_couplings,
     lumped_mass,
     triangle_geometry,
 )
@@ -117,10 +118,17 @@ def test_barycentric_values_partition_and_nodal():
     assert np.abs(at_nodes - np.eye(3)[None]).max() < 1e-10
 
 
+def gradient_stiffness(grads, measures, dofs, n, edges):
+    """``assemble_stiffness`` from constant element gradients, as the
+    facet and cut-face solves call it."""
+    es = {"grads": grads, "measures": measures, "dofs": dofs}
+    return assemble_stiffness(*gradient_couplings(es, n), edges)
+
+
 def test_stiffness_matches_hand_patch():
     vertices, triangles, K_exact = oracles.hand_square_patch()
     grads, areas, _ = triangle_geometry(vertices[triangles])
-    A = assemble_stiffness(grads, areas, triangles, len(vertices), edge_table(triangles))
+    A = gradient_stiffness(grads, areas, triangles, len(vertices), edge_table(triangles))
     assert np.abs(A.toarray() - K_exact).max() < 1e-13
 
 
@@ -129,7 +137,7 @@ def test_stiffness_row_sums_vanish():
     coords = rng.normal(size=(30, 3, 3))
     grads, areas, _ = triangle_geometry(coords)
     dofs = np.arange(90).reshape(30, 3)
-    A = assemble_stiffness(grads, areas, dofs, 90, edge_table(dofs))
+    A = gradient_stiffness(grads, areas, dofs, 90, edge_table(dofs))
     assert np.abs(A @ np.ones(90)).max() < 1e-12
     assert np.abs((A - A.T).toarray()).max() < 1e-14
 
@@ -195,7 +203,7 @@ def test_element_kernels_match_index_contractions(e, k, nq, log_scale, seed):
     assert _maxabs(phi - oracles.einsum_barycentric_values(grads, coords, qp)) <= tol
 
     dofs = np.arange(e * k).reshape(e, k)
-    A = assemble_stiffness(grads, measures, dofs, e * k, edge_table(dofs)).toarray()
+    A = gradient_stiffness(grads, measures, dofs, e * k, edge_table(dofs)).toarray()
     blocks = A.reshape(e, k, e, k)[np.arange(e), :, np.arange(e), :]
     tol = 1e-13 * _maxabs(measures) * _maxabs(grads) ** 2
     assert _maxabs(blocks - oracles.einsum_element_stiffness(grads, measures)) <= tol
@@ -323,7 +331,7 @@ def test_solver_with_bisection_basis(kind, seed, rounds, tol):
         marked = np.flatnonzero(rng.random(mesh.n_triangles) < rng.uniform(0.05, 0.5))
         mesh = refine_bisection(mesh, marked, surface)
     n = mesh.n_vertices
-    A = assemble_stiffness(mesh.grads, mesh.areas, mesh.triangles, n, (mesh.edges, mesh.tri_edges))
+    A = gradient_stiffness(mesh.grads, mesh.areas, mesh.triangles, n, (mesh.edges, mesh.tri_edges))
     m = lumped_mass(mesh.triangles, mesh.areas, n)
     b = rng.normal(size=n)
     history = []
@@ -427,6 +435,15 @@ def _band_tets(rule):
     return _band_quadrature(problem, rule), problem.band.n_active_dofs, None
 
 
+def _set_grads(es):
+    """A set's hat gradients: a surface set's own, the Kuhn table's on the
+    band tets of ``_band_problem``."""
+    if "grads" in es:
+        return es["grads"]
+    band = _band_problem().band
+    return band.bulk.tet_grads(band.tet_ids)
+
+
 ELEMENT_SETS = {
     "facets": _facets,
     "cut-faces": _cut_faces,
@@ -445,12 +462,12 @@ def test_element_set_record(name):
     of E sum to one.  No set holds the hat values ``phi``; the surface sets
     hold their corners ``vertices`` and, of the distance jet, only per-face
     maxima: no nodes ``qp`` and no per-node ``jet``.  The band sets hold
-    no nodes either: their blocks of tets place them (``_band_nodes``)."""
+    no nodes either: their blocks of tets place them (``_band_nodes``),
+    and no gradients, which are the Kuhn table's (``BulkMesh.tet_grads``)."""
     es, n, forcing = ELEMENT_SETS[name]()
     e, k = es["dofs"].shape
     nq = es["weights"].shape[1]
     cut = "E" in es
-    assert es["grads"].shape == (e, k, 3)
     assert es["measures"].shape == (e,)
     assert es["weights"].shape == (e, nq)
     assert "phi" not in es
@@ -463,7 +480,7 @@ def test_element_set_record(name):
         assert np.abs(es["E"] @ np.ones(es["E"].shape[1]) - 1.0).max() < 1e-12
     assert es["dofs"].min() >= 0 and es["dofs"].max() < n
     if forcing is None:
-        assert [key for key, a in es.items() if np.ndim(a) == 3] == ["grads"]
+        assert [key for key, a in es.items() if np.ndim(a) == 3] == []
         assert es["d_h"].shape == es["inside"].shape == (e, nq)
         rule = {11: TET_DEGREE4, 4: TET_DEGREE2}[nq]
         blocks = list(_band_nodes(_band_problem(), es, rule))
@@ -472,6 +489,7 @@ def test_element_set_record(name):
             assert x.shape == (len(on), 3)
         return
     assert "qp" not in es and "jet" not in es
+    assert es["grads"].shape == (e, k, 3)
     assert es["vertices"].shape == (n, 3)
     assert es["normals"].shape == (e, 3)
     assert np.allclose(es["weights"].sum(axis=1), es["measures"], rtol=1e-12, atol=0.0)
@@ -492,8 +510,9 @@ def test_edge_stiffness_matches_coo(name):
     and its entries within 4 ulp (unit roundoff) of each row's largest, on
     facet, cut-face and band sets."""
     es, n, _ = ELEMENT_SETS[name]()
-    A = assemble_stiffness(es["grads"], es["measures"], es["dofs"], n, edge_table(es["dofs"]))
-    ref = oracles.coo_stiffness(es["grads"], es["measures"], es["dofs"], n)
+    grads = _set_grads(es)
+    A = gradient_stiffness(grads, es["measures"], es["dofs"], n, edge_table(es["dofs"]))
+    ref = oracles.coo_stiffness(grads, es["measures"], es["dofs"], n)
     for key in ("data", "indices", "indptr"):
         assert getattr(A, key).dtype == getattr(ref, key).dtype, key
     for key in ("indices", "indptr"):

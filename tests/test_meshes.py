@@ -32,6 +32,7 @@ from beltrami.fem import (
     TET_DEGREE2,
     TET_DEGREE4,
     assemble_stiffness,
+    gradient_couplings,
     triangle_geometry,
 )
 from beltrami.harness import surface_mesh_for_level
@@ -39,10 +40,10 @@ from beltrami.meshes import (
     _ICO_FACES,
     SIGMA_MAX,
     _finish_surface_mesh,
+    axis_edges,
     edge_table,
-    kuhn_edges,
 )
-from beltrami.narrowband import _band_quadrature, narrowband_forcing
+from beltrami.narrowband import _band_quadrature, _band_stiffness, narrowband_forcing
 from beltrami.trace import cut_face_set, trace_assemble
 
 import oracles
@@ -649,10 +650,12 @@ def test_band_marched_cut_is_the_cut(surface, n, factor):
 
 @settings(max_examples=25, deadline=None)
 @given(surface=SURFACES, n=st.integers(6, 40), factor=st.floats(1.0, 2.0))
-def test_kuhn_edges_equal_edge_table(surface, n, factor):
-    """The closed-form edge numbering of Kuhn tetrahedra equals the sorted
-    one of ``edge_table`` on the cut's parent tetrahedra, numbered as the
-    cut and as the band, and on the band's rows."""
+def test_axis_edges_match_brute_force(surface, n, factor):
+    """Every Kuhn tetrahedron has three lattice axis edges, the steps of
+    its chain, and the closed-form numbering of ``axis_edges`` equals the
+    sorted one of the brute-force search over all six corner pairs, on the
+    band's rows and on the cut's parent tetrahedra, numbered as the cut and
+    as the band; the chain is the corners in ascending lattice id."""
     bulk = build_bulk_mesh(surface, n)
     try:
         cut = extract_cut_surface(bulk, surface)
@@ -662,9 +665,13 @@ def test_kuhn_edges_equal_edge_table(surface, n, factor):
     tets = bulk.tet_vertices(cut.parent_tet)
     band_cut = oracles.searched_dofs(band.active_dofs, tets)
     assert band_cut.min() >= 0
-    for tet_ids, dofs in ((cut.parent_tet, oracles.searched_dofs(cut.active_dofs, tets)),
-                          (band.tet_ids, band.dofs), (cut.parent_tet, band_cut)):
-        for got, want in zip(kuhn_edges(tet_ids, dofs), edge_table(dofs)):
+    for tet_ids, dofs, active in (
+            (cut.parent_tet, oracles.searched_dofs(cut.active_dofs, tets), cut.active_dofs),
+            (band.tet_ids, band.dofs, band.active_dofs), (cut.parent_tet, band_cut, band.active_dofs)):
+        chain, mask, pairs, ids = oracles.lattice_axis_edges(dofs, active, n + 1)
+        assert (mask == [True, False, False, True, False, True]).all()
+        got_chain, (got_pairs, got_ids) = axis_edges(tet_ids, dofs)
+        for got, want in ((got_chain, chain), (got_pairs, pairs), (got_ids, ids)):
             assert np.array_equal(got, want) and got.dtype == want.dtype
 
 
@@ -839,11 +846,52 @@ def test_band_stiffness_kernel_is_constants(case):
         narrowband_forcing(problem, quad)
     except BeltramiError:
         assume(False)
-    band = problem.band
-    dofs = oracles.searched_dofs(band.active_dofs, bulk.tet_vertices(band.tet_ids))
-    A = assemble_stiffness(quad["grads"], quad["measures"], dofs, band.n_active_dofs,
-                           kuhn_edges(band.tet_ids, dofs))
-    assert _kernel_dimension(A) == 1
+    assert _kernel_dimension(_band_stiffness(problem, quad["measures"])) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=lattice_cases())
+@example(case=(Torus(1.0, 0.4), 24, None, 1.5))
+def test_band_stiffness_is_the_axis_edge_stencil(case):
+    """The band stiffness, summed on the lattice's axis edges in closed
+    form, holds the values of the gradient route over all six edges of
+    every tet (``gradient_couplings`` on ``edge_table``) once that route's
+    exact zeros are dropped, and agrees with ``oracles.coo_stiffness`` of
+    the Kuhn table's gradients within 26 ulp of each row's largest entry:
+    an entry sums at most 24 terms of one sign (a lattice vertex lies in 24
+    Kuhn tets), so two summation orders differ by at most 23 ulp of the
+    sum, and the oracle's product order (|T| g_a) . g_b adds at most 2 more.
+    Besides the diagonal it stores only couplings of lattice neighbours
+    along one axis, at most 7 entries a row, and its row sums vanish to
+    1e-12 of max |A|."""
+    surface, n, half_width, factor = case
+    bulk = build_bulk_mesh(surface, n, half_width=half_width)
+    try:
+        problem = NarrowBandProblem(surface, bulk, delta=factor * bulk.h)
+    except BeltramiError:
+        assume(False)
+    band, measures = problem.band, _band_quadrature(problem)["measures"]
+    A = _band_stiffness(problem, measures)
+    grads, dofs, n_dof = bulk.tet_grads(band.tet_ids), band.dofs, band.n_active_dofs
+    es = {"grads": grads, "measures": measures, "dofs": dofs}
+    full = assemble_stiffness(*gradient_couplings(es, n_dof), edge_table(dofs))
+    lean = A.copy()
+    for M in (full, lean):
+        M.eliminate_zeros()
+    for key in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(lean, key), getattr(full, key)), key
+    ref = oracles.coo_stiffness(grads, measures, dofs, n_dof)
+    diff = (A - ref).tocsr()
+    row_max = abs(ref).max(axis=1).toarray().ravel()
+    rows = np.repeat(np.arange(n_dof), np.diff(diff.indptr))
+    assert (np.abs(diff.data) <= 26 * np.finfo(float).eps * row_max[rows]).all()
+    coo = A.tocoo()
+    s = n + 1
+    steps = np.abs(np.subtract(np.unravel_index(band.active_dofs[coo.row], (s, s, s)),
+                               np.unravel_index(band.active_dofs[coo.col], (s, s, s))))
+    assert np.array_equal(steps.sum(axis=0), (coo.row != coo.col).astype(int))
+    assert np.diff(A.indptr).max() <= 7
+    assert np.abs(A @ np.ones(n_dof)).max() <= 1e-12 * np.abs(A.data).max()
 
 
 @settings(max_examples=10, deadline=None)
@@ -853,8 +901,8 @@ def test_parametric_stiffness_kernel_is_constants(surface, level):
         mesh = surface_mesh_for_level(surface, level)
     except BeltramiError:
         assume(False)
-    A = assemble_stiffness(mesh.grads, mesh.areas, mesh.triangles, mesh.n_vertices,
-                           (mesh.edges, mesh.tri_edges))
+    es = {"grads": mesh.grads, "measures": mesh.areas, "dofs": mesh.triangles}
+    A = assemble_stiffness(*gradient_couplings(es, mesh.n_vertices), (mesh.edges, mesh.tri_edges))
     assert _kernel_dimension(A) == 1
 
 

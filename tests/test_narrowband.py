@@ -19,13 +19,21 @@ from beltrami import (
     mismatch_map,
     narrowband_solve,
 )
-from beltrami.fem import TET_DEGREE2, TET_DEGREE4, TRI_DEGREE4, assemble_stiffness
-from beltrami.meshes import kuhn_edges
+from beltrami.fem import (
+    TET_DEGREE2,
+    TET_DEGREE4,
+    TRI_DEGREE4,
+    assemble_load,
+    assemble_stiffness,
+    gradient_couplings,
+)
+from beltrami.meshes import axis_edges, edge_table
 import beltrami.fem
 from beltrami.narrowband import (
     _band_errors,
     _band_nodes,
     _band_quadrature,
+    _band_stiffness,
     _surface_errors,
     narrowband_forcing,
 )
@@ -49,15 +57,16 @@ def inside_nodes(problem, quad):
 
 
 def band_system(problem, quad=None):
-    """(A, b, m, dofs) exactly as the solver assembles them."""
+    """(A, b, m, dofs) with the values the solver assembles: A from the
+    Kuhn table's gradients on all six edges of every tet."""
     quad = quad if quad is not None else _band_quadrature(problem)
     band, bulk = problem.band, problem.bulk
     n = band.n_active_dofs
     lookup = np.full(bulk.n_vertices, -1, dtype=np.int64)
     lookup[band.active_dofs] = np.arange(n)
     dofs = lookup[bulk.tet_vertices(band.tet_ids)]
-    A = assemble_stiffness(quad["grads"], quad["measures"], dofs, n,
-                           kuhn_edges(band.tet_ids, dofs))
+    es = {"grads": bulk.tet_grads(band.tet_ids), "measures": quad["measures"], "dofs": dofs}
+    A = assemble_stiffness(*gradient_couplings(es, n), edge_table(dofs))
     m = np.repeat(quad["measures"][:, None] / 4.0, 4, axis=1)
     m = np.bincount(dofs.ravel(), weights=m.ravel(), minlength=n)
     F, _, _ = narrowband_forcing(problem, quad)
@@ -177,9 +186,10 @@ def solved16(request):
 def test_blocked_band_routes_match_the_whole_set_oracles(solved16, block, monkeypatch):
     """With ``fem.NODE_BLOCK`` at 7, 64 and 2^14 nodes, the blocked routes
     give what one pass over the whole set gives (``oracles``): the forcing
-    bit for bit, the band norms and the surface norms (the cut-face set) to
-    1e-13 relative.  No band set holds an array of nodes (E, nq, 3): its
-    one 3-D array is ``grads`` (E, 4, 3)."""
+    and the load (one batched ``matmul`` over the whole set) bit for bit,
+    the band norms and the surface norms (the cut-face set) to 1e-13
+    relative.  No band set holds a 3-D array: no nodes (E, nq, 3) and no
+    gradients (E, 4, 3)."""
     problem, c = solved16
     monkeypatch.setattr(beltrami.fem, "NODE_BLOCK", block)
     quad = _band_quadrature(problem)
@@ -188,8 +198,12 @@ def test_blocked_band_routes_match_the_whole_set_oracles(solved16, block, monkey
         problem, quad, TET_DEGREE4.points)
     assert np.array_equal(F, F_ref)
     assert (correction, measure) == (correction_ref, measure_ref)
+    n, dofs, w = problem.band.n_active_dofs, quad["dofs"], quad["weights"]
+    whole = np.matmul((w * F)[:, None, :], TET_DEGREE4.points)[:, 0]
+    assert np.array_equal(assemble_load(dofs, TET_DEGREE4.points, F, w, n),
+                          np.bincount(dofs.ravel(), whole.ravel(), n))
     for es in (quad, _band_quadrature(problem, TET_DEGREE2)):
-        assert [key for key, a in es.items() if np.ndim(a) == 3] == ["grads"]
+        assert [key for key, a in es.items() if np.ndim(a) == 3] == []
     band = oracles.whole_band_errors(
         problem, c, (TET_DEGREE2.points, TET_DEGREE2.normalized_weights))
     assert np.allclose(_band_errors(problem, c), band, rtol=1e-13, atol=0.0)
@@ -408,12 +422,14 @@ def test_band_without_a_cut_raises_typed_error(monkeypatch):
 def test_band_assembly_hands_scipy_an_entry_per_edge_and_dof(monkeypatch):
     """On the narrowband-torus benchmark's finest band (Torus(1, 0.4), n = 48,
     delta 1.5 h) the solve hands ``coo_matrix`` once 2M + n entries, M the
-    band's edges, and assembling its stiffness raises the traced memory by
-    at most 12 MiB (E k^2 COO triplets raised it by 26.7)."""
+    band's lattice axis edges, and assembling its stiffness, the edge
+    numbering included, raises the traced memory by 9.00 MiB; the bound is
+    that plus 10 %.  All six edges of every tet, numbered in closed form,
+    raised it by 11.09 MiB, and E k^2 COO triplets by 26.7."""
     surface = Torus(1.0, 0.4)
     problem = NarrowBandProblem(surface, build_bulk_mesh(surface, 48))
     band = problem.band
-    edges = kuhn_edges(band.tet_ids, band.dofs)
+    pairs = axis_edges(band.tet_ids, band.dofs)[1][0]
     entries, coo_matrix = [], sp.coo_matrix
 
     def counted(arg, *args, **kwargs):
@@ -422,24 +438,25 @@ def test_band_assembly_hands_scipy_an_entry_per_edge_and_dof(monkeypatch):
 
     monkeypatch.setattr(beltrami.fem.sp, "coo_matrix", counted)
     narrowband_solve(problem)
-    assert entries == [2 * len(edges[0]) + band.n_active_dofs]
+    assert entries == [2 * len(pairs) + band.n_active_dofs]
 
-    quad = _band_quadrature(problem)
+    measures = _band_quadrature(problem)["measures"]
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        assemble_stiffness(quad["grads"], quad["measures"], band.dofs, band.n_active_dofs, edges)
+        _band_stiffness(problem, measures)
         rise = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    assert rise <= 12 * 2**20
+    assert rise <= 1.1 * 9.00 * 2**20
 
 
 def test_band_solve_memory_stays_bounded():
     """Under tracemalloc one solve of ``Torus(1, 0.4)`` at n = 32 (delta
-    1.5 h), its problem built before, peaks at 12.72 MiB; the bound is that
-    plus 10 %.  Nodes for the whole band, (E, nq, 3), and whole-band
-    error samples took it to 19.75 MiB."""
+    1.5 h), its problem built before, peaks at 9.46 MiB; the bound is that
+    plus 10 %.  Band gradients (E, 4, 3), the six edges of every tet and
+    the whole-set (E, nq) load product took it to 12.72 MiB; nodes for the
+    whole band, (E, nq, 3), and whole-band error samples to 19.75 MiB."""
     surface = Torus(1.0, 0.4)
     problem = NarrowBandProblem(surface, build_bulk_mesh(surface, 32))
     tracemalloc.start()
@@ -448,4 +465,4 @@ def test_band_solve_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 12.72 * 2**20
+    assert peak <= 1.1 * 9.46 * 2**20
