@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateSimplex, NoConvergence
-from .geometry import row_dot, row_norm
+from .geometry import row_cross, row_dot, row_norm
 
 
 class QuadratureRule:
@@ -142,12 +142,12 @@ def triangle_geometry(coords):
     to zero, and reproduce in-plane linear fields.
     """
     e = edge_vectors(np.asarray(coords, dtype=float))
-    n = np.cross(e[:, 2], -e[:, 1])  # (p1 - p0) x (p2 - p0), norm 2|T|
+    n = row_cross(e[:, 2], -e[:, 1])  # (p1 - p0) x (p2 - p0), norm 2|T|
     two_area = row_norm(n)
     if np.any(two_area[:, None] < 2e-14 * row_norm(e) ** 2):  # against the longest edge
         raise DegenerateSimplex("triangle with vanishing area")
     nu = n / two_area[:, None]
-    grads = np.cross(nu[:, None, :], e) / two_area[:, None, None]
+    grads = row_cross(nu[:, None, :], e) / two_area[:, None, None]
     return grads, 0.5 * two_area, nu
 
 

@@ -69,6 +69,15 @@ def row_norm(v):
     return np.sqrt(row_dot(v, v))
 
 
+def row_cross(a, b):
+    """``np.cross(a, b)`` for last axes of length 3, broadcast, bit-identical."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
+
+
 def hessian_matrix(g, k, e):
     """D^2 d = k_1 (I - g g^T) + (k_0 - k_1) e e^T, (N, 3, 3), from the
     compact jet (g, k, e) of ``ImplicitSurface._hessian``."""
@@ -90,7 +99,7 @@ def plane_basis(normals):
     e[np.arange(n), k] = 1.0
     t1 = e - normals * normals[np.arange(n), k][:, None]
     t1 /= row_norm(t1)[:, None]
-    t2 = np.cross(normals, t1)
+    t2 = row_cross(normals, t1)
     return t1, t2
 
 
@@ -388,9 +397,11 @@ class Torus(ImplicitSurface):
         return np.array([R + r, R + r, r])
 
     def _cylinder(self, pts):
-        rho = np.hypot(pts[:, 0], pts[:, 1])
+        # no hypot: like ``row_norm``, finite while the squares are (|x| < 1e154)
+        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+        rho = np.sqrt(x * x + y * y)
         u = rho - self.major_radius
-        s = np.hypot(u, pts[:, 2])
+        s = np.sqrt(u * u + z * z)
         return rho, u, s
 
     def _parts(self, pts):
@@ -533,19 +544,24 @@ class Ellipsoid(ImplicitSurface):
         live = w > 1e-12 * scale
         w = np.where(live, w, 0.0)
         w2 = w**2
-        slope = 2.0 * (w2 / self.abc2**3).sum(axis=1)  # -g'(0); 0 with no live axis
-        t = np.maximum(np.max(w - self.abc2, axis=1), np.divide(
-            (w2 / self.abc2**2).sum(axis=1) - 1.0, slope, out=np.full(len(pts), -np.inf),
+        low, q = w - self.abc2, w2 / self.abc2**2
+        slope = w2 / self.abc2**3
+        slope = 2.0 * (slope[:, 0] + slope[:, 1] + slope[:, 2])  # -g'(0); 0 with no live axis
+        t = np.maximum(np.maximum(np.maximum(low[:, 0], low[:, 1]), low[:, 2]), np.divide(
+            q[:, 0] + q[:, 1] + q[:, 2] - 1.0, slope, out=np.full(len(pts), -np.inf),
             where=slope > 0.0))
         converged = np.zeros(len(pts), dtype=bool)
         for _ in range(NEWTON_MAX_ITER):
-            den = np.where(live, self.abc2 + t[:, None], 1.0)
-            q = w2 / den**2
+            # r = 1 / (a^2 + t): g + 1 = sum w^2 r^2 and g' = -2 sum w^2 r^3
+            r = np.where(live, self.abc2 + t[:, None], 1.0)
+            np.reciprocal(r, out=r)
+            q = r * r
+            q *= w2
             gval = q[:, 0] + q[:, 1] + q[:, 2] - 1.0
-            q = w2 / den**3
+            q *= r
             gprime = -2.0 * (q[:, 0] + q[:, 1] + q[:, 2])
             step = np.where(converged, 0.0, gval / np.where(gprime == 0.0, -1.0, gprime))
-            step = np.minimum(step, 0.0)
+            np.minimum(step, 0.0, out=step)
             t = t - step
             converged |= np.abs(step) <= 1e-13 * (scale + np.abs(t))
             if converged.all():
@@ -560,7 +576,7 @@ class Ellipsoid(ImplicitSurface):
         den = self.abc2 + t[:, None]
         p = np.where(live, self.abc2 * pts / np.where(live, den, 1.0), 0.0)
         pole = ~live & (den <= 0.0)
-        rows = np.flatnonzero(pole.any(axis=1))
+        rows = np.flatnonzero(pole[:, 0] | pole[:, 1] | pole[:, 2])
         k = np.argmax(pole[rows], axis=1)
         rest = np.sum((p[rows] / self.abc) ** 2, axis=1)
         p[rows, k] = np.copysign(
@@ -569,11 +585,14 @@ class Ellipsoid(ImplicitSurface):
         return p
 
     def _parts(self, pts):
-        # x - P is parallel to the normal P / a^2 at P, so d = (x - P) . g
+        """d, grad d and |n|, n = P / a^2 the normal at the closest point P
+        (``_project_raw``): x - P is parallel to n, so d = (x - P) . g, and
+        |n| scales the Weingarten map that ``_hessian`` reads."""
         p = self._project_raw(pts)
         n = p / self.abc2
-        g = n / row_norm(n)[:, None]
-        return np.einsum("ni,ni->n", pts - p, g), g, None
+        norm = row_norm(n)
+        g = n / norm[:, None]
+        return np.einsum("ni,ni->n", pts - p, g), g, norm
 
     def _outside(self, d, parts):
         # outside (d > 0) the closest point is unique; inside, stay within
@@ -581,14 +600,15 @@ class Ellipsoid(ImplicitSurface):
         # the Newton solve this guards.
         return d <= -self.tube_halfwidth()
 
-    def _hessian(self, pts, d, g, parts):
+    def _hessian(self, pts, d, g, norm):
         # D^2 d = W (I + d W)^-1 with the Weingarten map at the closest point
-        # P, W = Pi diag(a^-2) Pi / |P / a^2| and Pi = I - g g^T: the
-        # eigenpairs of W's 2x2 block B in a tangent basis, kappa mapped to
-        # kappa / (1 + d kappa).  e_0 is orthogonal to the larger row of
-        # B - kappa_0 I, which cancels nothing (t1 at an umbilic, B = kappa I).
+        # P, W = Pi diag(a^-2) Pi / |n| (n = P / a^2, |n| from ``_parts``) and
+        # Pi = I - g g^T: the eigenpairs of W's 2x2 block B in a tangent
+        # basis, kappa mapped to kappa / (1 + d kappa).  e_0 is orthogonal to
+        # the larger row of B - kappa_0 I, which cancels nothing (t1 at an
+        # umbilic, B = kappa I).
         t1, t2 = plane_basis(g)
-        w1, scale = t1 / self.abc2, 1.0 / row_norm((pts - d[:, None] * g) / self.abc2)
+        w1, scale = t1 / self.abc2, 1.0 / norm
         b11, b12 = row_dot(w1, t1) * scale, row_dot(w1, t2) * scale
         b22 = row_dot(t2 / self.abc2, t2) * scale
         half = 0.5 * (b11 - b22)
@@ -598,7 +618,18 @@ class Ellipsoid(ImplicitSurface):
         w[w == 0.0] = 1.0
         v1, v2 = np.where(half >= 0.0, w, b12), np.where(half >= 0.0, b12, w)
         return (kappa / (1.0 + d[:, None] * kappa),
-                (v1[:, None] * t1 + v2[:, None] * t2) / np.hypot(v1, v2)[:, None])
+                (v1[:, None] * t1 + v2[:, None] * t2) / np.sqrt(v1 * v1 + v2 * v2)[:, None])
+
+    def _laplacian_d(self, d, g, norm):
+        """tr D^2 d from one ``_parts`` evaluation (d, g, |n|), n = P / a^2 at
+        the closest point P: the principal curvatures kappa_i there give
+        sum kappa_i / (1 + d kappa_i) = (H + 2 d K) / (1 + d H + d^2 K), with
+        the mean and Gauss curvatures H = tr W = (sum a_i^-2 - sum g_i^2
+        a_i^-2) / |n| and K = det W = 1 / (a^2 b^2 c^2 |n|^4); H at d = 0."""
+        inv = 1.0 / self.abc2
+        H = (inv.sum() - row_dot(g * g, inv)) / norm
+        K = 1.0 / (self.abc2.prod() * norm**4)
+        return (H + 2.0 * d * K) / (1.0 + d * H + d * d * K)
 
     def _scaled_radial_raw(self, pts, nus):
         """The chart L(x) = x / s(x), s(x) = |x / abc|, and its area ratio on
@@ -624,8 +655,9 @@ class Ellipsoid(ImplicitSurface):
         Away from the surface, ``f`` continues by the same formula with nu
         the unit normal of the level set of (x/a)^2 + (y/b)^2 + (z/c)^2
         through x and Delta d = tr D^2 d(x) from the distance jet at x.
-        Points with |level_value| <= 1e-13 count as on the surface: there
-        d = 0 and grad d = nu, so they skip the closest-point Newton solve.
+        That trace needs no Hessian (``_laplacian_d``).  Points with
+        |level_value| <= 1e-13 count as on the surface: there P = x, d = 0
+        and grad d = nu, so they skip the closest-point Newton solve.
         """
 
         def _normal(x):
@@ -634,22 +666,23 @@ class Ellipsoid(ImplicitSurface):
             return nrm / row_norm(nrm)[..., None]
 
         def forcing(pts):
-            nu = _normal(pts)
-            # on the surface d = 0 and grad d = nu; only the other points
-            # need the Newton solve (and g a copy of nu)
+            n = pts / self.abc2
+            norm = row_norm(n)
+            nu = n / norm[:, None]
+            # on the surface P = x, d = 0 and grad d = nu; only the other
+            # points need the Newton solve (and g a copy of nu)
             d, g = np.zeros(len(pts)), nu
             off = np.abs(self.level_value(pts)) > 1e-13
             if off.any():
                 g = nu.copy()
-                d[off], g[off] = self._grad_raw(pts[off])
+                d[off], g[off], norm[off] = self._parts(pts[off])
             # D^2(xyz) nu contracted twice: 2 (x y z -> symmetric off-diagonal)
             quad = 2.0 * (
                 pts[:, 2] * nu[:, 0] * nu[:, 1]
                 + pts[:, 1] * nu[:, 0] * nu[:, 2]
                 + pts[:, 0] * nu[:, 1] * nu[:, 2]
             )
-            trace = self._hessian(pts, d, g, None)[0].sum(axis=1)
-            return quad + row_dot(_xyz_gradient(pts), nu) * trace
+            return quad + row_dot(_xyz_gradient(pts), nu) * self._laplacian_d(d, g, norm)
 
         a, b, c = self.abc
         return _xyz_solution(f"ellipsoid({a},{b},{c}): u=xyz", _normal,

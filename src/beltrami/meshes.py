@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import BeltramiError, BoxTooSmall, EmptyBand, UnsupportedSurface
 from .fem import SIMPLEX_EDGES, edge_vectors, extend_basis, stiffness_diagonal, triangle_geometry
-from .geometry import row_norm
+from .geometry import row_cross, row_norm
 
 MAX_VERTEX_VALENCE = 32
 # the shape-regularity bound on diam / sqrt(area) per facet
@@ -112,7 +112,7 @@ def edge_table(simplices):
 def _orient_outward(vertices, triangles, surface):
     """Flip triangles whose normal opposes grad d at the centroid."""
     coords = vertices[triangles]
-    n = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
+    n = row_cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
     _, g = surface._grad_raw((coords[:, 0] + coords[:, 1] + coords[:, 2]) / 3)
     flip = np.einsum("td,td->t", n, g) < 0.0
     out = triangles.copy()
@@ -610,7 +610,7 @@ def extract_cut_surface(bulk, surface, band=None):
     distinct = (f0 != f1) & (f1 != f2) & (f2 != f0)
     faces, parents = faces[distinct], parents[distinct]
     p0, p1, p2 = cut_vertices[faces.T]
-    good = row_norm(np.cross(p1 - p0, p2 - p0)) >= 2e-14 * bulk.h**2
+    good = row_norm(row_cross(p1 - p0, p2 - p0)) >= 2e-14 * bulk.h**2
     faces = _orient_outward(cut_vertices, faces[good], surface)
     # keep the cut vertices that faces use: their edge ends are corners of kept tets
     kept = np.bincount(faces.ravel(), minlength=len(uniq)) > 0

@@ -117,17 +117,19 @@ def narrowband_forcing(problem, quad):
 
     Two passes: evaluate f through the mismatch map at the nodes of the
     band set ``quad`` (``_band_quadrature``) where the indicator is on,
-    block by block (``_band_nodes``), then subtract the indicator-weighted
-    average in place so the singular system stays compatible.
+    block by block (``_band_nodes``), summing the block's weighted values as
+    it goes, then subtract the indicator-weighted average in place so the
+    singular system stays compatible.
     """
-    F = np.zeros(quad["inside"].shape)
+    F, w = np.zeros(quad["inside"].shape), quad["weights"]
+    total = 0.0
     for f, on, x in _band_nodes(problem, quad, TET_DEGREE4):
         # F's rows f are contiguous, so ravel() is a view that writes into F
         F[f].ravel()[on] = problem.solution.f(
             mismatch_map(problem.surface, quad["d_h"][f].ravel()[on], x))
-    w = quad["weights"]
+        total += float((w[f] * F[f]).sum())
     band_measure = float(w.sum())
-    correction = float((w * F).sum() / band_measure)
+    correction = total / band_measure
     F -= correction
     return F, correction, band_measure
 

@@ -103,10 +103,11 @@ def sphere_distance(R, pts):
 
 
 def torus_distance(R, r, pts):
-    """Signed distance hypot(hypot(x, y) - R, z) - r to the torus around the
-    z-axis with core radius R and tube radius r."""
-    pts = np.asarray(pts, dtype=float)
-    return np.hypot(np.hypot(pts[:, 0], pts[:, 1]) - R, pts[:, 2]) - r
+    """Signed distance sqrt((sqrt(x^2 + y^2) - R)^2 + z^2) - r to the torus
+    around the z-axis with core radius R and tube radius r."""
+    x, y, z = np.asarray(pts, dtype=float).T
+    rho = np.sqrt(x * x + y * y)
+    return np.sqrt((rho - R) * (rho - R) + z * z) - r
 
 
 def torus_hessian_outer_products(R, pts):
@@ -133,11 +134,12 @@ def torus_jet_tangent_outer_products(R, r, pts):
     phi^T) / s summed over all nine entries from stacked tangents: phi the
     toroidal unit tangent and tau = phi x grad d the poloidal one, with rho
     and s clamped at 1e-300 as the library clamps them.  k = (u / (rho s),
-    1 / s) holds the curvatures along phi and tau that D^2 d is built from."""
+    1 / s) holds the curvatures along phi and tau that D^2 d is built from;
+    rho = sqrt(x^2 + y^2) and s = sqrt(u^2 + z^2) as the library takes them."""
     pts = np.asarray(pts, dtype=float)
-    rho = np.hypot(pts[:, 0], pts[:, 1])
+    rho = np.sqrt(pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1])
     u = rho - R
-    s = np.hypot(u, pts[:, 2])
+    s = np.sqrt(u * u + pts[:, 2] * pts[:, 2])
     rho = np.where(rho < 1e-300, 1e-300, rho)
     s = np.where(s < 1e-300, 1e-300, s)
     g = np.column_stack([u * (pts[:, 0] / rho), u * (pts[:, 1] / rho), pts[:, 2]])
@@ -1033,8 +1035,9 @@ def whole_band_forcing(problem, quad, bary):
     """The narrow-band forcing over the whole band in one call: the nodes
     (E, nq, 3) of every band tet at ``bary`` (nq, 4), f through the mismatch
     map x + (d_h - d) grad d at those where ``quad["inside"]`` is on (0
-    elsewhere), less the ``quad["weights"]`` mean.  Returns (F, correction,
-    band measure)."""
+    elsewhere).  Returns those values before the mean correction, the
+    ``quad["weights"]`` mean of them as one whole-set sum (the correction)
+    and the band measure."""
     qp = problem.bulk.tet_points(problem.band.tet_ids, bary)
     flat, d_h = qp.reshape(-1, 3), quad["d_h"].ravel()
     nodes = np.flatnonzero(quad["inside"])
@@ -1044,8 +1047,7 @@ def whole_band_forcing(problem, quad, bary):
     raw = raw.reshape(quad["inside"].shape)
     w = quad["weights"]
     band_measure = float(w.sum())
-    correction = float((w * raw).sum() / band_measure)
-    return raw - correction, correction, band_measure
+    return raw, float((w * raw).sum() / band_measure), band_measure
 
 
 def whole_band_errors(problem, c, rule):

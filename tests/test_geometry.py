@@ -22,7 +22,7 @@ from beltrami import (
 )
 import beltrami.geometry
 from beltrami.fem import TRI_DEGREE4
-from beltrami.geometry import hessian_matrix, row_dot, row_norm
+from beltrami.geometry import hessian_matrix, row_cross, row_dot, row_norm
 from beltrami.narrowband import mismatch_map
 from beltrami.parametric import parametric_workspace
 
@@ -187,8 +187,8 @@ def test_ellipsoid_hessian_matches_the_solve(axes, seed):
     annihilates the normal."""
     e = Ellipsoid(*axes)
     pts = e.tube_points(64, np.random.default_rng(seed), fill=0.95)
-    d, g = e._grad_raw(pts)
-    H = hessian_matrix(g, *e._hessian(pts, d, g, None))
+    d, g, norm = e._parts(pts)
+    H = hessian_matrix(g, *e._hessian(pts, d, g, norm))
     ref = oracles.ellipsoid_hessian_solve(e.abc, pts, d, g)
     scale = np.linalg.norm(ref, axis=(1, 2))
     assert (np.abs(H - ref).max(axis=(1, 2)) <= 1e-12 * scale).all()
@@ -293,6 +293,24 @@ def test_row_helpers_equal_numpy_reductions(rows, split):
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.array_equal(row_norm(a), np.linalg.norm(a, axis=-1))
         assert np.array_equal(row_dot(a, b), np.sum(a * b, axis=-1), equal_nan=True)
+
+
+_CROSS_FLOATS = st.one_of(_EDGE_FLOATS, st.sampled_from([np.inf, -np.inf, np.nan]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(*[_CROSS_FLOATS] * 6), min_size=1, max_size=12))
+def test_row_cross_equals_np_cross(rows):
+    """row_cross is np.cross bit for bit, inf, NaN and overflow included: on
+    (N, 3) pairs, on (N, 2, 3) stacks, broadcast (N, 1, 3) against (N, 2, 3)
+    as ``fem.triangle_geometry`` takes it, and a 3-vector against (N, 3)."""
+    ab = np.array(rows, dtype=float).reshape(-1, 2, 3)
+    a, b = ab[:, 0], ab[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, y in ((a, b), (ab, ab[:, ::-1]), (ab[:, :1], ab), (a[0], b), (a, b[-1])):
+            got, want = row_cross(x, y), np.cross(x, y)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_torus_closest_point_brute_force():
@@ -489,7 +507,7 @@ CLOSED_FORMS = {
 @pytest.mark.parametrize("kind", sorted(CLOSED_FORMS))
 def test_distance_is_the_closed_form(kind):
     """The sphere's and torus's ``_distance_raw``, the d of ``_parts``, equal
-    |x| - R and hypot(hypot(x, y) - R, z) - r bit for bit: on tube points
+    |x| - R and sqrt((sqrt(x^2 + y^2) - R)^2 + z^2) - r bit for bit: on tube points
     and on the vertices that bulk-mesh culling keeps and evaluates."""
     s, closed_form = CLOSED_FORMS[kind]
     pts = s.tube_points(2000, np.random.default_rng(31))
@@ -498,6 +516,34 @@ def test_distance_is_the_closed_form(kind):
     _, _, vids, d = bulk._near_surface(s, 1.5 * bulk.h)
     assert len(vids) > 1000
     assert np.array_equal(d, closed_form(bulk.vertex_points(vids)))
+
+
+def test_torus_cylinder_agrees_with_hypot():
+    """``Torus._cylinder`` takes rho = sqrt(x^2 + y^2) and s = sqrt(u^2 + z^2),
+    u = rho - R, without hypot: each is within 2 ulp of hypot's, on tube
+    points and on points out to 1e150 (the squares stay normal from 1e-150),
+    and ``_outside`` gives hypot's verdicts there and next to the axis and
+    the core circle, where the squares underflow."""
+    R, r = 1.0, 0.4
+    s = Torus(R, r)
+    rng = np.random.default_rng(37)
+    far = rng.standard_normal((4000, 3)) * 10.0 ** rng.uniform(-150, 150, (4000, 1))
+    for pts in (s.tube_points(4000, rng), far):
+        rho, u, dist = s._cylinder(pts)
+        for got, want in ((rho, np.hypot(pts[:, 0], pts[:, 1])), (dist, np.hypot(u, pts[:, 2]))):
+            assert np.all(np.isfinite(got))
+            assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
+    scale = 10.0 ** rng.uniform(-320, -5, (4000, 1))
+    circle = np.column_stack([np.cos(np.linspace(0.0, 6.0, 4000)) * R,
+                              np.sin(np.linspace(0.0, 6.0, 4000)) * R, np.zeros(4000)])
+    axis = np.column_stack([np.zeros((4000, 2)), rng.uniform(-2.0, 2.0, 4000)])
+    for pts in (far, axis + scale * rng.standard_normal((4000, 3)),
+                circle + scale * rng.standard_normal((4000, 3))):
+        d, _, parts = s._parts(pts)
+        rho = np.hypot(pts[:, 0], pts[:, 1])
+        want = (rho < 1e-12 * R) | (np.hypot(rho - R, pts[:, 2]) < 1e-12 * r)
+        assert want.any() or pts is far
+        assert np.array_equal(s._outside(d, parts), want)
 
 
 @pytest.mark.parametrize("radii", [(1.0, 0.4), (2.5, 0.3), (1.0, 0.9)])
@@ -672,6 +718,61 @@ def test_ellipsoid_forcing_on_the_surface_skips_the_newton_solve(e, lift, monkey
     assert solves == []
     monkeypatch.undo()
     assert_matches_jet_forcing(e, pts, f)
+
+
+@pytest.mark.parametrize("e", ELLIPSOIDS, ids=repr)
+def test_ellipsoid_laplacian_of_d_is_the_curvature_form(e):
+    """tr D^2 d from the mean and Gauss curvatures at the closest point,
+    (H + 2 d K) / (1 + d H + d^2 K), equals the trace of the 3x3 solve
+    W (I + d W)^-1 (``oracles``) and of the compact jet to 1e-14 relative:
+    on tube points out to 0.95 of the half-width, on surface points, and at
+    and next to the umbilics, on the surface and off it along the normal."""
+    rng = np.random.default_rng(43)
+    umbilics = delicate_points(e)
+    near = (umbilics + 1e-9 * rng.standard_normal((8,) + umbilics.shape)).reshape(-1, 3)
+    near = np.concatenate([umbilics, e._project_raw(near)])
+    nu = e._grad_raw(near)[1]
+    t = rng.uniform(-0.9, 0.9, (2, len(near), 1)) * e.tube_halfwidth()
+    pts = np.concatenate([e.tube_points(2000, rng, fill=0.95), e.surface_points(500, rng),
+                          near, *(near + t * nu)])
+    d, g, norm = e._parts(pts)
+    ref = np.trace(oracles.ellipsoid_hessian_solve(e.abc, pts, d, g), axis1=1, axis2=2)
+    trace = e._laplacian_d(d, g, norm)
+    assert (np.abs(trace - ref) <= 1e-14 * np.abs(ref)).all()
+    k = e._hessian(pts, d, g, norm)[0]
+    assert (np.abs(trace - (k[:, 0] + k[:, 1])) <= 1e-14 * np.abs(ref)).all()
+
+
+@pytest.mark.parametrize("e", ELLIPSOIDS, ids=repr)
+def test_ellipsoid_forcing_builds_no_hessian(e, monkeypatch):
+    """f reads tr D^2 d off ``_parts`` (``_laplacian_d``): with ``_hessian``,
+    ``plane_basis`` and ``np.hypot`` raising it still gives the jet formula,
+    on and off the surface, and each off-surface point takes one Newton
+    solve.  The compact jet, which does build D^2 d, takes one as well."""
+    rng = np.random.default_rng(6)
+    off = e.tube_points(300, rng)
+    pts = np.concatenate([e._project_raw(off[:100]), off])
+    solves, closest_t = [], e._closest_t
+
+    def counting(x):
+        solves.append(len(x))
+        return closest_t(x)
+
+    def forbidden(*args):
+        raise AssertionError("the forcing built a Hessian")
+
+    monkeypatch.setattr(e, "_closest_t", counting)
+    monkeypatch.setattr(e, "_hessian", forbidden)
+    monkeypatch.setattr(beltrami.geometry, "plane_basis", forbidden)
+    monkeypatch.setattr(np, "hypot", forbidden)
+    f = e.manufactured().f(pts)
+    assert solves == [len(off)]
+    monkeypatch.undo()
+    assert_matches_jet_forcing(e, pts, f)
+    monkeypatch.setattr(e, "_closest_t", counting)
+    solves.clear()
+    e._guarded_jet(off)
+    assert solves == [len(off)]
 
 
 @pytest.mark.parametrize("e", ELLIPSOIDS, ids=repr)

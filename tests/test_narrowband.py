@@ -161,18 +161,28 @@ def test_forcing_mean_corrected(sphere16):
                          ids=repr)
 def test_blocked_forcing_equals_one_call(surface, monkeypatch):
     """The forcing runs the mismatch map and f over blocks of whole tets'
-    inside nodes; blocks of 990 nodes (90 tets) give the same values, bit
-    for bit, as one call over all of them."""
+    inside nodes; blocks of 990 nodes (90 tets) give the same values of f,
+    bit for bit, as one call over all of them, F is those values less the
+    correction, and the correction, summed block by block, agrees with the
+    one-block sum to 1e-15 of the mean |w f|."""
     bulk = build_bulk_mesh(surface, 24)
     problem = NarrowBandProblem(surface, bulk, delta=bulk.h)
     quad = _band_quadrature(problem)
-    assert quad["inside"].sum() > 3000
-    monkeypatch.setattr(beltrami.fem, "NODE_BLOCK", quad["inside"].size)
+    inside, w = quad["inside"], quad["weights"]
+    assert inside.sum() > 3000
+    values, f = [], problem.solution.f
+    monkeypatch.setattr(problem.solution, "f", lambda x: values.append(f(x)) or values[-1])
+    monkeypatch.setattr(beltrami.fem, "NODE_BLOCK", inside.size)
     whole = narrowband_forcing(problem, quad)
+    assert len(values) == 1
     monkeypatch.setattr(beltrami.fem, "NODE_BLOCK", 1000)
     blocked = narrowband_forcing(problem, quad)
-    assert np.array_equal(blocked[0], whole[0])
-    assert blocked[1:] == whole[1:]
+    assert len(values) > 2 and np.array_equal(np.concatenate(values[1:]), values[0])
+    for F, correction, measure in (whole, blocked):
+        assert np.array_equal(F[inside], values[0] - correction)
+        assert (F[~inside] == -correction).all() and measure == whole[2]
+    mean_abs = float(np.abs(w[inside] * values[0]).sum()) / whole[2]
+    assert abs(blocked[1] - whole[1]) <= 1e-15 * mean_abs
 
 
 @pytest.fixture(scope="module", params=[Sphere(1.0), Torus(1.0, 0.4)], ids=repr)
@@ -186,19 +196,21 @@ def solved16(request):
 def test_blocked_band_routes_match_the_whole_set_oracles(solved16, block, monkeypatch):
     """With ``fem.NODE_BLOCK`` at 7, 64 and 2^14 nodes, the blocked routes
     give what one pass over the whole set gives (``oracles``): the forcing
-    and the load (one batched ``matmul`` over the whole set) bit for bit,
-    the band norms and the surface norms (the cut-face set) to 1e-13
-    relative.  No band set holds a 3-D array: no nodes (E, nq, 3) and no
-    gradients (E, 4, 3)."""
+    values and the load (one batched ``matmul`` over the whole set) bit for
+    bit, the mean correction summed block by block to 1e-15 of the mean
+    |w f| (the odd data's correction is itself rounding, about 1e-17), the
+    band norms and the surface norms (the cut-face set) to 1e-13 relative.
+    No band set holds a 3-D array: no nodes (E, nq, 3) and no gradients
+    (E, 4, 3)."""
     problem, c = solved16
     monkeypatch.setattr(beltrami.fem, "NODE_BLOCK", block)
     quad = _band_quadrature(problem)
     F, correction, measure = narrowband_forcing(problem, quad)
-    F_ref, correction_ref, measure_ref = oracles.whole_band_forcing(
+    raw, correction_ref, measure_ref = oracles.whole_band_forcing(
         problem, quad, TET_DEGREE4.points)
-    assert np.array_equal(F, F_ref)
-    assert (correction, measure) == (correction_ref, measure_ref)
     n, dofs, w = problem.band.n_active_dofs, quad["dofs"], quad["weights"]
+    assert np.array_equal(F, raw - correction) and measure == measure_ref
+    assert abs(correction - correction_ref) <= 1e-15 * float(np.abs(w * raw).sum()) / measure
     whole = np.matmul((w * F)[:, None, :], TET_DEGREE4.points)[:, 0]
     assert np.array_equal(assemble_load(dofs, TET_DEGREE4.points, F, w, n),
                           np.bincount(dofs.ravel(), whole.ravel(), n))
@@ -453,10 +465,14 @@ def test_band_assembly_hands_scipy_an_entry_per_edge_and_dof(monkeypatch):
 
 def test_band_solve_memory_stays_bounded():
     """Under tracemalloc one solve of ``Torus(1, 0.4)`` at n = 32 (delta
-    1.5 h), its problem built before, peaks at 9.46 MiB; the bound is that
-    plus 10 %.  Band gradients (E, 4, 3), the six edges of every tet and
-    the whole-set (E, nq) load product took it to 12.72 MiB; nodes for the
-    whole band, (E, nq, 3), and whole-band error samples to 19.75 MiB."""
+    1.5 h), its problem built before, peaks at 8.74 MiB; the bound is that
+    plus 10 %.  The whole-set (E, nq) product of the forcing's mean
+    correction took it to 9.46 MiB; band gradients (E, 4, 3), the six edges
+    of every tet and the whole-set (E, nq) load product to 12.72 MiB; nodes
+    for the whole band, (E, nq, 3), and whole-band error samples to
+    19.75 MiB.  The forcing alone holds 1.56 MiB beyond its (E, nq) result
+    F at its peak, the temporaries of one block; the whole-set product held
+    2.29 MiB, and twice that at n = 48, where the blocks still hold 1.59."""
     surface = Torus(1.0, 0.4)
     problem = NarrowBandProblem(surface, build_bulk_mesh(surface, 32))
     tracemalloc.start()
@@ -465,4 +481,12 @@ def test_band_solve_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 9.46 * 2**20
+    assert peak <= 1.1 * 8.74 * 2**20
+    quad = _band_quadrature(problem)
+    tracemalloc.start()
+    try:
+        F = narrowband_forcing(problem, quad)[0]
+        beyond = tracemalloc.get_traced_memory()[1] - F.nbytes
+    finally:
+        tracemalloc.stop()
+    assert beyond <= 1.1 * 1.56 * 2**20
