@@ -135,14 +135,14 @@ def edge_vectors(coords):
     return coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]
 
 
-def triangle_geometry(coords):
+def triangle_geometry(coords, cross=None):
     """Gradients, areas, and unit normals for triangles embedded in 3-D.
 
-    coords : (E, 3, 3).  The hat gradients lie in each facet's plane, sum
-    to zero, and reproduce in-plane linear fields.
+    coords : (E, 3, 3), and ``cross`` their (p1 - p0) x (p2 - p0) if formed.  The hat
+    gradients lie in each facet's plane, sum to zero, and reproduce in-plane linear fields.
     """
     e = edge_vectors(np.asarray(coords, dtype=float))
-    n = row_cross(e[:, 2], -e[:, 1])  # (p1 - p0) x (p2 - p0), norm 2|T|
+    n = row_cross(e[:, 2], -e[:, 1]) if cross is None else cross  # norm 2|T|
     two_area = row_norm(n)
     if np.any(two_area[:, None] < 2e-14 * row_norm(e) ** 2):  # against the longest edge
         raise DegenerateSimplex("triangle with vanishing area")

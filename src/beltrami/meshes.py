@@ -115,9 +115,7 @@ def _orient_outward(vertices, triangles, surface):
     n = row_cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
     _, g = surface._grad_raw((coords[:, 0] + coords[:, 1] + coords[:, 2]) / 3)
     flip = np.einsum("td,td->t", n, g) < 0.0
-    out = triangles.copy()
-    out[flip] = out[flip][:, [0, 2, 1]]
-    return out
+    return np.where(flip[:, None], triangles[:, [0, 2, 1]], triangles)
 
 
 def _rotate_longest_edge(vertices, triangles):
@@ -330,6 +328,9 @@ _TET_EDGES = SIMPLEX_EDGES[4]
 # and the stride rank 2 - p_j of chain step j (the last axis has stride 1)
 _KUHN_CHAIN = np.argsort(_KUHN_OFFSETS.sum(axis=2), axis=1)
 _KUHN_STEP_RANK = 2 - np.array(_KUHN_PERMS)
+# Kuhn corners as cube corners ``_OCTANTS`` (6, 4), Kuhn edges as lattice steps (6, 6)
+_KUHN_CUBE = _KUHN_OFFSETS @ (4, 2, 1)
+_KUHN_STEPS = np.abs(_KUHN_CUBE[:, _TET_EDGES[:, 1]] - _KUHN_CUBE[:, _TET_EDGES[:, 0]])
 
 
 def axis_edges(tet_ids, dofs):
@@ -428,7 +429,9 @@ class BulkMesh:
         because ``surface._distance_raw`` is a true signed distance, hence
         1-Lipschitz; every surface's is exact.  Returns the ascending tet
         ids (E,), their corners (E, 4) as indices into the ascending vertex
-        ids (V,), and d at those vertices (V,).
+        ids (V,), and d at those vertices (V,).  The kept cells' cube corners
+        are 8 ascending runs of ids, so one stable merge numbers them, and
+        each tet reads its corners off its cell's (``_KUHN_CUBE``).
         """
         n, h = self.cells_per_axis, self.h
         size = 1 << max((n // 4).bit_length() - 1, 0)
@@ -443,11 +446,17 @@ class BulkMesh:
             size //= 2
             blocks = (blocks[:, None, :] + size * _OCTANTS).reshape(-1, 3)
             blocks = blocks[(blocks < n).all(axis=1)]
-        cells = np.sort((blocks[:, 0] * n + blocks[:, 1]) * n + blocks[:, 2])
-        ids = (6 * cells[:, None] + np.arange(6)).ravel()
-        vids, corners = np.unique(self.tet_vertices(ids), return_inverse=True)
-        d = surface._distance_raw(self.vertex_points(vids))
-        return ids, corners.reshape(-1, 4), vids, d
+        s = n + 1
+        blocks = blocks[np.argsort(blocks @ (n * n, n, 1))]
+        ids = (6 * (blocks @ (n * n, n, 1))[:, None] + np.arange(6)).ravel()
+        runs = (blocks @ (s * s, s, 1) + (_OCTANTS @ (s * s, s, 1))[:, None]).ravel()
+        order = np.argsort(runs, kind="stable")
+        first = np.diff(runs[order], prepend=-1) > 0
+        at = np.empty_like(order)
+        at[order] = np.cumsum(first) - 1
+        vids = runs[order[first]]
+        corners = np.take(at.reshape(8, -1).T, _KUHN_CUBE.ravel(), axis=1).reshape(-1, 4)
+        return ids, corners, vids, surface._distance_raw(self.vertex_points(vids))
 
     def __repr__(self):
         return (
@@ -485,28 +494,27 @@ def _number_rows(ids, corners, vids, d, rows, at=None):
     the rows' corners (E, 4) -- as positions in the vertices the rows use,
     those vertices' ascending ids, d there).  The culled vertex ids
     ascend, so counting the used ones numbers them without a sort."""
-    used = np.zeros(len(vids), dtype=bool)
-    used[corners[rows]] = True
-    at = corners[rows] if at is None else at
-    return ids[rows], (np.cumsum(used) - 1)[at], vids[used], d[used]
+    dofs = corners[rows]
+    used = np.bincount(dofs.ravel(), minlength=len(vids)) > 0
+    return ids[rows], (np.cumsum(used) - 1)[dofs if at is None else at], vids[used], d[used]
 
 
 class CutSurface:
     """Triangulated zero level set of the vertex-interpolated distance.
 
-    Faces live inside bulk tetrahedra (``parent_tet``), are oriented with
-    grad d, own their ``triangle_geometry`` (``grads``, ``areas``, ``normals``),
-    and their DOFs are the vertices of cut bulk tetrahedra, ascending in
-    ``active_dofs``, ``d_vertex`` the nudged d there.  Cut vertex i, on some face, is (1 - t) x_a + t x_b with t
-    ``tvals[i]`` and a, b its edge's ends ``ends[i]`` by position there.
+    Faces lie in bulk tetrahedra (``parent_tet``), face along grad d and own
+    their ``triangle_geometry`` (``grads``, ``areas``, ``normals``).  Their
+    DOFs are the corners of the cut tetrahedra, ascending in ``active_dofs``,
+    with ``d_vertex`` the nudged d there.  Cut vertex i is (1 - t) x_a + t x_b
+    with t ``tvals[i]`` and a, b its edge's ends ``ends[i]`` by position there.
     A band-marched cut numbers its DOFs as the band: ``n_active_dofs`` is the band's.
     """
 
-    def __init__(self, bulk, vertices, faces, n_degenerate, numbering, tvals):
+    def __init__(self, bulk, vertices, faces, n_degenerate, numbering, tvals, cross):
         self.bulk = bulk
         self.vertices = vertices
         self.faces = faces
-        self.grads, self.areas, self.normals = triangle_geometry(vertices[faces])
+        self.grads, self.areas, self.normals = triangle_geometry(vertices[faces], cross)
         self.n_degenerate = int(n_degenerate)
         self.parent_tet, self.ends, self.active_dofs, self.d_vertex = numbering
         self.tvals = tvals
@@ -572,14 +580,17 @@ def extract_cut_surface(bulk, surface, band=None):
     it; faces that repeat a vertex then vanish.
     One vertex on a side yields a triangle; two yield a planar quad split
     into two triangles along the cycle (ac, ad, bd, bc).  Faces with area
-    below 1e-14 h^2 are dropped and counted in ``n_degenerate``.
+    below 1e-14 h^2 are dropped and counted in ``n_degenerate``.  Crossing
+    edges, keyed lo * 8 + lattice step (bits 4, 2, 1; 0 once collapsed),
+    sort as their vertex pairs, so a running count numbers them.  One cross
+    product per face filters, orients and measures it; a flip negates it.
     """
     eps = 1e-12 * bulk.h
     ids, tets, vids, d = (bulk._near_surface(surface, eps) if band is None else
                           (band.tet_ids, band.dofs, band.active_dofs, band.d_vertex.copy()))
     on_surface = np.abs(d) < eps
     d[on_surface] = eps
-    pattern = np.packbits((d < 0.0)[tets], axis=1, bitorder="little")[:, 0]
+    pattern = (d < 0.0)[tets] @ (1, 2, 4, 8)
     cut = np.flatnonzero((pattern > 0) & (pattern < 15))
     if len(cut) == 0:
         raise BeltramiError("surface does not cut the bulk mesh")
@@ -595,31 +606,35 @@ def extract_cut_surface(bulk, surface, band=None):
     lo = np.where(on_surface[hi], hi, lo)
     hi = np.where(on_surface[lo], lo, hi)
 
-    # crossing edges keyed lo * V + hi, so unique sorts them as pairs; the
-    # vertex indices ascend with the global ids, so the order is global
-    nv = len(vids)
-    uniq, inverse = np.unique(lo * nv + hi, return_inverse=True)
-    a, b = np.divmod(uniq, nv)
-    da, db = d[a], d[b]
-    tvals = np.divide(da, da - db, out=np.zeros_like(da), where=a != b)
+    keys = 8 * lo + np.where(lo == hi, 0, _KUHN_STEPS[(ids[parents] % 6)[:, None], local])
+    keyed = np.bincount(keys.ravel(), minlength=8 * len(vids)) > 0
+    faces = (np.cumsum(keyed) - 1)[keys]
+    a, b = np.empty((2, np.count_nonzero(keyed)), dtype=np.int64)
+    a[faces], b[faces] = lo, hi
+    del ends, lo, hi, keys, keyed
+    tvals = np.divide(d[a], d[a] - d[b], out=np.zeros(len(a)), where=a != b)
     pa = bulk.vertex_points(vids[a])
     cut_vertices = pa + tvals[:, None] * (bulk.vertex_points(vids[b]) - pa)
 
-    faces = inverse.reshape(-1, 3)
-    f0, f1, f2 = faces.T
-    distinct = (f0 != f1) & (f1 != f2) & (f2 != f0)
-    faces, parents = faces[distinct], parents[distinct]
-    p0, p1, p2 = cut_vertices[faces.T]
-    good = row_norm(row_cross(p1 - p0, p2 - p0)) >= 2e-14 * bulk.h**2
-    faces = _orient_outward(cut_vertices, faces[good], surface)
+    # the area filter's product (``triangle_geometry``'s) also orients the faces
+    p0, p1, p2 = np.take(cut_vertices, faces.T, axis=0)
+    n = row_cross(p1 - p0, -(p0 - p2))
+    keep = np.flatnonzero(row_norm(n) >= 2e-14 * bulk.h**2)
+    n_degenerate = np.count_nonzero((faces != faces[:, [1, 2, 0]]).all(axis=1)) - len(keep)
+    faces, n, rows, p0, p1, p2 = (np.take(x, keep, axis=0) for x in (faces, n, parents, p0, p1, p2))
+    _, g = surface._grad_raw((p0 + p1 + p2) / 3)
+    flip = (np.einsum("td,td->t", n, g) < 0.0)[:, None]
+    faces, n = np.where(flip, faces[:, [0, 2, 1]], faces), np.where(flip, -n, n)
+    zero = flip[:, 0] & (n == 0.0).any(axis=1)  # negation may miss a zero's sign
+    n[zero] = row_cross(p2[zero] - p0[zero], -(p0[zero] - p1[zero]))
+    del p0, p1, p2, g
     # keep the cut vertices that faces use: their edge ends are corners of kept tets
-    kept = np.bincount(faces.ravel(), minlength=len(uniq)) > 0
+    kept = np.bincount(faces.ravel(), minlength=len(a)) > 0
     faces, ends = (np.cumsum(kept) - 1)[faces], np.stack([a, b], axis=1)[kept]
-    rows = parents[good]
     numbering = (_number_rows(ids, tets, vids, d, rows, ends) if band is None
                  else (ids[rows], ends, vids, d))
-    return CutSurface(bulk, cut_vertices[kept], faces, len(good) - len(faces), numbering,
-                      tvals[kept])
+    return CutSurface(bulk, cut_vertices[kept], faces, n_degenerate, numbering,
+                      tvals[kept], n)
 
 
 class BandMesh:

@@ -696,10 +696,10 @@ def test_extraction_keeps_only_faces_triangle_geometry_accepts(case):
     triangle_geometry(cut.vertices[cut.faces])
 
 
-def test_extraction_sorts_only_to_cull_and_key_edges(monkeypatch):
-    """Neither record sorts to number its DOFs: ``extract_band`` calls
-    ``np.unique`` once (the culling), ``extract_cut_surface`` twice (the
-    culling and the crossing-edge keys), and once when marched from a band."""
+def test_extraction_never_calls_unique(monkeypatch):
+    """Neither record sorts to number its vertices or its crossing edges:
+    ``extract_band`` and both ``extract_cut_surface`` routes, fresh and
+    marched from a band, call ``np.unique`` zero times."""
     calls, unique = [], np.unique
 
     def counted(*args, **kwargs):
@@ -710,11 +710,114 @@ def test_extraction_sorts_only_to_cull_and_key_edges(monkeypatch):
     t = Torus(1.0, 0.4)
     bulk = build_bulk_mesh(t, 16)
     band = extract_band(bulk, t, 1.5 * bulk.h)
-    assert len(calls) == 1
+    assert len(calls) == 0
     extract_cut_surface(bulk, t)
-    assert len(calls) == 3
+    assert len(calls) == 0
     extract_cut_surface(bulk, t, band)
-    assert len(calls) == 4
+    assert len(calls) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=lattice_cases())
+@example(case=(Sphere(1.0), 30, 2.5, 1.5))
+@example(case=(Torus(1.0, 0.4), 48, None, 1.5))
+@example(case=(Ellipsoid(1.3, 1.0, 0.8), 7, None, 2.0))
+def test_cull_numbers_vertices_as_unique_does(case):
+    """The culled vertices, numbered by one merge of the kept cells' cube
+    corners, are ``np.unique`` of the culled tets' corners with its inverse,
+    at the cut's reach and at the band's, dtypes included."""
+    surface, n, half_width, factor = case
+    bulk = build_bulk_mesh(surface, n, half_width=half_width)
+    for reach in (1e-12 * bulk.h, factor * bulk.h):
+        ids, corners, vids, d = bulk._near_surface(surface, reach)
+        assert (np.diff(ids) > 0).all() and (ids[::6] % 6 == 0).all()
+        want_vids, want_corners = np.unique(bulk.tet_vertices(ids), return_inverse=True)
+        for got, want in ((vids, want_vids), (corners, want_corners.reshape(-1, 4))):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+        assert d.tobytes() == surface._distance_raw(bulk.vertex_points(vids)).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=lattice_cases())
+@example(case=(Sphere(1.0), 30, 2.5, 1.5))
+@example(case=(Sphere(1.0), 31, 2.5, 1.0))
+@example(case=(Torus(1.0, 0.4), 48, None, 1.5))
+def test_crossing_edges_number_as_unique_does(case):
+    """The cut of the culled set and the cut marched from a band's rows
+    number their crossing edges as ``np.unique(lo * V + hi)`` does
+    (``oracles.dense_cut_surface`` run on those vertices), every array bit
+    for bit, also where lattice vertices lie on the unit sphere at n = 30
+    and edges collapse.  The areas, normals and gradients formed from the
+    area filter's cross product are those ``triangle_geometry`` forms, zero
+    signs included: at n = 31 faces in the lattice planes through the
+    centre have normals with zero components, some of them -0.0."""
+    from beltrami import meshes
+
+    surface, n, half_width, factor = case
+    bulk = build_bulk_mesh(surface, n, half_width=half_width)
+    ids, corners, vids, _ = bulk._near_surface(surface, 1e-12 * bulk.h)
+    routes = [(None, ids, corners, vids)]
+    try:
+        band = extract_band(bulk, surface, factor * bulk.h)
+        routes.append((band, band.tet_ids, band.dofs, band.active_dofs))
+    except EmptyBand:
+        pass
+    for band, tet_ids, tets, active in routes:
+        ref = oracles.dense_cut_surface(
+            bulk.vertex_points(active), tets, bulk.h, surface._distance_raw,
+            lambda v, f: meshes._orient_outward(v, f, surface),
+            (meshes._CUT_FACES, meshes._CUT_GROUPS, meshes._TET_EDGES))
+        if ref is None:
+            with pytest.raises(BeltramiError, match="does not cut"):
+                extract_cut_surface(bulk, surface, band)
+            continue
+        cut = extract_cut_surface(bulk, surface, band)
+        assert np.array_equal(cut.active_dofs[cut.ends], active[ref["edge_ends"]])
+        assert np.array_equal(cut.parent_tet, tet_ids[ref["parent_tet"]])
+        if band is None:
+            assert np.array_equal(cut.active_dofs, active[ref["active_dofs"]])
+            assert np.array_equal(cut.d_vertex, ref["d_vertex"])
+        assert cut.n_degenerate == ref["n_degenerate"]
+        for name in ("vertices", "faces", "tvals"):
+            got, want = getattr(cut, name), ref[name]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        for got, want in zip((cut.grads, cut.areas, cut.normals),
+                             triangle_geometry(cut.vertices[cut.faces])):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_empty_cull_raises_for_both_records(n):
+    """A box deep inside the sphere culls no cell: the cull returns empty
+    arrays of its shapes, the band raises EmptyBand, the cut "does not
+    cut"."""
+    from beltrami.meshes import BulkMesh
+
+    bulk, s = BulkMesh(0.2, n), Sphere(1.0)
+    ids, corners, vids, d = bulk._near_surface(s, bulk.h)
+    assert ids.shape == vids.shape == d.shape == (0,) and corners.shape == (0, 4)
+    with pytest.raises(EmptyBand):
+        extract_band(bulk, s, bulk.h)
+    with pytest.raises(BeltramiError, match="does not cut"):
+        extract_cut_surface(bulk, s)
+
+
+def test_fresh_cut_extraction_peak_memory():
+    """Under tracemalloc a fresh ``extract_cut_surface`` of ``Sphere(1)`` at
+    n = 64 peaks at 18.83 MiB, the bulk mesh built before; the bound is
+    that + 5 %.  Numbered by ``np.unique``, with three cross products per
+    face, it peaked at 22.97 MiB."""
+    import tracemalloc
+
+    s = Sphere(1.0)
+    bulk = build_bulk_mesh(s, 64)
+    tracemalloc.start()
+    try:
+        extract_cut_surface(bulk, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 18.83 * 2**20
 
 
 # ---------------------------------------------------------------------------
