@@ -2,7 +2,7 @@
 
 Quadrature rules on reference simplices, constant element gradients for
 triangles in 3-D, CSR stiffness/load assembly, lumped masses, and the
-mean-zero-constrained CG solver (Jacobi or hierarchical-basis preconditioned)
+mean-zero-constrained CG solver (Jacobi or V-cycle preconditioned)
 shared by the parametric, trace, and narrow-band methods.
 
 The three methods differ only in their element set: facets of the
@@ -189,32 +189,12 @@ def assemble_stiffness(couplings, diagonal, edges):
 
 def gradient_couplings(es, n_dof):
     """``assemble_stiffness``'s couplings |T| g_a . g_b on the edges (a, b) of
-    ``SIMPLEX_EDGES``, and its diagonal, for a set with constant ``grads``."""
+    ``SIMPLEX_EDGES``, and its diagonal sum_T |T| |g_i|^2, for a set with
+    constant ``grads``."""
     grads, measures, dofs = es["grads"], es["measures"], es["dofs"]
     edges = SIMPLEX_EDGES[dofs.shape[1]]
     off = measures[:, None] * np.stack([row_dot(grads[:, a], grads[:, b]) for a, b in edges], 1)
-    return off, stiffness_diagonal(grads, measures, dofs, n_dof)
-
-
-def stiffness_diagonal(grads, measures, dofs, n_dof):
-    """The stiffness diagonal from constant gradients: sum_T |T| |g_i|^2."""
-    return np.bincount(dofs.ravel(), (measures[:, None] * row_dot(grads, grads)).ravel(), n_dof)
-
-
-def extend_basis(S, n, parents):
-    """The hierarchical-to-nodal map after a bisection round: S on the n old
-    vertices (None: the identity), then for each new vertex v, in the order
-    of its parent edges (p0, p1), the row (S[p0] + S[p1]) / 2 + e_v."""
-    S = sp.identity(n, format="csr") if S is None else S
-    k = len(parents)
-    mid = sp.csr_matrix((np.full(2 * k, 0.5), parents.ravel(), np.arange(0, 2 * k + 1, 2)),
-                        shape=(k, n)) @ S
-    # each new row is its row of mid, then its own unit entry at n + i
-    ends = mid.indptr[1:]
-    indptr = np.concatenate([S.indptr, S.indptr[-1] + ends + np.arange(1, k + 1)])
-    indices = np.concatenate([S.indices, np.insert(mid.indices, ends, n + np.arange(k))])
-    data = np.concatenate([S.data, np.insert(mid.data, ends, 1.0)])
-    return sp.csr_matrix((data, indices, indptr), shape=(n + k, n + k))
+    return off, np.bincount(dofs.ravel(), (measures[:, None] * row_dot(grads, grads)).ravel(), n_dof)
 
 
 def assemble_load(dofs, bary, values, point_measures, n_dof):
@@ -295,6 +275,38 @@ class ErrorReport:
 # ---------------------------------------------------------------------------
 
 
+# the damping of the V-cycle's Jacobi sweeps
+OMEGA = 0.8
+
+
+def v_cycle(A, steps, base):
+    """The symmetric V(1, 1) cycle of A over a ladder of coarser operators,
+    as a function r -> x.  ``steps`` ((P, A_c), ...) runs from fine to
+    coarse, P prolongating from A_c's DOFs to the level above (the first
+    to A's).  Each level smooths with damped Jacobi (``OMEGA``) before and
+    after the correction restricted with P^T; the coarsest solves with
+    ``base``, its pseudo-inverse, or if None smooths once more.  A down
+    and an up loop, not recursion: a closure that calls itself sits in a
+    reference cycle and keeps A alive until the cyclic collector runs."""
+    ops = [A] + [A_c for _, A_c in steps]
+    smooth = [OMEGA / op.diagonal() for op in ops]
+    levels = [(op, w, P, P.T.tocsr()) for op, w, (P, _) in zip(ops, smooth, steps)]
+
+    def cycle(r):
+        down = []
+        for op, w, _, R in levels:
+            x = w * r
+            down.append((r, x))
+            r = R @ (r - op @ x)
+        x = smooth[-1] * r if base is None else base @ r
+        for (op, w, P, _), (r, x_pre) in zip(levels[::-1], down[::-1]):
+            x = x_pre + P @ x
+            x += w * (r - op @ x)
+        return x
+
+    return cycle
+
+
 def solve_mean_zero(A, b, mass, tol=1e-10, max_iter=None, history=None, basis=None):
     """Preconditioned CG for the singular mean-zero problem.
 
@@ -310,9 +322,10 @@ def solve_mean_zero(A, b, mass, tol=1e-10, max_iter=None, history=None, basis=No
     ----------
     history : list, optional
         If given, receives the preconditioned residual norm per iteration.
-    basis : (S, d_H), optional
-        A hierarchical basis (``SurfaceMesh.hierarchy``): the preconditioner
-        is S D_H^-1 S^T (Yserentant; Bank, Dupont and Yserentant) instead of
+    basis : (steps, base), optional
+        A ladder of coarser meshes (``SurfaceMesh.hierarchy``): the
+        preconditioner is the symmetric V(1, 1) cycle ``v_cycle`` over it
+        (local multigrid on bisection meshes; Wu and Chen 2006) instead of
         Jacobi.  It covers every row, so no row may be frozen (ValueError).
 
     Returns
@@ -330,7 +343,7 @@ def solve_mean_zero(A, b, mass, tol=1e-10, max_iter=None, history=None, basis=No
     keep = diag > 1e-14 * max_diag
     if not np.all(keep):
         if basis is not None:
-            raise ValueError("a hierarchical basis cannot skip frozen rows")
+            raise ValueError("a V-cycle ladder cannot skip frozen rows")
         idx = np.flatnonzero(keep)
         A_r = A[idx][:, idx].tocsr()
         b_r = b[idx].copy()
@@ -350,11 +363,8 @@ def solve_mean_zero(A, b, mass, tol=1e-10, max_iter=None, history=None, basis=No
     n_r = len(b_r)
     if max_iter is None:
         max_iter = max(20 * n_r, 100)
-    S, d_H = basis or (None, d_r)
-    St, dinv = None if S is None else S.T.tocsr(), 1.0 / d_H
-
-    def precondition(r):
-        return dinv * r if S is None else S @ (dinv * (St @ r))
+    dinv = 1.0 / d_r
+    precondition = (lambda r: dinv * r) if basis is None else v_cycle(A_r, *basis)
 
     x = np.zeros(n_r)
     r = b_r.copy()

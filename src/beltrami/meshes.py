@@ -10,14 +10,21 @@ band.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import BeltramiError, BoxTooSmall, EmptyBand, UnsupportedSurface
-from .fem import SIMPLEX_EDGES, edge_vectors, extend_basis, stiffness_diagonal, triangle_geometry
+from .fem import (SIMPLEX_EDGES, assemble_stiffness, edge_vectors, gradient_couplings,
+                  triangle_geometry)
 from .geometry import row_cross, row_norm
 
 MAX_VERTEX_VALENCE = 32
 # the shape-regularity bound on diam / sqrt(area) per facet
 SIGMA_MAX = 4.0
+# a bisection parent joins the V-cycle ladder once it has LEVEL_RATIO times
+# the vertices of the ladder's last mesh; the first mesh gets a dense
+# pseudo-inverse if it has at most COARSE_MAX vertices
+LEVEL_RATIO = 3
+COARSE_MAX = 1000
 
 
 class SurfaceMesh:
@@ -29,10 +36,13 @@ class SurfaceMesh:
     ``tri_edges[:, i]`` is the global edge id opposite local vertex i.
     ``kept``: on a ``refine_bisection`` result the parent's ids of the
     triangles kept unchanged, which come first; otherwise None.
-    ``hierarchy``: on a ``refine_bisection`` result the hierarchical basis
-    (S, d_H) of ``solve_mean_zero`` over its chain of bisections; S (CSR)
-    maps hierarchical to nodal values, d_H holds each vertex's stiffness
-    diagonal on the mesh that created it; otherwise None.
+    ``hierarchy``: on a ``refine_bisection`` result the ladder (steps,
+    base) of earlier meshes in its chain of bisections that
+    ``solve_mean_zero``'s V-cycle descends; otherwise None.  ``steps``
+    ((P, A), ...) runs from fine to coarse: A (CSR) is a ladder mesh's
+    stiffness, P prolongates from it to the ladder mesh above, the first
+    P to this mesh.  ``base`` is the dense pseudo-inverse of the last A,
+    the chain's first mesh, or None above ``COARSE_MAX`` vertices.
     """
 
     def __init__(self, vertices, triangles):
@@ -245,8 +255,12 @@ def refine_bisection(mesh, marked, surface):
     edge, so no rotation is applied; only the children are oriented.  The
     result keeps its parent as prefixes: the old vertices first, then the
     midpoints; the unchanged triangles first, in their old order (their
-    old ids in ``kept``), then the children.  ``hierarchy`` extends the
-    parent's by the midpoints, or starts from S = I on an unrefined parent.
+    old ids in ``kept``), then the children.  ``hierarchy`` composes the
+    round's prolongation (the identity on the old vertices, each midpoint
+    the mean of its edge's ends) onto the parent's first P, or on a parent
+    with ``LEVEL_RATIO`` times the vertices of the ladder's last mesh (or
+    none) puts the parent's stiffness, assembled as the solve assembles
+    it, on the ladder with the round's P above it.
     """
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size and (marked.min() < 0 or marked.max() >= mesh.n_triangles):
@@ -283,10 +297,22 @@ def refine_bisection(mesh, marked, surface):
     children = _orient_outward(vertices, np.concatenate(out), surface)
     fine = SurfaceMesh(vertices, np.concatenate([mesh.triangles[kept], children]))
     fine.kept = kept
-    n, c = mesh.n_vertices, slice(len(kept), None)  # the midpoints lie on children alone
-    S, d = mesh.hierarchy or (None, stiffness_diagonal(mesh.grads, mesh.areas, mesh.triangles, n))
-    d_new = stiffness_diagonal(fine.grads[c], fine.areas[c], fine.triangles[c], len(vertices))
-    fine.hierarchy = extend_basis(S, n, mesh.edges[split_edges]), np.concatenate([d, d_new[n:]])
+    n, k = mesh.n_vertices, len(split_edges)
+    P = sp.csr_matrix((np.repeat([1.0, 0.5], [n, 2 * k]),
+                       np.concatenate([np.arange(n), mesh.edges[split_edges].ravel()]),
+                       np.concatenate([np.arange(n), n + 2 * np.arange(k + 1)])), shape=(n + k, n))
+    steps, base = mesh.hierarchy or ((), None)
+    if steps and n < LEVEL_RATIO * steps[0][0].shape[1]:
+        steps = ((P @ steps[0][0], steps[0][1]),) + steps[1:]
+    else:
+        es = {"grads": mesh.grads, "measures": mesh.areas, "dofs": mesh.triangles}
+        A = assemble_stiffness(*gradient_couplings(es, n), (mesh.edges, mesh.tri_edges))
+        if not steps and n <= COARSE_MAX:
+            lam, V = np.linalg.eigh(A.toarray())  # lam[0] ~ 0: the constants
+            W = V[:, 1:] / np.sqrt(lam[1:])
+            base = W @ W.T
+        steps = ((P, A),) + steps
+    fine.hierarchy = steps, base
     return fine
 
 

@@ -912,30 +912,20 @@ def fresh_adapt_loop(lib, surface, mesh, max_iters, theta, lift):
 
 
 # ---------------------------------------------------------------------------
-# hierarchical basis level by level (reference for the composed bisection map)
+# bisection prolongations round by round (reference for the V-cycle ladder)
 # ---------------------------------------------------------------------------
 
 
 def per_level_hierarchy(meshes, project):
-    """The hierarchical basis of a chain of bisection-refined meshes, built
-    level by level and densely.
+    """The prolongations of a chain of bisection-refined meshes, built round
+    by round and densely.
 
-    Each new vertex of a level is matched to the coarse edge (p0, p1)
-    whose midpoint ``project`` maps onto it, bit for bit.  S is the dense
-    product of the per-level maps [[I, 0], [P, I]], P averaging the two
-    parents, and d_H holds each vertex's stiffness diagonal on the level
-    that created it, sum_T |e_i|^2 / (4 |T|) with e_i the edge opposite
-    the vertex.  Returns (S, d_H, parents), one (k, 2) parent array per
-    level after the first.
+    Each new vertex of a round is matched to the coarse edge (p0, p1)
+    whose midpoint ``project`` maps onto it, bit for bit.  A round's map
+    (nf, n) is the identity on the n old vertices and gives each new one
+    1/2 on each of its parents.  Returns one map per round.
     """
-    def diagonal(mesh):
-        x = mesh.vertices[mesh.triangles]
-        e = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
-        area = 0.5 * np.linalg.norm(np.cross(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]), axis=1)
-        w = np.sum(e**2, axis=2) / (4.0 * area[:, None])
-        return np.bincount(mesh.triangles.ravel(), weights=w.ravel(), minlength=len(mesh.vertices))
-
-    S, d_H, parents = np.eye(len(meshes[0].vertices)), diagonal(meshes[0]), []
+    maps = []
     for coarse, fine in zip(meshes, meshes[1:]):
         n, nf = len(coarse.vertices), len(fine.vertices)
         pairs = sorted({tuple(sorted(p)) for t in coarse.triangles.tolist()
@@ -944,15 +934,11 @@ def per_level_hierarchy(meshes, project):
         mids = project(np.array([0.5 * (x[a] + x[b]) for a, b in pairs]).reshape(-1, 3))
         by_point = {m.tobytes(): pair for m, pair in zip(mids, pairs)}
         level = np.array([by_point[v.tobytes()] for v in fine.vertices[n:]], dtype=np.int64)
-        step = np.eye(nf)
+        step = np.eye(nf, n)
         for v, (a, b) in enumerate(level, start=n):
             step[v, a] = step[v, b] = 0.5
-        lifted = np.eye(nf)
-        lifted[:n, :n] = S
-        S = step @ lifted
-        d_H = np.concatenate([d_H, diagonal(fine)[n:]])
-        parents.append(level.reshape(-1, 2))
-    return S, d_H, parents
+        maps.append(step)
+    return maps
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Quadrature rules, P1 element kernels, and the mean-zero CG solver."""
 
+import gc
+import weakref
 from math import factorial
 
 import numpy as np
@@ -30,12 +32,14 @@ from beltrami import (
 )
 from beltrami.estimators import geometric_estimators, residual_estimator
 from beltrami.fem import (
+    OMEGA,
     QuadratureRule,
     assemble_load,
     assemble_stiffness,
     gradient_couplings,
     lumped_mass,
     triangle_geometry,
+    v_cycle,
 )
 from beltrami.harness import surface_mesh_for_level
 from beltrami.meshes import edge_table
@@ -313,27 +317,46 @@ def test_solver_returns_mean_zero_solution(n, seed, frozen, tol):
         solve_mean_zero(A, b, m, tol=tol, max_iter=len(history) - 1)
 
 
+def bisected_mesh(kind, seed, rounds, jacobi_base=False):
+    """A sphere or torus mesh after ``rounds`` rounds of random bisection,
+    and the rng; with ``jacobi_base`` its ladder is built with ``COARSE_MAX``
+    below the first mesh, so its base is a Jacobi step."""
+    surface = Sphere(1.3) if kind == "sphere" else Torus(1.0, 0.4)
+    mesh = build_sphere_mesh(surface, 1) if kind == "sphere" else build_torus_mesh(surface, 8, 4)
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if jacobi_base:
+            mp.setattr("beltrami.meshes.COARSE_MAX", 0)
+        for _ in range(rounds):
+            marked = np.flatnonzero(rng.random(mesh.n_triangles) < rng.uniform(0.05, 0.5))
+            mesh = refine_bisection(mesh, marked, surface)
+    return mesh, rng
+
+
+def mesh_stiffness(mesh):
+    return gradient_stiffness(mesh.grads, mesh.areas, mesh.triangles, mesh.n_vertices,
+                              (mesh.edges, mesh.tri_edges))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     kind=st.sampled_from(["sphere", "torus"]),
     seed=st.integers(0, 2**32 - 1),
     rounds=st.integers(1, 4),
     tol=st.sampled_from([1e-6, 1e-8, 1e-10]),
+    jacobi_base=st.booleans(),
 )
-def test_solver_with_bisection_basis(kind, seed, rounds, tol):
-    """On the stiffness of a randomly bisected mesh, CG with the mesh's
-    hierarchical basis returns m-weighted mean zero, the deflated residual
-    within tol, and at a tight tol the Jacobi solution to 1e-9 relative."""
-    surface = Sphere(1.3) if kind == "sphere" else Torus(1.0, 0.4)
-    mesh = build_sphere_mesh(surface, 1) if kind == "sphere" else build_torus_mesh(surface, 8, 4)
-    rng = np.random.default_rng(seed)
-    for _ in range(rounds):
-        marked = np.flatnonzero(rng.random(mesh.n_triangles) < rng.uniform(0.05, 0.5))
-        mesh = refine_bisection(mesh, marked, surface)
-    n = mesh.n_vertices
-    A = gradient_stiffness(mesh.grads, mesh.areas, mesh.triangles, n, (mesh.edges, mesh.tri_edges))
-    m = lumped_mass(mesh.triangles, mesh.areas, n)
-    b = rng.normal(size=n)
+def test_solver_with_bisection_basis(kind, seed, rounds, tol, jacobi_base):
+    """On the stiffness of a randomly bisected mesh, CG with the V-cycle over
+    the mesh's ladder, its base the dense pseudo-inverse or (``COARSE_MAX``
+    below the first mesh) a Jacobi step, returns m-weighted mean zero, the
+    deflated residual within tol, and at a tight tol the Jacobi solution to
+    1e-9 relative."""
+    mesh, rng = bisected_mesh(kind, seed, rounds, jacobi_base)
+    assert (mesh.hierarchy[1] is None) == jacobi_base
+    A = mesh_stiffness(mesh)
+    m = lumped_mass(mesh.triangles, mesh.areas, mesh.n_vertices)
+    b = rng.normal(size=mesh.n_vertices)
     history = []
     x = solve_mean_zero(A, b, m, tol=tol, history=history, basis=mesh.hierarchy)
     assert abs(float(m @ x)) <= 1e-9 * np.linalg.norm(m) * np.linalg.norm(x)
@@ -345,12 +368,52 @@ def test_solver_with_bisection_basis(kind, seed, rounds, tol):
     assert np.linalg.norm(x_h - x_j) <= 1e-9 * np.linalg.norm(x_j)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["sphere", "torus"]),
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.integers(1, 4),
+    jacobi_base=st.booleans(),
+)
+def test_v_cycle_is_symmetric_positive_definite(kind, seed, rounds, jacobi_base):
+    """On a randomly bisected mesh's ladder, with either base, every level's
+    damped Jacobi sweep is an A-norm contraction (OMEGA lambda_max(D^-1 A)
+    < 2), so the V(1, 1) cycle's matrix is symmetric to 1e-13 relative and
+    positive definite."""
+    mesh, _ = bisected_mesh(kind, seed, rounds, jacobi_base)
+    A = mesh_stiffness(mesh)
+    steps, base = mesh.hierarchy
+    for op in [A] + [A_c for _, A_c in steps]:
+        d = np.sqrt(op.diagonal())
+        assert OMEGA * np.linalg.eigvalsh(op.toarray() / np.outer(d, d))[-1] < 2.0
+    cycle = v_cycle(A, steps, base)
+    B = np.column_stack([cycle(e) for e in np.eye(mesh.n_vertices)])
+    assert np.abs(B - B.T).max() <= 1e-13 * np.abs(B).max()
+    assert np.linalg.eigvalsh(0.5 * (B + B.T))[0] > 0.0
+
+
+def test_ladder_solve_frees_the_matrix():
+    """The V-cycle is two loops, not a closure that calls itself: once its
+    caller drops A, a weakref to A is dead without the cyclic collector."""
+    mesh, rng = bisected_mesh("torus", 3, 3)
+    A = mesh_stiffness(mesh)
+    alive = weakref.ref(A)
+    m = lumped_mass(mesh.triangles, mesh.areas, mesh.n_vertices)
+    gc.disable()
+    try:
+        solve_mean_zero(A, rng.normal(size=mesh.n_vertices), m, basis=mesh.hierarchy)
+        del A
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 def test_solver_basis_refuses_frozen_rows():
-    """A hierarchical basis spans every row, so a system with a frozen row
-    is refused rather than solved in part."""
+    """A V-cycle ladder spans every row, so a system with a frozen row is
+    refused rather than solved in part."""
     A39, b39, m39 = random_mean_zero_system(39, seed=5)
     A = sp.csr_matrix(np.pad(A39.toarray(), ((0, 1), (0, 1))))
-    basis = (sp.identity(40, format="csr"), np.ones(40))
+    basis = ((sp.identity(40, format="csr"), A),), None
     with pytest.raises(ValueError, match="frozen"):
         solve_mean_zero(A, np.append(b39, 0.0), np.append(m39, 1.0), basis=basis)
 

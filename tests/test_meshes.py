@@ -38,12 +38,14 @@ from beltrami.fem import (
 from beltrami.harness import surface_mesh_for_level
 from beltrami.meshes import (
     _ICO_FACES,
+    LEVEL_RATIO,
     SIGMA_MAX,
     _finish_surface_mesh,
     axis_edges,
     edge_table,
 )
 from beltrami.narrowband import _band_quadrature, _band_stiffness, narrowband_forcing
+from beltrami.parametric import ParametricProblem, parametric_assemble
 from beltrami.trace import cut_face_set, trace_assemble
 
 import oracles
@@ -279,10 +281,12 @@ def test_bisection_keeps_a_prefix(kind, seed, rounds):
     rounds=st.integers(1, 4),
 )
 def test_bisection_hierarchy_is_the_per_level_product(kind, seed, rounds):
-    """Random marks: each new vertex's row of S is (S[p0] + S[p1]) / 2 + e_v
-    for the coarse edge (p0, p1) it bisects, S equals the dense product of
-    the per-level maps exactly, and d_H holds each vertex's stiffness
-    diagonal on the mesh that created it."""
+    """Random marks: the ladder holds the chain's first mesh and each later
+    parent with ``LEVEL_RATIO`` times the vertices of the ladder mesh below
+    it.  Each stored prolongation equals the dense product of the per-round
+    maps (``oracles.per_level_hierarchy``) exactly, its entries being
+    dyadic; each stored operator equals its mesh's stiffness as the solve
+    assembles it; and the base inverts the first one on mean-zero vectors."""
     if kind == "sphere":
         surface = Sphere(1.3)
         mesh = build_sphere_mesh(surface, 1)
@@ -296,15 +300,24 @@ def test_bisection_hierarchy_is_the_per_level_product(kind, seed, rounds):
         marked = np.flatnonzero(rng.random(mesh.n_triangles) < rng.uniform(0.05, 0.5))
         mesh = refine_bisection(mesh, marked, surface)
         meshes.append(mesh)
-    S, d_H = mesh.hierarchy
-    S_ref, d_ref, parents = oracles.per_level_hierarchy(meshes, surface._project_raw)
-    S = S.toarray()
-    identity = np.eye(mesh.n_vertices)
-    for coarse, level in zip(meshes, parents):
-        new = coarse.n_vertices + np.arange(len(level))
-        assert np.array_equal(S[new], 0.5 * (S[level[:, 0]] + S[level[:, 1]]) + identity[new])
-    assert np.array_equal(S, S_ref)
-    np.testing.assert_allclose(d_H, d_ref, rtol=1e-12)
+    maps = oracles.per_level_hierarchy(meshes, surface._project_raw)
+    rungs = [0]
+    for i in range(1, rounds):
+        if meshes[i].n_vertices >= LEVEL_RATIO * meshes[rungs[-1]].n_vertices:
+            rungs.append(i)
+    steps, base = mesh.hierarchy
+    assert len(steps) == len(rungs)
+    for (P, A), lo, hi in zip(steps, rungs[::-1], [rounds] + rungs[:0:-1]):
+        product = np.eye(meshes[lo].n_vertices)
+        for step in maps[lo:hi]:
+            product = step @ product
+        assert np.array_equal(P.toarray(), product)
+        solved = parametric_assemble(ParametricProblem(surface, meshes[lo]))[0]
+        assert np.array_equal(A.toarray(), solved.toarray())
+    r = rng.normal(size=meshes[0].n_vertices)
+    r -= r.mean()
+    A = steps[-1][1]
+    np.testing.assert_allclose(A @ (base @ r), r, rtol=0, atol=1e-11 * np.linalg.norm(r))
 
 
 @settings(max_examples=40, deadline=None)
