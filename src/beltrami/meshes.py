@@ -21,7 +21,7 @@ MAX_VERTEX_VALENCE = 32
 # the shape-regularity bound on diam / sqrt(area) per facet
 SIGMA_MAX = 4.0
 # a bisection parent joins the V-cycle ladder once it has LEVEL_RATIO times
-# the vertices of the ladder's last mesh; the first mesh gets a dense
+# the vertices of the ladder's finest mesh; the first mesh gets a dense
 # pseudo-inverse if it has at most COARSE_MAX vertices
 LEVEL_RATIO = 3
 COARSE_MAX = 1000
@@ -258,7 +258,7 @@ def refine_bisection(mesh, marked, surface):
     old ids in ``kept``), then the children.  ``hierarchy`` composes the
     round's prolongation (the identity on the old vertices, each midpoint
     the mean of its edge's ends) onto the parent's first P, or on a parent
-    with ``LEVEL_RATIO`` times the vertices of the ladder's last mesh (or
+    with ``LEVEL_RATIO`` times the vertices of the ladder's finest mesh (or
     none) puts the parent's stiffness, assembled as the solve assembles
     it, on the ladder with the round's P above it.
     """
