@@ -130,24 +130,25 @@ def node_blocks(n, nq=1):
 # ---------------------------------------------------------------------------
 
 
-def edge_vectors(coords):
-    """Edge vectors of triangles (E, 3, 3); row i is the edge opposite vertex i."""
-    return coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]
+def edge_vectors(p0, p1, p2):
+    """Edges (E, 3, 3) of triangles with corners p0, p1, p2 (E, 3); row i is opposite p_i."""
+    return np.stack([p2 - p1, p0 - p2, p1 - p0], axis=1)
 
 
-def triangle_geometry(coords, cross=None):
+def triangle_geometry(p0, p1, p2, cross=None):
     """Gradients, areas, and unit normals for triangles embedded in 3-D.
 
-    coords : (E, 3, 3), and ``cross`` their (p1 - p0) x (p2 - p0) if formed.  The hat
-    gradients lie in each facet's plane, sum to zero, and reproduce in-plane linear fields.
+    p0, p1, p2 : corners (E, 3), and ``cross`` their (p1 - p0) x (p2 - p0) if formed.  The
+    hat gradients lie in each facet's plane, sum to zero, and reproduce in-plane linear fields.
     """
-    e = edge_vectors(np.asarray(coords, dtype=float))
+    e = edge_vectors(p0, p1, p2)
     n = row_cross(e[:, 2], -e[:, 1]) if cross is None else cross  # norm 2|T|
     two_area = row_norm(n)
     if np.any(two_area[:, None] < 2e-14 * row_norm(e) ** 2):  # against the longest edge
         raise DegenerateSimplex("triangle with vanishing area")
     nu = n / two_area[:, None]
-    grads = row_cross(nu[:, None, :], e) / two_area[:, None, None]
+    grads = row_cross(nu[:, None, :], e)
+    grads /= two_area[:, None, None]
     return grads, 0.5 * two_area, nu
 
 

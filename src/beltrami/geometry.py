@@ -107,17 +107,23 @@ def lambda_max(jet, normals):
     """Per face of unit normal ``normals`` (F, 3) the max of |(DP - I) t|,
     DP = I - grad d grad d^T - d D^2 d, over unit t in its plane and its
     samples, ``jet`` (d, grad d, k, e) at as many per face in face order:
-    DP - I is diag(-1, -d k_0, -d k_1) on (grad d, e, grad d x e)."""
-    t1, t2 = plane_basis(normals)
+    with p = (d k_0)^2, q = (d k_1)^2, c_g = grad d . nu, c_e = e . nu, A =
+    (1 - q)(1 - c_g^2) and B = (p - q)(1 - c_e^2), lambda^2 = q + (A + B)/2
+    + sqrt((A - B)^2/4 + (1 - q)(p - q) c_g^2 c_e^2), 1 - c_g^2 formed as
+    |grad d - c_g nu|^2, and the root as (A + B)^2/4 - (1 - q)(p - q) c_t^2,
+    c_t = (grad d x e) . nu, where its sum falls below 1e-3 of its first term."""
     d, g, k, e = (a.reshape((len(normals), -1) + a.shape[1:]) for a in jet)
-    # G_ij = q delta_ij + (1 - q) a_i a_j + (p - q) b_i b_j with
-    # a_i = g . t_i, b_i = e . t_i, p = (d k_0)^2 and q = (d k_1)^2
+    cg, ce = row_dot(g, normals[:, None]), row_dot(e, normals[:, None])
+    a0, a1, a2 = (g[..., i] - cg * normals[:, i, None] for i in range(3))  # g's in-plane part
     p, q = (d * k[..., 0]) ** 2, (d * k[..., 1]) ** 2
-    a1, a2, b1, b2 = (row_dot(v, t[:, None]) for v in (g, e) for t in (t1, t2))
-    G11, G22 = (q + (1.0 - q) * a * a + (p - q) * b * b for a, b in ((a1, b1), (a2, b2)))
-    G12 = (1.0 - q) * a1 * a2 + (p - q) * b1 * b2
-    top = 0.5 * (G11 + G22) + np.sqrt(0.25 * (G11 - G22) ** 2 + G12 * G12)
-    return np.sqrt(np.maximum(top, 0.0)).max(axis=1)
+    A, B = (1.0 - q) * (a0 * a0 + a1 * a1 + a2 * a2), (p - q) * (1.0 - ce * ce)
+    s, ab = 0.25 * (A - B) ** 2, (1.0 - q) * (p - q)
+    rad = s + ab * (cg * ce) ** 2
+    at = np.nonzero(rad < 1e-3 * s)
+    ct = row_dot(row_cross(g[at], e[at]), normals[at[0]])
+    rad[at] = 0.25 * (A[at] + B[at]) ** 2 - ab[at] * ct * ct
+    top = q + 0.5 * (A + B) + np.sqrt(rad)
+    return np.sqrt(np.maximum(top.max(axis=1), 0.0))
 
 
 class ManufacturedSolution:
@@ -309,8 +315,10 @@ class ImplicitSurface:
         return (1.0 - d * k[:, 0]) * (1.0 - d * k[:, 1]) * dots
 
     def _jet_lifted_gradient(self, d, g, k, e, nus, gg):
+        # gt is orthogonal to g, so D^2 d gt = k_1 gt + (k_0 - k_1)(e . gt) e
         gt = gg - row_dot(gg, g)[:, None] * g
-        v = gt - d[:, None] * hessian_times(g, k, e, gt)
+        v = ((1.0 - d * k[:, 1])[:, None] * gt
+             - (d * (k[:, 0] - k[:, 1]) * row_dot(e, gt))[:, None] * e)
         return v - row_dot(v, nus)[:, None] * nus
 
     def tube_points(self, n, rng, fill=0.9):

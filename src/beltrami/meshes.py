@@ -43,26 +43,23 @@ class SurfaceMesh:
     stiffness, P prolongates from it to the ladder mesh above, the first
     P to this mesh.  ``base`` is the dense pseudo-inverse of the last A,
     the chain's first mesh, or None above ``COARSE_MAX`` vertices.
+    ``geometry``: the triangles' (grads, areas, normals, diameters) if
+    known (``refine_bisection`` carries its kept ones), else ``_measure``'s.
     """
 
-    def __init__(self, vertices, triangles):
+    def __init__(self, vertices, triangles, geometry=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must be (T, 3)")
         self.kept = self.hierarchy = None
-        self._build_caches()
-        self._check()
-
-    def _build_caches(self):
-        coords = self.triangle_coords()
-        self.grads, self.areas, self.normals = triangle_geometry(coords)
-        edge = row_norm(edge_vectors(coords))
-        self.diameters = np.maximum(np.maximum(edge[:, 0], edge[:, 1]), edge[:, 2])
+        self.grads, self.areas, self.normals, self.diameters = (
+            geometry or _measure(*np.take(self.vertices, self.triangles.T, axis=0)))
         self.h = np.sqrt(self.areas)
         self.edges, self.tri_edges = edge_table(self.triangles)
         self._edge_counts = np.bincount(self.tri_edges.ravel(),
                                         minlength=len(self.edges))
+        self._check()
 
     def _check(self):
         if not self.is_closed_manifold():
@@ -119,13 +116,28 @@ def edge_table(simplices):
     return np.stack([keys // nv, keys % nv], axis=1), inv.reshape(len(local), len(simplices)).T
 
 
-def _orient_outward(vertices, triangles, surface):
-    """Flip triangles whose normal opposes grad d at the centroid."""
-    coords = vertices[triangles]
-    n = row_cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
-    _, g = surface._grad_raw((coords[:, 0] + coords[:, 1] + coords[:, 2]) / 3)
-    flip = np.einsum("td,td->t", n, g) < 0.0
-    return np.where(flip[:, None], triangles[:, [0, 2, 1]], triangles)
+def _measure(p0, p1, p2, cross=None):
+    """``triangle_geometry`` of the triangles with corners p0, p1, p2 and their diameters."""
+    edge = row_norm(edge_vectors(p0, p1, p2))
+    diameters = np.maximum(np.maximum(edge[:, 0], edge[:, 1]), edge[:, 2])
+    return triangle_geometry(p0, p1, p2, cross) + (diameters,)
+
+
+def _orient_by_cross(faces, corners, surface, cross=None):
+    """Flip, in place, the faces whose (p1 - p0) x -(p0 - p2) of ``corners`` (p0, p1, p2),
+    ``cross`` if formed, opposes grad d at the centroid, with their corners and product (that
+    re-formed where negation may miss a zero's sign); return ``triangle_geometry``'s arguments."""
+    p0, p1, p2 = corners
+    if cross is None:
+        cross = row_cross(p1 - p0, -(p0 - p2))
+    _, g = surface._grad_raw((p0 + p1 + p2) / 3)
+    flip = np.flatnonzero(np.einsum("td,td->t", cross, g) < 0.0)
+    faces[flip] = faces[flip][:, [0, 2, 1]]
+    p1[flip], p2[flip] = p2[flip], p1[flip]
+    cross[flip] *= -1.0
+    zero = flip[(cross[flip] == 0.0).any(axis=1)]
+    cross[zero] = row_cross(p1[zero] - p0[zero], -(p0[zero] - p2[zero]))
+    return p0, p1, p2, cross
 
 
 def _rotate_longest_edge(vertices, triangles):
@@ -134,7 +146,7 @@ def _rotate_longest_edge(vertices, triangles):
     Rotation preserves orientation; ties break toward the lowest local
     edge index so the result is deterministic.
     """
-    lengths = row_norm(edge_vectors(vertices[triangles]))
+    lengths = row_norm(edge_vectors(*vertices[triangles.T]))
     # smallest index among edges within a relative whisker of the max
     longest = np.maximum(np.maximum(lengths[:, 0], lengths[:, 1]), lengths[:, 2])
     near = lengths >= (longest * (1.0 - 1e-12))[:, None]
@@ -143,7 +155,7 @@ def _rotate_longest_edge(vertices, triangles):
 
 
 def _finish_surface_mesh(vertices, triangles, surface):
-    triangles = _orient_outward(vertices, triangles, surface)
+    _orient_by_cross(triangles, vertices[triangles.T], surface)
     return SurfaceMesh(vertices, _rotate_longest_edge(vertices, triangles))
 
 
@@ -252,15 +264,16 @@ def refine_bisection(mesh, marked, surface):
     its refinement edge (the one opposite v0) marked; triangles then
     split 2-, 3-, or 4-ways.  New vertices are edge midpoints projected
     onto the surface.  Child vertex order encodes the next refinement
-    edge, so no rotation is applied; only the children are oriented.  The
-    result keeps its parent as prefixes: the old vertices first, then the
-    midpoints; the unchanged triangles first, in their old order (their
-    old ids in ``kept``), then the children.  ``hierarchy`` composes the
-    round's prolongation (the identity on the old vertices, each midpoint
-    the mean of its edge's ends) onto the parent's first P, or on a parent
-    with ``LEVEL_RATIO`` times the vertices of the ladder's finest mesh (or
-    none) puts the parent's stiffness, assembled as the solve assembles
-    it, on the ladder with the round's P above it.
+    edge, so no rotation is applied.  The result keeps its parent as
+    prefixes: the old vertices first, then the midpoints; the unchanged
+    triangles first, in their old order (old ids in ``kept``) with their
+    geometry rows, then the children, each oriented and measured by one
+    cross product.  ``hierarchy`` composes the round's prolongation (the
+    identity on the old vertices, each midpoint the mean of its edge's
+    ends) onto the parent's first P, or on a parent with ``LEVEL_RATIO``
+    times the vertices of the ladder's finest mesh (or none) puts the
+    parent's stiffness, assembled as the solve assembles it, on the ladder
+    with the round's P above it.
     """
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size and (marked.min() < 0 or marked.max() >= mesh.n_triangles):
@@ -294,8 +307,11 @@ def refine_bisection(mesh, marked, surface):
         rows = cols[code == case]
         out.extend(rows[:, child] for child in children)
     kept = np.flatnonzero(code == 0)
-    children = _orient_outward(vertices, np.concatenate(out), surface)
-    fine = SurfaceMesh(vertices, np.concatenate([mesh.triangles[kept], children]))
+    children = np.concatenate(out)
+    measured = _measure(*_orient_by_cross(children, np.take(vertices, children.T, axis=0), surface))
+    fine = SurfaceMesh(vertices, np.concatenate([mesh.triangles[kept], children]),
+                       [np.concatenate([old[kept], new]) for old, new in zip(
+                           (mesh.grads, mesh.areas, mesh.normals, mesh.diameters), measured)])
     fine.kept = kept
     n, k = mesh.n_vertices, len(split_edges)
     P = sp.csr_matrix((np.repeat([1.0, 0.5], [n, 2 * k]),
@@ -536,11 +552,11 @@ class CutSurface:
     A band-marched cut numbers its DOFs as the band: ``n_active_dofs`` is the band's.
     """
 
-    def __init__(self, bulk, vertices, faces, n_degenerate, numbering, tvals, cross):
+    def __init__(self, bulk, vertices, faces, geometry, n_degenerate, numbering, tvals):
         self.bulk = bulk
         self.vertices = vertices
         self.faces = faces
-        self.grads, self.areas, self.normals = triangle_geometry(vertices[faces], cross)
+        self.grads, self.areas, self.normals = geometry
         self.n_degenerate = int(n_degenerate)
         self.parent_tet, self.ends, self.active_dofs, self.d_vertex = numbering
         self.tvals = tvals
@@ -643,24 +659,19 @@ def extract_cut_surface(bulk, surface, band=None):
     cut_vertices = pa + tvals[:, None] * (bulk.vertex_points(vids[b]) - pa)
 
     # the area filter's product (``triangle_geometry``'s) also orients the faces
-    p0, p1, p2 = np.take(cut_vertices, faces.T, axis=0)
-    n = row_cross(p1 - p0, -(p0 - p2))
+    corners = np.take(cut_vertices, faces.T, axis=0)
+    n = row_cross(corners[1] - corners[0], -(corners[0] - corners[2]))
     keep = np.flatnonzero(row_norm(n) >= 2e-14 * bulk.h**2)
     n_degenerate = np.count_nonzero((faces != faces[:, [1, 2, 0]]).all(axis=1)) - len(keep)
-    faces, n, rows, p0, p1, p2 = (np.take(x, keep, axis=0) for x in (faces, n, parents, p0, p1, p2))
-    _, g = surface._grad_raw((p0 + p1 + p2) / 3)
-    flip = (np.einsum("td,td->t", n, g) < 0.0)[:, None]
-    faces, n = np.where(flip, faces[:, [0, 2, 1]], faces), np.where(flip, -n, n)
-    zero = flip[:, 0] & (n == 0.0).any(axis=1)  # negation may miss a zero's sign
-    n[zero] = row_cross(p2[zero] - p0[zero], -(p0[zero] - p1[zero]))
-    del p0, p1, p2, g
+    faces, n, rows = (np.take(x, keep, axis=0) for x in (faces, n, parents))
+    corners = np.take(corners, keep, axis=1)
+    geo = triangle_geometry(*_orient_by_cross(faces, corners, surface, n))
     # keep the cut vertices that faces use: their edge ends are corners of kept tets
     kept = np.bincount(faces.ravel(), minlength=len(a)) > 0
     faces, ends = (np.cumsum(kept) - 1)[faces], np.stack([a, b], axis=1)[kept]
     numbering = (_number_rows(ids, tets, vids, d, rows, ends) if band is None
                  else (ids[rows], ends, vids, d))
-    return CutSurface(bulk, cut_vertices[kept], faces, n_degenerate, numbering,
-                      tvals[kept], n)
+    return CutSurface(bulk, cut_vertices[kept], faces, geo, n_degenerate, numbering, tvals[kept])
 
 
 class BandMesh:

@@ -288,6 +288,23 @@ def spectral_norm_indicators(d, g, H, normals):
     return lam.max(axis=1), np.abs(d).max(axis=1)
 
 
+def plane_gram_lambda(jet, normals):
+    """Per face of unit normal (F, 3) the largest singular value over its
+    samples, ``jet`` (d, grad d, k, e) at as many per face in face order, of
+    DP - I on the face's plane: DP - I is diag(-1, -d k_0, -d k_1) on (g, e,
+    g x e), so on an in-plane basis t1, t2 (``plane_basis``) its Gram matrix
+    is G_ij = q delta_ij + (1 - q) a_i a_j + (p - q) b_i b_j with a_i = g . t_i,
+    b_i = e . t_i, p = (d k_0)^2 and q = (d k_1)^2."""
+    t1, t2 = np.array([plane_basis(nu) for nu in normals]).transpose(1, 0, 2)
+    d, g, k, e = (a.reshape((len(normals), -1) + a.shape[1:]) for a in jet)
+    p, q = (d * k[..., 0]) ** 2, (d * k[..., 1]) ** 2
+    a1, a2, b1, b2 = (np.einsum("fnd,fd->fn", v, t) for v in (g, e) for t in (t1, t2))
+    G11, G22 = (q + (1.0 - q) * a * a + (p - q) * b * b for a, b in ((a1, b1), (a2, b2)))
+    G12 = (1.0 - q) * a1 * a2 + (p - q) * b1 * b2
+    top = 0.5 * (G11 + G22) + np.sqrt(0.25 * (G11 - G22) ** 2 + G12 * G12)
+    return np.sqrt(np.maximum(top, 0.0)).max(axis=1)
+
+
 def outside_tube_mask(surface, pts):
     """The points (N, 3) where the surface's distance jet is rejected, by
     each kind's rule on its own evaluation of the geometry: the sphere's
@@ -451,6 +468,15 @@ def unique_rows_edge_table(triangles):
     )
     edges, inv = np.unique(pairs, axis=0, return_inverse=True)
     return edges, inv.reshape(3, len(triangles)).T
+
+
+def orient_outward(vertices, triangles, grad):
+    """The triangles, flipped where (p1 - p0) x (p2 - p0) opposes ``grad``
+    (points -> (N, 3) normals) at the centroid."""
+    coords = vertices[triangles]
+    n = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
+    flip = np.einsum("td,td->t", n, grad((coords[:, 0] + coords[:, 1] + coords[:, 2]) / 3)) < 0
+    return np.where(flip[:, None], triangles[:, [0, 2, 1]], triangles)
 
 
 def radial_icosphere(R, level, faces):

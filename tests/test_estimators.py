@@ -73,7 +73,7 @@ def test_coplanar_linear_field_has_no_jump():
     edge's co-normal derivatives cancel exactly."""
     v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
     tris = np.array([[0, 1, 2], [1, 3, 2]])
-    grads, _, _ = triangle_geometry(v[tris])
+    grads, _, _ = triangle_geometry(*v[tris.T])
     # edges: (0,1) (0,2) (1,2) (1,3) (2,3); opposite-vertex convention
     face_edges = np.array([[2, 1, 0], [4, 2, 3]])
     lengths = np.array([1.0, 1.0, np.sqrt(2.0), 1.0, 1.0])
@@ -179,7 +179,7 @@ def test_flat_limit_vanishes():
         [[0.0, 0.0, 0.0], [1e-3, 0.0, 0.0], [0.0, 1e-3, 0.0]],
     ]))
     coords = s.closest_point(coords.reshape(-1, 3)).reshape(1, 3, 3)
-    _, _, nus = triangle_geometry(coords)
+    _, _, nus = triangle_geometry(*coords.transpose(1, 0, 2))
     ws = {"dofs": np.array([[0, 1, 2]]), "vertices": coords[0], "normals": nus}
     sample_faces(ws, s, s.manufactured(), forcing=False, hessian=True)
     stub = SimpleNamespace(surface=s, vertex_jet=s._guarded_jet(coords[0]), carry={})

@@ -82,7 +82,7 @@ def test_tet_degree4_has_one_negative_node():
 def test_triangle_geometry_hat_gradients():
     rng = np.random.default_rng(2)
     coords = rng.normal(size=(50, 3, 3))
-    grads, areas, nus = triangle_geometry(coords)
+    grads, areas, nus = triangle_geometry(*coords.transpose(1, 0, 2))
     assert np.abs(grads.sum(axis=1)).max() < 1e-12  # partition of unity
     assert (areas > 0).all()
     assert np.abs(np.linalg.norm(nus, axis=1) - 1.0).max() < 1e-12
@@ -114,7 +114,7 @@ def test_tetrahedron_geometry_volumes():
 def test_barycentric_values_partition_and_nodal():
     rng = np.random.default_rng(3)
     coords = rng.normal(size=(10, 3, 3))
-    grads, _, _ = triangle_geometry(coords)
+    grads, _, _ = triangle_geometry(*coords.transpose(1, 0, 2))
     qp = TRI_DEGREE4.physical_points(coords)
     phi = oracles.barycentric_values(grads, coords, qp)
     assert np.abs(phi.sum(axis=2) - 1.0).max() < 1e-12
@@ -131,7 +131,7 @@ def gradient_stiffness(grads, measures, dofs, n, edges):
 
 def test_stiffness_matches_hand_patch():
     vertices, triangles, K_exact = oracles.hand_square_patch()
-    grads, areas, _ = triangle_geometry(vertices[triangles])
+    grads, areas, _ = triangle_geometry(*vertices[triangles.T])
     A = gradient_stiffness(grads, areas, triangles, len(vertices), edge_table(triangles))
     assert np.abs(A.toarray() - K_exact).max() < 1e-13
 
@@ -139,7 +139,7 @@ def test_stiffness_matches_hand_patch():
 def test_stiffness_row_sums_vanish():
     rng = np.random.default_rng(5)
     coords = rng.normal(size=(30, 3, 3))
-    grads, areas, _ = triangle_geometry(coords)
+    grads, areas, _ = triangle_geometry(*coords.transpose(1, 0, 2))
     dofs = np.arange(90).reshape(30, 3)
     A = gradient_stiffness(grads, areas, dofs, 90, edge_table(dofs))
     assert np.abs(A @ np.ones(90)).max() < 1e-12
@@ -152,7 +152,7 @@ def test_load_exact_for_linear_data():
     coeff = rng.normal(size=3)
     const = 0.4
     coords = tri[None]
-    _, areas, _ = triangle_geometry(coords)
+    _, areas, _ = triangle_geometry(*coords.transpose(1, 0, 2))
     qp = TRI_DEGREE4.physical_points(coords)
     w = areas[:, None] * TRI_DEGREE4.normalized_weights[None, :]
     fvals = qp @ coeff + const
@@ -163,7 +163,7 @@ def test_load_exact_for_linear_data():
 def test_lumped_mass_sums_to_area():
     rng = np.random.default_rng(9)
     coords = rng.normal(size=(20, 3, 3))
-    grads, areas, _ = triangle_geometry(coords)
+    grads, areas, _ = triangle_geometry(*coords.transpose(1, 0, 2))
     dofs = np.arange(60).reshape(20, 3)
     m = lumped_mass(dofs, areas, 60)
     assert m.sum() == pytest.approx(areas.sum(), rel=1e-14)
@@ -433,7 +433,7 @@ def test_solver_refuses_an_indefinite_matrix():
 def test_triangle_geometry_refuses_a_collinear_triangle():
     coords = np.array([[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]])
     with pytest.raises(DegenerateSimplex, match="vanishing area"):
-        triangle_geometry(coords)
+        triangle_geometry(*coords.transpose(1, 0, 2))
 
 
 def test_solver_raises_without_convergence():

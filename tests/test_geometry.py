@@ -1,8 +1,10 @@
 """Distance-jet, projection, and manufactured-data checks for the surfaces."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from beltrami import (
@@ -614,6 +616,69 @@ def test_area_ratio_invariants_match_tangent_curvatures(surface):
     ref = (1.0 - d * tr + d**2 * det) * np.einsum("ni,ni->n", g, nus)
     ratio = surface.area_ratio(pts, nus)
     assert np.abs(ratio - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _unit(v):
+    n = np.linalg.norm(v)
+    assume(n > 0.1)
+    return v / n
+
+
+@st.composite
+def lambda_faces(draw):
+    """A jet (d, g, k, e) of 1-3 samples on each of 1-4 faces, (g, e)
+    orthonormal, and a unit normal per face: +-g or orthogonal to g (the
+    face's first sample's), or at any angle from it.  Half the curvature
+    pairs are umbilic (k_0 = k_1), half of those with e = 0 as the
+    sphere's jet has it; |d k| <= 0.8 keeps the samples in the tube."""
+    coords, per_face = st.tuples(*[st.floats(-1.0, 1.0)] * 3), draw(st.integers(1, 3))
+    jet, normals = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        for i in range(per_face):
+            g = _unit(np.array(draw(coords)))
+            w = np.array(draw(coords))
+            e = side = _unit(w - (w @ g) * g)
+            k = np.full(2, draw(st.floats(-4.0, 4.0)))
+            if not draw(st.booleans()):
+                k[1] = draw(st.floats(-4.0, 4.0))
+            elif draw(st.booleans()):
+                e = np.zeros(3)
+            jet.append((draw(st.floats(-0.2, 0.2)), g, k, e))
+            if i == 0:
+                psi, phi = draw(st.floats(0.0, 2.0 * np.pi)), draw(st.floats(0.0, np.pi))
+                side = np.cos(psi) * side + np.sin(psi) * np.cross(g, side)
+                normals.append({"+g": g, "-g": -g, "perp": side,
+                                "angle": _unit(np.cos(phi) * g + np.sin(phi) * side)}[
+                                    draw(st.sampled_from(["+g", "-g", "perp", "angle"]))])
+    return tuple(np.array(a) for a in zip(*jet)), np.array(normals)
+
+
+def _lambda_case(d, k, e, nu):
+    """One face of one sample with g = e_z."""
+    return ((np.array([d]), np.array([[0.0, 0.0, 1.0]]), np.array([k]), np.array([e])),
+            np.array([nu]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lambda_faces())
+@example(case=_lambda_case(0.0, [1.0, 2.0], [1.0, 0.0, 0.0],
+                           [np.sin(1e-6), 0.0, np.cos(1e-6)]))  # nu 1e-6 off g, d = 0
+@example(case=_lambda_case(0.1, [2.0, 2.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]))
+@example(case=_lambda_case(0.1, [0.0, 3.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
+@example(case=_lambda_case(0.2, [0.0, 2.0], [1.0, 0.0, 0.0],
+                           [0.4, 0.0, np.sqrt(0.84)]))  # A = -B, nu in the (g, e) plane
+def test_lambda_max_matches_the_plane_gram_oracle(case):
+    """``lambda_max`` from the frame invariants c_g = g . nu and c_e = e . nu
+    is the largest singular value of DP - I on the face's plane that the
+    Gram matrix on a plane basis gives (``oracles.plane_gram_lambda``), to
+    1e-12 relative (1e-15 absolute where lambda is 0, d = 0 and nu = +-g),
+    also where the root's sum cancels, and it builds no plane basis."""
+    jet, normals = case
+    with mock.patch.object(beltrami.geometry, "plane_basis", side_effect=AssertionError):
+        lam = beltrami.geometry.lambda_max(jet, normals)
+    ref = oracles.plane_gram_lambda(jet, normals)
+    assert lam.shape == ref.shape == (len(normals),)
+    assert (np.abs(lam - ref) <= 1e-12 * ref + 1e-15).all(), (lam, ref)
 
 
 @pytest.mark.parametrize("surface", [Sphere(1.0), Torus(1.0, 0.4), Ellipsoid(1.3, 1.0, 0.8)],
