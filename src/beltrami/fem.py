@@ -336,35 +336,24 @@ def solve_mean_zero(A, b, mass, tol=1e-10, max_iter=None, history=None, basis=No
     b = np.asarray(b, dtype=float)
     mass = np.asarray(mass, dtype=float)
     n = len(b)
-    x_full = np.zeros(n)
     diag = A.diagonal()
     max_diag = diag.max() if n else 0.0
     if n == 0 or max_diag <= 0.0:
-        return x_full
-    keep = diag > 1e-14 * max_diag
-    if not np.all(keep):
-        if basis is not None:
-            raise ValueError("a V-cycle ladder cannot skip frozen rows")
-        idx = np.flatnonzero(keep)
-        A_r = A[idx][:, idx].tocsr()
-        b_r = b[idx].copy()
-        m_r = mass[idx].copy()
-        d_r = diag[idx]
-    else:
-        idx = None
-        A_r = A
-        b_r = b.copy()
-        m_r = mass
-        d_r = diag
+        return np.zeros(n)
+    idx = np.flatnonzero(diag > 1e-14 * max_diag)
+    if len(idx) < n and basis is not None:
+        raise ValueError("a V-cycle ladder cannot skip frozen rows")
+    A_r = A if len(idx) == n else A[idx][:, idx].tocsr()
+    b_r, m_r, diag = b[idx], mass[idx], diag[idx]
     msum = m_r.sum()
     b_r -= (b_r.sum() / msum) * m_r
     norm_b = np.linalg.norm(b_r)
     if norm_b == 0.0:
-        return x_full
+        return np.zeros(n)
     n_r = len(b_r)
     if max_iter is None:
         max_iter = max(20 * n_r, 100)
-    dinv = 1.0 / d_r
+    dinv = 1.0 / diag
     precondition = (lambda r: dinv * r) if basis is None else v_cycle(A_r, *basis)
 
     x = np.zeros(n_r)
@@ -400,7 +389,6 @@ def solve_mean_zero(A, b, mass, tol=1e-10, max_iter=None, history=None, basis=No
             f"(relative residual {np.linalg.norm(r) / norm_b:.3e})"
         )
     x -= (m_r @ x) / msum
-    if idx is None:
-        return x
+    x_full = np.zeros(n)
     x_full[idx] = x
     return x_full

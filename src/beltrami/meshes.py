@@ -25,6 +25,8 @@ SIGMA_MAX = 4.0
 # pseudo-inverse if it has at most COARSE_MAX vertices
 LEVEL_RATIO = 3
 COARSE_MAX = 1000
+# the cut treats a lattice vertex with |d| < SNAP h^2 as on the surface
+SNAP = 0.01
 
 
 class SurfaceMesh:
@@ -123,13 +125,12 @@ def _measure(p0, p1, p2, cross=None):
     return triangle_geometry(p0, p1, p2, cross) + (diameters,)
 
 
-def _orient_by_cross(faces, corners, surface, cross=None):
-    """Flip, in place, the faces whose (p1 - p0) x -(p0 - p2) of ``corners`` (p0, p1, p2),
-    ``cross`` if formed, opposes grad d at the centroid, with their corners and product (that
-    re-formed where negation may miss a zero's sign); return ``triangle_geometry``'s arguments."""
+def _orient_by_cross(faces, corners, surface):
+    """Flip, in place, the faces whose (p1 - p0) x -(p0 - p2) of ``corners`` (p0, p1, p2)
+    opposes grad d at the centroid, with their corners and product (that re-formed where
+    negation may miss a zero's sign); return ``triangle_geometry``'s arguments."""
     p0, p1, p2 = corners
-    if cross is None:
-        cross = row_cross(p1 - p0, -(p0 - p2))
+    cross = row_cross(p1 - p0, -(p0 - p2))
     _, g = surface._grad_raw((p0 + p1 + p2) / 3)
     flip = np.flatnonzero(np.einsum("td,td->t", cross, g) < 0.0)
     faces[flip] = faces[flip][:, [0, 2, 1]]
@@ -547,17 +548,17 @@ class CutSurface:
     Faces lie in bulk tetrahedra (``parent_tet``), face along grad d and own
     their ``triangle_geometry`` (``grads``, ``areas``, ``normals``).  Their
     DOFs are the corners of the cut tetrahedra, ascending in ``active_dofs``,
-    with ``d_vertex`` the nudged d there.  Cut vertex i is (1 - t) x_a + t x_b
-    with t ``tvals[i]`` and a, b its edge's ends ``ends[i]`` by position there.
+    with ``d_vertex`` the snapped d there (0 within ``SNAP`` h^2 of the
+    surface).  Cut vertex i is (1 - t) x_a + t x_b with t ``tvals[i]`` and
+    a, b its edge's ends ``ends[i]`` by position there.
     A band-marched cut numbers its DOFs as the band: ``n_active_dofs`` is the band's.
     """
 
-    def __init__(self, bulk, vertices, faces, geometry, n_degenerate, numbering, tvals):
+    def __init__(self, bulk, vertices, faces, geometry, numbering, tvals):
         self.bulk = bulk
         self.vertices = vertices
         self.faces = faces
         self.grads, self.areas, self.normals = geometry
-        self.n_degenerate = int(n_degenerate)
         self.parent_tet, self.ends, self.active_dofs, self.d_vertex = numbering
         self.tvals = tvals
 
@@ -578,13 +579,11 @@ class CutSurface:
 
 def _cut_face_table():
     """Per sign pattern (bit k set when vertex k is negative), the cut
-    faces as local edge ids (16, 2, 3), -1 padding a missing second face,
-    and each face's place in the output order (16, 2).
+    faces as local edge ids (16, 2, 3), -1 padding a missing second face.
 
     A lone vertex on one side pairs with the other three in ascending
     order; two per side give the quad cycle (na,pa), (na,pb), (nb,pb),
-    (nb,pa), split into [0, 1, 2] and [0, 2, 3].  Faces come out
-    lone-negative, lone-positive, first quad halves, second quad halves.
+    (nb,pa), split into [0, 1, 2] and [0, 2, 3].
     """
     ids = {tuple(e): k for k, e in enumerate(_TET_EDGES.tolist())}
 
@@ -592,7 +591,6 @@ def _cut_face_table():
         return ids[min(u, v), max(u, v)]
 
     faces = np.full((16, 2, 3), -1, dtype=np.int64)
-    group = np.full((16, 2), -1, dtype=np.int64)
     for pattern in range(1, 15):
         neg = [k for k in range(4) if pattern >> k & 1]
         pos = [k for k in range(4) if not pattern >> k & 1]
@@ -600,15 +598,13 @@ def _cut_face_table():
             (na, nb), (pa, pb) = neg, pos
             c = [edge(na, pa), edge(na, pb), edge(nb, pb), edge(nb, pa)]
             faces[pattern] = [c[0], c[1], c[2]], [c[0], c[2], c[3]]
-            group[pattern] = 2, 3
         else:
             (lone,), others = (neg, pos) if len(neg) == 1 else (pos, neg)
             faces[pattern, 0] = [edge(lone, o) for o in others]
-            group[pattern, 0] = 0 if len(neg) == 1 else 1
-    return faces, group
+    return faces
 
 
-_CUT_FACES, _CUT_GROUPS = _cut_face_table()
+_CUT_FACES = _cut_face_table()
 
 
 def extract_cut_surface(bulk, surface, band=None):
@@ -616,32 +612,33 @@ def extract_cut_surface(bulk, surface, band=None):
 
     Only the cells near the surface are visited: a fresh cull, or the rows
     of a ``band`` (every cut tet meets it), marched on a copy of its d and
-    numbered as the band.  Vertex distances within 1e-12 h of zero are
-    nudged positive so every tetrahedron falls into a strict sign pattern,
-    and such a vertex is the cut vertex of every crossing edge that ends at
-    it; faces that repeat a vertex then vanish.
+    numbered as the band.  A vertex with |d| < ``SNAP`` h^2 is on the
+    surface: its d is set to 0, which counts as positive, and it is the cut
+    vertex of every crossing edge that ends at it; faces that repeat a
+    vertex then vanish, and the rest are kept, in tet order.  Since d is
+    1-Lipschitz, every other crossing lies at least SNAP h^2 from both ends
+    of its edge, a share tau >= SNAP h / sqrt 3 of it.  A kept face and
+    some tet corner then span at least tau^2 / 2 of the tet's volume h^3 / 6
+    at a height <= sqrt 3 h, so 2|T| >= SNAP^2 h^4 / (6 sqrt 3): no slivers.
     One vertex on a side yields a triangle; two yield a planar quad split
-    into two triangles along the cycle (ac, ad, bd, bc).  Faces with area
-    below 1e-14 h^2 are dropped and counted in ``n_degenerate``.  Crossing
-    edges, keyed lo * 8 + lattice step (bits 4, 2, 1; 0 once collapsed),
-    sort as their vertex pairs, so a running count numbers them.  One cross
-    product per face filters, orients and measures it; a flip negates it.
+    into two triangles along the cycle (ac, ad, bd, bc).  Crossing edges,
+    keyed lo * 8 + lattice step (bits 4, 2, 1; 0 once collapsed), sort as
+    their vertex pairs, so a running count numbers them.  One cross product
+    per kept face orients and measures it.
     """
-    eps = 1e-12 * bulk.h
+    eps = SNAP * bulk.h**2
     ids, tets, vids, d = (bulk._near_surface(surface, eps) if band is None else
                           (band.tet_ids, band.dofs, band.active_dofs, band.d_vertex.copy()))
     on_surface = np.abs(d) < eps
-    d[on_surface] = eps
+    d[on_surface] = 0.0
     pattern = (d < 0.0)[tets] @ (1, 2, 4, 8)
     cut = np.flatnonzero((pattern > 0) & (pattern < 15))
     if len(cut) == 0:
         raise BeltramiError("surface does not cut the bulk mesh")
-    # one stable sort by output group keeps each group in tet order
-    group = _CUT_GROUPS[pattern[cut]]
-    present = group >= 0
-    order = np.argsort(group[present], kind="stable")
-    parents = np.repeat(cut, present.sum(axis=1))[order]
-    local = _CUT_FACES[pattern[cut]][present][order]
+    local = _CUT_FACES[pattern[cut]]
+    present = local[:, :, 0] >= 0
+    parents = np.repeat(cut, present.sum(axis=1))
+    local = local[present]
     ends = tets[parents[:, None, None], _TET_EDGES[local]]  # (F, 3, 2)
     lo, hi = np.minimum(ends[..., 0], ends[..., 1]), np.maximum(ends[..., 0], ends[..., 1])
     # a crossing edge ending at an on-surface vertex becomes (v, v)
@@ -658,20 +655,16 @@ def extract_cut_surface(bulk, surface, band=None):
     pa = bulk.vertex_points(vids[a])
     cut_vertices = pa + tvals[:, None] * (bulk.vertex_points(vids[b]) - pa)
 
-    # the area filter's product (``triangle_geometry``'s) also orients the faces
-    corners = np.take(cut_vertices, faces.T, axis=0)
-    n = row_cross(corners[1] - corners[0], -(corners[0] - corners[2]))
-    keep = np.flatnonzero(row_norm(n) >= 2e-14 * bulk.h**2)
-    n_degenerate = np.count_nonzero((faces != faces[:, [1, 2, 0]]).all(axis=1)) - len(keep)
-    faces, n, rows = (np.take(x, keep, axis=0) for x in (faces, n, parents))
-    corners = np.take(corners, keep, axis=1)
-    geo = triangle_geometry(*_orient_by_cross(faces, corners, surface, n))
+    distinct = (faces != faces[:, [1, 2, 0]]).all(axis=1)
+    faces, rows = faces[distinct], parents[distinct]
+    geo = triangle_geometry(*_orient_by_cross(faces, np.take(cut_vertices, faces.T, axis=0),
+                                              surface))
     # keep the cut vertices that faces use: their edge ends are corners of kept tets
     kept = np.bincount(faces.ravel(), minlength=len(a)) > 0
     faces, ends = (np.cumsum(kept) - 1)[faces], np.stack([a, b], axis=1)[kept]
     numbering = (_number_rows(ids, tets, vids, d, rows, ends) if band is None
                  else (ids[rows], ends, vids, d))
-    return CutSurface(bulk, cut_vertices[kept], faces, geo, n_degenerate, numbering, tvals[kept])
+    return CutSurface(bulk, cut_vertices[kept], faces, geo, numbering, tvals[kept])
 
 
 class BandMesh:

@@ -39,12 +39,8 @@ class TraceProblem:
         # closed, so chi = V - F/2; a coarse lattice can split the cut apart
         chi = len(self.cut.vertices) - self.cut.n_faces // 2
         if chi != (0 if surface.kind == "torus" else 2):
-            n = self.cut.n_degenerate
-            raise BeltramiError(f"cut surface has Euler characteristic {chi}: " + (
-                f"extraction dropped {n} faces with 2|T| < 2e-14 h^2, the caps around lattice "
-                f"vertices within about 1e-7 h of the {surface.kind} but farther than the "
-                "1e-12 h that nudges a vertex onto it" if n else
-                f"the bulk mesh does not resolve the {surface.kind}"))
+            raise BeltramiError(f"cut surface has Euler characteristic {chi}: "
+                                f"the bulk mesh does not resolve the {surface.kind}")
         self.solution = solution if solution is not None else surface.manufactured()
 
     def __repr__(self):

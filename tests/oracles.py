@@ -721,29 +721,28 @@ def dense_kuhn_lattice(half_width, n):
     return vertices, (lowest[:, None, None] + offsets).reshape(-1, 4)
 
 
-def dense_cut_surface(vertices, tets, h, distance, orient, tables):
+def dense_cut_surface(vertices, tets, near, distance, orient, tables):
     """Cut surface marched through every lattice tetrahedron, as the
     library did while its lattice was dense; None when nothing is cut.
     ``edge_ends`` are the lattice ids of each cut vertex's edge.
 
     ``distance`` maps points to d, ``orient(vertices, faces)`` orients
-    faces along grad d, and ``tables`` are the library's cut-face pattern
-    table, output groups and tet edges.
+    faces along grad d, ``tables`` are the library's cut-face pattern
+    table and tet edges, and d with |d| < ``near`` is set to 0.  Faces
+    come in tet order; those that repeat a vertex are dropped.
     """
-    cut_faces, cut_groups, tet_edges = tables
+    cut_faces, tet_edges = tables
     d = distance(vertices).copy()
-    eps = 1e-12 * h
-    on_surface = np.abs(d) < eps
-    d[on_surface] = eps
+    on_surface = np.abs(d) < near
+    d[on_surface] = 0.0
     pattern = np.packbits((d < 0.0)[tets], axis=1, bitorder="little")[:, 0]
     cut = np.flatnonzero((pattern > 0) & (pattern < 15))
     if len(cut) == 0:
         return None
-    group = cut_groups[pattern[cut]]
-    present = group >= 0
-    order = np.argsort(group[present], kind="stable")
-    parents = np.repeat(cut, present.sum(axis=1))[order]
-    local = cut_faces[pattern[cut]][present][order]
+    local = cut_faces[pattern[cut]]
+    present = local[:, :, 0] >= 0
+    parents = np.repeat(cut, present.sum(axis=1))
+    local = local[present]
     ends = tets[parents[:, None, None], tet_edges[local]]
     lo, hi = ends.min(axis=2), ends.max(axis=2)
     lo = np.where(on_surface[hi], hi, lo)
@@ -757,21 +756,17 @@ def dense_cut_surface(vertices, tets, h, distance, orient, tables):
     faces = inverse.reshape(-1, 3)
     distinct = (faces != np.roll(faces, 1, axis=1)).all(axis=1)
     faces, parents = faces[distinct], parents[distinct]
-    coords = cut_vertices[faces]
-    n = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
-    good = np.linalg.norm(n, axis=1) >= 2e-14 * h**2
-    active = np.unique(tets[np.unique(parents[good])])
+    active = np.unique(tets[np.unique(parents)])
     # only the cut vertices that the kept faces use
-    used, faces = np.unique(faces[good], return_inverse=True)
+    used, faces = np.unique(faces, return_inverse=True)
     return {
         "vertices": cut_vertices[used],
         "faces": orient(cut_vertices[used], faces.reshape(-1, 3)),
         "edge_ends": np.stack([a, b], axis=1)[used],
         "tvals": tvals[used],
-        "parent_tet": parents[good],
+        "parent_tet": parents,
         "active_dofs": active,
         "d_vertex": d[active],
-        "n_degenerate": int((~good).sum()),
     }
 
 

@@ -40,6 +40,7 @@ from beltrami.meshes import (
     _ICO_FACES,
     LEVEL_RATIO,
     SIGMA_MAX,
+    SNAP,
     _finish_surface_mesh,
     axis_edges,
     edge_table,
@@ -632,9 +633,9 @@ def test_sparse_extraction_matches_dense_lattice(case):
     assert np.array_equal(bulk.vertex_points(np.arange(bulk.n_vertices)), vertices)
 
     ref = oracles.dense_cut_surface(
-        vertices, tets, bulk.h, surface._distance_raw,
+        vertices, tets, meshes.SNAP * bulk.h**2, surface._distance_raw,
         lambda v, f: oracles.orient_outward(v, f, lambda x: surface._grad_raw(x)[1]),
-        (meshes._CUT_FACES, meshes._CUT_GROUPS, meshes._TET_EDGES),
+        (meshes._CUT_FACES, meshes._TET_EDGES),
     )
     if ref is None:
         with pytest.raises(BeltramiError):
@@ -668,6 +669,8 @@ def test_records_number_dofs_as_sorting_does(surface, n, factor):
     over the culled vertices.  The cut's and the band-marched cut's edge
     ends, by position, place every cut vertex, and E carries a linear
     function from the DOFs to the cut vertices."""
+    from beltrami import meshes
+
     bulk = build_bulk_mesh(surface, n)
     delta = factor * bulk.h
     try:
@@ -683,10 +686,10 @@ def test_records_number_dofs_as_sorting_does(surface, n, factor):
     for name, value in zip(("active_dofs", "dofs", "d_vertex"), want):
         assert np.array_equal(getattr(band, name), value), name
 
-    eps = 1e-12 * bulk.h
+    eps = meshes.SNAP * bulk.h**2
     ids, corners, vids, d = bulk._near_surface(surface, eps)
-    d[np.abs(d) < eps] = eps
-    mixed = ids[((d < 0.0)[corners].any(axis=1)) & ((d > 0.0)[corners].any(axis=1))]
+    d[np.abs(d) < eps] = 0.0
+    mixed = ids[((d < 0.0)[corners].any(axis=1)) & ((d >= 0.0)[corners].any(axis=1))]
     assert np.isin(cut.parent_tet, mixed).all()
     active, _, d_active = oracles.sorted_numbering(bulk.tet_vertices(cut.parent_tet), vids, d)
     assert np.array_equal(cut.active_dofs, active)
@@ -723,7 +726,6 @@ def test_band_marched_cut_is_the_cut(surface, n, factor):
         got, want = getattr(marched, name), getattr(cut, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
-    assert marched.n_degenerate == cut.n_degenerate
     assert np.array_equal(marched.active_dofs, band.active_dofs)
     assert np.array_equal(marched.active_dofs[marched.ends], cut.active_dofs[cut.ends])
     assert band.d_vertex.tobytes() == d.tobytes()
@@ -761,13 +763,19 @@ def test_axis_edges_match_brute_force(surface, n, factor):
 @example(case=(Sphere(1.0), 30, 2.5, 1.0))
 @example(case=(Sphere(1.0 + 1e-6 / 6.0), 30, 2.5, 1.0))
 @example(case=(Sphere(1.0 - 1e-6 / 6.0), 30, 2.5, 1.0))
+@example(case=(Sphere(1.0 + 0.99 * SNAP / 36.0), 30, 2.5, 1.0))
+@example(case=(Sphere(1.0 - 0.99 * SNAP / 36.0), 30, 2.5, 1.0))
+@example(case=(Sphere(1.0 + 1.01 * SNAP / 36.0), 30, 2.5, 1.0))
+@example(case=(Sphere(1.0 - 1.01 * SNAP / 36.0), 30, 2.5, 1.0))
 def test_extraction_keeps_only_faces_triangle_geometry_accepts(case):
-    """Extraction drops a face when 2|T| < 2e-14 h^2, ``triangle_geometry``
-    refuses one when 2|T| < 2e-14 |e_max|^2: every face extraction keeps
-    passes the second rule too, so no solve meets DegenerateSimplex.  At
-    h = 1/6 the lattice vertex (1, 0, 0) lies on the unit sphere, and
-    1e-6 h off a sphere through it, where the faces around it are slivers
-    of area ~3e-13 h^2 with edges ~h."""
+    """``triangle_geometry`` refuses a face when 2|T| < 2e-14 |e_max|^2;
+    every face extraction keeps passes that rule, so no solve meets
+    DegenerateSimplex.  Every crossing lies at least SNAP h^2 from both
+    ends of its edge, so every face has 2|T| >= SNAP^2 h^4 / (6 sqrt 3)
+    (``extract_cut_surface``) and 2|T| >= 2e-14 h^2: no sliver is kept.
+    At h = 1/6 the lattice vertex (1, 0, 0) lies on the unit sphere, 1e-6 h
+    off the next two spheres, and 0.99 or 1.01 times SNAP h^2 off the last
+    four, just inside and just outside the snap."""
     surface, n, half_width, _ = case
     bulk = build_bulk_mesh(surface, n, half_width=half_width)
     try:
@@ -775,6 +783,9 @@ def test_extraction_keeps_only_faces_triangle_geometry_accepts(case):
     except BeltramiError:
         assume(False)
     triangle_geometry(*cut.vertices[cut.faces.T])
+    two_area = 2.0 * cut.areas
+    assert (two_area >= 2e-14 * bulk.h**2).all()
+    assert (two_area >= SNAP**2 * bulk.h**4 / (6.0 * np.sqrt(3.0))).all()
 
 
 def test_extraction_never_calls_unique(monkeypatch):
@@ -807,9 +818,11 @@ def test_cull_numbers_vertices_as_unique_does(case):
     """The culled vertices, numbered by one merge of the kept cells' cube
     corners, are ``np.unique`` of the culled tets' corners with its inverse,
     at the cut's reach and at the band's, dtypes included."""
+    from beltrami import meshes
+
     surface, n, half_width, factor = case
     bulk = build_bulk_mesh(surface, n, half_width=half_width)
-    for reach in (1e-12 * bulk.h, factor * bulk.h):
+    for reach in (meshes.SNAP * bulk.h**2, factor * bulk.h):
         ids, corners, vids, d = bulk._near_surface(surface, reach)
         assert (np.diff(ids) > 0).all() and (ids[::6] % 6 == 0).all()
         want_vids, want_corners = np.unique(bulk.tet_vertices(ids), return_inverse=True)
@@ -829,14 +842,14 @@ def test_crossing_edges_number_as_unique_does(case):
     (``oracles.dense_cut_surface`` run on those vertices), every array bit
     for bit, also where lattice vertices lie on the unit sphere at n = 30
     and edges collapse.  The areas, normals and gradients formed from the
-    area filter's cross product are those ``triangle_geometry`` forms, zero
+    orienting cross product are those ``triangle_geometry`` forms, zero
     signs included: at n = 31 faces in the lattice planes through the
     centre have normals with zero components, some of them -0.0."""
     from beltrami import meshes
 
     surface, n, half_width, factor = case
     bulk = build_bulk_mesh(surface, n, half_width=half_width)
-    ids, corners, vids, _ = bulk._near_surface(surface, 1e-12 * bulk.h)
+    ids, corners, vids, _ = bulk._near_surface(surface, meshes.SNAP * bulk.h**2)
     routes = [(None, ids, corners, vids)]
     try:
         band = extract_band(bulk, surface, factor * bulk.h)
@@ -845,9 +858,9 @@ def test_crossing_edges_number_as_unique_does(case):
         pass
     for band, tet_ids, tets, active in routes:
         ref = oracles.dense_cut_surface(
-            bulk.vertex_points(active), tets, bulk.h, surface._distance_raw,
+            bulk.vertex_points(active), tets, meshes.SNAP * bulk.h**2, surface._distance_raw,
             lambda v, f: oracles.orient_outward(v, f, lambda x: surface._grad_raw(x)[1]),
-            (meshes._CUT_FACES, meshes._CUT_GROUPS, meshes._TET_EDGES))
+            (meshes._CUT_FACES, meshes._TET_EDGES))
         if ref is None:
             with pytest.raises(BeltramiError, match="does not cut"):
                 extract_cut_surface(bulk, surface, band)
@@ -858,7 +871,6 @@ def test_crossing_edges_number_as_unique_does(case):
         if band is None:
             assert np.array_equal(cut.active_dofs, active[ref["active_dofs"]])
             assert np.array_equal(cut.d_vertex, ref["d_vertex"])
-        assert cut.n_degenerate == ref["n_degenerate"]
         for name in ("vertices", "faces", "tvals"):
             got, want = getattr(cut, name), ref[name]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
@@ -885,10 +897,11 @@ def test_empty_cull_raises_for_both_records(n):
 
 def test_fresh_cut_extraction_peak_memory():
     """Under tracemalloc a fresh ``extract_cut_surface`` of ``Sphere(1)`` at
-    n = 64 peaks at 16.36 MiB, the bulk mesh built before; the bound is
+    n = 64 peaks at 15.72 MiB, the bulk mesh built before; the bound is
     that + 5 %.  Numbered by ``np.unique``, with three cross products per
     face, it peaked at 22.97 MiB; measured from ``vertices[faces]`` and
-    its two fancy-indexed edge copies, at 18.83 MiB."""
+    its two fancy-indexed edge copies, at 18.83 MiB; with the product of
+    every face formed for an area filter, at 16.36 MiB."""
     import tracemalloc
 
     s = Sphere(1.0)
@@ -899,7 +912,7 @@ def test_fresh_cut_extraction_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.05 * 16.36 * 2**20
+    assert peak <= 1.05 * 15.72 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -959,7 +972,6 @@ def test_cut_surface_is_closed_with_surface_topology(case):
     assert (np.bincount(face_edges.ravel(), minlength=len(edges)) == 2).all()
     chi = 0 if surface.kind == "torus" else 2
     assert len(cut.vertices) - len(edges) + cut.n_faces == chi
-    assert cut.n_degenerate == 0
     assert np.isfinite(cut.vertices).all()
 
 
