@@ -25,7 +25,8 @@ SIGMA_MAX = 4.0
 # pseudo-inverse if it has at most COARSE_MAX vertices
 LEVEL_RATIO = 3
 COARSE_MAX = 1000
-# the cut treats a lattice vertex with |d| < SNAP h^2 as on the surface
+# the cut moves a lattice vertex with |d| < SNAP K h^2 (K the surface's
+# largest curvature) out to that distance on its side of the surface
 SNAP = 0.01
 
 
@@ -548,9 +549,9 @@ class CutSurface:
     Faces lie in bulk tetrahedra (``parent_tet``), face along grad d and own
     their ``triangle_geometry`` (``grads``, ``areas``, ``normals``).  Their
     DOFs are the corners of the cut tetrahedra, ascending in ``active_dofs``,
-    with ``d_vertex`` the snapped d there (0 within ``SNAP`` h^2 of the
-    surface).  Cut vertex i is (1 - t) x_a + t x_b with t ``tvals[i]`` and
-    a, b its edge's ends ``ends[i]`` by position there.
+    with ``d_vertex`` the snapped d there (+-``SNAP`` K h^2 where |d| was
+    smaller).  Cut vertex i is (1 - t) x_a + t x_b with t ``tvals[i]`` in
+    (0, 1) and a, b its edge's ends ``ends[i]`` by position there.
     A band-marched cut numbers its DOFs as the band: ``n_active_dofs`` is the band's.
     """
 
@@ -610,61 +611,57 @@ _CUT_FACES = _cut_face_table()
 def extract_cut_surface(bulk, surface, band=None):
     """March the interpolated signed distance through the bulk mesh.
 
-    Only the cells near the surface are visited: a fresh cull, or the rows
-    of a ``band`` (every cut tet meets it), marched on a copy of its d and
-    numbered as the band.  A vertex with |d| < ``SNAP`` h^2 is on the
-    surface: its d is set to 0, which counts as positive, and it is the cut
-    vertex of every crossing edge that ends at it; faces that repeat a
-    vertex then vanish, and the rest are kept, in tet order.  Since d is
-    1-Lipschitz, every other crossing lies at least SNAP h^2 from both ends
-    of its edge, a share tau >= SNAP h / sqrt 3 of it.  A kept face and
-    some tet corner then span at least tau^2 / 2 of the tet's volume h^3 / 6
-    at a height <= sqrt 3 h, so 2|T| >= SNAP^2 h^4 / (6 sqrt 3): no slivers.
+    Only the cells near the surface are visited: a fresh cull of the cells
+    that meet it, or the rows of a ``band`` (every cut tet meets it),
+    marched on a copy of its d and numbered as the band.  A vertex with
+    |d| < eps = ``SNAP`` K h^2, K the surface's ``max_curvature``, is
+    snapped off the surface: its d becomes +-eps on its side (0 counts as
+    positive), so the sign pattern is d's own and every crossing edge still
+    joins its two ends.  Since d is 1-Lipschitz, the ends' |d| sum to at
+    most |e| + eps <= sqrt 3 h + eps (for eps <= h), so every crossing lies
+    a share tau >= eps / (sqrt 3 h + eps) of its edge from both ends.  Two
+    vertices of each face lie on edges from one tet corner, at shares s1,
+    s2; with the third's share s3 they span a tet of volume s1 s2 s3 h^3 / 6
+    at a height <= min(s1, s2) sqrt 3 h, so 2|T| >= tau^2 h^2 / sqrt 3: no
+    face is a sliver or repeats a vertex.
     One vertex on a side yields a triangle; two yield a planar quad split
-    into two triangles along the cycle (ac, ad, bd, bc).  Crossing edges,
-    keyed lo * 8 + lattice step (bits 4, 2, 1; 0 once collapsed), sort as
-    their vertex pairs, so a running count numbers them.  One cross product
-    per kept face orients and measures it.
+    into two triangles along the cycle (ac, ad, bd, bc); faces come in tet
+    order.  Crossing edges, keyed lo * 8 + lattice step (bits 4, 2, 1),
+    sort as their vertex pairs, so a running count numbers them.  One cross
+    product per face orients and measures it.
     """
-    eps = SNAP * bulk.h**2
-    ids, tets, vids, d = (bulk._near_surface(surface, eps) if band is None else
+    eps = SNAP * surface.max_curvature() * bulk.h**2
+    ids, tets, vids, d = (bulk._near_surface(surface, 0.0) if band is None else
                           (band.tet_ids, band.dofs, band.active_dofs, band.d_vertex.copy()))
-    on_surface = np.abs(d) < eps
-    d[on_surface] = 0.0
+    near = np.abs(d) < eps
+    d[near] = np.where(d[near] < 0.0, -eps, eps)
     pattern = (d < 0.0)[tets] @ (1, 2, 4, 8)
     cut = np.flatnonzero((pattern > 0) & (pattern < 15))
     if len(cut) == 0:
         raise BeltramiError("surface does not cut the bulk mesh")
     local = _CUT_FACES[pattern[cut]]
     present = local[:, :, 0] >= 0
-    parents = np.repeat(cut, present.sum(axis=1))
+    rows = np.repeat(cut, present.sum(axis=1))
     local = local[present]
-    ends = tets[parents[:, None, None], _TET_EDGES[local]]  # (F, 3, 2)
+    ends = tets[rows[:, None, None], _TET_EDGES[local]]  # (F, 3, 2)
     lo, hi = np.minimum(ends[..., 0], ends[..., 1]), np.maximum(ends[..., 0], ends[..., 1])
-    # a crossing edge ending at an on-surface vertex becomes (v, v)
-    lo = np.where(on_surface[hi], hi, lo)
-    hi = np.where(on_surface[lo], lo, hi)
 
-    keys = 8 * lo + np.where(lo == hi, 0, _KUHN_STEPS[(ids[parents] % 6)[:, None], local])
+    keys = 8 * lo + _KUHN_STEPS[(ids[rows] % 6)[:, None], local]
     keyed = np.bincount(keys.ravel(), minlength=8 * len(vids)) > 0
     faces = (np.cumsum(keyed) - 1)[keys]
     a, b = np.empty((2, np.count_nonzero(keyed)), dtype=np.int64)
     a[faces], b[faces] = lo, hi
     del ends, lo, hi, keys, keyed
-    tvals = np.divide(d[a], d[a] - d[b], out=np.zeros(len(a)), where=a != b)
+    tvals = d[a] / (d[a] - d[b])
     pa = bulk.vertex_points(vids[a])
     cut_vertices = pa + tvals[:, None] * (bulk.vertex_points(vids[b]) - pa)
 
-    distinct = (faces != faces[:, [1, 2, 0]]).all(axis=1)
-    faces, rows = faces[distinct], parents[distinct]
     geo = triangle_geometry(*_orient_by_cross(faces, np.take(cut_vertices, faces.T, axis=0),
                                               surface))
-    # keep the cut vertices that faces use: their edge ends are corners of kept tets
-    kept = np.bincount(faces.ravel(), minlength=len(a)) > 0
-    faces, ends = (np.cumsum(kept) - 1)[faces], np.stack([a, b], axis=1)[kept]
+    ends = np.stack([a, b], axis=1)
     numbering = (_number_rows(ids, tets, vids, d, rows, ends) if band is None
                  else (ids[rows], ends, vids, d))
-    return CutSurface(bulk, cut_vertices[kept], faces, geo, numbering, tvals[kept])
+    return CutSurface(bulk, cut_vertices, faces, geo, numbering, tvals)
 
 
 class BandMesh:

@@ -728,13 +728,13 @@ def dense_cut_surface(vertices, tets, near, distance, orient, tables):
 
     ``distance`` maps points to d, ``orient(vertices, faces)`` orients
     faces along grad d, ``tables`` are the library's cut-face pattern
-    table and tet edges, and d with |d| < ``near`` is set to 0.  Faces
-    come in tet order; those that repeat a vertex are dropped.
+    table and tet edges, and d with |d| < ``near`` becomes +-near on its
+    side (0 counts as positive).  Faces come in tet order.
     """
     cut_faces, tet_edges = tables
     d = distance(vertices).copy()
-    on_surface = np.abs(d) < near
-    d[on_surface] = 0.0
+    snap = np.abs(d) < near
+    d[snap] = np.where(d[snap] < 0.0, -near, near)
     pattern = np.packbits((d < 0.0)[tets], axis=1, bitorder="little")[:, 0]
     cut = np.flatnonzero((pattern > 0) & (pattern < 15))
     if len(cut) == 0:
@@ -745,25 +745,17 @@ def dense_cut_surface(vertices, tets, near, distance, orient, tables):
     local = local[present]
     ends = tets[parents[:, None, None], tet_edges[local]]
     lo, hi = ends.min(axis=2), ends.max(axis=2)
-    lo = np.where(on_surface[hi], hi, lo)
-    hi = np.where(on_surface[lo], lo, hi)
     nv = len(vertices)
     uniq, inverse = np.unique(lo * nv + hi, return_inverse=True)
     a, b = np.divmod(uniq, nv)
-    da, db = d[a], d[b]
-    tvals = np.divide(da, da - db, out=np.zeros_like(da), where=a != b)
+    tvals = d[a] / (d[a] - d[b])
     cut_vertices = vertices[a] + tvals[:, None] * (vertices[b] - vertices[a])
-    faces = inverse.reshape(-1, 3)
-    distinct = (faces != np.roll(faces, 1, axis=1)).all(axis=1)
-    faces, parents = faces[distinct], parents[distinct]
     active = np.unique(tets[np.unique(parents)])
-    # only the cut vertices that the kept faces use
-    used, faces = np.unique(faces, return_inverse=True)
     return {
-        "vertices": cut_vertices[used],
-        "faces": orient(cut_vertices[used], faces.reshape(-1, 3)),
-        "edge_ends": np.stack([a, b], axis=1)[used],
-        "tvals": tvals[used],
+        "vertices": cut_vertices,
+        "faces": orient(cut_vertices, inverse.reshape(-1, 3)),
+        "edge_ends": np.stack([a, b], axis=1),
+        "tvals": tvals,
         "parent_tet": parents,
         "active_dofs": active,
         "d_vertex": d[active],

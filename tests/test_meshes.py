@@ -2,10 +2,8 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import connected_components
 
 from beltrami import (
     BoxTooSmall,
@@ -617,6 +615,11 @@ def lattice_cases(draw):
             draw(st.floats(1.0, 2.0)))
 
 
+def _snap_distance(bulk, surface):
+    """The |d| below which the cut snaps a lattice vertex: SNAP K h^2."""
+    return SNAP * surface.max_curvature() * bulk.h**2
+
+
 @settings(max_examples=30, deadline=None)
 @given(case=lattice_cases())
 @example(case=(Torus(1.0, 0.4), 20, None, 1.5))
@@ -635,7 +638,7 @@ def test_sparse_extraction_matches_dense_lattice(case):
     assert np.array_equal(bulk.vertex_points(np.arange(bulk.n_vertices)), vertices)
 
     ref = oracles.dense_cut_surface(
-        vertices, tets, meshes.SNAP * bulk.h**2, surface._distance_raw,
+        vertices, tets, _snap_distance(bulk, surface), surface._distance_raw,
         lambda v, f: oracles.orient_outward(v, f, lambda x: surface._grad_raw(x)[1]),
         (meshes._CUT_FACES, meshes._TET_EDGES),
     )
@@ -671,8 +674,6 @@ def test_records_number_dofs_as_sorting_does(surface, n, factor):
     over the culled vertices.  The cut's and the band-marched cut's edge
     ends, by position, place every cut vertex, and E carries a linear
     function from the DOFs to the cut vertices."""
-    from beltrami import meshes
-
     bulk = build_bulk_mesh(surface, n)
     delta = factor * bulk.h
     try:
@@ -688,10 +689,11 @@ def test_records_number_dofs_as_sorting_does(surface, n, factor):
     for name, value in zip(("active_dofs", "dofs", "d_vertex"), want):
         assert np.array_equal(getattr(band, name), value), name
 
-    eps = meshes.SNAP * bulk.h**2
-    ids, corners, vids, d = bulk._near_surface(surface, eps)
-    d[np.abs(d) < eps] = 0.0
-    mixed = ids[((d < 0.0)[corners].any(axis=1)) & ((d >= 0.0)[corners].any(axis=1))]
+    eps = _snap_distance(bulk, surface)
+    ids, corners, vids, d = bulk._near_surface(surface, 0.0)
+    snap = np.abs(d) < eps
+    d[snap] = np.where(d[snap] < 0.0, -eps, eps)
+    mixed = ids[((d < 0.0)[corners].any(axis=1)) & ((d > 0.0)[corners].any(axis=1))]
     assert np.isin(cut.parent_tet, mixed).all()
     active, _, d_active = oracles.sorted_numbering(bulk.tet_vertices(cut.parent_tet), vids, d)
     assert np.array_equal(cut.active_dofs, active)
@@ -772,12 +774,13 @@ def test_axis_edges_match_brute_force(surface, n, factor):
 def test_extraction_keeps_only_faces_triangle_geometry_accepts(case):
     """``triangle_geometry`` refuses a face when 2|T| < 2e-14 |e_max|^2;
     every face extraction keeps passes that rule, so no solve meets
-    DegenerateSimplex.  Every crossing lies at least SNAP h^2 from both
-    ends of its edge, so every face has 2|T| >= SNAP^2 h^4 / (6 sqrt 3)
-    (``extract_cut_surface``) and 2|T| >= 2e-14 h^2: no sliver is kept.
-    At h = 1/6 the lattice vertex (1, 0, 0) lies on the unit sphere, 1e-6 h
-    off the next two spheres, and 0.99 or 1.01 times SNAP h^2 off the last
-    four, just inside and just outside the snap."""
+    DegenerateSimplex.  Every crossing lies a share tau >= eps /
+    (sqrt 3 h + eps) of its edge from both ends, eps = SNAP K h^2, so every
+    face has 2|T| >= tau^2 h^2 / sqrt 3 (``extract_cut_surface``) and
+    2|T| >= 2e-14 h^2: no sliver is made.  At h = 1/6 the lattice vertex
+    (1, 0, 0) lies on the unit sphere, 1e-6 h off the next two spheres, and
+    0.99 or 1.01 times SNAP h^2 off the last four, just inside and just
+    outside eps (K = 1/R differs from 1 by 3e-4)."""
     surface, n, half_width, _ = case
     bulk = build_bulk_mesh(surface, n, half_width=half_width)
     try:
@@ -786,8 +789,28 @@ def test_extraction_keeps_only_faces_triangle_geometry_accepts(case):
         assume(False)
     triangle_geometry(*cut.vertices[cut.faces.T])
     two_area = 2.0 * cut.areas
+    eps = _snap_distance(bulk, surface)
+    tau = eps / (np.sqrt(3.0) * bulk.h + eps)
     assert (two_area >= 2e-14 * bulk.h**2).all()
-    assert (two_area >= SNAP**2 * bulk.h**4 / (6.0 * np.sqrt(3.0))).all()
+    assert (two_area >= tau**2 * bulk.h**2 / np.sqrt(3.0)).all()
+
+
+@pytest.mark.parametrize("radius, n, half_width, snapped", [
+    (1.0, 7, 2.109375, 24), (1.0 + 0.99 * SNAP / 36.0, 30, 2.5, 30)])
+def test_snap_is_independent_of_scale(radius, n, half_width, snapped):
+    """The snap distance SNAP K h^2 scales with the surface: Sphere(50 r) in
+    a box 50 times as wide snaps as many lattice vertices as Sphere(r), and
+    its cut has the same faces with vertices 50 times as far out."""
+    cuts = []
+    for scale in (1.0, 50.0):
+        s = Sphere(scale * radius)
+        bulk = build_bulk_mesh(s, n, half_width=scale * half_width)
+        cut = extract_cut_surface(bulk, s)
+        assert np.count_nonzero(np.abs(cut.d_vertex) == _snap_distance(bulk, s)) == snapped
+        cuts.append(cut)
+    small, large = cuts
+    assert np.array_equal(small.faces, large.faces)
+    assert np.abs(large.vertices - 50.0 * small.vertices).max() <= 1e-12 * 50.0 * radius
 
 
 def test_extraction_never_calls_unique(monkeypatch):
@@ -819,12 +842,11 @@ def test_extraction_never_calls_unique(monkeypatch):
 def test_cull_numbers_vertices_as_unique_does(case):
     """The culled vertices, numbered by one merge of the kept cells' cube
     corners, are ``np.unique`` of the culled tets' corners with its inverse,
-    at the cut's reach and at the band's, dtypes included."""
-    from beltrami import meshes
-
+    at the cut's reach (0: the cells that meet the surface) and at the
+    band's, dtypes included."""
     surface, n, half_width, factor = case
     bulk = build_bulk_mesh(surface, n, half_width=half_width)
-    for reach in (meshes.SNAP * bulk.h**2, factor * bulk.h):
+    for reach in (0.0, factor * bulk.h):
         ids, corners, vids, d = bulk._near_surface(surface, reach)
         assert (np.diff(ids) > 0).all() and (ids[::6] % 6 == 0).all()
         want_vids, want_corners = np.unique(bulk.tet_vertices(ids), return_inverse=True)
@@ -843,7 +865,7 @@ def test_crossing_edges_number_as_unique_does(case):
     number their crossing edges as ``np.unique(lo * V + hi)`` does
     (``oracles.dense_cut_surface`` run on those vertices), every array bit
     for bit, also where lattice vertices lie on the unit sphere at n = 30
-    and edges collapse.  The areas, normals and gradients formed from the
+    and are snapped off it.  The areas, normals and gradients formed from the
     orienting cross product are those ``triangle_geometry`` forms, zero
     signs included: at n = 31 faces in the lattice planes through the
     centre have normals with zero components, some of them -0.0."""
@@ -851,7 +873,7 @@ def test_crossing_edges_number_as_unique_does(case):
 
     surface, n, half_width, factor = case
     bulk = build_bulk_mesh(surface, n, half_width=half_width)
-    ids, corners, vids, _ = bulk._near_surface(surface, meshes.SNAP * bulk.h**2)
+    ids, corners, vids, _ = bulk._near_surface(surface, 0.0)
     routes = [(None, ids, corners, vids)]
     try:
         band = extract_band(bulk, surface, factor * bulk.h)
@@ -860,7 +882,8 @@ def test_crossing_edges_number_as_unique_does(case):
         pass
     for band, tet_ids, tets, active in routes:
         ref = oracles.dense_cut_surface(
-            bulk.vertex_points(active), tets, meshes.SNAP * bulk.h**2, surface._distance_raw,
+            bulk.vertex_points(active), tets, _snap_distance(bulk, surface),
+            surface._distance_raw,
             lambda v, f: oracles.orient_outward(v, f, lambda x: surface._grad_raw(x)[1]),
             (meshes._CUT_FACES, meshes._TET_EDGES))
         if ref is None:
@@ -899,11 +922,8 @@ def test_empty_cull_raises_for_both_records(n):
 
 def test_fresh_cut_extraction_peak_memory():
     """Under tracemalloc a fresh ``extract_cut_surface`` of ``Sphere(1)`` at
-    n = 64 peaks at 15.72 MiB, the bulk mesh built before; the bound is
-    that + 5 %.  Numbered by ``np.unique``, with three cross products per
-    face, it peaked at 22.97 MiB; measured from ``vertices[faces]`` and
-    its two fancy-indexed edge copies, at 18.83 MiB; with the product of
-    every face formed for an area filter, at 16.36 MiB."""
+    n = 64 peaks at 15.22 MiB, the bulk mesh built before; the bound is
+    that + 5 %."""
     import tracemalloc
 
     s = Sphere(1.0)
@@ -914,7 +934,7 @@ def test_fresh_cut_extraction_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.05 * 15.72 * 2**20
+    assert peak <= 1.05 * 15.22 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -1017,27 +1037,13 @@ def boxed_cases(draw):
     return surface, draw(st.integers(4, 12)), needed * draw(st.floats(1.0, 1.6))
 
 
-def _crossing_pieces(cut):
-    """Pieces of the DOFs joined by crossing edges (ends a != b), one label
-    per DOF, and their count; snapped DOFs end no crossing and label -1."""
-    cross = cut.ends[cut.ends[:, 0] != cut.ends[:, 1]]
-    n = len(cut.d_vertex)
-    graph = sp.coo_matrix((np.ones(len(cross)), (cross[:, 0], cross[:, 1])), shape=(n, n))
-    _, label = connected_components(graph, directed=False)
-    crossing = np.zeros(n, dtype=bool)
-    crossing[cross.ravel()] = True
-    pieces, label[crossing] = np.unique(label[crossing], return_inverse=True)
-    label[~crossing] = -1
-    return label, len(pieces)
-
-
 @settings(max_examples=25, deadline=None)
 @given(case=boxed_cases())
 @example(case=(Sphere(1.0), 7, 2.109375))
 def test_trace_stiffness_kernel_is_constants_and_distance(case):
-    """README: the trace kernel is the constants plus the nodal d_h on each
-    piece of the crossing edges; one piece unless a vertex is snapped (the
-    explicit case snaps a belt of 24 vertices that splits them in two)."""
+    """README: the trace kernel is the constants plus the nodal d_h, also
+    where a belt of snapped vertices rings the cut (the explicit case snaps
+    24 of them)."""
     surface, n, half_width = case
     # sizes the solver rejects with a typed error (no cut, NormalFlip) are
     # not discrete problems and carry no kernel claim
@@ -1048,13 +1054,7 @@ def test_trace_stiffness_kernel_is_constants_and_distance(case):
         assume(False)
     d = problem.cut.d_vertex
     assert np.abs(A @ d).max() <= 1e-12 * abs(A).max() * np.abs(d).max()
-    label, pieces = _crossing_pieces(problem.cut)
-    for k in range(pieces):
-        d_k = np.where(label == k, d, 0.0)
-        assert np.abs(A @ d_k).max() <= 1e-12 * abs(A).max() * np.abs(d_k).max()
-    if (d != 0.0).all():
-        assert pieces == 1
-    assert _kernel_dimension(A) == 1 + pieces
+    assert _kernel_dimension(A) == 2
 
 
 @settings(max_examples=10, deadline=None)

@@ -186,9 +186,9 @@ def test_cut_split_by_a_coarse_lattice_raises_typed():
 @pytest.mark.parametrize("c", [1.01e-12, 1e-10, 1e-8, 1e-7, 1e-6, 1e-4])
 def test_near_surface_lattice_vertices_snap_and_solve(c):
     """At h = 1/6 the lattice vertices (+-1, 0, 0), (0, +-1, 0) and
-    (0, 0, +-1) lie c h inside Sphere(1 + c h), within ``SNAP`` h^2 of it
-    for every c here: they snap onto the sphere, the cut is closed with
-    chi = 2 and the solve gives finite rows."""
+    (0, 0, +-1) lie c h inside Sphere(1 + c h), within ``SNAP`` K h^2 of
+    it for every c here: they snap to that distance inside, the cut is
+    closed with chi = 2 and the solve gives finite rows."""
     s = Sphere(1.0 + c / 6.0)
     problem = TraceProblem(s, build_bulk_mesh(s, 30, half_width=2.5))
     cut = problem.cut
